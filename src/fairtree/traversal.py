@@ -9,13 +9,24 @@ class. Monte Carlo aggregation over ``n_simulations`` traversals yields a
 class distribution; ``exact_path_distribution`` computes the same
 distribution in closed form for verification.
 
+Batch prediction walks a whole forest at once. Every (row, simulation,
+tree) triple is a lane; ``tree.walk_lanes`` moves all lanes of a chunk one
+level per step over the forest's flat arrays (built once per tree and
+joined once per forest), reading each lane's feature value straight from
+its row, and drops lanes from the working set as they reach a leaf. The
+Monte Carlo flip step (``_flip_step``) computes the flip chance of each
+working lane and draws a uniform only where that chance is above 0;
+deterministic votes are the same walk without it. Chunks hold whole
+simulations, at most ``max_lanes`` lanes.
+
 All randomness comes from counter-based streams keyed by
 (seed, stream_id, simulation, tree), so results are independent of
-evaluation order and batching.
+evaluation order, batching and chunk size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,13 +35,16 @@ import numpy as np
 from . import rng as _rng
 from .errors import ConfigError, EnumerationLimitError
 from .tree import (
+    MAX_LANES,
     DecisionTree,
-    FlatTree,
+    FlatForest,
     Forest,
     InternalNode,
     LeafNode,
+    _check_matrix,
     _check_sample,
-    flatten_tree,
+    flatten_forest,
+    walk_lanes,
 )
 
 VOTE_MAJORITY = "majority_vote"
@@ -167,85 +181,38 @@ def traverse_once(
     return node.predicted_class
 
 
-def _flip_probs_batch(flat: FlatTree, nodes, x_values, protected_mask, unpriv_mask,
-                      det_majority, spec, config):
-    """Vectorized flip probabilities for lanes sitting at internal nodes."""
-    scale = flat.scale[nodes]
-    d = np.abs(x_values - flat.threshold[nodes])
-    safe_scale = np.where(scale > 0.0, scale, 1.0)
-    base = config.p_max - d / safe_scale
-    base = np.where(scale > 0.0, base, np.where(d == 0.0, config.p_max, 0.0))
-    base = np.clip(base, 0.0, config.p_max)
-    base = np.where(flat.uniform_distance[nodes], config.p_max, base)
-    trigger = (
-        protected_mask
-        & unpriv_mask
-        & (det_majority == spec.unfavorable_class)
-    )
-    return np.where(trigger, np.minimum(config.alpha * base, 0.5), base)
+def _flip_step(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
+    """The Monte Carlo step of walk_lanes, called as flip(keys, step, ...).
 
+    Flip chances follow the arithmetic of flip_probability and
+    adjusted_flip_probability, lane by lane. A uniform is drawn only for
+    lanes whose chance is above 0: u < 0 never holds, so the skipped draws
+    change no result. Lane j's step-k uniform is draw k of stream keys[j],
+    as in traverse_once."""
+    p_max, alpha = config.p_max, config.alpha
+    # unscaled nodes flip at p_max exactly at the threshold and never
+    # elsewhere; uniform-distance nodes always flip at p_max
+    special = forest.unscaled | forest.uniform_distance
+    majority = forest.majority.ravel()
 
-def _traverse_batch(flat: FlatTree, X, spec, config, keys):
-    """Walk all lanes through one tree; returns per-lane leaf classes.
+    def flip(keys, step, lane, node, feat, x, threshold, go_left):
+        d = np.abs(x - threshold)
+        p = np.maximum(p_max - d / forest.safe_scale[node], 0.0)
+        s = np.flatnonzero(special[node])
+        if s.size:
+            p[s] = np.where(forest.uniform_distance[node[s]] | (d[s] == 0.0), p_max, 0.0)
+        # the fairness boost: protected split, unprivileged sample, and the
+        # deterministic child's majority unfavorable
+        t = np.flatnonzero(feat == spec.protected_feature)
+        if t.size:
+            t = t[x[t] == spec.unprivileged_value]
+            t = t[majority[2 * node[t] + ~go_left[t]] == spec.unfavorable_class]
+            p[t] = np.minimum(alpha * p[t], 0.5)
+        hit = np.flatnonzero(p > 0.0)
+        if hit.size:
+            go_left[hit] ^= _rng.uniforms_at_array(keys[lane[hit]], step) < p[hit]
 
-    X has one row per lane; keys holds each lane's stream key. Lane j's
-    step-i uniform is draw i of its stream, matching traverse_once."""
-    n_lanes = X.shape[0]
-    node = np.zeros(n_lanes, dtype=np.int32)
-    lanes = np.arange(n_lanes)
-    for step in range(flat.max_depth):
-        feat = flat.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        a_lanes = lanes[active]
-        a_nodes = node[active]
-        a_feat = feat[active]
-        x_vals = X[a_lanes, a_feat]
-        go_left_det = x_vals <= flat.threshold[a_nodes]
-        det_majority = np.where(
-            go_left_det,
-            flat.left_majority[a_nodes],
-            flat.right_majority[a_nodes],
-        )
-        protected_mask = a_feat == spec.protected_feature
-        unpriv_mask = X[a_lanes, spec.protected_feature] == spec.unprivileged_value
-        p_flip = _flip_probs_batch(
-            flat, a_nodes, x_vals, protected_mask, unpriv_mask,
-            det_majority, spec, config,
-        )
-        u = _rng.uniforms_at_array(keys[active], step)
-        go_left = go_left_det ^ (u < p_flip)
-        node[active] = np.where(go_left, flat.left[a_nodes], flat.right[a_nodes])
-    return flat.leaf_class[node]
-
-
-def _lane_keys(config, stream_ids, n_sims, tree_index):
-    """Stream keys for the (sample, simulation) lane grid of one tree."""
-    sid = np.repeat(np.asarray(stream_ids, dtype=np.uint64), n_sims)
-    sim = np.tile(np.arange(n_sims, dtype=np.uint64), len(stream_ids))
-    return _rng.stream_key_array(config.seed, sid, sim, tree_index)
-
-
-def _simulate_batch(trees, X, spec, config, stream_ids, aggregation):
-    """Shared Monte Carlo core; returns per-sample favorable-vote counts
-    plus the denominator."""
-    n = X.shape[0]
-    S = config.n_simulations
-    T = len(trees)
-    X_lanes = np.repeat(np.asarray(X, dtype=np.float64), S, axis=0)
-    vote_sum = np.zeros(n * S, dtype=np.int32)
-    for t, tree in enumerate(trees):
-        flat = tree if isinstance(tree, FlatTree) else flatten_tree(tree)
-        keys = _lane_keys(config, stream_ids, S, t)
-        vote_sum += _traverse_batch(flat, X_lanes, spec, config, keys)
-    if aggregation == VOTE_MEAN:
-        counts = vote_sum.reshape(n, S).sum(axis=1, dtype=np.int64)
-        return counts, S * T
-    if aggregation != VOTE_MAJORITY:
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
-    sim_votes = (2 * vote_sum.reshape(n, S) > T).astype(np.int64)
-    return sim_votes.sum(axis=1), S
+    return flip
 
 
 def simulate(
@@ -261,12 +228,12 @@ def simulate(
     (seed, stream_id, s, tree=0), so repeated calls are reproducible and
     independent of other samples."""
     sample = _check_sample(sample, tree.n_features)
-    counts, denom = _simulate_batch(
-        [tree], sample.reshape(1, -1), spec, config, [stream_id], VOTE_MAJORITY
+    _, probs = predict_fair_batch(
+        Forest(trees=[tree], n_trees=1), sample.reshape(1, -1), spec, config,
+        stream_ids=[stream_id],
     )
-    favorable = int(counts[0])
     return PredictionDistribution(
-        probs=((denom - favorable) / denom, favorable / denom),
+        probs=(float(probs[0, 0]), float(probs[0, 1])),
         n_simulations_used=config.n_simulations,
     )
 
@@ -303,32 +270,50 @@ def predict_fair_batch(
     config: TraversalConfig,
     stream_ids=None,
     aggregation: str = VOTE_MAJORITY,
-    max_lanes: int = 2_000_000,
+    max_lanes: int = MAX_LANES,
 ):
     """Vectorized predict_fair over a sample matrix.
 
     stream_ids defaults to the row index; pass stable ids (e.g. dataset row
     numbers) to make results invariant to batch composition. Returns
-    (predictions, probs) with probs[i] = (P(class 0), P(class 1))."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.trees[0].n_features:
-        raise ValueError("X must be (n_samples, n_features)")
+    (predictions, probs) with probs[i] = (P(class 0), P(class 1)).
+
+    The (row, simulation, tree) lanes are walked in chunks of whole
+    simulations, max_lanes // n_trees of them (at least one) per chunk;
+    results do not depend on max_lanes."""
+    if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
+        raise ConfigError(f"unknown aggregation {aggregation!r}")
+    X = _check_matrix(X, forest.trees[0].n_features)
     n = X.shape[0]
     if stream_ids is None:
         stream_ids = np.arange(n)
     stream_ids = np.asarray(stream_ids, dtype=np.uint64)
     if stream_ids.shape != (n,):
         raise ValueError("stream_ids must have one entry per sample")
-    flats = [flatten_tree(t) for t in forest.trees]
-    counts = np.empty(n, dtype=np.int64)
-    denom = 1
-    chunk = max(1, max_lanes // max(1, config.n_simulations))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        c, denom = _simulate_batch(
-            flats, X[start:stop], spec, config, stream_ids[start:stop], aggregation
-        )
-        counts[start:stop] = c
+    flat = flatten_forest(forest)
+    T = forest.n_trees
+    tree_words = np.arange(T, dtype=np.uint64)
+    # with p_max = 0 nothing flips and every simulation repeats the first
+    flip = _flip_step(flat, spec, config) if config.p_max > 0.0 else None
+    S = 1 if flip is None else config.n_simulations
+    chunk = max(1, max_lanes // T) * T
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n * S * T, chunk):
+        hi = min(n * S * T, lo + chunk)
+        group = np.arange(lo // T, hi // T)  # (row, simulation) pairs
+        row = group // S
+        chunk_flip = None
+        if flip is not None:
+            # the stream of lane (row, s, t) is keyed (seed, stream id, s, t)
+            prefix = _rng.stream_key_array(config.seed, stream_ids[row], group % S)
+            keys = _rng.finalize_array(np.repeat(prefix, T) ^ np.tile(tree_words, group.size))
+            chunk_flip = functools.partial(flip, keys)
+        votes = walk_lanes(flat, X, lo, hi, S * T, chunk_flip).reshape(-1, T).sum(axis=1)
+        if aggregation == VOTE_MAJORITY:
+            votes = 2 * votes > T
+        counts[row[0]:row[-1] + 1] += np.bincount(row - row[0], weights=votes).astype(np.int64)
+    counts *= config.n_simulations // S
+    denom = config.n_simulations * (1 if aggregation == VOTE_MAJORITY else T)
     probs = np.stack([(denom - counts) / denom, counts / denom], axis=1)
     preds = (2 * counts > denom).astype(np.int64)
     return preds, probs

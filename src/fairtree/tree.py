@@ -89,6 +89,8 @@ class DecisionTree:
     n_features: int
     class_labels: tuple = (0, 1)
     training_meta: dict = field(default_factory=dict)
+    # flatten_tree's memo
+    _flat: Optional["FlatTree"] = field(default=None, init=False, repr=False, compare=False)
 
     def depth(self) -> int:
         return _depth(self.root)
@@ -99,6 +101,8 @@ class Forest:
     trees: list
     n_trees: int
     bagging_meta: dict = field(default_factory=dict)
+    # flatten_forest's memo
+    _flat: Optional["FlatForest"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
@@ -357,24 +361,45 @@ def predict_deterministic(model, sample):
     return node.predicted_class
 
 
-@dataclass
+# Lanes per chunk of a batch walk. A lane is one root-to-leaf walk of one
+# tree for one row (and, in Monte Carlo, one simulation); a chunk's
+# transient arrays take a few MB at this size.
+MAX_LANES = 2**15
+
+
+@dataclass(frozen=True)
 class FlatTree:
     """Array form of a tree for vectorized traversal. Index 0 is the root;
-    leaves have feature == -1 and carry their class in leaf_class."""
+    leaves have feature == -1 and carry their class in leaf_class. Row i
+    of child holds node i's (left, right) children and row i of majority
+    their subtree majority classes. The arrays are read-only."""
 
     feature: np.ndarray
     threshold: np.ndarray
     scale: np.ndarray
     uniform_distance: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    left_majority: np.ndarray
-    right_majority: np.ndarray
+    child: np.ndarray
+    majority: np.ndarray
     leaf_class: np.ndarray
     max_depth: int
 
+    @property
+    def left(self) -> np.ndarray:
+        return self.child[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.child[:, 1]
+
 
 def flatten_tree(tree: DecisionTree) -> FlatTree:
+    """The tree's flat form, built on the first call and kept on the tree."""
+    if tree._flat is None:
+        tree._flat = _flatten(tree)
+    return tree._flat
+
+
+def _flatten(tree: DecisionTree) -> FlatTree:
     nodes = []
     stack = [tree.root]
     index = {}
@@ -390,10 +415,8 @@ def flatten_tree(tree: DecisionTree) -> FlatTree:
     threshold = np.zeros(size, dtype=np.float64)
     scale = np.ones(size, dtype=np.float64)
     uniform = np.zeros(size, dtype=bool)
-    left = np.zeros(size, dtype=np.int32)
-    right = np.zeros(size, dtype=np.int32)
-    lmaj = np.zeros(size, dtype=np.int8)
-    rmaj = np.zeros(size, dtype=np.int8)
+    child = np.zeros((size, 2), dtype=np.int64)
+    majority = np.zeros((size, 2), dtype=np.int8)
     leaf_class = np.zeros(size, dtype=np.int8)
     for i, node in enumerate(nodes):
         if isinstance(node, LeafNode):
@@ -403,49 +426,131 @@ def flatten_tree(tree: DecisionTree) -> FlatTree:
             threshold[i] = node.threshold
             scale[i] = node.scale
             uniform[i] = node.uniform_distance
-            left[i] = index[id(node.left)]
-            right[i] = index[id(node.right)]
-            lmaj[i] = node.left_majority
-            rmaj[i] = node.right_majority
-    return FlatTree(
-        feature=feature,
-        threshold=threshold,
-        scale=scale,
-        uniform_distance=uniform,
-        left=left,
-        right=right,
-        left_majority=lmaj,
-        right_majority=rmaj,
-        leaf_class=leaf_class,
-        max_depth=_depth(tree.root),
+            child[i, 0] = index[id(node.left)]
+            child[i, 1] = index[id(node.right)]
+            majority[i, 0] = node.left_majority
+            majority[i, 1] = node.right_majority
+    if feature.max() >= tree.n_features:
+        # batch walks read feature values by flat offset into each row
+        raise ValueError(
+            f"tree splits on feature {int(feature.max())} but has "
+            f"{tree.n_features} features"
+        )
+    arrays = (feature, threshold, scale, uniform, child, majority, leaf_class)
+    for array in arrays:
+        array.flags.writeable = False
+    return FlatTree(*arrays, max_depth=_depth(tree.root))
+
+
+@dataclass(frozen=True)
+class FlatForest:
+    """The flat arrays of a forest's trees end to end. Node ids are global:
+    tree t's root is root[t] and child rows hold global ids. safe_scale is
+    a node's scale where that is positive and 1 elsewhere (unscaled)."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    safe_scale: np.ndarray
+    unscaled: np.ndarray
+    uniform_distance: np.ndarray
+    child: np.ndarray
+    majority: np.ndarray
+    leaf_class: np.ndarray
+    root: np.ndarray
+
+
+def flatten_forest(forest: Forest) -> FlatForest:
+    """The forest's flat form, built on the first call and kept on the forest."""
+    if forest._flat is None:
+        forest._flat = _join([flatten_tree(t) for t in forest.trees])
+    return forest._flat
+
+
+def _join(flats) -> FlatForest:
+    root = np.cumsum([0] + [f.feature.size for f in flats[:-1]])
+
+    def joined(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    scale = joined([f.scale for f in flats])
+    scaled = scale > 0.0
+    return FlatForest(
+        feature=joined([f.feature for f in flats]),
+        threshold=joined([f.threshold for f in flats]),
+        safe_scale=np.where(scaled, scale, 1.0),
+        unscaled=~scaled,
+        uniform_distance=joined([f.uniform_distance for f in flats]),
+        child=joined([f.child + r if r else f.child for f, r in zip(flats, root)]),
+        majority=joined([f.majority for f in flats]),
+        leaf_class=joined([f.leaf_class for f in flats]),
+        root=root,
     )
+
+
+def walk_lanes(forest: FlatForest, X: np.ndarray, lo: int, hi: int,
+               lanes_per_row: int, flip=None) -> np.ndarray:
+    """Leaf classes of lanes lo..hi-1 of a batch walk over a forest.
+
+    Lane l walks tree l % n_trees for row l // lanes_per_row of X, a
+    C-contiguous float64 matrix. Every lane starts at its tree's root and
+    descends one level per step; a lane that reaches a leaf is written out
+    and dropped from the working set. Before the lanes move at step k,
+    ``flip(k, lane, node, feature, x, threshold, go_left)`` may reverse
+    go_left in place; ``lane`` holds the working lanes' positions within
+    the chunk (l - lo), ``x`` their feature values."""
+    n_trees = forest.root.size
+    lane = np.arange(lo, hi)
+    node = forest.root[lane % n_trees]
+    x_pos = lane // lanes_per_row * X.shape[1]
+    lane -= lo
+    x_flat = X.ravel()
+    child = forest.child.ravel()
+    out = np.empty(hi - lo, dtype=np.int8)
+    feat = forest.feature[node]
+    step = 0
+    while True:
+        done = feat < 0
+        if done.any():
+            out[lane[done]] = forest.leaf_class[node[done]]
+            keep = np.flatnonzero(~done)
+            lane, node, feat, x_pos = lane[keep], node[keep], feat[keep], x_pos[keep]
+        if lane.size == 0:
+            return out
+        x = x_flat[x_pos + feat]
+        threshold = forest.threshold[node]
+        go_left = x <= threshold
+        if flip is not None:
+            flip(step, lane, node, feat, x, threshold, go_left)
+        node = child[2 * node + ~go_left]
+        feat = forest.feature[node]
+        step += 1
+
+
+def _check_matrix(X, n_features: int) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError("X must be (n_samples, n_features)")
+    return X
+
+
+def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Per-sample count of trees voting for class 1: the lane walk with no
+    flip step, one lane per (row, tree)."""
+    X = _check_matrix(X, forest.trees[0].n_features)
+    flat = flatten_forest(forest)
+    n_trees = forest.n_trees
+    rows_per_chunk = max(1, MAX_LANES // n_trees)
+    votes = np.empty(X.shape[0], dtype=np.int64)
+    for start in range(0, X.shape[0], rows_per_chunk):
+        stop = min(X.shape[0], start + rows_per_chunk)
+        leaves = walk_lanes(flat, X, start * n_trees, stop * n_trees, n_trees)
+        votes[start:stop] = leaves.reshape(-1, n_trees).sum(axis=1)
+    return votes
 
 
 def predict_tree_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     """Deterministic predictions for a matrix of samples."""
-    flat = flatten_tree(tree)
-    X = np.asarray(X, dtype=np.float64)
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    rows = np.arange(X.shape[0])
-    for _ in range(flat.max_depth):
-        feat = flat.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        an = node[active]
-        af = feat[active]
-        go_left = X[rows[active], af] <= flat.threshold[an]
-        node[active] = np.where(go_left, flat.left[an], flat.right[an])
-    return flat.leaf_class[node].astype(np.int64)
-
-
-def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Per-sample count of trees voting for class 1."""
-    X = np.asarray(X, dtype=np.float64)
-    votes = np.zeros(X.shape[0], dtype=np.int64)
-    for tree in forest.trees:
-        votes += predict_tree_batch(tree, X)
-    return votes
+    return forest_votes_batch(Forest(trees=[tree], n_trees=1), X)
 
 
 def predict_forest_batch(forest: Forest, X: np.ndarray) -> np.ndarray:

@@ -29,18 +29,24 @@ def depth1_tree(threshold=5.0, scale=4.0, n_features=1):
     )
 
 
-def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3):
-    """Random valid tree for property tests; scales positive, leaf
-    predictions consistent with counts."""
+def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0):
+    """Random valid tree for property tests; leaf predictions consistent
+    with counts. Scales are positive, except that with p_zero_scale > 0
+    each internal node has scale 0 with that chance."""
 
     def grow(depth):
         if depth >= max_depth or rng.random() < p_leaf:
             c0, c1 = int(rng.integers(0, 10)), int(rng.integers(0, 10))
             return leaf(c0, c1)
+        feature = int(rng.integers(0, n_features))
+        threshold = float(np.round(rng.uniform(-5, 5), 3))
+        scale = float(np.round(rng.uniform(0.5, 5), 3))
+        if p_zero_scale and rng.random() < p_zero_scale:
+            scale = 0.0
         return internal(
-            feature=int(rng.integers(0, n_features)),
-            threshold=float(np.round(rng.uniform(-5, 5), 3)),
-            scale=float(np.round(rng.uniform(0.5, 5), 3)),
+            feature=feature,
+            threshold=threshold,
+            scale=scale,
             left=grow(depth + 1),
             right=grow(depth + 1),
             lmaj=int(rng.integers(0, 2)),

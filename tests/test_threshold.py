@@ -12,26 +12,32 @@ from fairtree.threshold import (
 
 def brute_force_policy(scores, y_true, group):
     """Exhaustive grid search with the same score/tie-break arithmetic,
-    computed cell by cell with plain loops."""
-    scores = np.asarray(scores, float)
-    y_true = np.asarray(y_true, int)
-    group = np.asarray(group, int)
+    computed with plain loops: each group's TP/FP/correct counts are
+    tallied once per grid threshold, then every threshold pair combines
+    its two groups' tallies."""
+    scores = [float(s) for s in scores]
+    y_true = [int(y) for y in y_true]
+    group = [int(g) for g in group]
     n = len(scores)
+    rates = {}  # group -> per grid threshold (TPR, FPR, correct count)
+    for g in (0, 1):
+        members = [(s, y) for s, y, m in zip(scores, y_true, group) if m == g]
+        pos = sum(y for _, y in members)
+        neg = len(members) - pos
+        rates[g] = []
+        for t in GRID:
+            tp_c = fp_c = correct = 0
+            for s, y in members:
+                pred = 1 if s >= t else 0
+                tp_c += pred == 1 and y == 1
+                fp_c += pred == 1 and y == 0
+                correct += pred == y
+            rates[g].append((tp_c / pos, fp_c / neg, correct))
     best = None
-    for tp in GRID:
-        for tu in GRID:
-            cut = np.where(group == 1, tp, tu)
-            pred = (scores >= cut).astype(int)
-            cells = {}
-            for g in (0, 1):
-                m = group == g
-                pos = int(((y_true == 1) & m).sum())
-                neg = int(((y_true == 0) & m).sum())
-                tp_c = int(((y_true == 1) & (pred == 1) & m).sum())
-                fp_c = int(((y_true == 0) & (pred == 1) & m).sum())
-                cells[g] = (tp_c / pos, fp_c / neg)
-            eod = (abs(cells[0][0] - cells[1][0]) + abs(cells[0][1] - cells[1][1])) / 2
-            acc = int((pred == y_true).sum()) / n
+    for tp, (tpr_p, fpr_p, correct_p) in zip(GRID, rates[1]):
+        for tu, (tpr_u, fpr_u, correct_u) in zip(GRID, rates[0]):
+            eod = (abs(tpr_u - tpr_p) + abs(fpr_u - fpr_p)) / 2
+            acc = (correct_p + correct_u) / n
             key = (eod, -acc, abs(tp - tu), tp, tu)
             if best is None or key < best[0]:
                 best = (key, tp, tu, eod)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fairtree.errors import ConfigError, EnumerationLimitError
 from fairtree.rng import TraversalStream
 from fairtree.traversal import (
+    VOTE_MAJORITY,
     VOTE_MEAN,
     FairnessSpec,
     TraversalConfig,
@@ -15,7 +18,7 @@ from fairtree.traversal import (
     simulate,
     traverse_once,
 )
-from fairtree.tree import DecisionTree, Forest, predict_deterministic
+from fairtree.tree import DecisionTree, Forest, InternalNode, flatten_tree, predict_deterministic
 
 from conftest import depth1_tree, internal, leaf, random_tree
 
@@ -323,20 +326,53 @@ def test_predict_fair_degenerates_to_deterministic(rng):
         assert dist.probs[pred] == 1.0
 
 
+# Inputs that reach every branch of the batch kernel's flip step: scale-0
+# and uniform-distance nodes, samples exactly at a threshold, the largest
+# p_max, alpha = 0 (boost suppresses flips), and p_max = 0 (no flip step).
+EDGE_CONFIGS = ((0.35, 5.0), (0.5, 0.0), (0.5, 9.0), (0.1, 2.0), (0.0, 9.0))
+
+
+def internal_nodes(tree):
+    stack, out = [tree.root], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, InternalNode):
+            out.append(node)
+            stack += [node.left, node.right]
+    return out
+
+
+def edge_case_forest(rng, n_trees):
+    trees = [random_tree(rng, n_features=3, max_depth=3, p_zero_scale=0.25)
+             for _ in range(n_trees)]
+    return Forest(trees=trees, n_trees=n_trees)
+
+
+def edge_case_samples(rng, forest, n):
+    """Rows with a protected value of 0 or 1, each then set exactly to the
+    threshold of one random node of the forest on that node's feature."""
+    X = rng.uniform(-5, 5, size=(n, 3))
+    X[:, 0] = rng.integers(0, 2, n)
+    nodes = [node for tree in forest.trees for node in internal_nodes(tree)]
+    for row in X:
+        node = nodes[int(rng.integers(0, len(nodes)))]
+        row[node.feature_index] = node.threshold
+    return X
+
+
 def test_predict_fair_matches_manual_vote_recount(rng):
-    for i in range(8):
-        trees = [random_tree(rng, n_features=3, max_depth=3) for _ in range(3)]
-        forest = Forest(trees=trees, n_trees=3)
-        cfg = config(n_simulations=40, p_max=0.35, alpha=5.0, seed=i)
-        sample = rng.uniform(-5, 5, 3)
-        sample[0] = float(rng.integers(0, 2))
+    for i in range(15):
+        forest = edge_case_forest(rng, 3)
+        p_max, alpha = EDGE_CONFIGS[i % len(EDGE_CONFIGS)]
+        cfg = config(n_simulations=40, p_max=p_max, alpha=alpha, seed=i)
+        sample = edge_case_samples(rng, forest, 1)[0]
         pred, dist = predict_fair(forest, sample, SPEC, cfg, stream_id=17)
         votes = []
         for s in range(cfg.n_simulations):
             outcomes = [
                 traverse_once(tree, sample, SPEC, cfg,
                               TraversalStream.derive(cfg.seed, 17, s, t))
-                for t, tree in enumerate(trees)
+                for t, tree in enumerate(forest.trees)
             ]
             votes.append(1 if 2 * sum(outcomes) > 3 else 0)
         count1 = sum(votes)
@@ -379,22 +415,82 @@ def test_mean_distribution_aggregation_counts_tree_outcomes(rng):
 
 
 def test_batch_results_are_independent_of_batch_composition(rng):
-    trees = [random_tree(rng, n_features=3, max_depth=3) for _ in range(4)]
-    forest = Forest(trees=trees, n_trees=4)
-    cfg = config(n_simulations=50, p_max=0.3, seed=13)
-    X = rng.uniform(-5, 5, size=(12, 3))
+    forest = edge_case_forest(rng, 4)
+    nodes = [node for tree in forest.trees for node in internal_nodes(tree)]
+    assert any(node.scale == 0.0 for node in nodes)
+    assert any(node.uniform_distance for node in nodes)
+    X = edge_case_samples(rng, forest, 12)
     ids = np.arange(100, 112)
-    full_preds, full_probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
-    for i in range(12):
-        pred, dist = predict_fair(forest, X[i], SPEC, cfg, stream_id=int(ids[i]))
-        assert pred == full_preds[i]
-        assert dist.probs == (full_probs[i, 0], full_probs[i, 1])
-    # chunked evaluation cannot change results either
-    chunk_preds, chunk_probs = predict_fair_batch(
-        forest, X, SPEC, cfg, stream_ids=ids, max_lanes=120
+    for p_max, alpha in EDGE_CONFIGS:
+        cfg = config(n_simulations=50, p_max=p_max, alpha=alpha, seed=13)
+        for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+            full_preds, full_probs = predict_fair_batch(
+                forest, X, SPEC, cfg, stream_ids=ids, aggregation=aggregation
+            )
+            for i in range(12):
+                pred, dist = predict_fair(forest, X[i], SPEC, cfg, stream_id=int(ids[i]),
+                                          aggregation=aggregation)
+                assert pred == full_preds[i]
+                assert dist.probs == (full_probs[i, 0], full_probs[i, 1])
+            # chunked evaluation cannot change results either; a row's
+            # forest is S * T = 200 lanes, so the smaller budgets split it
+            for max_lanes in (1, 120, 199, 200, 201, 2600):
+                chunk_preds, chunk_probs = predict_fair_batch(
+                    forest, X, SPEC, cfg, stream_ids=ids, aggregation=aggregation,
+                    max_lanes=max_lanes,
+                )
+                np.testing.assert_array_equal(full_preds, chunk_preds)
+                np.testing.assert_array_equal(full_probs, chunk_probs)
+    # the flat arrays are built once per tree and cannot be written to
+    flat = flatten_tree(forest.trees[0])
+    assert flatten_tree(forest.trees[0]) is flat
+    for name in ("feature", "threshold", "scale", "uniform_distance", "child",
+                 "majority", "leaf_class"):
+        assert not getattr(flat, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        flat.threshold[0] = 1.0
+
+
+def majority_probability(qs):
+    """P(more than half of independent Bernoulli(q_t) votes are 1), from the
+    Poisson-binomial distribution of the vote count."""
+    dist = [1.0]
+    for q in qs:
+        dist = [a * (1 - q) + b * q for a, b in zip(dist + [0.0], [0.0] + dist)]
+    return sum(p for k, p in enumerate(dist) if 2 * k > len(qs))
+
+
+def binomial_tail(k, n, q):
+    """Probability, under Binomial(n, q), of a count at least as far from
+    the mean as k on k's side."""
+    if q <= 0.0 or q >= 1.0:
+        return 1.0 if k == round(n * q) else 0.0
+    side = range(0, k + 1) if k <= n * q else range(k, n + 1)
+    return sum(
+        math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 + i * math.log(q) + (n - i) * math.log1p(-q))
+        for i in side
     )
-    np.testing.assert_array_equal(full_preds, chunk_preds)
-    np.testing.assert_array_equal(full_probs, chunk_probs)
+
+
+def test_forest_monte_carlo_matches_poisson_binomial_oracle(rng):
+    # streams are independent per tree, so each simulation's majority vote
+    # is Bernoulli(Q) with Q the Poisson-binomial majority chance of the
+    # trees' exact favorable probabilities
+    S = 2000
+    for i in range(12):
+        T = int(rng.integers(3, 6))
+        trees = [random_tree(rng, n_features=3, max_depth=4) for _ in range(T)]
+        forest = Forest(trees=trees, n_trees=T)
+        cfg = config(n_simulations=S, p_max=float(rng.uniform(0.05, 0.5)),
+                     alpha=float(rng.choice([0.0, 1.0, 4.0, 9.0])), seed=i)
+        X = rng.uniform(-5, 5, size=(6, 3))
+        X[:, 0] = rng.integers(0, 2, 6)
+        _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=10 * i + np.arange(6))
+        for x, p in zip(X, probs[:, 1]):
+            q = majority_probability(
+                [exact_path_distribution(t, x, SPEC, cfg).probs[1] for t in trees])
+            assert binomial_tail(round(p * S), S, q) > 1e-6, (i, q, p)
 
 
 # --- monotonicity -------------------------------------------------------------
