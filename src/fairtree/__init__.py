@@ -14,8 +14,6 @@ from .tree import (
     Dataset,
     DecisionTree,
     Forest,
-    InternalNode,
-    LeafNode,
     predict_deterministic,
     train_forest,
     train_tree,

@@ -202,13 +202,13 @@ def fit_fold(
     return forest, policy
 
 
-def _exact_predictions(forest: Forest, X, spec, engine_cfg) -> np.ndarray:
+def exact_predictions(forest: Forest, X, spec, engine_cfg):
+    """Predictions and favorable-class probabilities of a one-tree forest
+    by exact path enumeration, row by row."""
     tree = forest.trees[0]
-    preds = np.empty(X.shape[0], dtype=np.int64)
-    for i in range(X.shape[0]):
-        dist = exact_path_distribution(tree, X[i], spec, engine_cfg)
-        preds[i] = dist.predicted_class
-    return preds
+    dists = [exact_path_distribution(tree, x, spec, engine_cfg) for x in X]
+    preds = np.array([d.predicted_class for d in dists], dtype=np.int64)
+    return preds, np.array([d.probs[1] for d in dists])
 
 
 def _plan_folds(dataset: Dataset, config: ExperimentConfig) -> FoldPlan:
@@ -252,7 +252,7 @@ def _evaluate_folds(
                         stream_key(config.seed, _TAG_ENGINE, fold)
                     )
                     if config.exact:
-                        preds = _exact_predictions(forest, X_te, spec, engine_cfg)
+                        preds, _ = exact_predictions(forest, X_te, spec, engine_cfg)
                     else:
                         preds, _ = predict_fair_batch(
                             forest, X_te, spec, engine_cfg,
@@ -276,13 +276,17 @@ def _evaluate_folds(
     )
 
 
-def run_experiment_on(
-    dataset: Dataset,
-    protected_index: int,
-    dataset_name: str,
-    config: ExperimentConfig,
-) -> ExperimentResult:
-    """Run the configured experiment on an already-loaded dataset."""
+def _load(config: ExperimentConfig):
+    """The configured dataset, its protected feature index and its name."""
+    if config.dataset_config is None:
+        raise ConfigError("dataset_config path is required")
+    ds_config = load_dataset_config(config.dataset_config)
+    dataset = load_dataset(ds_config)
+    return dataset, dataset.feature_index(ds_config.protected_column), ds_config.name
+
+
+def _fit_folds(dataset: Dataset, protected_index: int, config: ExperimentConfig):
+    """The fold plan and each fold's fitted (forest, policy)."""
     plan = _plan_folds(dataset, config)
     fitted = []
     for fold in range(config.folds):
@@ -290,21 +294,23 @@ def run_experiment_on(
             fitted.append(fit_fold(dataset, plan, fold, config, protected_index))
         except (ValueError, DataError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
+    return plan, fitted
+
+
+def run_experiment_on(
+    dataset: Dataset,
+    protected_index: int,
+    dataset_name: str,
+    config: ExperimentConfig,
+) -> ExperimentResult:
+    """Run the configured experiment on an already-loaded dataset."""
+    plan, fitted = _fit_folds(dataset, protected_index, config)
     return _evaluate_folds(dataset, protected_index, dataset_name, config, plan, fitted)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Load the configured dataset and run the full experiment."""
-    if config.dataset_config is None:
-        raise ConfigError("dataset_config path is required")
-    ds_config = load_dataset_config(config.dataset_config)
-    dataset = load_dataset(ds_config)
-    return run_experiment_on(
-        dataset,
-        dataset.feature_index(ds_config.protected_column),
-        ds_config.name,
-        config,
-    )
+    return run_experiment_on(*_load(config), config)
 
 
 def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
@@ -315,22 +321,11 @@ def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
         raise ConfigError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alphas must be strictly increasing (no duplicates)")
-    if config.dataset_config is None:
-        raise ConfigError("dataset_config path is required")
-    ds_config = load_dataset_config(config.dataset_config)
-    dataset = load_dataset(ds_config)
-    protected_index = dataset.feature_index(ds_config.protected_column)
-    plan = _plan_folds(dataset, config)
-    fitted = []
-    for fold in range(config.folds):
-        try:
-            fitted.append(fit_fold(dataset, plan, fold, config, protected_index))
-        except (ValueError, DataError) as exc:
-            raise DataError(f"fold {fold}: {exc}") from exc
+    dataset, protected_index, name = _load(config)
+    plan, fitted = _fit_folds(dataset, protected_index, config)
     results = [
         _evaluate_folds(
-            dataset, protected_index, ds_config.name,
-            replace(config, alpha=alpha), plan, fitted,
+            dataset, protected_index, name, replace(config, alpha=alpha), plan, fitted,
         )
         for alpha in alphas
     ]

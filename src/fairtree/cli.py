@@ -25,7 +25,6 @@ from .traversal import (
     VOTE_MEAN,
     FairnessSpec,
     TraversalConfig,
-    exact_path_distribution,
     predict_fair_batch,
 )
 from .tree import Forest, predict_forest_batch, train_forest
@@ -189,12 +188,7 @@ def _cmd_predict(args) -> int:
             raise ConfigError("exact evaluation requires a single-tree model")
         cfg = TraversalConfig(n_simulations=args.n_simulations, p_max=args.p_max,
                               alpha=args.alpha, seed=args.seed)
-        dists = [
-            exact_path_distribution(forest.trees[0], dataset.rows[i], spec, cfg)
-            for i in range(dataset.n_rows)
-        ]
-        preds = np.array([d.predicted_class for d in dists])
-        probs = np.array([d.probs[1] for d in dists])
+        preds, probs = bench.exact_predictions(forest, dataset.rows, spec, cfg)
     else:
         cfg = TraversalConfig(n_simulations=args.n_simulations, p_max=args.p_max,
                               alpha=args.alpha, seed=args.seed)

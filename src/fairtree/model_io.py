@@ -1,8 +1,9 @@
 """Model documents: schema "fairtree-model/1".
 
-serialize() produces a plain dict mirroring the node structure; save/load
-wrap it in JSON with full round-trip float precision. deserialize() checks
-invariants and reports the path of the offending node on failure.
+serialize() produces a plain dict of nested nodes from a tree's node
+arrays; save/load wrap it in JSON with full round-trip float precision.
+deserialize() checks invariants, reports the path of the offending node on
+failure, and packs the nodes into arrays as training does (tree.build_tree).
 """
 
 from __future__ import annotations
@@ -11,37 +12,42 @@ import json
 import math
 
 from .errors import ModelFormatError
-from .tree import DecisionTree, Forest, InternalNode, LeafNode
+from .tree import DecisionTree, Forest, build_tree
 
 SCHEMA = "fairtree-model/1"
 
 
-def _node_doc(node):
-    if isinstance(node, LeafNode):
-        return {
-            "kind": "leaf",
-            "class_counts": list(node.class_counts),
-            "predicted_class": node.predicted_class,
-        }
-    return {
-        "kind": "internal",
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "scale": node.scale,
-        "uniform_distance": node.uniform_distance,
-        "left_majority": node.left_majority,
-        "right_majority": node.right_majority,
-        "left": _node_doc(node.left),
-        "right": _node_doc(node.right),
-    }
-
-
 def _tree_doc(tree: DecisionTree) -> dict:
+    arrays = (tree.feature, tree.threshold, tree.scale, tree.uniform_distance, tree.child,
+              tree.majority, tree.class_counts, tree.leaf_class)
+    feature, threshold, scale, uniform, child, majority, counts, leaf_class = (
+        array.tolist() for array in arrays
+    )
+
+    def node_doc(i):
+        if feature[i] < 0:
+            return {
+                "kind": "leaf",
+                "class_counts": counts[i],
+                "predicted_class": leaf_class[i],
+            }
+        return {
+            "kind": "internal",
+            "feature_index": feature[i],
+            "threshold": threshold[i],
+            "scale": scale[i],
+            "uniform_distance": uniform[i],
+            "left_majority": majority[i][0],
+            "right_majority": majority[i][1],
+            "left": node_doc(child[i][0]),
+            "right": node_doc(child[i][1]),
+        }
+
     return {
         "n_features": tree.n_features,
         "class_labels": list(tree.class_labels),
         "training_meta": dict(tree.training_meta),
-        "root": _node_doc(tree.root),
+        "root": node_doc(0),
     }
 
 
@@ -98,6 +104,8 @@ def _as_class_id(value, path):
 
 
 def _parse_node(doc, path, n_features):
+    """The node as tree.build_tree's expand step returns it; a split's
+    child jobs are its (document, path) pairs."""
     doc = _expect_dict(doc, path)
     kind = _get(doc, "kind", path)
     if kind == "leaf":
@@ -113,7 +121,7 @@ def _parse_node(doc, path, n_features):
                 f"{path}.predicted_class",
                 f"must equal the majority class {expected} (ties go to 0)",
             )
-        return LeafNode(class_counts=(c0, c1), predicted_class=predicted)
+        return None, (c0, c1)
     if kind == "internal":
         feature = _as_int(_get(doc, "feature_index", path), f"{path}.feature_index", minimum=0)
         if feature >= n_features:
@@ -129,16 +137,9 @@ def _parse_node(doc, path, n_features):
             raise ModelFormatError(f"{path}.uniform_distance", "expected a boolean")
         lmaj = _as_class_id(_get(doc, "left_majority", path), f"{path}.left_majority")
         rmaj = _as_class_id(_get(doc, "right_majority", path), f"{path}.right_majority")
-        return InternalNode(
-            feature_index=feature,
-            threshold=threshold,
-            scale=scale,
-            uniform_distance=uniform,
-            left_majority=lmaj,
-            right_majority=rmaj,
-            left=_parse_node(_get(doc, "left", path), f"{path}.left", n_features),
-            right=_parse_node(_get(doc, "right", path), f"{path}.right", n_features),
-        )
+        left = (_get(doc, "left", path), f"{path}.left")
+        right = (_get(doc, "right", path), f"{path}.right")
+        return (feature, threshold, scale, uniform, lmaj, rmaj), (left, right)
     raise ModelFormatError(f"{path}.kind", "expected 'leaf' or 'internal'")
 
 
@@ -151,8 +152,12 @@ def _parse_tree(doc, path) -> DecisionTree:
     meta = doc.get("training_meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError(f"{path}.training_meta", "expected an object")
-    root = _parse_node(_get(doc, "root", path), f"{path}.root", n_features)
-    return DecisionTree(root=root, n_features=n_features, training_meta=dict(meta))
+    return build_tree(
+        (_get(doc, "root", path), f"{path}.root"),
+        lambda job: _parse_node(*job, n_features),
+        n_features,
+        training_meta=dict(meta),
+    )
 
 
 def deserialize(doc) -> "DecisionTree | Forest":

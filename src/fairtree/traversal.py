@@ -11,9 +11,9 @@ distribution in closed form for verification.
 
 Batch prediction walks a whole forest at once. Every (row, simulation,
 tree) triple is a lane; ``tree.walk_lanes`` moves all lanes of a chunk one
-level per step over the forest's flat arrays (built once per tree and
-joined once per forest), reading each lane's feature value straight from
-its row, and drops lanes from the working set as they reach a leaf. The
+level per step over the trees' node arrays (joined once per forest),
+reading each lane's feature value straight from its row, and drops lanes
+from the working set as they reach a leaf. The
 Monte Carlo flip step (``_flip_step``) computes the flip chance of each
 working lane and draws a uniform only where that chance is above 0;
 deterministic votes are the same walk without it. Chunks hold whole
@@ -39,8 +39,6 @@ from .tree import (
     DecisionTree,
     FlatForest,
     Forest,
-    InternalNode,
-    LeafNode,
     _check_matrix,
     _check_sample,
     flatten_forest,
@@ -113,32 +111,33 @@ class PredictionDistribution:
         return 1 if self.probs[1] > self.probs[0] else 0
 
 
-def flip_probability(node: InternalNode, sample, config: TraversalConfig) -> float:
-    """Distance-based flip chance, clamped to [0, p_max].
+def flip_probability(tree: DecisionTree, node: int, sample, config: TraversalConfig) -> float:
+    """Distance-based flip chance at internal node ``node`` of ``tree``,
+    clamped to [0, p_max].
 
     Nodes flagged uniform_distance saw a single training distance (0/1
     encoded splits); distance carries no signal there and the flip chance
     saturates at p_max.
     """
-    if node.uniform_distance:
+    if tree.uniform_distance[node]:
         return config.p_max
-    d = abs(float(sample[node.feature_index]) - node.threshold)
-    if node.scale > 0.0:
-        base = config.p_max - d / node.scale
+    d = abs(float(sample[tree.feature[node]]) - float(tree.threshold[node]))
+    scale = float(tree.scale[node])
+    if scale > 0.0:
+        base = config.p_max - d / scale
     else:
         base = config.p_max if d == 0.0 else 0.0
     return min(max(base, 0.0), config.p_max)
 
 
-def _deterministic_child_majority(node: InternalNode, sample) -> int:
-    if float(sample[node.feature_index]) <= node.threshold:
-        return node.left_majority
-    return node.right_majority
+def _goes_left(tree: DecisionTree, node: int, sample) -> bool:
+    return float(sample[tree.feature[node]]) <= float(tree.threshold[node])
 
 
 def adjusted_flip_probability(
     base: float,
-    node: InternalNode,
+    tree: DecisionTree,
+    node: int,
     sample,
     spec: FairnessSpec,
     config: TraversalConfig,
@@ -148,11 +147,11 @@ def adjusted_flip_probability(
     deterministic child's subtree majority is the unfavorable class.
     With alpha = 0 the boost suppresses flips entirely at triggered nodes
     (0 * base == 0); elsewhere the base chance is returned unchanged."""
-    if node.feature_index != spec.protected_feature:
+    if tree.feature[node] != spec.protected_feature:
         return base
     if float(sample[spec.protected_feature]) != spec.unprivileged_value:
         return base
-    if _deterministic_child_majority(node, sample) != spec.unfavorable_class:
+    if tree.majority[node, 0 if _goes_left(tree, node, sample) else 1] != spec.unfavorable_class:
         return base
     return min(config.alpha * base, 0.5)
 
@@ -170,15 +169,15 @@ def traverse_once(
     flip chance is 0 and the walk equals the deterministic traversal for
     any stream state."""
     sample = _check_sample(sample, tree.n_features)
-    node = tree.root
-    while isinstance(node, InternalNode):
-        base = flip_probability(node, sample, config)
-        p_flip = adjusted_flip_probability(base, node, sample, spec, config)
-        go_left = float(sample[node.feature_index]) <= node.threshold
+    node = 0
+    while tree.feature[node] >= 0:
+        base = flip_probability(tree, node, sample, config)
+        p_flip = adjusted_flip_probability(base, tree, node, sample, spec, config)
+        go_left = _goes_left(tree, node, sample)
         if rng.next_uniform() < p_flip:
             go_left = not go_left
-        node = node.left if go_left else node.right
-    return node.predicted_class
+        node = tree.child[node, 0 if go_left else 1]
+    return int(tree.leaf_class[node])
 
 
 def _flip_step(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
@@ -329,24 +328,22 @@ def exact_path_distribution(
     """Closed-form traversal distribution by enumerating every root-leaf
     path; the verification oracle for the Monte Carlo estimate."""
     sample = _check_sample(sample, tree.n_features)
-    if tree.depth() > max_enumeration_depth:
+    if tree.max_depth > max_enumeration_depth:
         raise EnumerationLimitError("enumeration limit exceeded")
     probs = [0.0, 0.0]
 
-    def walk(node, prob, depth):
-        if isinstance(node, LeafNode):
-            probs[node.predicted_class] += prob
+    def walk(node, prob):
+        if tree.feature[node] < 0:
+            probs[tree.leaf_class[node]] += prob
             return
-        base = flip_probability(node, sample, config)
-        p_flip = adjusted_flip_probability(base, node, sample, spec, config)
-        det_left = float(sample[node.feature_index]) <= node.threshold
-        det_child, flip_child = (
-            (node.left, node.right) if det_left else (node.right, node.left)
-        )
+        base = flip_probability(tree, node, sample, config)
+        p_flip = adjusted_flip_probability(base, tree, node, sample, spec, config)
+        left, right = tree.child[node]
+        det_child, flip_child = (left, right) if _goes_left(tree, node, sample) else (right, left)
         if prob * (1.0 - p_flip) > 0.0:
-            walk(det_child, prob * (1.0 - p_flip), depth + 1)
+            walk(det_child, prob * (1.0 - p_flip))
         if prob * p_flip > 0.0:
-            walk(flip_child, prob * p_flip, depth + 1)
+            walk(flip_child, prob * p_flip)
 
-    walk(tree.root, 1.0, 0)
+    walk(0, 1.0)
     return PredictionDistribution(probs=tuple(probs), n_simulations_used=0)

@@ -4,7 +4,9 @@ Binary labels only. Every internal node stores, besides the split, the
 statistics probabilistic traversal needs: the largest training distance to
 the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
-and the majority training class of each child subtree.
+and the majority training class of each child subtree. A tree is held as
+parallel node arrays (``DecisionTree``), the one form that training, model
+I/O and every traversal read.
 """
 
 from __future__ import annotations
@@ -62,38 +64,115 @@ class Dataset:
             raise DataError(f"unknown feature {name!r}") from None
 
 
-@dataclass
-class LeafNode:
-    class_counts: tuple
-    predicted_class: int
+# (name, dtype) of the node arrays a DecisionTree is built from
+_NODE_ARRAYS = (
+    ("feature", np.int32),
+    ("threshold", np.float64),
+    ("scale", np.float64),
+    ("uniform_distance", bool),
+    ("child", np.int64),
+    ("majority", np.int8),
+    ("class_counts", np.int64),
+)
 
 
-@dataclass
-class InternalNode:
-    feature_index: int
-    threshold: float
-    scale: float
-    uniform_distance: bool
-    left_majority: int
-    right_majority: int
-    left: "TreeNode" = None
-    right: "TreeNode" = None
-
-
-TreeNode = Union[LeafNode, InternalNode]
-
-
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    root: TreeNode
+    """A tree as parallel node arrays. Node 0 is the root. Internal node i
+    sends values <= threshold[i] of feature[i] left; row i of child holds
+    its (left, right) children and row i of majority their subtrees'
+    majority classes. Leaves have feature == -1, a zero child row and
+    their training class counts in class_counts (zero at internal nodes);
+    leaf_class is the leaf's majority class, ties to 0. The arrays are
+    read-only; max_depth is the longest root-to-leaf path in edges."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    scale: np.ndarray
+    uniform_distance: np.ndarray
+    child: np.ndarray
+    majority: np.ndarray
+    class_counts: np.ndarray
     n_features: int
     class_labels: tuple = (0, 1)
     training_meta: dict = field(default_factory=dict)
-    # flatten_tree's memo
-    _flat: Optional["FlatTree"] = field(default=None, init=False, repr=False, compare=False)
+    leaf_class: np.ndarray = field(init=False, repr=False)
+    max_depth: int = field(init=False)
 
-    def depth(self) -> int:
-        return _depth(self.root)
+    def __post_init__(self):
+        for name, dtype in _NODE_ARRAYS:
+            setattr(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        if self.feature.max() >= self.n_features:
+            # batch walks read feature values by flat offset into each row
+            raise ValueError(
+                f"tree splits on feature {int(self.feature.max())} but has "
+                f"{self.n_features} features"
+            )
+        counts = self.class_counts
+        self.leaf_class = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
+        depth, level, reached = 0, np.zeros(1, dtype=np.int64), 1
+        while True:
+            level = level[self.feature[level] >= 0]
+            if level.size == 0:
+                break
+            level = self.child[level].ravel()
+            reached += level.size
+            if reached > self.feature.size:
+                # a tree reaches each node once; a cycle would never end
+                raise ValueError("child rows do not form a tree")
+            depth += 1
+        self.max_depth = depth
+
+    def __eq__(self, other):
+        if not isinstance(other, DecisionTree):
+            return NotImplemented
+        return (
+            self.n_features == other.n_features
+            and tuple(self.class_labels) == tuple(other.class_labels)
+            and self.training_meta == other.training_meta
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name, _ in _NODE_ARRAYS)
+        )
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.child[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.child[:, 1]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def build_tree(root, expand, n_features: int, **kwargs) -> DecisionTree:
+    """Build a DecisionTree depth first from the root's job. expand(job)
+    returns (None, (count0, count1)) for a leaf, or ((feature, threshold,
+    scale, uniform_distance, left majority, right majority), (left job,
+    right job)) for a split. The right job runs first, and nodes are
+    numbered in the order their jobs run."""
+    nodes, child = [], []  # child holds each node's left and right ids in turn
+    stack = [(root, -1, 0)]
+    while stack:
+        job, parent, side = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            child[2 * parent + side] = node
+        child += (0, 0)
+        split, rest = expand(job)
+        if split is None:
+            nodes.append((-1, 0.0, 1.0, False, 0, 0) + rest)
+        else:
+            nodes.append(split + (0, 0))
+            stack.append((rest[0], node, 0))
+            stack.append((rest[1], node, 1))
+    feature, threshold, scale, uniform, lmaj, rmaj, count0, count1 = zip(*nodes)
+    return DecisionTree(feature, threshold, scale, uniform, np.reshape(child, (-1, 2)),
+                        np.column_stack([lmaj, rmaj]), np.column_stack([count0, count1]),
+                        n_features, **kwargs)
 
 
 @dataclass
@@ -107,19 +186,6 @@ class Forest:
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
-
-
-def _depth(node: TreeNode) -> int:
-    stack = [(node, 0)]
-    best = 0
-    while stack:
-        n, d = stack.pop()
-        if isinstance(n, LeafNode):
-            best = max(best, d)
-        else:
-            stack.append((n.left, d + 1))
-            stack.append((n.right, d + 1))
-    return best
 
 
 def _majority(count0: int, count1: int) -> int:
@@ -188,7 +254,9 @@ def _find_split(X, y, indices, feature_order, n_primary, min_leaf):
     return best
 
 
-def _grow_tree(X, y, max_depth, min_leaf, features_per_split, rng):
+def _expand_step(X, y, max_depth, min_leaf, features_per_split, rng):
+    """build_tree's expand step for CART growth; a job is (row indices,
+    depth)."""
     n_features = X.shape[1]
     all_features = np.arange(n_features)
     subsample = features_per_split is not None and features_per_split < n_features
@@ -198,14 +266,12 @@ def _grow_tree(X, y, max_depth, min_leaf, features_per_split, rng):
             return rng.permutation(n_features), features_per_split
         return all_features, n_features
 
-    root_holder = [None]
-    stack = [(np.arange(X.shape[0]), 0, root_holder, 0)]
-    while stack:
-        indices, depth, parent, side = stack.pop()
+    def expand(job):
+        indices, depth = job
         yv = y[indices]
         count1 = int(yv.sum())
         count0 = indices.shape[0] - count1
-        node = None
+        found = None
         can_split = (
             count0 > 0
             and count1 > 0
@@ -215,41 +281,28 @@ def _grow_tree(X, y, max_depth, min_leaf, features_per_split, rng):
         if can_split:
             feature_order, n_primary = order_for_node()
             found = _find_split(X, y, indices, feature_order, n_primary, min_leaf)
-            if found is not None:
-                _, f, threshold = found
-                values = X[indices, f]
-                mask = values <= threshold
-                dist = np.abs(values - threshold)
-                dmax = float(dist.max())
-                dmin = float(dist.min())
-                left_y = yv[mask]
-                l1 = int(left_y.sum())
-                l0 = int(left_y.shape[0]) - l1
-                r1 = count1 - l1
-                r0 = count0 - l0
-                node = InternalNode(
-                    feature_index=f,
-                    threshold=threshold,
-                    scale=dmax if dmax > 0.0 else 1.0,
-                    uniform_distance=bool(dmax == dmin and dmax > 0.0),
-                    left_majority=_majority(l0, l1),
-                    right_majority=_majority(r0, r1),
-                )
-                # children are attached when their jobs run
-                stack.append((indices[mask], depth + 1, node, 0))
-                stack.append((indices[~mask], depth + 1, node, 1))
-        if node is None:
-            node = LeafNode(
-                class_counts=(count0, count1),
-                predicted_class=_majority(count0, count1),
-            )
-        if isinstance(parent, list):
-            parent[0] = node
-        elif side == 0:
-            parent.left = node
-        else:
-            parent.right = node
-    return root_holder[0]
+        if found is None:
+            return None, (count0, count1)
+        _, f, threshold = found
+        values = X[indices, f]
+        mask = values <= threshold
+        dist = np.abs(values - threshold)
+        dmax = float(dist.max())
+        dmin = float(dist.min())
+        left_y = yv[mask]
+        l1 = int(left_y.sum())
+        l0 = int(left_y.shape[0]) - l1
+        split = (
+            f,
+            threshold,
+            dmax if dmax > 0.0 else 1.0,
+            bool(dmax == dmin and dmax > 0.0),
+            _majority(l0, l1),
+            _majority(count0 - l0, count1 - l1),
+        )
+        return split, ((indices[mask], depth + 1), (indices[~mask], depth + 1))
+
+    return expand
 
 
 def train_tree(
@@ -276,12 +329,13 @@ def train_tree(
     if features_per_split is not None and features_per_split < 1:
         raise ValueError("features_per_split must be >= 1 or None")
     rng = np.random.default_rng(rng_seed)
-    root = _grow_tree(
+    expand = _expand_step(
         data.rows, data.labels, max_depth, min_samples_leaf, features_per_split, rng
     )
-    return DecisionTree(
-        root=root,
-        n_features=data.n_features,
+    return build_tree(
+        (np.arange(data.n_rows), 0),
+        expand,
+        data.n_features,
         training_meta={
             "max_depth": max_depth,
             "min_samples_leaf": min_samples_leaf,
@@ -355,10 +409,10 @@ def predict_deterministic(model, sample):
         votes = sum(predict_deterministic(t, sample) for t in model.trees)
         return 1 if 2 * votes > model.n_trees else 0
     sample = _check_sample(sample, model.n_features)
-    node = model.root
-    while isinstance(node, InternalNode):
-        node = node.left if sample[node.feature_index] <= node.threshold else node.right
-    return node.predicted_class
+    node = 0
+    while model.feature[node] >= 0:
+        node = model.child[node, 0 if sample[model.feature[node]] <= model.threshold[node] else 1]
+    return int(model.leaf_class[node])
 
 
 # Lanes per chunk of a batch walk. A lane is one root-to-leaf walk of one
@@ -367,79 +421,9 @@ def predict_deterministic(model, sample):
 MAX_LANES = 2**15
 
 
-@dataclass(frozen=True)
-class FlatTree:
-    """Array form of a tree for vectorized traversal. Index 0 is the root;
-    leaves have feature == -1 and carry their class in leaf_class. Row i
-    of child holds node i's (left, right) children and row i of majority
-    their subtree majority classes. The arrays are read-only."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    scale: np.ndarray
-    uniform_distance: np.ndarray
-    child: np.ndarray
-    majority: np.ndarray
-    leaf_class: np.ndarray
-    max_depth: int
-
-    @property
-    def left(self) -> np.ndarray:
-        return self.child[:, 0]
-
-    @property
-    def right(self) -> np.ndarray:
-        return self.child[:, 1]
-
-
-def flatten_tree(tree: DecisionTree) -> FlatTree:
-    """The tree's flat form, built on the first call and kept on the tree."""
-    if tree._flat is None:
-        tree._flat = _flatten(tree)
-    return tree._flat
-
-
-def _flatten(tree: DecisionTree) -> FlatTree:
-    nodes = []
-    stack = [tree.root]
-    index = {}
-    while stack:
-        node = stack.pop()
-        index[id(node)] = len(nodes)
-        nodes.append(node)
-        if isinstance(node, InternalNode):
-            stack.append(node.right)
-            stack.append(node.left)
-    size = len(nodes)
-    feature = np.full(size, -1, dtype=np.int32)
-    threshold = np.zeros(size, dtype=np.float64)
-    scale = np.ones(size, dtype=np.float64)
-    uniform = np.zeros(size, dtype=bool)
-    child = np.zeros((size, 2), dtype=np.int64)
-    majority = np.zeros((size, 2), dtype=np.int8)
-    leaf_class = np.zeros(size, dtype=np.int8)
-    for i, node in enumerate(nodes):
-        if isinstance(node, LeafNode):
-            leaf_class[i] = node.predicted_class
-        else:
-            feature[i] = node.feature_index
-            threshold[i] = node.threshold
-            scale[i] = node.scale
-            uniform[i] = node.uniform_distance
-            child[i, 0] = index[id(node.left)]
-            child[i, 1] = index[id(node.right)]
-            majority[i, 0] = node.left_majority
-            majority[i, 1] = node.right_majority
-    if feature.max() >= tree.n_features:
-        # batch walks read feature values by flat offset into each row
-        raise ValueError(
-            f"tree splits on feature {int(feature.max())} but has "
-            f"{tree.n_features} features"
-        )
-    arrays = (feature, threshold, scale, uniform, child, majority, leaf_class)
-    for array in arrays:
-        array.flags.writeable = False
-    return FlatTree(*arrays, max_depth=_depth(tree.root))
+def flatten_tree(tree: DecisionTree) -> DecisionTree:
+    """The tree itself: a DecisionTree is already its flat form."""
+    return tree
 
 
 @dataclass(frozen=True)
@@ -462,27 +446,27 @@ class FlatForest:
 def flatten_forest(forest: Forest) -> FlatForest:
     """The forest's flat form, built on the first call and kept on the forest."""
     if forest._flat is None:
-        forest._flat = _join([flatten_tree(t) for t in forest.trees])
+        forest._flat = _join(forest.trees)
     return forest._flat
 
 
-def _join(flats) -> FlatForest:
-    root = np.cumsum([0] + [f.feature.size for f in flats[:-1]])
+def _join(trees) -> FlatForest:
+    root = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
 
     def joined(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    scale = joined([f.scale for f in flats])
+    scale = joined([t.scale for t in trees])
     scaled = scale > 0.0
     return FlatForest(
-        feature=joined([f.feature for f in flats]),
-        threshold=joined([f.threshold for f in flats]),
+        feature=joined([t.feature for t in trees]),
+        threshold=joined([t.threshold for t in trees]),
         safe_scale=np.where(scaled, scale, 1.0),
         unscaled=~scaled,
-        uniform_distance=joined([f.uniform_distance for f in flats]),
-        child=joined([f.child + r if r else f.child for f, r in zip(flats, root)]),
-        majority=joined([f.majority for f in flats]),
-        leaf_class=joined([f.leaf_class for f in flats]),
+        uniform_distance=joined([t.uniform_distance for t in trees]),
+        child=joined([t.child + r if r else t.child for t, r in zip(trees, root)]),
+        majority=joined([t.majority for t in trees]),
+        leaf_class=joined([t.leaf_class for t in trees]),
         root=root,
     )
 
@@ -546,11 +530,6 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
         leaves = walk_lanes(flat, X, start * n_trees, stop * n_trees, n_trees)
         votes[start:stop] = leaves.reshape(-1, n_trees).sum(axis=1)
     return votes
-
-
-def predict_tree_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Deterministic predictions for a matrix of samples."""
-    return forest_votes_batch(Forest(trees=[tree], n_trees=1), X)
 
 
 def predict_forest_batch(forest: Forest, X: np.ndarray) -> np.ndarray:

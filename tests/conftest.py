@@ -1,32 +1,37 @@
 import numpy as np
 import pytest
 
-from fairtree.tree import DecisionTree, InternalNode, LeafNode
+from fairtree.model_io import SCHEMA, deserialize
 
 
 def leaf(c0, c1):
-    return LeafNode(class_counts=(c0, c1), predicted_class=1 if c1 > c0 else 0)
+    return {"kind": "leaf", "class_counts": [c0, c1], "predicted_class": 1 if c1 > c0 else 0}
 
 
 def internal(feature, threshold, scale, left, right, lmaj=0, rmaj=1, uniform=False):
-    return InternalNode(
-        feature_index=feature,
-        threshold=threshold,
-        scale=scale,
-        uniform_distance=uniform,
-        left_majority=lmaj,
-        right_majority=rmaj,
-        left=left,
-        right=right,
-    )
+    return {
+        "kind": "internal",
+        "feature_index": feature,
+        "threshold": threshold,
+        "scale": scale,
+        "uniform_distance": uniform,
+        "left_majority": lmaj,
+        "right_majority": rmaj,
+        "left": left,
+        "right": right,
+    }
+
+
+def make_tree(root, n_features=1):
+    """The DecisionTree of a nested root node document, packed by the
+    model loader."""
+    return deserialize({"schema": SCHEMA, "kind": "tree", "n_features": n_features,
+                        "root": root})
 
 
 def depth1_tree(threshold=5.0, scale=4.0, n_features=1):
     """Left leaf class 0, right leaf class 1."""
-    return DecisionTree(
-        root=internal(0, threshold, scale, leaf(2, 0), leaf(0, 2)),
-        n_features=n_features,
-    )
+    return make_tree(internal(0, threshold, scale, leaf(2, 0), leaf(0, 2)), n_features)
 
 
 def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0):
@@ -55,9 +60,9 @@ def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0):
         )
 
     root = grow(0)
-    if isinstance(root, LeafNode):
+    if root["kind"] == "leaf":
         root = internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1))
-    return DecisionTree(root=root, n_features=n_features)
+    return make_tree(root, n_features)
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from fairtree.traversal import (
 )
 from fairtree.tree import DecisionTree, Forest, predict_deterministic
 
-from conftest import internal, leaf, random_tree
+from conftest import internal, leaf, make_tree, random_tree
 from test_metrics import brute_force_report
 from test_threshold import brute_force_policy, random_fixture
 
@@ -137,27 +137,34 @@ def test_criterion_3_flip_probability_bounds(rng):
     samples[binary_mask, 0] = rng.integers(0, 2, int(binary_mask.sum()))
     alphas = rng.choice([0.0, 0.5, 1.0, 2.0, 9.0, 30.0], n)
     p_maxes = rng.choice([0.0, 0.05, 0.1, 0.3, 0.5], n)
+    # one tree holds the n split nodes in heap order: node i < n splits,
+    # with children 2i + 1 and 2i + 2, and nodes n..2n are leaves
+    ids = np.arange(n)
+    n_leaves = n + 1
+    tree = DecisionTree(
+        feature=np.r_[features, np.full(n_leaves, -1)],
+        threshold=np.r_[thresholds, np.zeros(n_leaves)],
+        scale=np.r_[scales, np.ones(n_leaves)],
+        uniform_distance=np.r_[uniforms, np.zeros(n_leaves, dtype=bool)],
+        child=np.r_[np.c_[2 * ids + 1, 2 * ids + 2], np.zeros((n_leaves, 2), dtype=int)],
+        majority=np.r_[np.c_[lmaj, rmaj], np.zeros((n_leaves, 2), dtype=int)],
+        class_counts=np.r_[np.zeros((n, 2), dtype=int), np.ones((n_leaves, 2), dtype=int)],
+        n_features=3,
+    )
     for i in range(n):
-        node = internal(
-            int(features[i]), float(thresholds[i]), float(scales[i]),
-            leaf(1, 0), leaf(0, 1),
-            lmaj=int(lmaj[i]), rmaj=int(rmaj[i]), uniform=bool(uniforms[i]),
-        )
         cfg = TraversalConfig(
             n_simulations=1, p_max=float(p_maxes[i]), alpha=float(alphas[i]), seed=0
         )
-        base = flip_probability(node, samples[i], cfg)
-        adj = adjusted_flip_probability(base, node, samples[i], SPEC, cfg)
+        base = flip_probability(tree, i, samples[i], cfg)
+        adj = adjusted_flip_probability(base, tree, i, samples[i], SPEC, cfg)
         assert 0.0 <= adj <= 0.5
         if cfg.alpha >= 1.0:
             assert adj >= base
         det_majority = (
-            node.left_majority
-            if samples[i][node.feature_index] <= node.threshold
-            else node.right_majority
+            lmaj[i] if samples[i][features[i]] <= thresholds[i] else rmaj[i]
         )
         triggered = (
-            node.feature_index == 0 and samples[i][0] == 0.0 and det_majority == 0
+            features[i] == 0 and samples[i][0] == 0.0 and det_majority == 0
         )
         if not triggered:
             assert adj == base
@@ -170,8 +177,8 @@ def test_criterion_4_monotonicity_fixture():
     start = time.perf_counter()
     # protected node routes unprivileged samples to the unfavorable-majority
     # child; the opposite branch holds the only favorable leaf
-    tree = DecisionTree(
-        root=internal(
+    tree = make_tree(
+        internal(
             0, 0.5, 0.5,
             leaf(8, 0),
             internal(1, 4.0, 5.0, leaf(1, 3), leaf(0, 6), lmaj=1, rmaj=1),

@@ -7,13 +7,14 @@ from fairtree.errors import ModelFormatError
 from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
 from fairtree.tree import (
     Dataset,
+    Forest,
     predict_deterministic,
-    predict_tree_batch,
+    predict_forest_batch,
     train_forest,
     train_tree,
 )
 
-from conftest import random_tree
+from conftest import internal, leaf, make_tree
 
 
 def trained_tree():
@@ -49,18 +50,18 @@ def test_round_trip_preserves_predictions_exactly():
     rng = np.random.default_rng(7)
     queries = rng.uniform(-5, 15, size=(1000, 3))
     np.testing.assert_array_equal(
-        predict_tree_batch(tree, queries), predict_tree_batch(clone, queries)
+        predict_forest_batch(Forest(trees=[tree], n_trees=1), queries),
+        predict_forest_batch(Forest(trees=[clone], n_trees=1), queries),
     )
 
 
 def test_full_float_precision_round_trips():
-    tree = random_tree(np.random.default_rng(1), n_features=3, max_depth=3)
-    node = tree.root
-    node.threshold = 0.1 + 0.2  # not exactly 0.3
-    node.scale = 1e-17 + 1.0
+    threshold = 0.1 + 0.2  # not exactly 0.3
+    scale = 1.0 + 2**-52  # the next float above 1.0
+    tree = make_tree(internal(0, threshold, scale, leaf(1, 0), leaf(0, 1)))
     clone = loads(dumps(tree))
-    assert clone.root.threshold == node.threshold
-    assert clone.root.scale == node.scale
+    assert clone.threshold[0] == threshold
+    assert clone.scale[0] == scale
 
 
 def test_negative_scale_is_rejected_with_path():
@@ -139,7 +140,7 @@ def test_hand_written_document_is_usable():
     assert predict_deterministic(tree, [2.0, 0.0]) == 0
     assert predict_deterministic(tree, [3.0, 0.0]) == 1
     # uniform_distance defaults to False when absent
-    assert tree.root.uniform_distance is False
+    assert not tree.uniform_distance[0]
 
 
 def test_dumps_is_valid_sorted_json():

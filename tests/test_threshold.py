@@ -46,8 +46,9 @@ def brute_force_policy(scores, y_true, group):
 
 def random_fixture(rng, n):
     scores = rng.integers(0, 101, n) / 100.0
-    group = np.r_[0, 1, rng.integers(0, 2, n - 2)]
-    # guarantee positives and negatives in both groups
+    # at least two members per group, so that flipping one member's label
+    # below guarantees positives and negatives in both groups
+    group = np.r_[0, 0, 1, 1, rng.integers(0, 2, n - 4)]
     y_true = np.empty(n, dtype=int)
     y_true[group == 1] = rng.integers(0, 2, int((group == 1).sum()))
     y_true[group == 0] = rng.integers(0, 2, int((group == 0).sum()))
@@ -141,3 +142,13 @@ def test_score_bounds_and_group_presence_are_validated():
         fit_threshold_policy([1.5, 0.5], [0, 1], [1, 0])
     with pytest.raises(ValueError, match="empty"):
         fit_threshold_policy([], [], [])
+
+
+def test_random_fixture_has_both_labels_in_each_group():
+    # a one-member group cannot hold both labels, and brute_force_policy
+    # then divides by a zero positive or negative count
+    rng = np.random.default_rng(3)
+    for _ in range(80):
+        _, y_true, group = random_fixture(rng, int(rng.integers(6, 31)))
+        for g in (0, 1):
+            assert set(y_true[group == g].tolist()) == {0, 1}

@@ -18,9 +18,9 @@ from fairtree.traversal import (
     simulate,
     traverse_once,
 )
-from fairtree.tree import DecisionTree, Forest, InternalNode, flatten_tree, predict_deterministic
+from fairtree.tree import Forest, flatten_tree, predict_deterministic
 
-from conftest import depth1_tree, internal, leaf, random_tree
+from conftest import depth1_tree, internal, leaf, make_tree, random_tree
 
 SPEC = FairnessSpec(protected_feature=0)
 
@@ -33,66 +33,69 @@ def config(**kwargs):
 
 # --- flip_probability -------------------------------------------------------
 
+# each test's tree is one split (node 0) over two leaves
+
 def test_flip_probability_saturates_at_zero_distance():
-    node = internal(0, 5.0, 4.0, leaf(1, 0), leaf(0, 1))
-    assert flip_probability(node, [5.0], config()) == 0.1
+    tree = make_tree(internal(0, 5.0, 4.0, leaf(1, 0), leaf(0, 1)))
+    assert flip_probability(tree, 0, [5.0], config()) == 0.1
 
 
 def test_flip_probability_is_zero_at_max_distance():
-    node = internal(0, 5.0, 4.0, leaf(1, 0), leaf(0, 1))
-    assert flip_probability(node, [1.0], config()) == 0.0
-    assert flip_probability(node, [9.0], config()) == 0.0
+    tree = make_tree(internal(0, 5.0, 4.0, leaf(1, 0), leaf(0, 1)))
+    assert flip_probability(tree, 0, [1.0], config()) == 0.0
+    assert flip_probability(tree, 0, [9.0], config()) == 0.0
 
 
 def test_flip_probability_linear_in_scaled_distance():
-    node = internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1))
-    assert flip_probability(node, [0.05], config()) == pytest.approx(0.05, abs=1e-15)
+    tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
+    assert flip_probability(tree, 0, [0.05], config()) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_flip_probability_clamps_far_samples_to_zero():
-    node = internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1))
-    assert flip_probability(node, [100.0], config()) == 0.0
+    tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
+    assert flip_probability(tree, 0, [100.0], config()) == 0.0
 
 
 def test_uniform_distance_node_always_flips_at_p_max():
-    node = internal(0, 0.5, 0.5, leaf(1, 0), leaf(0, 1), uniform=True)
+    tree = make_tree(internal(0, 0.5, 0.5, leaf(1, 0), leaf(0, 1), uniform=True))
     for value in (0.0, 1.0, 7.0):
-        assert flip_probability(node, [value], config()) == 0.1
+        assert flip_probability(tree, 0, [value], config()) == 0.1
 
 
 # --- adjusted_flip_probability ----------------------------------------------
 
-def protected_node(lmaj=0, rmaj=1):
-    return internal(0, 0.5, 0.5, leaf(5, 0), leaf(0, 5), lmaj=lmaj, rmaj=rmaj, uniform=True)
+def protected_tree(lmaj=0, rmaj=1):
+    return make_tree(
+        internal(0, 0.5, 0.5, leaf(5, 0), leaf(0, 5), lmaj=lmaj, rmaj=rmaj, uniform=True))
 
 
 def test_boost_applies_and_caps_at_half():
-    node = protected_node()
+    tree = protected_tree()
     # unprivileged sample routed toward the unfavorable-majority child
-    assert adjusted_flip_probability(0.1, node, [0.0], SPEC, config(alpha=9.0)) == 0.5
-    assert adjusted_flip_probability(0.1, node, [0.0], SPEC, config(alpha=2.0)) == pytest.approx(0.2)
+    assert adjusted_flip_probability(0.1, tree, 0, [0.0], SPEC, config(alpha=9.0)) == 0.5
+    assert adjusted_flip_probability(0.1, tree, 0, [0.0], SPEC, config(alpha=2.0)) == pytest.approx(0.2)
 
 
 def test_privileged_samples_are_not_boosted():
-    node = protected_node()
-    assert adjusted_flip_probability(0.1, node, [1.0], SPEC, config()) == 0.1
+    tree = protected_tree()
+    assert adjusted_flip_probability(0.1, tree, 0, [1.0], SPEC, config()) == 0.1
 
 
 def test_favorable_routing_is_not_boosted():
-    node = protected_node(lmaj=1, rmaj=0)  # deterministic child majority favorable
-    assert adjusted_flip_probability(0.1, node, [0.0], SPEC, config()) == 0.1
+    tree = protected_tree(lmaj=1, rmaj=0)  # deterministic child majority favorable
+    assert adjusted_flip_probability(0.1, tree, 0, [0.0], SPEC, config()) == 0.1
 
 
 def test_non_protected_nodes_are_not_boosted():
-    node = internal(1, 3.0, 2.0, leaf(5, 0), leaf(0, 5))
+    tree = make_tree(internal(1, 3.0, 2.0, leaf(5, 0), leaf(0, 5)), n_features=2)
     spec = FairnessSpec(protected_feature=0)
-    assert adjusted_flip_probability(0.07, node, [0.0, 3.0], spec, config()) == 0.07
+    assert adjusted_flip_probability(0.07, tree, 0, [0.0, 3.0], spec, config()) == 0.07
 
 
 def test_alpha_below_one_attenuates_and_zero_suppresses():
-    node = protected_node()
-    assert adjusted_flip_probability(0.1, node, [0.0], SPEC, config(alpha=0.5)) == pytest.approx(0.05)
-    assert adjusted_flip_probability(0.1, node, [0.0], SPEC, config(alpha=0.0)) == 0.0
+    tree = protected_tree()
+    assert adjusted_flip_probability(0.1, tree, 0, [0.0], SPEC, config(alpha=0.5)) == pytest.approx(0.05)
+    assert adjusted_flip_probability(0.1, tree, 0, [0.0], SPEC, config(alpha=0.0)) == 0.0
 
 
 def test_adjusted_bounds_and_trigger_equality_property(rng):
@@ -109,20 +112,22 @@ def test_adjusted_bounds_and_trigger_equality_property(rng):
             rmaj=int(rng.integers(0, 2)),
             uniform=bool(rng.random() < 0.2),
         )
+        tree = make_tree(node, n_features=3)
         sample = rng.uniform(-4, 4, size=3)
         if rng.random() < 0.5:
             sample[0] = float(rng.integers(0, 2))
         cfg = cfg_pool[int(rng.integers(0, len(cfg_pool)))]
-        base = flip_probability(node, sample, cfg)
-        adj = adjusted_flip_probability(base, node, sample, SPEC, cfg)
+        base = flip_probability(tree, 0, sample, cfg)
+        adj = adjusted_flip_probability(base, tree, 0, sample, SPEC, cfg)
         assert 0.0 <= adj <= 0.5
         assert 0.0 <= base <= cfg.p_max
         if cfg.alpha >= 1.0:
             assert adj >= base - 1e-15
         triggered = (
-            node.feature_index == 0
+            node["feature_index"] == 0
             and sample[0] == 0.0
-            and (node.left_majority if sample[0] <= node.threshold else node.right_majority) == 0
+            and (node["left_majority"] if sample[0] <= node["threshold"]
+                 else node["right_majority"]) == 0
         )
         if not triggered:
             assert adj == base
@@ -142,7 +147,7 @@ def test_zero_p_max_reduces_to_deterministic_traversal(rng):
 
 
 def test_leaf_only_tree_ignores_configuration():
-    tree = DecisionTree(root=leaf(0, 3), n_features=2)
+    tree = make_tree(leaf(0, 3), n_features=2)
     stream = TraversalStream.derive(0, 0)
     assert traverse_once(tree, [9.9, -4.2], SPEC, config(p_max=0.5), stream) == 1
 
@@ -211,8 +216,8 @@ def test_exact_is_one_hot_when_p_max_zero(rng):
 
 
 def test_exact_depth2_matches_hand_enumeration():
-    tree = DecisionTree(
-        root=internal(
+    tree = make_tree(
+        internal(
             0, 5.0, 10.0,
             internal(1, 2.0, 20.0, leaf(3, 0), leaf(0, 3)),
             internal(1, 8.0, 5.0, leaf(0, 3), leaf(3, 0), lmaj=1, rmaj=0),
@@ -233,8 +238,8 @@ def test_exact_depth2_matches_hand_enumeration():
 
 
 def test_exact_applies_fairness_boost():
-    tree = DecisionTree(
-        root=internal(
+    tree = make_tree(
+        internal(
             0, 0.5, 0.5,
             leaf(5, 0),
             internal(1, 2.0, 4.0, leaf(2, 0), leaf(0, 2)),
@@ -249,7 +254,7 @@ def test_exact_applies_fairness_boost():
     assert dist.probs[1] == pytest.approx(0.5 * 0.1, abs=1e-12)
     assert dist.probs[0] == pytest.approx(0.5 + 0.5 * 0.9, abs=1e-12)
     assert adjusted_flip_probability(
-        flip_probability(tree.root, sample, config()), tree.root, sample, SPEC, config()
+        flip_probability(tree, 0, sample, config()), tree, 0, sample, SPEC, config()
     ) == 0.5
 
 
@@ -257,7 +262,8 @@ def test_enumeration_limit_is_enforced():
     node = leaf(1, 0)
     for _ in range(13):
         node = internal(0, 0.0, 1.0, node, leaf(0, 1))
-    tree = DecisionTree(root=node, n_features=1)
+    tree = make_tree(node)
+    assert tree.max_depth == 13
     with pytest.raises(EnumerationLimitError, match="enumeration limit exceeded"):
         exact_path_distribution(tree, [0.0], SPEC, config())
     # a higher limit enumerates fine
@@ -332,16 +338,6 @@ def test_predict_fair_degenerates_to_deterministic(rng):
 EDGE_CONFIGS = ((0.35, 5.0), (0.5, 0.0), (0.5, 9.0), (0.1, 2.0), (0.0, 9.0))
 
 
-def internal_nodes(tree):
-    stack, out = [tree.root], []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, InternalNode):
-            out.append(node)
-            stack += [node.left, node.right]
-    return out
-
-
 def edge_case_forest(rng, n_trees):
     trees = [random_tree(rng, n_features=3, max_depth=3, p_zero_scale=0.25)
              for _ in range(n_trees)]
@@ -353,10 +349,10 @@ def edge_case_samples(rng, forest, n):
     threshold of one random node of the forest on that node's feature."""
     X = rng.uniform(-5, 5, size=(n, 3))
     X[:, 0] = rng.integers(0, 2, n)
-    nodes = [node for tree in forest.trees for node in internal_nodes(tree)]
+    nodes = [(tree, node) for tree in forest.trees for node in np.flatnonzero(tree.feature >= 0)]
     for row in X:
-        node = nodes[int(rng.integers(0, len(nodes)))]
-        row[node.feature_index] = node.threshold
+        tree, node = nodes[int(rng.integers(0, len(nodes)))]
+        row[tree.feature[node]] = tree.threshold[node]
     return X
 
 
@@ -382,9 +378,7 @@ def test_predict_fair_matches_manual_vote_recount(rng):
 
 def test_two_tree_forest_matches_joint_path_enumeration():
     tree_a = depth1_tree(threshold=5.0, scale=4.0, n_features=2)
-    tree_b = DecisionTree(
-        root=internal(1, 0.0, 2.0, leaf(2, 0), leaf(0, 2)), n_features=2
-    )
+    tree_b = make_tree(internal(1, 0.0, 2.0, leaf(2, 0), leaf(0, 2)), n_features=2)
     forest = Forest(trees=[tree_a, tree_b], n_trees=2)
     sample = np.array([5.0, 0.5])
     cfg = config(n_simulations=10_000, p_max=0.2, seed=21)
@@ -416,9 +410,9 @@ def test_mean_distribution_aggregation_counts_tree_outcomes(rng):
 
 def test_batch_results_are_independent_of_batch_composition(rng):
     forest = edge_case_forest(rng, 4)
-    nodes = [node for tree in forest.trees for node in internal_nodes(tree)]
-    assert any(node.scale == 0.0 for node in nodes)
-    assert any(node.uniform_distance for node in nodes)
+    split = [tree.feature >= 0 for tree in forest.trees]
+    assert any((tree.scale[s] == 0.0).any() for tree, s in zip(forest.trees, split))
+    assert any(tree.uniform_distance[s].any() for tree, s in zip(forest.trees, split))
     X = edge_case_samples(rng, forest, 12)
     ids = np.arange(100, 112)
     for p_max, alpha in EDGE_CONFIGS:
@@ -441,14 +435,14 @@ def test_batch_results_are_independent_of_batch_composition(rng):
                 )
                 np.testing.assert_array_equal(full_preds, chunk_preds)
                 np.testing.assert_array_equal(full_probs, chunk_probs)
-    # the flat arrays are built once per tree and cannot be written to
-    flat = flatten_tree(forest.trees[0])
-    assert flatten_tree(forest.trees[0]) is flat
+    # a tree is its own flat form, and its arrays cannot be written to
+    tree = forest.trees[0]
+    assert flatten_tree(tree) is tree
     for name in ("feature", "threshold", "scale", "uniform_distance", "child",
-                 "majority", "leaf_class"):
-        assert not getattr(flat, name).flags.writeable, name
+                 "majority", "class_counts", "leaf_class"):
+        assert not getattr(tree, name).flags.writeable, name
     with pytest.raises(ValueError):
-        flat.threshold[0] = 1.0
+        tree.threshold[0] = 1.0
 
 
 def majority_probability(qs):
@@ -534,10 +528,10 @@ def biased_routing_tree(rng, n_features=4, max_depth=4):
         )
 
     root = grow(0)
-    if not isinstance(root, type(internal(0, 0, 1, leaf(1, 0), leaf(0, 1)))):
+    if root["kind"] == "leaf":
         root = internal(0, 0.5, 0.5, unfavorable_subtree(rng, n_features, 1, max_depth),
                         leaf(0, 3), lmaj=0, rmaj=1, uniform=True)
-    return DecisionTree(root=root, n_features=n_features)
+    return make_tree(root, n_features)
 
 
 def test_favorable_probability_is_nondecreasing_in_alpha(rng):
@@ -571,10 +565,7 @@ def test_traversal_config_validation():
 def test_zero_scale_nodes_agree_between_scalar_and_batch_paths():
     # scale 0 is legal in hand-written model documents: the flip chance is
     # p_max exactly at the threshold and 0 elsewhere
-    tree = DecisionTree(
-        root=internal(0, 2.0, 0.0, leaf(2, 0), leaf(0, 2)),
-        n_features=1,
-    )
+    tree = make_tree(internal(0, 2.0, 0.0, leaf(2, 0), leaf(0, 2)))
     cfg = config(n_simulations=400, p_max=0.3, seed=9)
     for value in (2.0, 2.5):
         dist = simulate(tree, [value], SPEC, cfg, stream_id=3)

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from fairtree.errors import DataError
-from fairtree.model_io import dumps
+from fairtree.model_io import dumps, serialize
 from fairtree.tree import (
     Dataset,
-    DecisionTree,
     Forest,
-    InternalNode,
-    LeafNode,
+    forest_votes_batch,
     predict_deterministic,
-    predict_tree_batch,
     train_forest,
     train_tree,
 )
 
-from conftest import leaf
+from conftest import internal, leaf, make_tree
 
 
 def make_dataset(rows, labels, n_features=None):
@@ -28,20 +27,20 @@ def make_dataset(rows, labels, n_features=None):
 
 def test_midpoint_split_on_separable_feature():
     tree = train_tree(make_dataset([1, 2, 8, 9], [0, 0, 1, 1]), max_depth=1)
-    root = tree.root
-    assert isinstance(root, InternalNode)
-    assert root.feature_index == 0
-    assert root.threshold == 5.0
-    assert root.left.predicted_class == 0
-    assert root.right.predicted_class == 1
-    assert root.left_majority == 0 and root.right_majority == 1
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 5.0
+    left, right = tree.child[0]
+    assert tree.feature[left] == -1 and tree.leaf_class[left] == 0
+    assert tree.feature[right] == -1 and tree.leaf_class[right] == 1
+    assert tree.majority[0].tolist() == [0, 1]
 
 
 def test_single_class_data_yields_single_leaf():
     tree = train_tree(make_dataset([1, 2, 3], [1, 1, 1]), max_depth=5)
-    assert isinstance(tree.root, LeafNode)
-    assert tree.root.predicted_class == 1
-    assert tree.root.class_counts == (0, 3)
+    assert tree.feature.tolist() == [-1]
+    assert tree.leaf_class[0] == 1
+    assert tree.class_counts[0].tolist() == [0, 3]
+    assert tree.max_depth == 0
 
 
 def test_xor_data_fits_at_depth_two():
@@ -60,15 +59,15 @@ def test_empty_dataset_is_rejected():
 
 def test_scale_is_max_distance_to_threshold():
     tree = train_tree(make_dataset([1, 2, 8, 9], [0, 0, 1, 1]), max_depth=1)
-    assert tree.root.scale == 4.0  # max |{1,2,8,9} - 5|
-    assert not tree.root.uniform_distance
+    assert tree.scale[0] == 4.0  # max |{1,2,8,9} - 5|
+    assert not tree.uniform_distance[0]
 
 
 def test_two_valued_split_is_flagged_uniform_distance():
     tree = train_tree(make_dataset([0, 0, 1, 1], [0, 0, 1, 1]), max_depth=1)
-    assert tree.root.threshold == 0.5
-    assert tree.root.scale == 0.5
-    assert tree.root.uniform_distance
+    assert tree.threshold[0] == 0.5
+    assert tree.scale[0] == 0.5
+    assert tree.uniform_distance[0]
 
 
 def test_depth_limit_is_respected():
@@ -77,21 +76,14 @@ def test_depth_limit_is_respected():
     labels = (rows[:, 0] + rows[:, 1] > 1).astype(int)
     for depth in (1, 2, 4):
         tree = train_tree(Dataset([f"f{i}" for i in range(3)], ["numeric"] * 3, rows, labels), max_depth=depth)
-        assert tree.depth() <= depth
+        assert tree.max_depth <= depth
 
 
 def test_min_samples_leaf_is_respected():
     data = make_dataset([1, 2, 3, 4, 5, 6], [0, 0, 0, 1, 1, 1])
     tree = train_tree(data, min_samples_leaf=3)
-
-    def check(node):
-        if isinstance(node, LeafNode):
-            assert sum(node.class_counts) >= 3
-        else:
-            check(node.left)
-            check(node.right)
-
-    check(tree.root)
+    leaves = tree.feature < 0
+    assert (tree.class_counts[leaves].sum(axis=1) >= 3).all()
 
 
 def test_leaf_counts_partition_training_set():
@@ -101,20 +93,15 @@ def test_leaf_counts_partition_training_set():
     data = Dataset([f"f{i}" for i in range(4)], ["numeric"] * 4, rows, labels)
     tree = train_tree(data, max_depth=6)
 
-    def leaf_totals(node):
-        if isinstance(node, LeafNode):
-            return np.array(node.class_counts)
-        return leaf_totals(node.left) + leaf_totals(node.right)
-
-    totals = leaf_totals(tree.root)
+    totals = tree.class_counts[tree.feature < 0].sum(axis=0)
     assert totals[0] == int((labels == 0).sum())
     assert totals[1] == int((labels == 1).sum())
     # every sample is routed to a leaf that counted it
     for i in range(len(rows)):
-        node = tree.root
-        while isinstance(node, InternalNode):
-            node = node.left if rows[i, node.feature_index] <= node.threshold else node.right
-        assert node.class_counts[labels[i]] > 0
+        node = 0
+        while tree.feature[node] >= 0:
+            node = tree.child[node, 0 if rows[i, tree.feature[node]] <= tree.threshold[node] else 1]
+        assert tree.class_counts[node, labels[i]] > 0
 
 
 def test_unrestricted_tree_reproduces_training_labels():
@@ -126,7 +113,7 @@ def test_unrestricted_tree_reproduces_training_labels():
     rows, labels = rows[unique_idx], labels[unique_idx]
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, labels)
     tree = train_tree(data)
-    preds = predict_tree_batch(tree, rows)
+    preds = forest_votes_batch(Forest(trees=[tree], n_trees=1), rows)
     np.testing.assert_array_equal(preds, labels)
 
 
@@ -140,14 +127,14 @@ def test_prediction_boundary_and_dimension_checks():
 
 
 def test_forest_majority_vote_and_tie_break():
-    trees = [DecisionTree(root=leaf(0, 1), n_features=1) for _ in range(2)]
-    trees.append(DecisionTree(root=leaf(1, 0), n_features=1))
+    trees = [make_tree(leaf(0, 1)) for _ in range(2)]
+    trees.append(make_tree(leaf(1, 0)))
     forest = Forest(trees=trees, n_trees=3)
     assert predict_deterministic(forest, [0.0]) == 1  # votes {1,1,0}
-    tie = Forest(trees=trees[1:] + [DecisionTree(root=leaf(1, 0), n_features=1)], n_trees=3)
+    tie = Forest(trees=trees[1:] + [make_tree(leaf(1, 0))], n_trees=3)
     # votes {1,0,0} -> majority 0; explicit 2-vote tie also goes to 0
     assert predict_deterministic(tie, [0.0]) == 0
-    even = Forest(trees=trees[:2] + [DecisionTree(root=leaf(1, 0), n_features=1), DecisionTree(root=leaf(1, 0), n_features=1)], n_trees=4)
+    even = Forest(trees=trees[:2] + [make_tree(leaf(1, 0)), make_tree(leaf(1, 0))], n_trees=4)
     assert predict_deterministic(even, [0.0]) == 0
 
 
@@ -158,7 +145,7 @@ def test_single_tree_forest_without_bootstrap_equals_train_tree():
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, labels)
     forest = train_forest(data, n_trees=1, bootstrap=False, rng_seed=123, max_depth=4)
     tree = train_tree(data, max_depth=4)
-    assert forest.trees[0].root == tree.root
+    assert serialize(forest.trees[0])["root"] == serialize(tree)["root"]
 
 
 def test_forest_training_is_deterministic():
@@ -180,8 +167,7 @@ def test_feature_subsampling_still_finds_valid_splits():
     data = Dataset(["const", "x"], ["numeric", "numeric"], rows, labels)
     for seed in range(8):
         tree = train_tree(data, max_depth=1, features_per_split=1, rng_seed=seed)
-        assert isinstance(tree.root, InternalNode)
-        assert tree.root.feature_index == 1
+        assert tree.feature[0] == 1
 
 
 def brute_force_root_split(rows, labels, min_leaf=1):
@@ -224,12 +210,11 @@ def test_root_split_matches_exhaustive_enumeration():
         data = Dataset([f"f{i}" for i in range(d)], ["numeric"] * d, rows, labels)
         tree = train_tree(data, max_depth=1)
         if expected is None:
-            assert isinstance(tree.root, LeafNode)
+            assert tree.feature.tolist() == [-1]
             continue
         checked += 1
-        assert isinstance(tree.root, InternalNode)
-        assert tree.root.feature_index == expected[1]
-        assert tree.root.threshold == expected[2]
+        assert tree.feature[0] == expected[1]
+        assert tree.threshold[0] == expected[2]
     assert checked > 150
 
 
@@ -240,6 +225,18 @@ def test_batch_predictions_match_scalar():
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, labels)
     tree = train_tree(data, max_depth=5)
     queries = rng.uniform(0, 10, size=(200, 3))
-    batch = predict_tree_batch(tree, queries)
+    batch = forest_votes_batch(Forest(trees=[tree], n_trees=1), queries)
     scalar = np.array([predict_deterministic(tree, q) for q in queries])
     np.testing.assert_array_equal(batch, scalar)
+
+
+def test_split_on_a_feature_beyond_n_features_is_rejected():
+    tree = make_tree(internal(1, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=2)
+    with pytest.raises(ValueError, match="splits on feature 1 but has 1 features"):
+        replace(tree, n_features=1)
+
+
+def test_child_rows_that_loop_are_rejected():
+    tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
+    with pytest.raises(ValueError, match="do not form a tree"):
+        replace(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
