@@ -68,9 +68,16 @@ def uniform_at(key: int, index: int) -> float:
     return (z >> 11) * _TO_UNIT
 
 
-def uniforms_at_array(keys: np.ndarray, index: int) -> np.ndarray:
-    """Vectorized uniform_at over an array of stream keys."""
-    z = finalize_array(keys + np.uint64((index + 1) * GAMMA & _MASK))
+def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:
+    """Vectorized uniform_at over an array of stream keys. index is one
+    draw index for every key, or an integer array of indices broadcast
+    against keys."""
+    if isinstance(index, np.ndarray):
+        # uint64 array arithmetic wraps modulo 2**64, as _MASK does
+        offset = (index.astype(np.uint64, copy=False) + np.uint64(1)) * _U_GAMMA
+    else:
+        offset = np.uint64((index + 1) * GAMMA & _MASK)
+    z = finalize_array(keys + offset)
     return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 

@@ -10,14 +10,29 @@ class distribution; ``exact_path_distribution`` computes the same
 distribution in closed form for verification.
 
 Batch prediction walks a whole forest at once. Every (row, simulation,
-tree) triple is a lane; ``tree.walk_lanes`` moves all lanes of a chunk one
+tree) triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one
 level per step over the trees' node arrays (joined once per forest),
 reading each lane's feature value straight from its row, and drops lanes
-from the working set as they reach a leaf. The
-Monte Carlo flip step (``_flip_step``) computes the flip chance of each
-working lane and draws a uniform only where that chance is above 0;
-deterministic votes are the same walk without it. Chunks hold whole
-simulations, at most ``max_lanes`` lanes.
+from the working set as they reach a leaf. Deterministic votes are that
+walk from every (row, tree) root. Until it first flips, a simulation
+follows its (row, tree) pair's deterministic path, with the same flip
+chance at each node as every other simulation, so Monte Carlo prediction
+runs in three phases that change no draw and no comparison:
+
+1. each pair walks its deterministic path once, recording the steps whose
+   flip chance (``_flip_chance``) is above 0;
+2. each simulation draws a uniform at those steps only and keeps its
+   first flip (``_first_flips``);
+3. only the lanes that flipped walk on from the flip child, with the
+   Monte Carlo flip step (``_flip_step``), which draws a uniform only
+   where the chance is above 0; every other lane ends at its pair's
+   deterministic leaf.
+
+Calls with fewer than ``MIN_SHARED_LANES`` lanes skip phases 1 and 2 and
+walk every lane from its root with the flip step. ``max_lanes`` bounds the
+lanes of a chunk (whole rows, or whole simulations of one row), the steps
+phase 1 records per chunk and the uniforms phase 2 draws at a time, so
+transient memory does not grow with the row count or ``n_simulations``.
 
 All randomness comes from counter-based streams keyed by
 (seed, stream_id, simulation, tree), so results are independent of
@@ -26,7 +41,6 @@ evaluation order, batching and chunk size.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +50,7 @@ from . import rng as _rng
 from .errors import ConfigError, EnumerationLimitError
 from .tree import (
     MAX_LANES,
+    MIN_SHARED_LANES,
     DecisionTree,
     FlatForest,
     Forest,
@@ -180,38 +195,89 @@ def traverse_once(
     return int(tree.leaf_class[node])
 
 
-def _flip_step(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
-    """The Monte Carlo step of walk_lanes, called as flip(keys, step, ...).
-
-    Flip chances follow the arithmetic of flip_probability and
-    adjusted_flip_probability, lane by lane. A uniform is drawn only for
-    lanes whose chance is above 0: u < 0 never holds, so the skipped draws
-    change no result. Lane j's step-k uniform is draw k of stream keys[j],
-    as in traverse_once."""
+def _flip_chance(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
+    """The flip chances of walk_lanes' working lanes, called as
+    chance(node, feat, x, threshold, go_left); the arithmetic of
+    flip_probability and adjusted_flip_probability, lane by lane."""
     p_max, alpha = config.p_max, config.alpha
     # unscaled nodes flip at p_max exactly at the threshold and never
     # elsewhere; uniform-distance nodes always flip at p_max
     special = forest.unscaled | forest.uniform_distance
     majority = forest.majority.ravel()
 
-    def flip(keys, step, lane, node, feat, x, threshold, go_left):
+    def chance(node, feat, x, threshold, go_left):
         d = np.abs(x - threshold)
         p = np.maximum(p_max - d / forest.safe_scale[node], 0.0)
-        s = np.flatnonzero(special[node])
+        s = special[node].nonzero()[0]
         if s.size:
             p[s] = np.where(forest.uniform_distance[node[s]] | (d[s] == 0.0), p_max, 0.0)
         # the fairness boost: protected split, unprivileged sample, and the
         # deterministic child's majority unfavorable
-        t = np.flatnonzero(feat == spec.protected_feature)
+        t = (feat == spec.protected_feature).nonzero()[0]
         if t.size:
             t = t[x[t] == spec.unprivileged_value]
             t = t[majority[2 * node[t] + ~go_left[t]] == spec.unfavorable_class]
             p[t] = np.minimum(alpha * p[t], 0.5)
-        hit = np.flatnonzero(p > 0.0)
+        return p
+
+    return chance
+
+
+def _flip_step(forest: FlatForest, chance, keys):
+    """The Monte Carlo step of walk_lanes for lanes drawing from streams
+    keys. A uniform is drawn only for lanes whose chance is above 0: u < 0
+    never holds, so the skipped draws change no result. A lane at a node
+    of depth k uses draw k of its stream, as traverse_once does."""
+
+    def flip(lane, node, feat, x, threshold, go_left):
+        p = chance(node, feat, x, threshold, go_left)
+        hit = (p > 0.0).nonzero()[0]
         if hit.size:
-            go_left[hit] ^= _rng.uniforms_at_array(keys[lane[hit]], step) < p[hit]
+            u = _rng.uniforms_at_array(keys[lane[hit]], forest.depth[node[hit]])
+            go_left[hit] ^= u < p[hit]
 
     return flip
+
+
+def _record_step(chance, steps):
+    """A walk_lanes step that flips nothing and appends, to steps, the
+    (lane, node, chance, go_left) arrays of each step's lanes whose chance
+    is above 0."""
+
+    def record(lane, node, feat, x, threshold, go_left):
+        p = chance(node, feat, x, threshold, go_left)
+        hit = (p > 0.0).nonzero()[0]
+        if hit.size:
+            steps.append((lane[hit], node[hit], p[hit], go_left[hit]))
+
+    return record
+
+
+def _first_flips(flat: FlatForest, steps, keys, budget: int):
+    """Phase 2 of the shared walk: the lanes that flip, and the child each
+    one flips to. steps holds a walk's (pair, node, chance, go_left) steps
+    with a chance above 0, in walk order, so by depth within each pair;
+    keys[pair, s] is the stream of simulation s of the pair. Each
+    simulation draws only at those steps and flips first at the first draw
+    below the chance. Lane pair * n_sims + s is simulation s of the pair.
+    Steps are drawn in slices of at most budget draws."""
+    n_sims = keys.shape[1]
+    pair, node, p, go_left = (np.concatenate(a) for a in zip(*steps))
+    flip_child = flat.child.ravel()[2 * node + go_left]
+    flipped = np.zeros(keys.size, dtype=bool)
+    lanes, children = [], []
+    per_slice = max(1, budget // n_sims)
+    for lo in range(0, pair.size, per_slice):
+        at = slice(lo, lo + per_slice)
+        u = _rng.uniforms_at_array(keys[pair[at]], flat.depth[node[at], None])
+        step, sim = np.nonzero(u < p[at, None])  # ordered by step
+        lane, first = np.unique(pair[at][step] * n_sims + sim, return_index=True)
+        new = ~flipped[lane]
+        lane, step = lane[new], step[first[new]]
+        flipped[lane] = True
+        lanes.append(lane)
+        children.append(flip_child[at][step])
+    return np.concatenate(lanes), np.concatenate(children)
 
 
 def simulate(
@@ -277,9 +343,12 @@ def predict_fair_batch(
     numbers) to make results invariant to batch composition. Returns
     (predictions, probs) with probs[i] = (P(class 0), P(class 1)).
 
-    The (row, simulation, tree) lanes are walked in chunks of whole
-    simulations, max_lanes // n_trees of them (at least one) per chunk;
-    results do not depend on max_lanes."""
+    The (row, simulation, tree) lanes are walked in chunks of whole rows,
+    or of whole simulations of one row when a row has more than max_lanes
+    lanes. A chunk holds at most max_lanes lanes, and its rows' paths at
+    most max_lanes levels, but never less than one simulation of one row;
+    phase 2 draws at most max_lanes uniforms at a time, or one step's.
+    Results do not depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.trees[0].n_features)
@@ -290,29 +359,53 @@ def predict_fair_batch(
     if stream_ids.shape != (n,):
         raise ValueError("stream_ids must have one entry per sample")
     flat = flatten_forest(forest)
-    T = forest.n_trees
+    S, T = config.n_simulations, forest.n_trees
+    chance = _flip_chance(flat, spec, config)
+    shared = n * S * T >= MIN_SHARED_LANES
+    sims_per_chunk = min(S, max(1, max_lanes // T))
+    # a chunk's lanes, and the steps its phase 1 records (at most one per
+    # level of each pair's path), stay within max_lanes
+    depth = max(tree.max_depth for tree in forest.trees)
+    rows_per_chunk = max(1, max_lanes // (T * max(sims_per_chunk, depth)))
     tree_words = np.arange(T, dtype=np.uint64)
-    # with p_max = 0 nothing flips and every simulation repeats the first
-    flip = _flip_step(flat, spec, config) if config.p_max > 0.0 else None
-    S = 1 if flip is None else config.n_simulations
-    chunk = max(1, max_lanes // T) * T
     counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n * S * T, chunk):
-        hi = min(n * S * T, lo + chunk)
-        group = np.arange(lo // T, hi // T)  # (row, simulation) pairs
-        row = group // S
-        chunk_flip = None
-        if flip is not None:
-            # the stream of lane (row, s, t) is keyed (seed, stream id, s, t)
-            prefix = _rng.stream_key_array(config.seed, stream_ids[row], group % S)
-            keys = _rng.finalize_array(np.repeat(prefix, T) ^ np.tile(tree_words, group.size))
-            chunk_flip = functools.partial(flip, keys)
-        votes = walk_lanes(flat, X, lo, hi, S * T, chunk_flip).reshape(-1, T).sum(axis=1)
-        if aggregation == VOTE_MAJORITY:
-            votes = 2 * votes > T
-        counts[row[0]:row[-1] + 1] += np.bincount(row - row[0], weights=votes).astype(np.int64)
-    counts *= config.n_simulations // S
-    denom = config.n_simulations * (1 if aggregation == VOTE_MAJORITY else T)
+    for r0 in range(0, n, rows_per_chunk):
+        rows = np.arange(r0, min(n, r0 + rows_per_chunk))
+        # (row, tree) pair j is tree j % T for row rows[j // T]
+        pair_root = np.tile(flat.root, rows.size)
+        pair_x = np.repeat(rows * X.shape[1], T)
+        steps = []
+        if shared:
+            # phase 1: each pair's deterministic path, and its steps that
+            # may flip; until its first flip a simulation follows it
+            pair_leaf = walk_lanes(flat, X, pair_root, pair_x, _record_step(chance, steps))
+        else:
+            pair_leaf = np.zeros(pair_root.size, dtype=np.int8)
+        for s0 in range(0, S, sims_per_chunk):
+            sims = np.arange(s0, min(S, s0 + sims_per_chunk), dtype=np.uint64)
+            # lane pair * len(sims) + s - s0 is simulation s of the pair; a
+            # lane that never leaves the shared path ends at the pair's leaf
+            leaves = np.repeat(pair_leaf, sims.size)
+            if steps or not shared:  # else no step of the chunk may flip
+                # the stream of simulation s of (row, tree t) is keyed
+                # (seed, stream id, s, t)
+                prefix = _rng.stream_key_array(config.seed, stream_ids[rows, None], sims)
+                keys = _rng.finalize_array(prefix[:, None, :] ^ tree_words[:, None])
+                keys = keys.reshape(pair_root.size, sims.size)
+                if shared:
+                    # phase 2: the lanes that leave the shared path, and where
+                    lane, start = _first_flips(flat, steps, keys, max_lanes)
+                else:
+                    lane = np.arange(keys.size)
+                    start = np.repeat(pair_root, sims.size)
+                # phase 3: those lanes walk on alone, drawing their own flips
+                leaves[lane] = walk_lanes(flat, X, start, pair_x[lane // sims.size],
+                                          _flip_step(flat, chance, keys.ravel()[lane]))
+            votes = leaves.reshape(rows.size, T, sims.size).sum(axis=1)
+            if aggregation == VOTE_MAJORITY:
+                votes = 2 * votes > T
+            counts[rows] += votes.sum(axis=1)
+    denom = S * (1 if aggregation == VOTE_MAJORITY else T)
     probs = np.stack([(denom - counts) / denom, counts / denom], axis=1)
     preds = (2 * counts > denom).astype(np.int64)
     return preds, probs

@@ -83,8 +83,9 @@ class DecisionTree:
     its (left, right) children and row i of majority their subtrees'
     majority classes. Leaves have feature == -1, a zero child row and
     their training class counts in class_counts (zero at internal nodes);
-    leaf_class is the leaf's majority class, ties to 0. The arrays are
-    read-only; max_depth is the longest root-to-leaf path in edges."""
+    leaf_class is the leaf's majority class, ties to 0. depth[i] is node
+    i's distance from the root in edges and max_depth the longest
+    root-to-leaf path. The arrays are read-only."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -97,6 +98,7 @@ class DecisionTree:
     class_labels: tuple = (0, 1)
     training_meta: dict = field(default_factory=dict)
     leaf_class: np.ndarray = field(init=False, repr=False)
+    depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
 
     def __post_init__(self):
@@ -110,6 +112,7 @@ class DecisionTree:
             )
         counts = self.class_counts
         self.leaf_class = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
+        node_depth = np.zeros(self.feature.size, dtype=np.int32)
         depth, level, reached = 0, np.zeros(1, dtype=np.int64), 1
         while True:
             level = level[self.feature[level] >= 0]
@@ -121,6 +124,8 @@ class DecisionTree:
                 # a tree reaches each node once; a cycle would never end
                 raise ValueError("child rows do not form a tree")
             depth += 1
+            node_depth[level] = depth
+        self.depth = _read_only(node_depth)
         self.max_depth = depth
 
     def __eq__(self, other):
@@ -419,6 +424,10 @@ def predict_deterministic(model, sample):
 # tree for one row (and, in Monte Carlo, one simulation); a chunk's
 # transient arrays take a few MB at this size.
 MAX_LANES = 2**15
+# Monte Carlo calls with fewer (row, simulation, tree) lanes than this walk
+# every lane from its root: below it, the fixed cost of first walking each
+# (row, tree) path alone outweighs the simulations' shared steps.
+MIN_SHARED_LANES = 2**11
 
 
 def flatten_tree(tree: DecisionTree) -> DecisionTree:
@@ -430,7 +439,9 @@ def flatten_tree(tree: DecisionTree) -> DecisionTree:
 class FlatForest:
     """The flat arrays of a forest's trees end to end. Node ids are global:
     tree t's root is root[t] and child rows hold global ids. safe_scale is
-    a node's scale where that is positive and 1 elsewhere (unscaled)."""
+    a node's scale where that is positive and 1 elsewhere (unscaled);
+    depth is a node's depth within its tree, the index of the uniform a
+    Monte Carlo walk draws there."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -440,6 +451,7 @@ class FlatForest:
     child: np.ndarray
     majority: np.ndarray
     leaf_class: np.ndarray
+    depth: np.ndarray
     root: np.ndarray
 
 
@@ -467,36 +479,34 @@ def _join(trees) -> FlatForest:
         child=joined([t.child + r if r else t.child for t, r in zip(trees, root)]),
         majority=joined([t.majority for t in trees]),
         leaf_class=joined([t.leaf_class for t in trees]),
+        depth=joined([t.depth for t in trees]).astype(np.uint64),
         root=root,
     )
 
 
-def walk_lanes(forest: FlatForest, X: np.ndarray, lo: int, hi: int,
-               lanes_per_row: int, flip=None) -> np.ndarray:
-    """Leaf classes of lanes lo..hi-1 of a batch walk over a forest.
+def walk_lanes(forest: FlatForest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarray,
+               flip=None) -> np.ndarray:
+    """Leaf classes of a batch of lanes walked over a forest.
 
-    Lane l walks tree l % n_trees for row l // lanes_per_row of X, a
-    C-contiguous float64 matrix. Every lane starts at its tree's root and
-    descends one level per step; a lane that reaches a leaf is written out
-    and dropped from the working set. Before the lanes move at step k,
-    ``flip(k, lane, node, feature, x, threshold, go_left)`` may reverse
-    go_left in place; ``lane`` holds the working lanes' positions within
-    the chunk (l - lo), ``x`` their feature values."""
-    n_trees = forest.root.size
-    lane = np.arange(lo, hi)
-    node = forest.root[lane % n_trees]
-    x_pos = lane // lanes_per_row * X.shape[1]
-    lane -= lo
+    Lane j starts at global node node[j] and reads its feature values from
+    the row of X (a C-contiguous float64 matrix) that starts at flat offset
+    x_pos[j]. Each step moves every working lane one level down; a lane
+    that reaches a leaf is written out and dropped from the working set.
+    Before the lanes move, ``flip(lane, node, feature, x, threshold,
+    go_left)`` may reverse go_left in place; ``lane`` holds the working
+    lanes' positions j, ``x`` their feature values."""
+    lane = np.arange(node.size)
     x_flat = X.ravel()
     child = forest.child.ravel()
-    out = np.empty(hi - lo, dtype=np.int8)
+    out = np.empty(node.size, dtype=np.int8)
     feat = forest.feature[node]
-    step = 0
     while True:
         done = feat < 0
         if done.any():
             out[lane[done]] = forest.leaf_class[node[done]]
-            keep = np.flatnonzero(~done)
+            # ndarray.nonzero, not np.flatnonzero: its wrappers cost more
+            # than a small step's arithmetic
+            keep = (~done).nonzero()[0]
             lane, node, feat, x_pos = lane[keep], node[keep], feat[keep], x_pos[keep]
         if lane.size == 0:
             return out
@@ -504,10 +514,9 @@ def walk_lanes(forest: FlatForest, X: np.ndarray, lo: int, hi: int,
         threshold = forest.threshold[node]
         go_left = x <= threshold
         if flip is not None:
-            flip(step, lane, node, feat, x, threshold, go_left)
+            flip(lane, node, feat, x, threshold, go_left)
         node = child[2 * node + ~go_left]
         feat = forest.feature[node]
-        step += 1
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -526,9 +535,10 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     rows_per_chunk = max(1, MAX_LANES // n_trees)
     votes = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], rows_per_chunk):
-        stop = min(X.shape[0], start + rows_per_chunk)
-        leaves = walk_lanes(flat, X, start * n_trees, stop * n_trees, n_trees)
-        votes[start:stop] = leaves.reshape(-1, n_trees).sum(axis=1)
+        rows = np.arange(start, min(X.shape[0], start + rows_per_chunk))
+        leaves = walk_lanes(flat, X, np.tile(flat.root, rows.size),
+                            np.repeat(rows * X.shape[1], n_trees))
+        votes[rows] = leaves.reshape(-1, n_trees).sum(axis=1)
     return votes
 
 

@@ -34,10 +34,12 @@ def depth1_tree(threshold=5.0, scale=4.0, n_features=1):
     return make_tree(internal(0, threshold, scale, leaf(2, 0), leaf(0, 2)), n_features)
 
 
-def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0):
+def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0,
+                p_uniform=0.15):
     """Random valid tree for property tests; leaf predictions consistent
     with counts. Scales are positive, except that with p_zero_scale > 0
-    each internal node has scale 0 with that chance."""
+    each internal node has scale 0 with that chance. Each internal node is
+    uniform_distance with chance p_uniform."""
 
     def grow(depth):
         if depth >= max_depth or rng.random() < p_leaf:
@@ -56,7 +58,7 @@ def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0):
             right=grow(depth + 1),
             lmaj=int(rng.integers(0, 2)),
             rmaj=int(rng.integers(0, 2)),
-            uniform=bool(rng.random() < 0.15),
+            uniform=bool(rng.random() < p_uniform),
         )
 
     root = grow(0)

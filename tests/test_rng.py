@@ -33,6 +33,15 @@ def test_scalar_and_array_uniforms_agree():
         batch = uniforms_at_array(keys, step)
         expected = np.array([uniform_at(int(k), step) for k in keys])
         np.testing.assert_array_equal(batch, expected)
+    # one draw index per key, as the batch walk passes node depths
+    steps = np.random.default_rng(2).integers(0, 40, size=100).astype(np.int32)
+    batch = uniforms_at_array(keys, steps)
+    expected = np.array([uniform_at(int(k), int(j)) for k, j in zip(keys, steps)])
+    np.testing.assert_array_equal(batch, expected)
+    # indices broadcast against keys: one row of draws per index
+    grid = uniforms_at_array(keys[None, :], steps[:7, None])
+    expected = np.array([[uniform_at(int(k), int(j)) for k in keys] for j in steps[:7]])
+    np.testing.assert_array_equal(grid, expected)
 
 
 def test_uniforms_lie_in_unit_interval():

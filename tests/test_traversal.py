@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,16 @@ from fairtree.traversal import (
     simulate,
     traverse_once,
 )
-from fairtree.tree import Forest, flatten_tree, predict_deterministic
+from fairtree.tree import (
+    MAX_LANES,
+    MIN_SHARED_LANES,
+    DecisionTree,
+    Forest,
+    flatten_tree,
+    forest_votes_batch,
+    predict_deterministic,
+    predict_forest_batch,
+)
 
 from conftest import depth1_tree, internal, leaf, make_tree, random_tree
 
@@ -374,6 +384,105 @@ def test_predict_fair_matches_manual_vote_recount(rng):
         count1 = sum(votes)
         assert dist.probs == ((40 - count1) / 40, count1 / 40)
         assert pred == (1 if 2 * count1 > 40 else 0)
+
+
+def draws_on_path(tree, sample, cfg):
+    """Whether the deterministic path of sample has a node whose flip
+    chance is above 0."""
+    node = 0
+    while tree.feature[node] >= 0:
+        base = flip_probability(tree, node, sample, cfg)
+        if adjusted_flip_probability(base, tree, node, sample, SPEC, cfg) > 0.0:
+            return True
+        node = tree.child[node, 0 if sample[tree.feature[node]] <= tree.threshold[node] else 1]
+    return False
+
+
+def test_shared_path_batch_matches_manual_vote_recount(rng):
+    # rows * S * T reaches MIN_SHARED_LANES, so simulations share each
+    # (row, tree) path until they flip. The forests: the edge cases, one
+    # with no uniform-distance node (its far row never draws), and one
+    # whose every split is uniform-distance (every step draws).
+    n_rows, S, T = 9, 80, 3
+    assert n_rows * S * T >= MIN_SHARED_LANES
+    forests = [
+        edge_case_forest(rng, T),
+        Forest(trees=[random_tree(rng, n_features=3, max_depth=3, p_zero_scale=0.25, p_uniform=0.0)
+                      for _ in range(T)], n_trees=T),
+        Forest(trees=[random_tree(rng, n_features=3, max_depth=4, p_leaf=0.0, p_uniform=1.0)
+                      for _ in range(T)], n_trees=T),
+    ]
+    assert all(tree.uniform_distance[tree.feature >= 0].all() for tree in forests[2].trees)
+    for f, forest in enumerate(forests):
+        X = np.vstack([edge_case_samples(rng, forest, n_rows - 1), np.full((1, 3), 1e6)])
+        ids = np.arange(n_rows) * 5 + 2
+        for p_max, alpha in EDGE_CONFIGS:
+            cfg = config(n_simulations=S, p_max=p_max, alpha=alpha, seed=31 + f)
+            if f == 1:
+                assert not any(draws_on_path(tree, X[-1], cfg) for tree in forest.trees)
+            outcomes = np.array([[[
+                traverse_once(tree, X[i], SPEC, cfg, TraversalStream.derive(cfg.seed, int(ids[i]), s, t))
+                for t, tree in enumerate(forest.trees)] for s in range(S)] for i in range(n_rows)])
+            majority = (2 * outcomes.sum(axis=2) > T).sum(axis=1)
+            mean = outcomes.sum(axis=(1, 2))
+            for aggregation, count1, denom in ((VOTE_MAJORITY, majority, S), (VOTE_MEAN, mean, S * T)):
+                # 250 lanes cut a row's 240 into chunks of one row, and its
+                # draws into slices of three steps
+                for max_lanes in (250, MAX_LANES):
+                    preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
+                                                      aggregation=aggregation, max_lanes=max_lanes)
+                    np.testing.assert_array_equal(probs, np.c_[(denom - count1) / denom, count1 / denom])
+                    np.testing.assert_array_equal(preds, (2 * count1 > denom).astype(np.int64))
+
+
+def test_zero_rows_give_empty_results():
+    forest = edge_case_forest(np.random.default_rng(0), 3)
+    X = np.empty((0, 3))
+    for p_max, alpha in EDGE_CONFIGS:
+        for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+            preds, probs = predict_fair_batch(forest, X, SPEC, config(p_max=p_max, alpha=alpha),
+                                              aggregation=aggregation)
+            assert preds.shape == (0,) and preds.dtype == np.int64
+            assert probs.shape == (0, 2) and probs.dtype == np.float64
+    votes = forest_votes_batch(forest, X)
+    assert votes.shape == (0,) and votes.dtype == np.int64
+    assert predict_forest_batch(forest, X).shape == (0,)
+
+
+def full_uniform_tree(rng, depth, n_features=3):
+    """A complete tree of the given depth, heap-ordered, whose every split
+    is uniform-distance: every step of every walk draws."""
+    n, n_leaves = 2**depth - 1, 2**depth
+    ids = np.arange(n)
+    return DecisionTree(
+        feature=np.r_[rng.integers(0, n_features, n), np.full(n_leaves, -1)],
+        threshold=np.r_[rng.uniform(-5, 5, n), np.zeros(n_leaves)],
+        scale=np.ones(n + n_leaves),
+        uniform_distance=np.r_[np.ones(n, dtype=bool), np.zeros(n_leaves, dtype=bool)],
+        child=np.r_[np.c_[2 * ids + 1, 2 * ids + 2], np.zeros((n_leaves, 2), dtype=int)],
+        majority=np.r_[rng.integers(0, 2, (n, 2)), np.zeros((n_leaves, 2), dtype=int)],
+        class_counts=np.r_[np.zeros((n, 2), dtype=int), rng.integers(0, 5, (n_leaves, 2))],
+        n_features=n_features,
+    )
+
+
+def test_transient_memory_is_bounded_for_many_simulations():
+    # 3 rows, 2 trees and S = 20,000: 120,000 lanes, each drawing at all
+    # 12 levels of its path. Walking them in chunks of at most MAX_LANES
+    # lanes, and drawing at most MAX_LANES uniforms at a time, peaks near
+    # 4 MB; drawing every recorded step of a chunk at once takes over 13 MB.
+    rng = np.random.default_rng(4)
+    forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(2)], n_trees=2)
+    X = rng.uniform(-5, 5, size=(3, 3))
+    cfg = config(n_simulations=20_000, p_max=0.1)
+    predict_fair_batch(forest, X, SPEC, cfg)  # joins the forest's arrays once
+    tracemalloc.start()
+    try:
+        predict_fair_batch(forest, X, SPEC, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
