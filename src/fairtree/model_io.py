@@ -3,7 +3,8 @@
 serialize() produces a plain dict of nested nodes from a tree's node
 arrays; save/load wrap it in JSON with full round-trip float precision.
 deserialize() checks invariants, reports the path of the offending node on
-failure, and packs the nodes into arrays as training does (tree.build_tree).
+failure, and packs the nodes into arrays level by level as training does
+(tree.build_trees), so a trained tree and its reloaded copy are equal.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .errors import ModelFormatError
-from .tree import DecisionTree, Forest, build_tree
+from .tree import DecisionTree, Forest, build_trees
 
 SCHEMA = "fairtree-model/1"
 
@@ -104,8 +107,9 @@ def _as_class_id(value, path):
 
 
 def _parse_node(doc, path, n_features):
-    """The node as tree.build_tree's expand step returns it; a split's
-    child jobs are its (document, path) pairs."""
+    """(node, children): node is (feature, threshold, scale,
+    uniform_distance, left majority, right majority, count0, count1), with
+    feature -1 at a leaf; children are a split's (document, path) jobs."""
     doc = _expect_dict(doc, path)
     kind = _get(doc, "kind", path)
     if kind == "leaf":
@@ -121,7 +125,7 @@ def _parse_node(doc, path, n_features):
                 f"{path}.predicted_class",
                 f"must equal the majority class {expected} (ties go to 0)",
             )
-        return None, (c0, c1)
+        return (-1, 0.0, 1.0, False, 0, 0, c0, c1), ()
     if kind == "internal":
         feature = _as_int(_get(doc, "feature_index", path), f"{path}.feature_index", minimum=0)
         if feature >= n_features:
@@ -139,25 +143,40 @@ def _parse_node(doc, path, n_features):
         rmaj = _as_class_id(_get(doc, "right_majority", path), f"{path}.right_majority")
         left = (_get(doc, "left", path), f"{path}.left")
         right = (_get(doc, "right", path), f"{path}.right")
-        return (feature, threshold, scale, uniform, lmaj, rmaj), (left, right)
+        return (feature, threshold, scale, uniform, lmaj, rmaj, 0, 0), (left, right)
     raise ModelFormatError(f"{path}.kind", "expected 'leaf' or 'internal'")
 
 
-def _parse_tree(doc, path) -> DecisionTree:
-    doc = _expect_dict(doc, path)
-    n_features = _as_int(_get(doc, "n_features", path), f"{path}.n_features", minimum=1)
-    labels = doc.get("class_labels", [0, 1])
-    if labels != [0, 1]:
-        raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
-    meta = doc.get("training_meta", {})
-    if not isinstance(meta, dict):
-        raise ModelFormatError(f"{path}.training_meta", "expected an object")
-    return build_tree(
-        (_get(doc, "root", path), f"{path}.root"),
-        lambda job: _parse_node(*job, n_features),
-        n_features,
-        training_meta=dict(meta),
-    )
+def _parse_level(jobs, n_features):
+    """tree.build_trees' expand step over one level's (document, path) jobs."""
+    nodes, children = [], []
+    for doc, path in jobs:
+        node, kids = _parse_node(doc, path, n_features)
+        nodes.append(node)
+        children += kids
+    feature, threshold, scale, uniform, lmaj, rmaj, count0, count1 = map(np.array, zip(*nodes))
+    return (feature, threshold, scale, uniform, np.column_stack([lmaj, rmaj]),
+            np.column_stack([count0, count1])), children
+
+
+def _parse_trees(docs, paths) -> list:
+    """The DecisionTrees of tree documents, built together."""
+    n_features, roots, metas = set(), [], []
+    for doc, path in zip(docs, paths):
+        doc = _expect_dict(doc, path)
+        n_features.add(_as_int(_get(doc, "n_features", path), f"{path}.n_features", minimum=1))
+        labels = doc.get("class_labels", [0, 1])
+        if labels != [0, 1]:
+            raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
+        meta = doc.get("training_meta", {})
+        if not isinstance(meta, dict):
+            raise ModelFormatError(f"{path}.training_meta", "expected an object")
+        roots.append((_get(doc, "root", path), f"{path}.root"))
+        metas.append(dict(meta))
+    if len(n_features) != 1:
+        raise ModelFormatError("document.trees", "trees disagree on n_features")
+    (n_features,) = n_features
+    return build_trees(roots, lambda jobs: _parse_level(jobs, n_features), n_features, metas)
 
 
 def deserialize(doc) -> "DecisionTree | Forest":
@@ -167,7 +186,7 @@ def deserialize(doc) -> "DecisionTree | Forest":
         raise ModelFormatError("document.schema", f"expected {SCHEMA!r}, got {schema!r}")
     kind = _get(doc, "kind", "document")
     if kind == "tree":
-        return _parse_tree(doc, "document")
+        return _parse_trees([doc], ["document"])[0]
     if kind == "forest":
         trees_doc = _get(doc, "trees", "document")
         if not isinstance(trees_doc, list) or not trees_doc:
@@ -178,12 +197,7 @@ def deserialize(doc) -> "DecisionTree | Forest":
         meta = doc.get("bagging_meta", {})
         if not isinstance(meta, dict):
             raise ModelFormatError("document.bagging_meta", "expected an object")
-        trees = [
-            _parse_tree(t, f"document.trees[{i}]") for i, t in enumerate(trees_doc)
-        ]
-        widths = {t.n_features for t in trees}
-        if len(widths) != 1:
-            raise ModelFormatError("document.trees", "trees disagree on n_features")
+        trees = _parse_trees(trees_doc, [f"document.trees[{i}]" for i in range(n_trees)])
         return Forest(trees=trees, n_trees=n_trees, bagging_meta=dict(meta))
     raise ModelFormatError("document.kind", "expected 'tree' or 'forest'")
 

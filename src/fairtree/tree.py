@@ -11,12 +11,14 @@ I/O and every traversal read.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DataError
+from .rng import finalize_array, stream_key, uniforms_at_array
 
 FeatureKind = Union[str, dict]  # "numeric" or {raw value: integer code}
 
@@ -78,11 +80,12 @@ _NODE_ARRAYS = (
 
 @dataclass(eq=False)
 class DecisionTree:
-    """A tree as parallel node arrays. Node 0 is the root. Internal node i
-    sends values <= threshold[i] of feature[i] left; row i of child holds
-    its (left, right) children and row i of majority their subtrees'
-    majority classes. Leaves have feature == -1, a zero child row and
-    their training class counts in class_counts (zero at internal nodes);
+    """A tree as parallel node arrays. Node 0 is the root, and build_trees
+    numbers nodes in level order. Internal node i sends values <=
+    threshold[i] of feature[i] left; row i of child holds its (left,
+    right) children and row i of majority their subtrees' majority
+    classes. Leaves have feature == -1, a zero child row and their
+    training class counts in class_counts (zero at internal nodes);
     leaf_class is the leaf's majority class, ties to 0. depth[i] is node
     i's distance from the root in edges and max_depth the longest
     root-to-leaf path. The arrays are read-only."""
@@ -153,31 +156,49 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def build_tree(root, expand, n_features: int, **kwargs) -> DecisionTree:
-    """Build a DecisionTree depth first from the root's job. expand(job)
-    returns (None, (count0, count1)) for a leaf, or ((feature, threshold,
-    scale, uniform_distance, left majority, right majority), (left job,
-    right job)) for a split. The right job runs first, and nodes are
-    numbered in the order their jobs run."""
-    nodes, child = [], []  # child holds each node's left and right ids in turn
-    stack = [(root, -1, 0)]
-    while stack:
-        job, parent, side = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            child[2 * parent + side] = node
-        child += (0, 0)
-        split, rest = expand(job)
-        if split is None:
-            nodes.append((-1, 0.0, 1.0, False, 0, 0) + rest)
-        else:
-            nodes.append(split + (0, 0))
-            stack.append((rest[0], node, 0))
-            stack.append((rest[1], node, 1))
-    feature, threshold, scale, uniform, lmaj, rmaj, count0, count1 = zip(*nodes)
-    return DecisionTree(feature, threshold, scale, uniform, np.reshape(child, (-1, 2)),
-                        np.column_stack([lmaj, rmaj]), np.column_stack([count0, count1]),
-                        n_features, **kwargs)
+def build_trees(jobs, expand, n_features: int, metas) -> list:
+    """Build len(metas) trees level by level, all of them together, and
+    number each tree's nodes in level order: level by level, and within a
+    level left to right.
+
+    jobs are the root jobs, one per tree in order. expand(jobs) takes one
+    level's jobs and returns (nodes, jobs). nodes holds arrays over those
+    jobs in order: (feature, threshold, scale, uniform_distance, majority,
+    class_counts), with feature -1 at a leaf. The returned jobs are the
+    next level's: the left and then the right child of each split node, in
+    node order. metas[t] is tree t's training_meta."""
+    tree = np.arange(len(metas))
+    levels, level_tree, level_child = [], [], []
+    n_seen = 0  # nodes of the levels so far, all trees
+    while tree.size:
+        nodes, jobs = expand(jobs)
+        split = nodes[0] >= 0
+        # children as positions in the concatenated levels, for now
+        child = np.zeros((tree.size, 2), dtype=np.int64)
+        child[split] = n_seen + tree.size + np.arange(2 * np.count_nonzero(split)).reshape(-1, 2)
+        levels.append(nodes)
+        level_tree.append(tree)
+        level_child.append(child)
+        n_seen += tree.size
+        tree = np.repeat(tree[split], 2)
+    feature, threshold, scale, uniform, majority, counts = (
+        np.concatenate(column) for column in zip(*levels))
+    tree = np.concatenate(level_tree)
+    child = np.concatenate(level_child)
+    # a stable sort by tree keeps each tree's nodes in level order
+    order = np.argsort(tree, kind="stable")
+    n_nodes = np.bincount(tree, minlength=len(metas))
+    first = np.cumsum(n_nodes) - n_nodes
+    node_id = np.empty_like(order)
+    node_id[order] = np.arange(order.size) - np.repeat(first, n_nodes)
+    split = feature >= 0
+    child[split] = node_id[child[split]]
+    trees = []
+    for lo, n, meta in zip(first, n_nodes, metas):
+        at = order[lo:lo + n]
+        trees.append(DecisionTree(feature[at], threshold[at], scale[at], uniform[at], child[at],
+                                  majority[at], counts[at], n_features, training_meta=meta))
+    return trees
 
 
 @dataclass
@@ -193,9 +214,11 @@ class Forest:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
 
 
-def _majority(count0: int, count1: int) -> int:
-    # ties break toward class 0
-    return 1 if count1 > count0 else 0
+# Elements one block of training work holds: the samples of one group of
+# trees grown together, and the (sample, feature) pairs of one block of a
+# level's split search. It bounds the grower's transient memory whatever
+# the row count or the number of trees.
+GROW_BLOCK = 2**15
 
 
 def _split_score(c0l, c1l, nl, c0r, c1r, nr):
@@ -209,105 +232,232 @@ def _split_score(c0l, c1l, nl, c0r, c1r, nr):
     return (c0l * c0l + c1l * c1l) / nl + (c0r * c0r + c1r * c1r) / nr
 
 
-def _best_split_for_feature(values, ones_cumsum, order, min_leaf):
-    """Best (score, threshold) split of one sorted feature, or None."""
-    sv = values[order]
-    n = sv.shape[0]
-    cum1 = ones_cumsum
-    total1 = int(cum1[-1])
-    cut = np.nonzero(sv[:-1] != sv[1:])[0]
-    if min_leaf > 1:
-        cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
-    if cut.size == 0:
-        return None
-    nl = cut + 1
-    c1l = cum1[cut]
-    c0l = nl - c1l
-    nr = n - nl
-    c1r = total1 - c1l
-    c0r = nr - c1r
-    score = _split_score(
-        c0l.astype(np.float64),
-        c1l.astype(np.float64),
-        nl.astype(np.float64),
-        c0r.astype(np.float64),
-        c1r.astype(np.float64),
-        nr.astype(np.float64),
-    )
-    j = int(np.argmax(score))  # first max -> smallest threshold on ties
-    i = int(cut[j])
-    threshold = (float(sv[i]) + float(sv[i + 1])) / 2.0
-    return float(score[j]), threshold
+@dataclass
+class _Level:
+    """The training jobs of one level: its nodes across a group of trees.
+    Only the nodes that may still split (``active``) keep their samples,
+    grouped node by node in ``row`` and ``label``."""
+
+    depth: int
+    counts: np.ndarray  # (n, 2) class counts of every node of the level
+    key: np.ndarray  # (n,) stream key of each node's feature draw
+    active: np.ndarray  # positions of the nodes that may split
+    size: np.ndarray  # their sample counts
+    row: np.ndarray  # their samples' rows of the data
+    label: np.ndarray
 
 
-def _find_split(X, y, indices, feature_order, n_primary, min_leaf):
-    """Scan features in feature_order; extras beyond n_primary are only
-    consulted when the primary block yields no valid split."""
-    best = None  # (score, feature, threshold)
-    yv = y[indices]
-    for pos, f in enumerate(feature_order):
-        if pos >= n_primary and best is not None:
-            break
-        values = X[indices, f]
-        order = np.argsort(values, kind="stable")
-        cand = _best_split_for_feature(values, np.cumsum(yv[order]), order, min_leaf)
-        if cand is None:
-            continue
-        score, threshold = cand
-        if best is None or score > best[0]:
-            best = (score, int(f), threshold)
-    return best
+class _Grower:
+    """CART growth level by level, as build_trees' expand step over _Level
+    jobs. A node's split search runs on its drawn features only. The
+    samples of every (node, feature) pair of a search block are ordered by
+    value with one sort of packed integer keys (pair, value rank, label).
+    Features beyond the drawn ones are searched only for nodes whose draw
+    has no valid cut."""
+
+    def __init__(self, data: Dataset, max_depth, min_leaf, features_per_split):
+        X = np.ascontiguousarray(data.rows)
+        self.x = X.ravel()
+        self.y = data.labels
+        self.n_features = X.shape[1]
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.n_primary = self.n_features
+        if features_per_split is not None:
+            self.n_primary = min(features_per_split, self.n_features)
+        # dense ranks of each column's values: rank r of feature f has
+        # value self.value[self.value_start[f] + r]
+        rank = np.empty(X.shape, dtype=np.int32)
+        values = []
+        for f in range(self.n_features):
+            column_values, rank[:, f] = np.unique(X[:, f], return_inverse=True)
+            values.append(column_values)
+        self.rank = rank.ravel()
+        self.value = np.concatenate(values)
+        self.value_start = np.cumsum([0] + [v.size for v in values[:-1]])
+        self.rank_bits = (max(v.size for v in values) - 1).bit_length()
+
+    def roots(self, samples, seeds) -> _Level:
+        """The root level of trees grown on the given rows of the data."""
+        node = np.repeat(np.arange(len(samples)), [s.size for s in samples])
+        row = np.concatenate(samples)
+        label = self.y[row]
+        counts = np.bincount(2 * node + label, minlength=2 * len(samples)).reshape(-1, 2)
+        key = np.array([stream_key(seed) for seed in seeds], dtype=np.uint64)
+        return self._level(0, counts, key, row, label, node)
+
+    def _level(self, depth, counts, key, row, label, node) -> _Level:
+        n = counts.sum(axis=1)
+        can = (counts.min(axis=1) > 0) & (n >= 2 * self.min_leaf)
+        if self.max_depth is not None and depth >= self.max_depth:
+            can[:] = False
+        keep = can[node]
+        order = np.argsort(node[keep], kind="stable")
+        return _Level(depth, counts, key, can.nonzero()[0], n[can],
+                      row[keep][order], label[keep][order])
+
+    def expand(self, level: _Level):
+        n = level.counts.shape[0]
+        feature = np.full(n, -1, dtype=np.int64)
+        threshold = np.zeros(n)
+        scale = np.ones(n)
+        uniform = np.zeros(n, dtype=bool)
+        majority = np.zeros((n, 2), dtype=np.int64)
+        counts = level.counts.copy()
+        found, f, t, dmax, dmin = self._splits(level)
+        split = level.active[found]
+        feature[split] = f
+        threshold[split] = t
+        scale[split] = np.where(dmax > 0.0, dmax, 1.0)
+        uniform[split] = (dmax == dmin) & (dmax > 0.0)
+        counts[split] = 0
+        # the split nodes' samples go to their children: 2r and 2r + 1 of
+        # the next level for the r-th split node
+        split_rank = np.full(found.size, -1)
+        split_rank[found] = np.arange(split.size)
+        rank = np.repeat(split_rank, level.size)
+        moves = rank >= 0
+        rank, row, label = rank[moves], level.row[moves], level.label[moves]
+        right = self.x[row * self.n_features + f[rank]] > t[rank]
+        child = 2 * rank + right
+        child_counts = np.bincount(2 * child + label, minlength=4 * split.size).reshape(-1, 2)
+        majority[split] = (child_counts[:, 1] > child_counts[:, 0]).reshape(-1, 2)
+        key = finalize_array(np.repeat(level.key[split], 2)
+                             ^ np.tile(np.array([0, 1], dtype=np.uint64), split.size))
+        nodes = (feature, threshold, scale, uniform, majority, counts)
+        return nodes, self._level(level.depth + 1, child_counts, key, row, label, child)
+
+    def _splits(self, level: _Level):
+        """The split of each active node: (found mask, then feature,
+        threshold, largest and smallest distance to the threshold of the
+        nodes found)."""
+        n = level.active.size
+        F, k = self.n_features, self.n_primary
+        if k < F:
+            # a node's feature order is the rank order of the first F draws
+            # of its stream
+            draws = uniforms_at_array(level.key[level.active][:, None], np.arange(F))
+            order = np.argsort(draws, axis=1, kind="stable")
+        else:
+            order = np.broadcast_to(np.arange(F), (n, F))
+        start = np.cumsum(level.size) - level.size
+        nodes = np.arange(n)
+        best = self._search(level, start, nodes, order[:, :k])
+        pos = np.argmax(best[0], axis=1)  # first max: the earlier drawn feature wins ties
+        chosen = best[:, nodes, pos]
+        feature = order[nodes, pos]
+        found = chosen[0] > -np.inf
+        if k < F and not found.all():
+            # the extras, in draw order: the first with a valid cut
+            rest = (~found).nonzero()[0]
+            extra = self._search(level, start, rest, order[rest, k:])
+            has_cut = extra[0] > -np.inf
+            pos = np.argmax(has_cut, axis=1)
+            chosen[:, rest] = extra[:, np.arange(rest.size), pos]
+            feature[rest] = order[rest, k + pos]
+            found[rest] = has_cut[np.arange(rest.size), pos]
+        return (found, feature[found]) + tuple(chosen[1:, found])
+
+    def _search(self, level: _Level, start, nodes, features) -> np.ndarray:
+        """(score, threshold, largest and smallest distance to the
+        threshold) of the best cut of each (node, feature) pair, node i
+        searching features[i]; score is -inf where a pair has no valid cut.
+        Pairs are searched in blocks of about GROW_BLOCK samples."""
+        feature = features.ravel()
+        size = np.repeat(level.size[nodes], features.shape[1])
+        first = np.repeat(start[nodes], features.shape[1])
+        out = np.full((4, feature.size), -np.inf)
+        end = np.cumsum(size)
+        lo = 0
+        while lo < feature.size:
+            hi = max(lo + 1, int(np.searchsorted(end, end[lo] - size[lo] + GROW_BLOCK, "right")))
+            self._search_block(level, feature[lo:hi], first[lo:hi], size[lo:hi], out[:, lo:hi])
+            lo = hi
+        return out.reshape(4, *features.shape)
+
+    def _search_block(self, level, feature, first, size, out):
+        end = np.cumsum(size)
+        start = end - size
+        pair = np.repeat(np.arange(feature.size), size)
+        sample = np.repeat(first - start, size)
+        sample += np.arange(sample.size)
+        index = level.row[sample]
+        index *= self.n_features
+        index += feature[pair]
+        # sorted, the keys order each pair's samples by value rank, then label
+        key = self.rank[index].astype(np.int64)
+        del index
+        key <<= 1
+        key |= level.label[sample]
+        del sample
+        key |= pair << (self.rank_bits + 1)
+        key.sort()
+        value_key = key >> 1
+        cut = value_key[1:] != value_key[:-1]  # between positions i and i + 1
+        cut[end[:-1] - 1] = False  # not across pairs
+        cut = cut.nonzero()[0]
+        p = pair[cut]
+        nl = cut + 1 - start[p]
+        if self.min_leaf > 1:
+            ok = (nl >= self.min_leaf) & (size[p] - nl >= self.min_leaf)
+            cut, p, nl = cut[ok], p[ok], nl[ok]
+        if cut.size == 0:
+            return
+        ones = np.cumsum(key & 1)
+        ones_before = ones[start] - (key[start] & 1)
+        c1l = ones[cut] - ones_before[p]
+        c1r = ones[end - 1][p] - ones_before[p] - c1l
+        # counts are exact in float64, so differences of them are too
+        nl, c1l, nr, c1r = (a.astype(np.float64) for a in (nl, c1l, size[p] - nl, c1r))
+        score = _split_score(nl - c1l, c1l, nl, nr - c1r, c1r, nr)
+        # first max of each pair's cuts: the smallest threshold wins ties
+        run = np.r_[0, (p[1:] != p[:-1]).nonzero()[0] + 1]
+        top = np.maximum.reduceat(score, run)
+        at = (score == np.repeat(top, np.diff(np.r_[run, score.size]))).nonzero()[0]
+        at = at[np.r_[True, p[at[1:]] != p[at[:-1]]]]
+        p, i = p[at], cut[at]
+        base = self.value_start[feature[p]]
+        mask = (1 << self.rank_bits) - 1
+
+        def value(position):
+            return self.value[base + (value_key[position] & mask)]
+
+        a, b = value(i), value(i + 1)
+        t = (a + b) / 2.0
+        # between adjacent floats the midpoint can round up onto b, which
+        # would send b's samples left and can leave the right child empty
+        t = np.where(t == b, a, t)
+        out[0, p] = top
+        out[1, p] = t
+        out[2, p] = np.maximum(np.abs(value(start[p]) - t), np.abs(value(end[p] - 1) - t))
+        out[3, p] = np.minimum(np.abs(a - t), np.abs(b - t))
 
 
-def _expand_step(X, y, max_depth, min_leaf, features_per_split, rng):
-    """build_tree's expand step for CART growth; a job is (row indices,
-    depth)."""
-    n_features = X.shape[1]
-    all_features = np.arange(n_features)
-    subsample = features_per_split is not None and features_per_split < n_features
+def _check_training(data: Dataset, max_depth, min_samples_leaf, features_per_split):
+    if data.n_rows == 0:
+        raise DataError("empty training set")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be >= 1 or None")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if features_per_split is not None and features_per_split < 1:
+        raise ValueError("features_per_split must be >= 1 or None")
 
-    def order_for_node():
-        if subsample:
-            return rng.permutation(n_features), features_per_split
-        return all_features, n_features
 
-    def expand(job):
-        indices, depth = job
-        yv = y[indices]
-        count1 = int(yv.sum())
-        count0 = indices.shape[0] - count1
-        found = None
-        can_split = (
-            count0 > 0
-            and count1 > 0
-            and (max_depth is None or depth < max_depth)
-            and indices.shape[0] >= 2 * min_leaf
-        )
-        if can_split:
-            feature_order, n_primary = order_for_node()
-            found = _find_split(X, y, indices, feature_order, n_primary, min_leaf)
-        if found is None:
-            return None, (count0, count1)
-        _, f, threshold = found
-        values = X[indices, f]
-        mask = values <= threshold
-        dist = np.abs(values - threshold)
-        dmax = float(dist.max())
-        dmin = float(dist.min())
-        left_y = yv[mask]
-        l1 = int(left_y.sum())
-        l0 = int(left_y.shape[0]) - l1
-        split = (
-            f,
-            threshold,
-            dmax if dmax > 0.0 else 1.0,
-            bool(dmax == dmin and dmax > 0.0),
-            _majority(l0, l1),
-            _majority(count0 - l0, count1 - l1),
-        )
-        return split, ((indices[mask], depth + 1), (indices[~mask], depth + 1))
-
-    return expand
+def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split) -> list:
+    """Trees grown on rows of the data: trees yields each tree's (rows,
+    seed), its rows (n_rows of them, repeated under bootstrap) and the seed
+    of its feature draws. Trees are drawn and grown together in groups of
+    about GROW_BLOCK samples."""
+    grower = _Grower(data, max_depth, min_samples_leaf, features_per_split)
+    per_group = max(1, GROW_BLOCK // data.n_rows)
+    grown, trees = [], iter(trees)
+    while group := list(itertools.islice(trees, per_group)):
+        samples, seeds = zip(*group)
+        metas = [{"max_depth": max_depth, "min_samples_leaf": min_samples_leaf, "rng_seed": seed}
+                 for seed in seeds]
+        grown += build_trees(grower.roots(samples, seeds), grower.expand, data.n_features, metas)
+    return grown
 
 
 def train_tree(
@@ -320,33 +470,20 @@ def train_tree(
 ) -> DecisionTree:
     """Grow a greedy CART tree minimizing Gini impurity.
 
-    Thresholds are midpoints between adjacent sorted distinct values; ties
-    between splits break toward the lower feature index, then the lower
-    threshold. Deterministic given rng_seed (the rng only drives per-split
-    feature subsampling).
+    Thresholds are midpoints between adjacent sorted distinct values, or
+    the lower value where the midpoint rounds onto the upper one. With
+    every feature searched, ties between splits break toward the lower
+    feature index, then the lower threshold. With features_per_split below
+    the feature count, each node searches the first features_per_split
+    features of its own random order, and ties break toward the earlier
+    drawn feature. Only when none of those has a valid cut does the node
+    take the first of the remaining features, in its order, that has one.
+    A node's order is a pure function of rng_seed and the node's path from
+    the root, so growth order does not matter.
     """
-    if data.n_rows == 0:
-        raise DataError("empty training set")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1 or None")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    if features_per_split is not None and features_per_split < 1:
-        raise ValueError("features_per_split must be >= 1 or None")
-    rng = np.random.default_rng(rng_seed)
-    expand = _expand_step(
-        data.rows, data.labels, max_depth, min_samples_leaf, features_per_split, rng
-    )
-    return build_tree(
-        (np.arange(data.n_rows), 0),
-        expand,
-        data.n_features,
-        training_meta={
-            "max_depth": max_depth,
-            "min_samples_leaf": min_samples_leaf,
-            "rng_seed": rng_seed,
-        },
-    )
+    _check_training(data, max_depth, min_samples_leaf, features_per_split)
+    return _grow(data, [(np.arange(data.n_rows), rng_seed)], max_depth, min_samples_leaf,
+                 features_per_split)[0]
 
 
 def train_forest(
@@ -359,33 +496,22 @@ def train_forest(
     rng_seed: int = 0,
     bootstrap: bool = True,
 ) -> Forest:
-    """Train a bagged ensemble; per-tree seeds derive from rng_seed."""
+    """Train a bagged ensemble; per-tree bootstrap rows and seeds derive
+    from rng_seed. Each tree equals train_tree on its rows with its seed."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    children = np.random.SeedSequence(rng_seed).spawn(n_trees)
-    trees = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        if bootstrap:
-            idx = rng.integers(0, data.n_rows, data.n_rows)
-            sub = Dataset(
-                feature_names=data.feature_names,
-                feature_kinds=data.feature_kinds,
-                rows=data.rows[idx],
-                labels=data.labels[idx],
-            )
-        else:
-            sub = data
-        tree_seed = int(rng.integers(0, 2**63))
-        trees.append(
-            train_tree(
-                sub,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                features_per_split=features_per_split,
-                rng_seed=tree_seed,
-            )
-        )
+    _check_training(data, max_depth, min_samples_leaf, features_per_split)
+
+    def draws():
+        for child in np.random.SeedSequence(rng_seed).spawn(n_trees):
+            rng = np.random.default_rng(child)
+            if bootstrap:
+                rows = rng.integers(0, data.n_rows, data.n_rows)
+            else:
+                rows = np.arange(data.n_rows)
+            yield rows, int(rng.integers(0, 2**63))
+
+    trees = _grow(data, draws(), max_depth, min_samples_leaf, features_per_split)
     return Forest(
         trees=trees,
         n_trees=n_trees,

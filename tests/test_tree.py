@@ -1,13 +1,21 @@
+import hashlib
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
+import fairtree.tree as tree_module
+from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import DataError
-from fairtree.model_io import dumps, serialize
+from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
+from fairtree.rng import stream_key, uniform_at
 from fairtree.tree import (
     Dataset,
     Forest,
+    _split_score,
     forest_votes_batch,
     predict_deterministic,
     train_forest,
@@ -240,3 +248,219 @@ def test_child_rows_that_loop_are_rejected():
     tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
     with pytest.raises(ValueError, match="do not form a tree"):
         replace(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
+
+
+# The depth-first, node-at-a-time CART grower that level-wise training
+# replaced, kept as the reference it must equal. Node (depth-first) search
+# per feature: argsort the node's values, score every cut between distinct
+# values. A subsampled node orders features by its keyed draws.
+
+
+def _reference_feature_split(values, labels, min_leaf):
+    """Best (score, value below, value above) cut of one feature of a node,
+    or None."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cum1 = np.cumsum(labels[order])
+    n = sv.shape[0]
+    cut = np.nonzero(sv[:-1] != sv[1:])[0]
+    if min_leaf > 1:
+        cut = cut[(cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)]
+    if cut.size == 0:
+        return None
+    nl = cut + 1
+    c1l = cum1[cut]
+    nr = n - nl
+    c1r = int(cum1[-1]) - c1l
+    score = _split_score(*(a.astype(np.float64) for a in (nl - c1l, c1l, nl, nr - c1r, c1r, nr)))
+    j = int(np.argmax(score))
+    return float(score[j]), float(sv[cut[j]]), float(sv[cut[j] + 1])
+
+
+def reference_tree_doc(data, rows, *, max_depth=None, min_samples_leaf=1,
+                       features_per_split=None, rng_seed=0, events=None):
+    """The model document of the tree grown depth first on the given rows.
+    events, a Counter, tallies searches that fell through to features
+    beyond the drawn ones and midpoints that rounded onto the upper value."""
+    X, y = data.rows, data.labels
+    n_features = data.n_features
+    subsample = features_per_split is not None and features_per_split < n_features
+
+    def grow(indices, depth, path):
+        yv = y[indices]
+        count1 = int(yv.sum())
+        count0 = indices.size - count1
+        found = None  # (score, feature, value below, value above)
+        if (count0 > 0 and count1 > 0 and (max_depth is None or depth < max_depth)
+                and indices.size >= 2 * min_samples_leaf):
+            order, n_primary = list(range(n_features)), n_features
+            if subsample:
+                key = stream_key(rng_seed, *path)
+                order = sorted(order, key=lambda f: uniform_at(key, f))
+                n_primary = features_per_split
+            for pos, f in enumerate(order):
+                if pos >= n_primary and found is not None:
+                    if events is not None:
+                        events["fall_through"] += 1
+                    break
+                cand = _reference_feature_split(X[indices, f], yv, min_samples_leaf)
+                if cand is not None and (found is None or cand[0] > found[0]):
+                    found = (cand[0], f) + cand[1:]
+        if found is None:
+            return leaf(count0, count1)
+        _, f, below, above = found
+        threshold = (below + above) / 2.0
+        if threshold == above:
+            if events is not None:
+                events["midpoint_on_upper_value"] += 1
+            threshold = below
+        values = X[indices, f]
+        mask = values <= threshold
+        dist = np.abs(values - threshold)
+        dmax, dmin = float(dist.max()), float(dist.min())
+        l1 = int(yv[mask].sum())
+        l0 = int(mask.sum()) - l1
+        return internal(
+            f, threshold, dmax if dmax > 0.0 else 1.0,
+            grow(indices[mask], depth + 1, path + (0,)),
+            grow(indices[~mask], depth + 1, path + (1,)),
+            lmaj=int(l1 > l0), rmaj=int(count1 - l1 > count0 - l0),
+            uniform=bool(dmax == dmin and dmax > 0.0),
+        )
+
+    return {
+        "schema": SCHEMA, "kind": "tree", "n_features": n_features,
+        "training_meta": {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf,
+                          "rng_seed": rng_seed},
+        "root": grow(np.asarray(rows), 0, ()),
+    }
+
+
+def reference_forest(data, *, n_trees, bootstrap=True, rng_seed=0, events=None, **kwargs):
+    """The trees of train_forest grown one at a time by the reference, on
+    train_forest's bootstrap rows and tree seeds."""
+    trees = []
+    for child in np.random.SeedSequence(rng_seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, data.n_rows, data.n_rows) if bootstrap else np.arange(data.n_rows)
+        doc = reference_tree_doc(data, rows, rng_seed=int(rng.integers(0, 2**63)),
+                                 events=events, **kwargs)
+        trees.append(deserialize(doc))
+    return trees
+
+
+def random_training_data(rng):
+    """Small tables whose columns exercise the split search's edge cases:
+    ties on integer grids, 0/1 columns, constant and duplicate columns,
+    adjacent floats (whose midpoint can round onto the upper value), one
+    column only, and single-class labels."""
+    n = int(rng.integers(1, 70))
+    n_features = int(rng.integers(1, 6))
+    columns = []
+    for _ in range(n_features):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            column = rng.uniform(-3, 3, n)
+        elif kind == 1:
+            column = rng.integers(0, 4, n).astype(float)
+        elif kind == 2:
+            column = rng.integers(0, 2, n).astype(float)
+        elif kind == 3:
+            column = np.full(n, float(rng.integers(-2, 3)))
+        elif kind == 4 and columns:
+            column = columns[int(rng.integers(0, len(columns)))].copy()
+        else:
+            # consecutive floats above 1 + 2**-52: sums of neighbours round
+            # half to even, so some midpoints equal the upper value
+            column = 1.0 + rng.integers(1, 5, n) * 2.0**-52
+        columns.append(column)
+    labels = rng.integers(0, 2, n)
+    if rng.random() < 0.1:
+        labels[:] = labels[0]
+    elif rng.random() < 0.5:
+        # labels that follow a column, so trees grow deeper than noise allows
+        labels = (columns[0] + rng.normal(0, 0.5, n) > np.median(columns[0])).astype(int)
+    return Dataset([f"f{i}" for i in range(n_features)], ["numeric"] * n_features,
+                   np.column_stack(columns), labels)
+
+
+@pytest.mark.parametrize("grow_block", [2**15, 50, 1])
+def test_level_wise_growth_equals_the_depth_first_reference(grow_block, monkeypatch):
+    # small blocks split a level's search into many blocks, and a forest's
+    # trees into several groups grown together
+    monkeypatch.setattr(tree_module, "GROW_BLOCK", grow_block)
+    rng = np.random.default_rng(20250106 + grow_block)
+    events = Counter()
+    for case in range(60):
+        data = random_training_data(rng)
+        kwargs = dict(
+            max_depth=[None, 1, 2, 3, 6][int(rng.integers(0, 5))],
+            min_samples_leaf=[1, 1, 2, 3, 5][int(rng.integers(0, 5))],
+            features_per_split=[None, 1, 1, 2, 3][int(rng.integers(0, 5))],
+        )
+        n_trees = int(rng.integers(1, 6))
+        bootstrap = bool(rng.random() < 0.7)
+        forest = train_forest(data, n_trees=n_trees, bootstrap=bootstrap, rng_seed=case, **kwargs)
+        expected = reference_forest(data, n_trees=n_trees, bootstrap=bootstrap, rng_seed=case,
+                                    events=events, **kwargs)
+        for trained, ref in zip(forest.trees, expected):
+            assert trained == ref, (case, kwargs)
+            assert loads(dumps(trained)) == trained
+            events["different_depths"] += trained.max_depth != forest.trees[0].max_depth
+        seed = int(rng.integers(0, 2**63))
+        tree = train_tree(data, rng_seed=seed, **kwargs)
+        assert tree == deserialize(reference_tree_doc(data, np.arange(data.n_rows),
+                                                      rng_seed=seed, **kwargs))
+    # the cases reach the search's rarer branches
+    assert events["fall_through"] >= 50
+    assert events["different_depths"] >= 10
+    assert events["midpoint_on_upper_value"] >= 20
+
+
+def test_midpoint_that_rounds_onto_the_upper_value_is_not_used():
+    # (1 + 2**-52 + 1 + 2**-51) / 2 rounds half to even onto 1 + 2**-51:
+    # as a threshold it would send both rows left, and the left child would
+    # split the same way again down to max_depth
+    below, above = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert (below + above) / 2.0 == above
+    tree = train_tree(make_dataset([below, above], [0, 1]), max_depth=50)
+    assert tree.max_depth == 1
+    assert tree.threshold[0] == below
+    assert tree.class_counts.tolist() == [[0, 0], [1, 0], [0, 1]]
+
+
+FIXTURE = Path(__file__).parent.parent / "fixtures" / "synthetic.json"
+
+
+def test_all_features_models_are_unchanged():
+    # digests of model_io.dumps recorded before training became level-wise
+    # with keyed feature draws: a tree that searches every feature at every
+    # node has no draws, so its bytes must not change
+    data = load_dataset(load_dataset_config(str(FIXTURE)))
+    tree = train_tree(data, rng_seed=0)
+    forest = train_forest(data, n_trees=3, max_depth=8, bootstrap=False, rng_seed=5)
+    assert hashlib.sha256(dumps(tree).encode()).hexdigest() == (
+        "6e3912e0a6372dee781f0abf3be2db14e0a8a4c10099814ddb360adc789e0141")
+    assert hashlib.sha256(dumps(forest).encode()).hexdigest() == (
+        "3a6a0a61776e1b301fbbf481102de281b026db9c354ebb7a3611dfe4d950951c")
+
+
+def test_transient_memory_of_a_forest_fit_is_bounded():
+    # a census-shaped table: 26,000 rows, 14 columns from binary to
+    # near-continuous. The grower works in blocks of GROW_BLOCK samples, so
+    # its transient peak must not grow with the number of trees
+    rng = np.random.default_rng(0)
+    n = 26_000
+    cardinality = [74, 9, 16, 16, 7, 15, 6, 5, 2, 120, 90, 99, 41, 1_000_000]
+    rows = np.column_stack([rng.integers(0, c, n) for c in cardinality]).astype(float)
+    labels = ((rows[:, 0] > 40) & (rows[:, 3] > 8) | (rng.random(n) < 0.1)).astype(int)
+    data = Dataset([f"f{i}" for i in range(14)], ["numeric"] * 14, rows, labels)
+    for n_trees in (1, 4):
+        tracemalloc.start()
+        try:
+            forest = train_forest(data, n_trees=n_trees, features_per_split=3, rng_seed=1)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forest.trees) == n_trees
+        assert peak - retained < 6e6, (n_trees, peak - retained)
