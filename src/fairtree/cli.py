@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bench, charts, model_io
-from .data import load_dataset, load_dataset_config
+from .data import load_dataset, load_dataset_config, read_text
 from .errors import ConfigError, DataError, EnumerationLimitError, ModelFormatError
 from .metrics import full_report
 from .rng import stream_key
@@ -217,8 +218,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     ds_config, dataset = _load(args.data)
     try:
-        with open(args.pred, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = list(csv.DictReader(io.StringIO(read_text(args.pred, DataError), newline="")))
     except FileNotFoundError:
         raise DataError(f"predictions file not found: {args.pred}") from None
     if len(rows) != dataset.n_rows:
@@ -277,8 +277,7 @@ def _cmd_charts(args) -> int:
     out_dir = args.out_dir or _default_out()
     for path in args.report:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = json.loads(read_text(path, DataError))
         except FileNotFoundError:
             raise DataError(f"report not found: {path}") from None
         except json.JSONDecodeError as exc:

@@ -7,14 +7,24 @@ columns take the column median, categorical columns the most frequent
 value. Categorical features are integer-coded in first-appearance order.
 The protected column is binarized to privileged=1 / unprivileged=0 before
 training, and the label to {0, 1} via the configured positive value.
+
+Each column is factorized into its distinct raw cells plus one code per
+row; stripping, missing checks, parsing, coding and imputation run once
+per distinct cell, and numpy gathers build the columns. Malformed input
+raises DataError (CLI exit 2) naming the file, or the row and column:
+bytes that are not UTF-8, ragged rows, unknown columns, unmapped labels,
+non-numeric or non-finite cells in numeric columns. A dataset config that
+is not UTF-8 or not valid JSON raises ConfigError (exit 1).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -77,8 +87,7 @@ class DatasetConfig:
 def load_dataset_config(path) -> DatasetConfig:
     """Read a DatasetConfig from a JSON file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path, ConfigError))
     except FileNotFoundError:
         raise ConfigError(f"dataset config not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -134,19 +143,31 @@ def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
         raise ConfigError(f"invalid dataset config: {exc}") from exc
 
 
-def _read_csv(config: DatasetConfig):
+def read_text(path, error) -> str:
+    """The UTF-8 text of the file at ``path``. Bytes that are not UTF-8
+    raise ``error`` naming the file and the offset of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(config.csv_path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = [[cell.strip() for cell in row] for row in csv.reader(fh) if row]
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 (bad byte at offset {exc.start})") from None
+
+
+def _read_columns(config: DatasetConfig):
+    """(row count, {column name: raw cells}) of the configured CSV."""
+    try:
+        text = read_text(config.csv_path, DataError)
     except FileNotFoundError:
         raise DataError(f"CSV file not found: {config.csv_path}") from None
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    rows = [row for row in reader if row]
     if not rows:
         raise DataError(f"{config.csv_path}: empty file")
     if config.column_names is not None:
         header = [name.strip() for name in config.column_names]
     else:
-        header = rows[0]
-        rows = rows[1:]
+        header = [name.strip() for name in rows.pop(0)]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     if not rows:
@@ -155,19 +176,32 @@ def _read_csv(config: DatasetConfig):
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
             raise DataError(f"row {i}: expected {width} cells, found {len(row)}")
-    return header, rows
+    return len(rows), dict(zip(header, zip(*rows)))
 
 
-def _column(header, rows, name):
+def _column(columns, name):
     try:
-        j = header.index(name)
-    except ValueError:
+        return columns[name]
+    except KeyError:
         raise DataError(f"missing column {name!r}") from None
-    return [row[j] for row in rows]
 
 
-def _is_missing(value, config):
-    return value in config.missing_values
+def _factorize(cells):
+    """(distinct stripped cells in first-appearance order, one code per cell).
+
+    Raw cells are coded first; the distinct ones are then stripped, and
+    those that strip to the same value merge."""
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells))
+    merged = {}
+    remap = [merged.setdefault(cell.strip(), len(merged)) for cell in index]
+    return list(merged), np.array(remap, dtype=np.intp)[codes]
+
+
+def _first_row(flags, codes):
+    """Index of the first row whose distinct value is flagged, else None."""
+    rows = np.flatnonzero(flags[codes])
+    return int(rows[0]) if rows.size else None
 
 
 def _parse_float(value):
@@ -177,175 +211,140 @@ def _parse_float(value):
         return None
 
 
-def _apply_filters(header, rows, config: DatasetConfig):
-    for f in config.row_filters:
-        col = _column(header, rows, f.column)
-        keep = []
-        for i, value in enumerate(col):
-            ok = True
-            if f.keep_values is not None:
-                ok = ok and value in f.keep_values
-            if f.drop_values is not None:
-                ok = ok and value not in f.drop_values
-            if f.minimum is not None or f.maximum is not None:
-                num = None if _is_missing(value, config) else _parse_float(value)
-                if num is None:
-                    ok = False
-                else:
-                    if f.minimum is not None:
-                        ok = ok and num >= f.minimum
-                    if f.maximum is not None:
-                        ok = ok and num <= f.maximum
-            keep.append(ok)
-        rows = [row for row, ok in zip(rows, keep) if ok]
-    if not rows:
-        raise DataError("row filters removed every row")
-    return rows
+def _passes(value, f: RowFilter, config: DatasetConfig):
+    if f.keep_values is not None and value not in f.keep_values:
+        return False
+    if f.drop_values is not None and value in f.drop_values:
+        return False
+    if f.minimum is None and f.maximum is None:
+        return True
+    num = None if value in config.missing_values else _parse_float(value)
+    return (
+        num is not None
+        and (f.minimum is None or num >= f.minimum)
+        and (f.maximum is None or num <= f.maximum)
+    )
 
 
-def _encode_labels(raw, config: DatasetConfig):
-    labels = np.empty(len(raw), dtype=np.int64)
-    for i, value in enumerate(raw, start=1):
-        if _is_missing(value, config):
-            raise DataError(f"row {i}: missing label value")
-        if value == config.positive_label_value:
-            labels[i - 1] = 1
-        elif (
-            config.negative_label_values is None
-            or value in config.negative_label_values
-        ):
-            labels[i - 1] = 0
-        else:
-            raise DataError(f"row {i}: label value {value!r} not in label mapping")
+def _encode_labels(values, codes, config: DatasetConfig):
+    negatives = config.negative_label_values
+    # -1: missing, -2: unmapped
+    mapped = np.array(
+        [
+            -1 if v in config.missing_values
+            else 1 if v == config.positive_label_value
+            else 0 if negatives is None or v in negatives
+            else -2
+            for v in values
+        ],
+        dtype=np.int64,
+    )
+    labels = mapped[codes]
+    i = _first_row(mapped < 0, codes)
+    if i is not None:
+        if labels[i] == -1:
+            raise DataError(f"row {i + 1}: missing label value")
+        raise DataError(f"row {i + 1}: label value {values[codes[i]]!r} not in label mapping")
     return labels
 
 
-def _mode(values):
-    """Most frequent element; ties break toward earliest first appearance."""
-    counts, first = {}, {}
-    for i, v in enumerate(values):
-        if v not in counts:
-            first[v] = i
-        counts[v] = counts.get(v, 0) + 1
-    return max(counts, key=lambda v: (counts[v], -first[v]))
+def _mode(codes, missing):
+    """Code of the most frequent present value. Codes follow first
+    appearance, so argmax breaks ties toward the earliest one."""
+    counts = np.bincount(codes, minlength=len(missing))
+    counts[missing] = -1
+    return int(np.argmax(counts))
 
 
-def _encode_protected(raw, config: DatasetConfig):
-    present = [v for v in raw if not _is_missing(v, config)]
-    if not present:
-        raise DataError(f"column {config.protected_column!r} has no values")
-    if config.privileged_values is not None:
-        fill = _mode(present)
-        column = np.array(
-            [
-                1.0 if (fill if _is_missing(v, config) else v) in config.privileged_values else 0.0
-                for v in raw
-            ]
-        )
-        kind = {}
-        for v in present:
-            kind.setdefault(v, 1 if v in config.privileged_values else 0)
-        return column, kind
-    numbers = [_parse_float(v) for v in present]
-    if any(n is None for n in numbers):
-        raise DataError(
-            f"column {config.protected_column!r}: privileged_min requires numeric values"
-        )
-    median = float(np.median(numbers))
-    out = np.empty(len(raw))
-    for i, v in enumerate(raw):
-        num = median if _is_missing(v, config) else _parse_float(v)
-        if num is None:
-            raise DataError(f"row {i + 1}: non-numeric value {v!r} in "
-                            f"{config.protected_column!r}")
-        out[i] = 1.0 if num >= config.privileged_min else 0.0
-    return out, "numeric"
+def _numbers(name, values, codes, missing, unparsed_error=None):
+    """Each distinct value as a float, missing ones as the median of the
+    present cells. np.median runs over those cells in row order, so the
+    sign of a zero median is that of the per-cell computation."""
+    parsed = [None if m else _parse_float(v) for v, m in zip(values, missing)]
+    unparsed = np.array([p is None for p in parsed]) & ~missing
+    if unparsed_error is not None and unparsed.any():
+        raise DataError(unparsed_error)
+    numbers = np.array([0.0 if p is None else p for p in parsed])
+    i = _first_row(unparsed | ~np.isfinite(numbers), codes)
+    if i is not None:
+        v = values[codes[i]]
+        if unparsed[codes[i]]:
+            raise DataError(f"row {i + 1}: non-numeric value {v!r} in numeric column {name!r}")
+        raise DataError(f"row {i + 1}: non-finite value {v!r} in column {name!r}")
+    numbers[missing] = float(np.median(numbers[codes[~missing[codes]]]))
+    return numbers
 
 
-def _encode_feature(name, raw, config: DatasetConfig):
-    """(values, kind) for one non-protected feature column."""
-    present = [v for v in raw if not _is_missing(v, config)]
-    if not present:
+def _encode_column(name, cells, config: DatasetConfig):
+    """[(feature name, values, kind)] for one kept column."""
+    values, codes = _factorize(cells)
+    missing = np.array([v in config.missing_values for v in values], dtype=bool)
+    if missing.all():
         raise DataError(f"column {name!r} has no values")
+    present = np.flatnonzero(~missing).tolist()
+    if name == config.protected_column:
+        if config.privileged_values is not None:
+            privileged = [1 if v in config.privileged_values else 0 for v in values]
+            kind = {values[j]: privileged[j] for j in present}
+            fill = privileged[_mode(codes, missing)]
+            per_value = np.where(missing, fill, privileged).astype(np.float64)
+            return [(name, per_value[codes], kind)]
+        numbers = _numbers(name, values, codes, missing, unparsed_error=(
+            f"column {name!r}: privileged_min requires numeric values"))
+        per_value = np.array([1.0 if n >= config.privileged_min else 0.0
+                              for n in numbers.tolist()])
+        return [(name, per_value[codes], "numeric")]
+    if name in config.one_hot_columns:
+        target = np.arange(len(values))
+        target[missing] = _mode(codes, missing)
+        filled = target[codes]
+        found, first = np.unique(filled, return_index=True)
+        return [
+            (f"{name}={values[j]}", (filled == j).astype(np.float64), "numeric")
+            for j in found[np.argsort(first)].tolist()
+        ]
     if config.categorical_columns is not None:
         categorical = name in config.categorical_columns
     else:
-        categorical = any(_parse_float(v) is None for v in present)
-    if categorical:
-        codes = {}
-        for v in present:  # first-appearance order
-            if v not in codes:
-                codes[v] = len(codes)
-        fill = codes[_mode(present)]
-        values = np.array(
-            [fill if _is_missing(v, config) else codes[v] for v in raw],
-            dtype=np.float64,
-        )
-        return values, codes
-    numbers = []
-    for i, v in enumerate(raw, start=1):
-        if _is_missing(v, config):
-            numbers.append(None)
-            continue
-        num = _parse_float(v)
-        if num is None:
-            raise DataError(f"row {i}: non-numeric value {v!r} in numeric column {name!r}")
-        numbers.append(num)
-    median = float(np.median([n for n in numbers if n is not None]))
-    return np.array([median if n is None else n for n in numbers]), "numeric"
-
-
-def _one_hot(name, raw, config: DatasetConfig):
-    """One 0/1 indicator column per distinct value, first-appearance order;
-    missing entries count as the column mode."""
-    present = [v for v in raw if not _is_missing(v, config)]
-    if not present:
-        raise DataError(f"column {name!r} has no values")
-    fill = _mode(present)
-    filled = [fill if _is_missing(v, config) else v for v in raw]
-    values = []
-    for v in filled:
-        if v not in values:
-            values.append(v)
-    return [
-        (f"{name}={v}", np.array([1.0 if x == v else 0.0 for x in filled]))
-        for v in values
-    ]
+        categorical = any(_parse_float(values[j]) is None for j in present)
+    if not categorical:
+        return [(name, _numbers(name, values, codes, missing)[codes], "numeric")]
+    kind = {values[j]: code for code, j in enumerate(present)}
+    per_value = np.empty(len(values))
+    per_value[present] = np.arange(len(present))
+    per_value[missing] = per_value[_mode(codes, missing)]
+    return [(name, per_value[codes], kind)]
 
 
 def load_dataset(config: DatasetConfig) -> Dataset:
     """Ingest the configured CSV into a fully numeric Dataset.
 
     Deterministic: identical file and config produce an identical Dataset."""
-    header, rows = _read_csv(config)
-    for name in (config.label_column, config.protected_column, *config.drop_columns):
-        _column(header, rows, name)  # existence check with a clear error
-    rows = _apply_filters(header, rows, config)
-    labels = _encode_labels(_column(header, rows, config.label_column), config)
-    feature_names, feature_kinds, columns = [], [], []
-    for name in header:
+    n_rows, columns = _read_columns(config)
+    for name in (config.label_column, config.protected_column, *config.drop_columns,
+                 *(config.keep_columns or ()), *(config.categorical_columns or ()),
+                 *config.one_hot_columns):
+        _column(columns, name)  # existence check with a clear error
+    keep = np.ones(n_rows, dtype=bool)
+    for f in config.row_filters:
+        values, codes = _factorize(_column(columns, f.column))
+        keep &= np.array([_passes(v, f, config) for v in values], dtype=bool)[codes]
+    if not keep.any():
+        raise DataError("row filters removed every row")
+    if not keep.all():
+        columns = {name: list(compress(cells, keep)) for name, cells in columns.items()}
+    labels = _encode_labels(*_factorize(columns[config.label_column]), config)
+    features = []
+    for name, cells in columns.items():
         if name == config.label_column or name in config.drop_columns:
             continue
         if config.keep_columns is not None and name not in config.keep_columns:
             continue
-        raw = _column(header, rows, name)
-        if name == config.protected_column:
-            values, kind = _encode_protected(raw, config)
-        elif name in config.one_hot_columns:
-            for dummy_name, values in _one_hot(name, raw, config):
-                feature_names.append(dummy_name)
-                feature_kinds.append("numeric")
-                columns.append(values)
-            continue
-        else:
-            values, kind = _encode_feature(name, raw, config)
-        feature_names.append(name)
-        feature_kinds.append(kind)
-        columns.append(values)
+        features.extend(_encode_column(name, cells, config))
     return Dataset(
-        feature_names=feature_names,
-        feature_kinds=feature_kinds,
-        rows=np.column_stack(columns),
+        feature_names=[name for name, _, _ in features],
+        feature_kinds=[kind for _, _, kind in features],
+        rows=np.column_stack([values for _, values, _ in features]),
         labels=labels,
     )
 

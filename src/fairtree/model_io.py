@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .data import read_text
+from .errors import DataError, ModelFormatError
 from .tree import DecisionTree, Forest, build_trees
 
 SCHEMA = "fairtree-model/1"
@@ -220,5 +221,4 @@ def save_model(model, path) -> None:
 
 
 def load_model(path) -> "DecisionTree | Forest":
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(read_text(path, DataError))

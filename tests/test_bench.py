@@ -344,6 +344,28 @@ def test_cli_data_error_exit_code(tmp_path):
     assert cli.main(["run", "--data", str(path)]) == 2
 
 
+def test_cli_non_utf8_inputs_name_the_file_and_byte_offset(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"g,x,y\n1,caf\xe9,yes\n")  # offset 11: the byte after 'caf'
+    config = {"name": "latin1", "csv_path": "latin1.csv", "label_column": "y",
+              "positive_label_value": "yes", "protected_column": "g",
+              "privileged_values": ["1"]}
+    config_path = tmp_path / "latin1.json"
+    config_path.write_text(json.dumps(config))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b'{"name": "caf\xe9"}')  # offset 13
+    cases = (
+        (["train", "--data", str(config_path)], latin1, 11, 2),
+        (["train", "--data", str(bad_json)], bad_json, 13, 1),
+        (["evaluate", "--data", SYNTHETIC, "--pred", str(latin1)], latin1, 11, 2),
+        (["charts", "--report", str(bad_json), "--out-dir", str(tmp_path)], bad_json, 13, 2),
+        (["predict", "--data", SYNTHETIC, "--model", str(bad_json)], bad_json, 13, 2),
+    )
+    for argv, path, offset, code in cases:
+        assert cli.main(argv) == code, argv
+        assert f"{path}: not UTF-8 (bad byte at offset {offset})" in capsys.readouterr().err
+
+
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FAIRTREE_OUTPUT_DIR", str(tmp_path / "envout"))
     code = cli.main(["run", "--data", SYNTHETIC, "--n-trees", "3",
