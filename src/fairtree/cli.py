@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -167,11 +168,27 @@ def _cmd_train(args) -> int:
         rng_seed=args.seed,
         bootstrap=not args.no_bootstrap,
     )
-    out = args.out or os.path.join(_default_out(), "model.json")
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    model_io.save_model(forest, out)
-    print(f"wrote {out}")
+    _write(args.out or os.path.join(_default_out(), "model.json"),
+           lambda path: model_io.save_model(forest, path))
     return 0
+
+
+def _write(path, write) -> None:
+    """write(path) into its created directory; an unwritable path is a DataError."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
+
+
+def _emit(text, out) -> None:
+    """A command's text to the --out file, or to stdout without one."""
+    if out:
+        _write(out, lambda path: Path(path).write_text(text, encoding="utf-8", newline="\n"))
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_predict(args) -> int:
@@ -184,19 +201,18 @@ def _cmd_predict(args) -> int:
     if args.method == "baseline":
         preds = predict_forest_batch(forest, dataset.rows)
         probs = None
-    elif args.exact:
-        if forest.n_trees != 1:
-            raise ConfigError("exact evaluation requires a single-tree model")
-        cfg = TraversalConfig(n_simulations=args.n_simulations, p_max=args.p_max,
-                              alpha=args.alpha, seed=args.seed)
-        preds, probs = bench.exact_predictions(forest, dataset.rows, spec, cfg)
     else:
         cfg = TraversalConfig(n_simulations=args.n_simulations, p_max=args.p_max,
                               alpha=args.alpha, seed=args.seed)
-        preds, dist = predict_fair_batch(
-            forest, dataset.rows, spec, cfg, aggregation=args.aggregation
-        )
-        probs = dist[:, 1]
+        if args.exact:
+            if forest.n_trees != 1:
+                raise ConfigError("exact evaluation requires a single-tree model")
+            preds, probs = bench.exact_predictions(forest, dataset.rows, spec, cfg)
+        else:
+            preds, dist = predict_fair_batch(
+                forest, dataset.rows, spec, cfg, aggregation=args.aggregation
+            )
+            probs = dist[:, 1]
     lines = ["row,label,group,prediction,prob_favorable"]
     group = dataset.rows[:, dataset.feature_index(ds_config.protected_column)]
     for i in range(dataset.n_rows):
@@ -204,14 +220,7 @@ def _cmd_predict(args) -> int:
         lines.append(
             f"{i},{dataset.labels[i]},{int(group[i])},{int(preds[i])},{prob}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -233,14 +242,7 @@ def _cmd_evaluate(args) -> int:
     report = full_report(dataset.labels, preds, group.astype(np.int64))
     doc = {"schema": "fairtree-metrics/1", "dataset": ds_config.name}
     doc.update(report.to_dict())
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

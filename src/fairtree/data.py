@@ -11,10 +11,12 @@ training, and the label to {0, 1} via the configured positive value.
 Each column is factorized into its distinct raw cells plus one code per
 row; stripping, missing checks, parsing, coding and imputation run once
 per distinct cell, and numpy gathers build the columns. Malformed input
-raises DataError (CLI exit 2) naming the file, or the row and column:
-bytes that are not UTF-8, ragged rows, unknown columns, unmapped labels,
-non-numeric or non-finite cells in numeric columns. A dataset config that
-is not UTF-8 or not valid JSON raises ConfigError (exit 1).
+raises DataError (CLI exit 2) naming the file, or the row and column: a
+path that cannot be read, bytes that are not UTF-8, CSV the parser
+rejects, ragged rows, unknown columns, unmapped labels, non-numeric or
+non-finite cells in numeric columns. A dataset config that cannot be read,
+is not UTF-8, not valid JSON or has malformed row_filters raises
+ConfigError (exit 1).
 """
 
 from __future__ import annotations
@@ -95,6 +97,26 @@ def load_dataset_config(path) -> DatasetConfig:
     return dataset_config_from_dict(doc, base=path)
 
 
+def _row_filter(f, where) -> RowFilter:
+    """The RowFilter of the row_filters entry at ``where``."""
+    if not isinstance(f, dict) or "column" not in f:
+        raise ConfigError(f"{where}: expected an object with a 'column'")
+    for key in ("keep_values", "drop_values"):
+        if key in f and not isinstance(f[key], list):
+            raise ConfigError(f"{where}.{key}: expected a list")
+    for key in ("min", "max"):
+        value = f.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    return RowFilter(
+        column=f["column"],
+        keep_values=tuple(f["keep_values"]) if "keep_values" in f else None,
+        drop_values=tuple(f["drop_values"]) if "drop_values" in f else None,
+        minimum=f.get("min"),
+        maximum=f.get("max"),
+    )
+
+
 def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
     if not isinstance(doc, dict):
         raise ConfigError("dataset config must be a JSON object")
@@ -106,17 +128,10 @@ def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
     csv_path = doc["csv_path"]
     if base is not None:
         csv_path = os.path.join(os.path.dirname(os.fspath(base)), csv_path)
-    filters = []
-    for f in doc.get("row_filters", ()):
-        filters.append(
-            RowFilter(
-                column=f["column"],
-                keep_values=tuple(f["keep_values"]) if "keep_values" in f else None,
-                drop_values=tuple(f["drop_values"]) if "drop_values" in f else None,
-                minimum=f.get("min"),
-                maximum=f.get("max"),
-            )
-        )
+    row_filters = doc.get("row_filters", [])
+    if not isinstance(row_filters, list):
+        raise ConfigError("row_filters: expected a list")
+    filters = [_row_filter(f, f"row_filters[{i}]") for i, f in enumerate(row_filters)]
 
     def opt_tuple(key):
         return tuple(doc[key]) if doc.get(key) is not None else None
@@ -144,10 +159,17 @@ def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
 
 
 def read_text(path, error) -> str:
-    """The UTF-8 text of the file at ``path``. Bytes that are not UTF-8
-    raise ``error`` naming the file and the offset of the first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The UTF-8 text of the file at ``path``. A missing file raises
+    FileNotFoundError, for the caller to name what is missing; a path that
+    cannot be read (a directory, no permission), or bytes that are not
+    UTF-8, raise ``error`` naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -161,7 +183,10 @@ def _read_columns(config: DatasetConfig):
     except FileNotFoundError:
         raise DataError(f"CSV file not found: {config.csv_path}") from None
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{config.csv_path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{config.csv_path}: empty file")
     if config.column_names is not None:

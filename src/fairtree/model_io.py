@@ -1,58 +1,33 @@
-"""Model documents: schema "fairtree-model/1".
+"""Model documents: schema "fairtree-model/2".
 
-serialize() produces a plain dict of nested nodes from a tree's node
-arrays; save/load wrap it in JSON with full round-trip float precision.
-deserialize() checks invariants, reports the path of the offending node on
-failure, and packs the nodes into arrays level by level as training does
-(tree.build_trees), so a trained tree and its reloaded copy are equal.
+A tree document is a DecisionTree's node arrays (tree._NODE_ARRAYS), one
+JSON list entry per node, plus n_features, class_labels and training_meta;
+what the tree derives from them (leaf_class, depth) is not stored. A forest
+document lists tree documents. deserialize() checks whole arrays and the
+tree shape and names the offending entry (document.trees[i].<field>[j]).
+dumps() writes sorted compact JSON with round-trip floats, so a tree and
+its reloaded copy are equal array for array and one model has one text.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
 from .data import read_text
 from .errors import DataError, ModelFormatError
-from .tree import DecisionTree, Forest, build_trees
+from .tree import _NODE_ARRAYS, DecisionTree, Forest
 
-SCHEMA = "fairtree-model/1"
+SCHEMA = "fairtree-model/2"
 
 
 def _tree_doc(tree: DecisionTree) -> dict:
-    arrays = (tree.feature, tree.threshold, tree.scale, tree.uniform_distance, tree.child,
-              tree.majority, tree.class_counts, tree.leaf_class)
-    feature, threshold, scale, uniform, child, majority, counts, leaf_class = (
-        array.tolist() for array in arrays
-    )
-
-    def node_doc(i):
-        if feature[i] < 0:
-            return {
-                "kind": "leaf",
-                "class_counts": counts[i],
-                "predicted_class": leaf_class[i],
-            }
-        return {
-            "kind": "internal",
-            "feature_index": feature[i],
-            "threshold": threshold[i],
-            "scale": scale[i],
-            "uniform_distance": uniform[i],
-            "left_majority": majority[i][0],
-            "right_majority": majority[i][1],
-            "left": node_doc(child[i][0]),
-            "right": node_doc(child[i][1]),
-        }
-
-    return {
-        "n_features": tree.n_features,
-        "class_labels": list(tree.class_labels),
-        "training_meta": dict(tree.training_meta),
-        "root": node_doc(0),
-    }
+    doc = {name: getattr(tree, name).tolist() for name, _, _ in _NODE_ARRAYS}
+    doc.update(n_features=tree.n_features, class_labels=list(tree.class_labels),
+               training_meta=dict(tree.training_meta))
+    return doc
 
 
 def serialize(model) -> dict:
@@ -65,9 +40,7 @@ def serialize(model) -> dict:
             "trees": [_tree_doc(t) for t in model.trees],
         }
     if isinstance(model, DecisionTree):
-        doc = {"schema": SCHEMA, "kind": "tree"}
-        doc.update(_tree_doc(model))
-        return doc
+        return {"schema": SCHEMA, "kind": "tree", **_tree_doc(model)}
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
@@ -91,93 +64,88 @@ def _as_int(value, path, minimum=None):
     return value
 
 
-def _as_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(path, "expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ModelFormatError(path, "must be finite")
-    return value
+# by a node array's dtype kind: the kinds numpy may infer for its JSON list,
+# and what one of its values must be
+_KINDS = {"b": ("b", "a boolean"), "i": ("i", "an integer that fits {dtype}"),
+          "f": ("iuf", "a finite number")}
 
 
-def _as_class_id(value, path):
-    v = _as_int(value, path)
-    if v not in (0, 1):
-        raise ModelFormatError(path, "class id must be 0 or 1")
-    return v
+def _array(values, dtype, shape):
+    """values as an array with one entry of the given shape per node, or
+    None unless each value is of dtype's kind: a bool; an integer that fits
+    dtype; a finite number. Bools are not numbers here."""
+    kind = np.dtype(dtype).kind
+    try:
+        array = np.array(values)
+    except (ValueError, OverflowError):  # ragged rows, numbers beyond any dtype
+        return None
+    if array.shape[1:] != shape or array.dtype.kind not in _KINDS[kind][0]:
+        return None
+    if kind != "b":
+        info = np.iinfo(dtype) if kind == "i" else np.finfo(dtype)  # nan and inf fall outside
+        if (bool in set(map(type, chain.from_iterable(values) if shape else values))
+                or not ((info.min <= array) & (array <= info.max)).all()):
+            return None
+    return array
 
 
-def _parse_node(doc, path, n_features):
-    """(node, children): node is (feature, threshold, scale,
-    uniform_distance, left majority, right majority, count0, count1), with
-    feature -1 at a leaf; children are a split's (document, path) jobs."""
+def _node_arrays(doc, path) -> dict:
+    """The tree document's node arrays: lists of equal length, each entry
+    of its array's dtype and shape."""
+    arrays = {}
+    for name, dtype, shape in _NODE_ARRAYS:
+        where = f"{path}.{name}"
+        values = _get(doc, name, path)
+        if not isinstance(values, list) or not values:
+            raise ModelFormatError(where, "expected a non-empty list")
+        if arrays and len(values) != len(arrays["feature"]):
+            raise ModelFormatError(where, f"expected {len(arrays['feature'])} entries")
+        arrays[name] = _array(values, dtype, shape)
+        if arrays[name] is None:
+            # an array fails only where one of its entries fails alone
+            j = next(j for j, v in enumerate(values) if _array([v], dtype, shape) is None)
+            what = _KINDS[np.dtype(dtype).kind][1].format(dtype=np.dtype(dtype))
+            if shape:
+                what = f"a list of {shape[0]} entries, each {what}"
+            raise ModelFormatError(f"{where}[{j}]", f"expected {what}")
+    return arrays
+
+
+def _tree(doc, path) -> DecisionTree:
     doc = _expect_dict(doc, path)
-    kind = _get(doc, "kind", path)
-    if kind == "leaf":
-        counts = _get(doc, "class_counts", path)
-        if not isinstance(counts, list) or len(counts) != 2:
-            raise ModelFormatError(f"{path}.class_counts", "expected [count0, count1]")
-        c0 = _as_int(counts[0], f"{path}.class_counts", minimum=0)
-        c1 = _as_int(counts[1], f"{path}.class_counts", minimum=0)
-        predicted = _as_class_id(_get(doc, "predicted_class", path), f"{path}.predicted_class")
-        expected = 1 if c1 > c0 else 0
-        if predicted != expected:
-            raise ModelFormatError(
-                f"{path}.predicted_class",
-                f"must equal the majority class {expected} (ties go to 0)",
-            )
-        return (-1, 0.0, 1.0, False, 0, 0, c0, c1), ()
-    if kind == "internal":
-        feature = _as_int(_get(doc, "feature_index", path), f"{path}.feature_index", minimum=0)
-        if feature >= n_features:
-            raise ModelFormatError(
-                f"{path}.feature_index", f"must be < n_features ({n_features})"
-            )
-        threshold = _as_number(_get(doc, "threshold", path), f"{path}.threshold")
-        scale = _as_number(_get(doc, "scale", path), f"{path}.scale")
-        if scale < 0:
-            raise ModelFormatError(f"{path}.scale", "must be >= 0")
-        uniform = doc.get("uniform_distance", False)
-        if not isinstance(uniform, bool):
-            raise ModelFormatError(f"{path}.uniform_distance", "expected a boolean")
-        lmaj = _as_class_id(_get(doc, "left_majority", path), f"{path}.left_majority")
-        rmaj = _as_class_id(_get(doc, "right_majority", path), f"{path}.right_majority")
-        left = (_get(doc, "left", path), f"{path}.left")
-        right = (_get(doc, "right", path), f"{path}.right")
-        return (feature, threshold, scale, uniform, lmaj, rmaj, 0, 0), (left, right)
-    raise ModelFormatError(f"{path}.kind", "expected 'leaf' or 'internal'")
+    n_features = _as_int(_get(doc, "n_features", path), f"{path}.n_features", minimum=1)
+    if doc.get("class_labels", [0, 1]) != [0, 1]:
+        raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
+    meta = doc.get("training_meta", {})
+    if not isinstance(meta, dict):
+        raise ModelFormatError(f"{path}.training_meta", "expected an object")
+    arrays = _node_arrays(doc, path)
+    feature, child = arrays["feature"], arrays["child"]
+    majority, counts = arrays["majority"], arrays["class_counts"]
+    n = feature.size
+    leaf = feature < 0
 
+    def check(name, bad, message):
+        if bad.any():
+            raise ModelFormatError(f"{path}.{name}[{int(np.flatnonzero(bad)[0])}]", message)
 
-def _parse_level(jobs, n_features):
-    """tree.build_trees' expand step over one level's (document, path) jobs."""
-    nodes, children = [], []
-    for doc, path in jobs:
-        node, kids = _parse_node(doc, path, n_features)
-        nodes.append(node)
-        children += kids
-    feature, threshold, scale, uniform, lmaj, rmaj, count0, count1 = map(np.array, zip(*nodes))
-    return (feature, threshold, scale, uniform, np.column_stack([lmaj, rmaj]),
-            np.column_stack([count0, count1])), children
-
-
-def _parse_trees(docs, paths) -> list:
-    """The DecisionTrees of tree documents, built together."""
-    n_features, roots, metas = set(), [], []
-    for doc, path in zip(docs, paths):
-        doc = _expect_dict(doc, path)
-        n_features.add(_as_int(_get(doc, "n_features", path), f"{path}.n_features", minimum=1))
-        labels = doc.get("class_labels", [0, 1])
-        if labels != [0, 1]:
-            raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
-        meta = doc.get("training_meta", {})
-        if not isinstance(meta, dict):
-            raise ModelFormatError(f"{path}.training_meta", "expected an object")
-        roots.append((_get(doc, "root", path), f"{path}.root"))
-        metas.append(dict(meta))
-    if len(n_features) != 1:
-        raise ModelFormatError("document.trees", "trees disagree on n_features")
-    (n_features,) = n_features
-    return build_trees(roots, lambda jobs: _parse_level(jobs, n_features), n_features, metas)
+    check("feature", (feature < -1) | (feature >= n_features),
+          f"must be -1 (a leaf) or in [0, n_features) = [0, {n_features})")
+    check("scale", arrays["scale"] < 0, "must be >= 0")
+    check("majority", ((majority != 0) & (majority != 1)).any(axis=1), "class ids must be 0 or 1")
+    check("class_counts", (counts < 0).any(axis=1), "counts must be >= 0")
+    check("child", leaf & child.any(axis=1), "must be [0, 0] at a leaf")
+    check("majority", leaf & majority.any(axis=1), "must be [0, 0] at a leaf")
+    check("class_counts", ~leaf & counts.any(axis=1), "must be [0, 0] at an internal node")
+    # children after their parent make the nodes a tree, reached from node
+    # 0, once every other node has exactly one parent
+    check("child", ~leaf & ((child <= np.arange(n)[:, None]) | (child >= n)).any(axis=1),
+          f"an internal node's children must be in (its id, {n})")
+    parents = np.bincount(child[~leaf].ravel(), minlength=n)
+    check("child", ~leaf & (parents[child] > 1).any(axis=1),
+          "names a child that is named more than once")
+    check("child", (np.arange(n) > 0) & (parents == 0), "node is no internal node's child")
+    return DecisionTree(**arrays, n_features=n_features, training_meta=dict(meta))
 
 
 def deserialize(doc) -> "DecisionTree | Forest":
@@ -187,7 +155,7 @@ def deserialize(doc) -> "DecisionTree | Forest":
         raise ModelFormatError("document.schema", f"expected {SCHEMA!r}, got {schema!r}")
     kind = _get(doc, "kind", "document")
     if kind == "tree":
-        return _parse_trees([doc], ["document"])[0]
+        return _tree(doc, "document")
     if kind == "forest":
         trees_doc = _get(doc, "trees", "document")
         if not isinstance(trees_doc, list) or not trees_doc:
@@ -198,13 +166,17 @@ def deserialize(doc) -> "DecisionTree | Forest":
         meta = doc.get("bagging_meta", {})
         if not isinstance(meta, dict):
             raise ModelFormatError("document.bagging_meta", "expected an object")
-        trees = _parse_trees(trees_doc, [f"document.trees[{i}]" for i in range(n_trees)])
+        trees = [_tree(t, f"document.trees[{i}]") for i, t in enumerate(trees_doc)]
+        for i, tree in enumerate(trees):
+            if tree.n_features != trees[0].n_features:
+                raise ModelFormatError(f"document.trees[{i}].n_features",
+                                       "trees disagree on n_features")
         return Forest(trees=trees, n_trees=n_trees, bagging_meta=dict(meta))
     raise ModelFormatError("document.kind", "expected 'tree' or 'forest'")
 
 
 def dumps(model) -> str:
-    return json.dumps(serialize(model), indent=2, sort_keys=True) + "\n"
+    return json.dumps(serialize(model), sort_keys=True) + "\n"
 
 
 def loads(text: str) -> "DecisionTree | Forest":

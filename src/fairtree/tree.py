@@ -5,8 +5,8 @@ statistics probabilistic traversal needs: the largest training distance to
 the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
 and the majority training class of each child subtree. A tree is held as
-parallel node arrays (``DecisionTree``), the one form that training, model
-I/O and every traversal read.
+parallel node arrays (``DecisionTree``), the one form that training builds,
+model files store and every traversal reads.
 """
 
 from __future__ import annotations
@@ -66,15 +66,15 @@ class Dataset:
             raise DataError(f"unknown feature {name!r}") from None
 
 
-# (name, dtype) of the node arrays a DecisionTree is built from
+# (name, dtype, per-node shape) of the node arrays a DecisionTree is built from
 _NODE_ARRAYS = (
-    ("feature", np.int32),
-    ("threshold", np.float64),
-    ("scale", np.float64),
-    ("uniform_distance", bool),
-    ("child", np.int64),
-    ("majority", np.int8),
-    ("class_counts", np.int64),
+    ("feature", np.int32, ()),
+    ("threshold", np.float64, ()),
+    ("scale", np.float64, ()),
+    ("uniform_distance", bool, ()),
+    ("child", np.int64, (2,)),
+    ("majority", np.int8, (2,)),
+    ("class_counts", np.int64, (2,)),
 )
 
 
@@ -105,7 +105,7 @@ class DecisionTree:
     max_depth: int = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in _NODE_ARRAYS:
+        for name, dtype, _ in _NODE_ARRAYS:
             setattr(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
         if self.feature.max() >= self.n_features:
             # batch walks read feature values by flat offset into each row
@@ -139,7 +139,7 @@ class DecisionTree:
             and tuple(self.class_labels) == tuple(other.class_labels)
             and self.training_meta == other.training_meta
             and all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name, _ in _NODE_ARRAYS)
+                    for name, _, _ in _NODE_ARRAYS)
         )
 
     @property

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fairtree.model_io import SCHEMA, deserialize
+from fairtree.tree import DecisionTree
 
 
 def leaf(c0, c1):
-    return {"kind": "leaf", "class_counts": [c0, c1], "predicted_class": 1 if c1 > c0 else 0}
+    return {"kind": "leaf", "class_counts": [c0, c1]}
 
 
 def internal(feature, threshold, scale, left, right, lmaj=0, rmaj=1, uniform=False):
@@ -22,11 +22,31 @@ def internal(feature, threshold, scale, left, right, lmaj=0, rmaj=1, uniform=Fal
     }
 
 
-def make_tree(root, n_features=1):
-    """The DecisionTree of a nested root node document, packed by the
-    model loader."""
-    return deserialize({"schema": SCHEMA, "kind": "tree", "n_features": n_features,
-                        "root": root})
+def make_tree(root, n_features=1, training_meta=None):
+    """The DecisionTree of a nested root node, its nodes numbered in level
+    order as training numbers them. Leaves take training's fill values."""
+    nodes, child = [root], []
+    for node in nodes:  # nodes grows as it is read: a breadth-first walk
+        if node["kind"] == "internal":
+            child.append([len(nodes), len(nodes) + 1])
+            nodes += [node["left"], node["right"]]
+        else:
+            child.append([0, 0])
+
+    def column(key, fill, kind="internal"):
+        return [node[key] if node["kind"] == kind else fill for node in nodes]
+
+    return DecisionTree(
+        feature=column("feature_index", -1),
+        threshold=column("threshold", 0.0),
+        scale=column("scale", 1.0),
+        uniform_distance=column("uniform_distance", False),
+        child=child,
+        majority=np.column_stack([column("left_majority", 0), column("right_majority", 0)]),
+        class_counts=column("class_counts", [0, 0], kind="leaf"),
+        n_features=n_features,
+        training_meta=training_meta or {},
+    )
 
 
 def depth1_tree(threshold=5.0, scale=4.0, n_features=1):

@@ -366,6 +366,69 @@ def test_cli_non_utf8_inputs_name_the_file_and_byte_offset(tmp_path, capsys):
         assert f"{path}: not UTF-8 (bad byte at offset {offset})" in capsys.readouterr().err
 
 
+def write_config(directory, name, csv_path, **fields):
+    """A dataset config over a g,x,y CSV; returns its path as a string."""
+    config = {"name": name, "csv_path": csv_path, "label_column": "y",
+              "positive_label_value": "yes", "protected_column": "g",
+              "privileged_values": ["1"], **fields}
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_cli_directories_as_files_exit_cleanly(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    dir_csv = write_config(tmp_path, "dir_csv", "folder")
+    model = str(tmp_path / "model.json")
+    assert cli.main(["train", "--data", SYNTHETIC, "--n-trees", "2", "--out", model]) == 0
+    preds = str(tmp_path / "preds.csv")
+    assert cli.main(["predict", "--data", SYNTHETIC, "--model", model, "--method", "baseline",
+                     "--out", preds]) == 0
+    capsys.readouterr()
+    cases = (
+        (["train", "--data", dir_csv], "cannot read", 2),
+        (["train", "--data", str(folder)], "cannot read", 1),
+        (["predict", "--data", SYNTHETIC, "--model", str(folder)], "cannot read", 2),
+        (["evaluate", "--data", SYNTHETIC, "--pred", str(folder)], "cannot read", 2),
+        (["charts", "--report", str(folder), "--out-dir", str(tmp_path)], "cannot read", 2),
+        (["train", "--data", SYNTHETIC, "--n-trees", "1", "--out", str(folder)],
+         "cannot write", 2),
+        (["predict", "--data", SYNTHETIC, "--model", model, "--method", "baseline",
+          "--out", str(folder)], "cannot write", 2),
+        (["evaluate", "--data", SYNTHETIC, "--pred", preds, "--out", str(folder)],
+         "cannot write", 2),
+    )
+    for argv, message, code in cases:
+        assert cli.main(argv) == code, argv
+        assert f"{folder}: {message}" in capsys.readouterr().err, argv
+
+
+def test_cli_malformed_row_filters_are_config_errors(tmp_path, capsys):
+    (tmp_path / "ok.csv").write_text("g,x,y\n1,1,yes\n0,2,no\n")
+    cases = (
+        ([{"keep_values": ["1"]}], "row_filters[0]: expected an object with a 'column'"),
+        ([{"column": "x", "min": "a"}], "row_filters[0].min: expected a number, got 'a'"),
+        ([{"column": "x"}, {"column": "x", "max": True}], "row_filters[1].max: expected a number"),
+        ([{"column": "x", "keep_values": "1"}], "row_filters[0].keep_values: expected a list"),
+        ("x", "row_filters: expected a list"),
+    )
+    for i, (filters, message) in enumerate(cases):
+        config = write_config(tmp_path, f"filters{i}", "ok.csv", row_filters=filters)
+        assert cli.main(["train", "--data", config, "--n-trees", "1"]) == 1, filters
+        assert message in capsys.readouterr().err, filters
+
+
+def test_cli_csv_parser_errors_name_the_file_and_line(tmp_path, capsys):
+    # an unclosed quote reads on to the end of the file: one cell longer
+    # than the csv module's field limit
+    path = tmp_path / "long.csv"
+    path.write_text("g,x,y\n1,1,yes\n0,\"" + "x" * 140_000 + "\n")
+    config = write_config(tmp_path, "long", "long.csv")
+    assert cli.main(["train", "--data", config, "--n-trees", "1"]) == 2
+    assert f"{path}: line 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FAIRTREE_OUTPUT_DIR", str(tmp_path / "envout"))
     code = cli.main(["run", "--data", SYNTHETIC, "--n-trees", "3",

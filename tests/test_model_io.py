@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fairtree import cli
+from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import ModelFormatError
 from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
 from fairtree.tree import (
@@ -16,6 +19,8 @@ from fairtree.tree import (
 
 from conftest import internal, leaf, make_tree
 
+SYNTHETIC = str(Path(__file__).parent.parent / "fixtures" / "synthetic.json")
+
 
 def trained_tree():
     rng = np.random.default_rng(2)
@@ -25,12 +30,13 @@ def trained_tree():
     return train_tree(data, max_depth=5, rng_seed=4)
 
 
-def trained_forest():
+def trained_forest(**kwargs):
     rng = np.random.default_rng(3)
     rows = rng.uniform(0, 10, size=(50, 3))
     labels = (rows[:, 2] > 4).astype(int)
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, labels)
-    return train_forest(data, n_trees=4, max_depth=3, features_per_split=2, rng_seed=9)
+    kwargs = {"max_depth": 3, "features_per_split": 2, **kwargs}
+    return train_forest(data, n_trees=4, rng_seed=9, **kwargs)
 
 
 def test_tree_round_trip_identity():
@@ -40,8 +46,16 @@ def test_tree_round_trip_identity():
 
 
 def test_forest_round_trip_identity():
-    forest = trained_forest()
-    assert deserialize(serialize(forest)) == forest
+    for kwargs in (
+        {},  # subsampled features, bootstrap
+        {"features_per_split": None, "bootstrap": False},
+        {"max_depth": None, "min_samples_leaf": 3},
+    ):
+        forest = trained_forest(**kwargs)
+        assert deserialize(serialize(forest)) == forest
+        text = dumps(forest)
+        assert loads(text) == forest
+        assert dumps(loads(text)) == text
 
 
 def test_round_trip_preserves_predictions_exactly():
@@ -66,33 +80,115 @@ def test_full_float_precision_round_trips():
 
 def test_negative_scale_is_rejected_with_path():
     doc = serialize(trained_tree())
-    doc["root"]["scale"] = -1.0
-    with pytest.raises(ModelFormatError, match=r"document\.root\.scale"):
+    doc["scale"][0] = -1.0
+    with pytest.raises(ModelFormatError, match=r"^document\.scale\[0\]: must be >= 0"):
         deserialize(doc)
 
 
-def test_malformed_nested_node_reports_path():
-    doc = serialize(trained_tree())
-    node = doc["root"]
-    # find a nested internal node and break it
-    while node["left"]["kind"] != "internal":
-        node = node["right"] if node["right"]["kind"] == "internal" else node["left"]
-    del node["left"]["threshold"]
-    with pytest.raises(ModelFormatError, match=r"root\.(left|right)"):
+def test_missing_field_reports_path():
+    doc = serialize(trained_forest())
+    del doc["trees"][2]["threshold"]
+    with pytest.raises(ModelFormatError, match=r"^document\.trees\[2\]: missing field 'threshold'"):
         deserialize(doc)
 
 
-def test_inconsistent_leaf_prediction_is_rejected():
-    doc = serialize(trained_tree())
+def hand_written_tree():
+    """x0 <= 2.5 goes left to leaf 1, else right to leaf 2 (nodes 0-2)."""
+    return {
+        "schema": SCHEMA,
+        "kind": "tree",
+        "n_features": 2,
+        "class_labels": [0, 1],
+        "training_meta": {},
+        "feature": [0, -1, -1],
+        "threshold": [2.5, 0.0, 0.0],
+        "scale": [2.0, 1.0, 1.0],
+        "uniform_distance": [False, False, False],
+        "child": [[1, 2], [0, 0], [0, 0]],
+        "majority": [[0, 1], [0, 0], [0, 0]],
+        "class_counts": [[0, 0], [3, 1], [0, 4]],
+    }
 
-    def first_leaf(node, path):
-        if node["kind"] == "leaf":
-            return node, path
-        return first_leaf(node["left"], path + ".left")
 
-    leaf_doc, path = first_leaf(doc["root"], "document.root")
-    leaf_doc["predicted_class"] = 1 - leaf_doc["predicted_class"]
-    with pytest.raises(ModelFormatError, match="majority"):
+def test_hand_written_document_is_usable():
+    tree = deserialize(hand_written_tree())
+    # hand trace: 2.0 <= 2.5 -> left leaf 0; 3.0 > 2.5 -> right leaf 1
+    assert predict_deterministic(tree, [2.0, 0.0]) == 0
+    assert predict_deterministic(tree, [3.0, 0.0]) == 1
+    assert tree.leaf_class.tolist() == [0, 0, 1]
+    assert dumps(tree) == json.dumps(hand_written_tree(), sort_keys=True) + "\n"
+
+
+def chain_tree_doc():
+    """Nodes 0 and 2 split; node 0's children are 1 and 2, node 2's are 3 and 4."""
+    doc = hand_written_tree()
+    doc.update(
+        feature=[0, -1, 1, -1, -1],
+        threshold=[2.5, 0.0, 1.0, 0.0, 0.0],
+        scale=[2.0, 1.0, 1.0, 1.0, 1.0],
+        uniform_distance=[False] * 5,
+        child=[[1, 2], [0, 0], [3, 4], [0, 0], [0, 0]],
+        majority=[[0, 1], [0, 0], [1, 0], [0, 0], [0, 0]],
+        class_counts=[[0, 0], [3, 1], [0, 0], [1, 2], [2, 1]],
+    )
+    return doc
+
+
+@pytest.mark.parametrize("field, index, value, message", [
+    ("feature", 0, True, r"feature\[0\]: expected an integer that fits int32"),
+    ("feature", 2, 1.0, r"feature\[2\]: expected an integer"),
+    ("feature", 2, 2**40, r"feature\[2\]: expected an integer that fits int32"),
+    ("feature", 2, 2, r"feature\[2\]: must be -1 \(a leaf\) or in \[0, n_features\)"),
+    ("feature", 1, -2, r"feature\[1\]: must be -1"),
+    ("threshold", 2, True, r"threshold\[2\]: expected a finite number"),
+    ("threshold", 0, float("nan"), r"threshold\[0\]: expected a finite number"),
+    ("scale", 2, "1", r"scale\[2\]: expected a finite number"),
+    ("uniform_distance", 3, 0, r"uniform_distance\[3\]: expected a boolean"),
+    ("class_counts", 4, [2, True], r"class_counts\[4\]: expected a list of 2 entries"),
+    ("class_counts", 3, [1], r"class_counts\[3\]: expected a list of 2 entries"),
+    ("class_counts", 3, [-1, 2], r"class_counts\[3\]: counts must be >= 0"),
+    ("majority", 0, [0, 2], r"majority\[0\]: class ids must be 0 or 1"),
+    ("child", 2, [3, 5], r"child\[2\]: an internal node's children must be in \(its id, 5\)"),
+    ("child", 0, [2, 3], r"child\[0\]: names a child that is named more than once"),
+    ("child", 2, [4, 4], r"child\[2\]: names a child that is named more"),
+    ("child", 2, [2, 4], r"child\[2\]: an internal node's children must be in"),  # a cycle
+    ("child", 1, [0, 1], r"child\[1\]: must be \[0, 0\] at a leaf"),
+    ("majority", 3, [1, 0], r"majority\[3\]: must be \[0, 0\] at a leaf"),
+    ("class_counts", 2, [1, 0], r"class_counts\[2\]: must be \[0, 0\] at an internal node"),
+])
+def test_bad_node_entries_are_rejected_with_their_path(field, index, value, message):
+    doc = {"schema": SCHEMA, "kind": "forest", "n_trees": 2,
+           "trees": [chain_tree_doc(), chain_tree_doc()]}
+    deserialize(doc)
+    doc["trees"][1][field][index] = value
+    with pytest.raises(ModelFormatError, match=r"^document\.trees\[1\]\." + message):
+        deserialize(doc)
+
+
+def test_unreachable_node_is_rejected():
+    doc = chain_tree_doc()
+    # node 2 becomes a leaf: nodes 3 and 4 are no longer anyone's child
+    doc["feature"][2] = -1
+    doc["child"][2] = [0, 0]
+    doc["majority"][2] = [0, 0]
+    doc["class_counts"][2] = [1, 1]
+    with pytest.raises(ModelFormatError,
+                       match=r"^document\.child\[3\]: node is no internal node's child"):
+        deserialize(doc)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["trees"][1].update(n_features=3),
+     r"trees\[1\]\.n_features: trees disagree"),
+    (lambda doc: doc["trees"][0]["child"].pop(), r"trees\[0\]\.child: expected 5 entries"),
+    (lambda doc: doc["trees"][0].update(feature=[]),
+     r"trees\[0\]\.feature: expected a non-empty"),
+])
+def test_bad_tree_arrays_are_rejected(change, message):
+    doc = {"schema": SCHEMA, "kind": "forest", "n_trees": 2,
+           "trees": [chain_tree_doc(), chain_tree_doc()]}
+    change(doc)
+    with pytest.raises(ModelFormatError, match=r"^document\." + message):
         deserialize(doc)
 
 
@@ -103,6 +199,19 @@ def test_schema_and_kind_are_checked():
         deserialize(doc)
     with pytest.raises(ModelFormatError, match="kind"):
         deserialize({"schema": SCHEMA, "kind": "shrub"})
+
+
+def test_version_1_documents_are_rejected(tmp_path, capsys):
+    doc = {
+        "schema": "fairtree-model/1", "kind": "tree", "n_features": 1,
+        "root": {"kind": "leaf", "class_counts": [1, 0], "predicted_class": 0},
+    }
+    with pytest.raises(ModelFormatError, match=r"^document\.schema: expected 'fairtree-model/2'"):
+        deserialize(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["predict", "--model", str(path), "--data", SYNTHETIC]) == 2
+    assert "document.schema" in capsys.readouterr().err
 
 
 def test_forest_tree_count_mismatch_is_rejected():
@@ -117,34 +226,28 @@ def test_invalid_json_text_is_reported():
         loads("{not json")
 
 
-def test_hand_written_document_is_usable():
-    doc = {
-        "schema": SCHEMA,
-        "kind": "tree",
-        "n_features": 2,
-        "class_labels": [0, 1],
-        "training_meta": {},
-        "root": {
-            "kind": "internal",
-            "feature_index": 0,
-            "threshold": 2.5,
-            "scale": 2.0,
-            "left_majority": 0,
-            "right_majority": 1,
-            "left": {"kind": "leaf", "class_counts": [3, 1], "predicted_class": 0},
-            "right": {"kind": "leaf", "class_counts": [0, 4], "predicted_class": 1},
-        },
-    }
-    tree = deserialize(doc)
-    # hand trace: 2.0 <= 2.5 -> left leaf 0; 3.0 > 2.5 -> right leaf 1
-    assert predict_deterministic(tree, [2.0, 0.0]) == 0
-    assert predict_deterministic(tree, [3.0, 0.0]) == 1
-    # uniform_distance defaults to False when absent
-    assert not tree.uniform_distance[0]
-
-
 def test_dumps_is_valid_sorted_json():
     text = dumps(trained_tree())
     doc = json.loads(text)
     assert doc["schema"] == SCHEMA
-    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_deep_chain_tree_round_trips(tmp_path):
+    # labels alternate along the one informative column, so each split cuts
+    # off one row: a chain about as deep as the table is long
+    lines = ["g,x,y"] + [f"1,{i},{'yes' if i % 2 else 'no'}" for i in range(1500)]
+    (tmp_path / "chain.csv").write_text("\n".join(lines) + "\n")
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({
+        "name": "chain", "csv_path": "chain.csv", "label_column": "y",
+        "positive_label_value": "yes", "protected_column": "g", "privileged_values": ["1"],
+    }))
+    tree = train_tree(load_dataset(load_dataset_config(str(config))))
+    assert tree.max_depth >= 1400
+    assert loads(dumps(tree)) == tree
+    model = str(tmp_path / "model.json")
+    assert cli.main(["train", "--data", str(config), "--n-trees", "1", "--no-bootstrap",
+                     "--out", model]) == 0
+    assert cli.main(["predict", "--data", str(config), "--model", model,
+                     "--n-simulations", "5", "--out", str(tmp_path / "preds.csv")]) == 0

@@ -10,7 +10,7 @@ import pytest
 import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import DataError
-from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
+from fairtree.model_io import dumps, loads
 from fairtree.rng import stream_key, uniform_at
 from fairtree.tree import (
     Dataset,
@@ -153,7 +153,9 @@ def test_single_tree_forest_without_bootstrap_equals_train_tree():
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, labels)
     forest = train_forest(data, n_trees=1, bootstrap=False, rng_seed=123, max_depth=4)
     tree = train_tree(data, max_depth=4)
-    assert serialize(forest.trees[0])["root"] == serialize(tree)["root"]
+    # equal node arrays; the training_meta seeds differ
+    assert all(np.array_equal(getattr(forest.trees[0], name), getattr(tree, name))
+               for name, _, _ in tree_module._NODE_ARRAYS)
 
 
 def test_forest_training_is_deterministic():
@@ -277,9 +279,9 @@ def _reference_feature_split(values, labels, min_leaf):
     return float(score[j]), float(sv[cut[j]]), float(sv[cut[j] + 1])
 
 
-def reference_tree_doc(data, rows, *, max_depth=None, min_samples_leaf=1,
-                       features_per_split=None, rng_seed=0, events=None):
-    """The model document of the tree grown depth first on the given rows.
+def reference_tree(data, rows, *, max_depth=None, min_samples_leaf=1,
+                   features_per_split=None, rng_seed=0, events=None):
+    """The tree grown depth first on the given rows.
     events, a Counter, tallies searches that fell through to features
     beyond the drawn ones and midpoints that rounded onto the upper value."""
     X, y = data.rows, data.labels
@@ -328,12 +330,9 @@ def reference_tree_doc(data, rows, *, max_depth=None, min_samples_leaf=1,
             uniform=bool(dmax == dmin and dmax > 0.0),
         )
 
-    return {
-        "schema": SCHEMA, "kind": "tree", "n_features": n_features,
-        "training_meta": {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf,
-                          "rng_seed": rng_seed},
-        "root": grow(np.asarray(rows), 0, ()),
-    }
+    return make_tree(grow(np.asarray(rows), 0, ()), n_features,
+                     training_meta={"max_depth": max_depth, "min_samples_leaf": min_samples_leaf,
+                                    "rng_seed": rng_seed})
 
 
 def reference_forest(data, *, n_trees, bootstrap=True, rng_seed=0, events=None, **kwargs):
@@ -343,9 +342,8 @@ def reference_forest(data, *, n_trees, bootstrap=True, rng_seed=0, events=None, 
     for child in np.random.SeedSequence(rng_seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, data.n_rows, data.n_rows) if bootstrap else np.arange(data.n_rows)
-        doc = reference_tree_doc(data, rows, rng_seed=int(rng.integers(0, 2**63)),
-                                 events=events, **kwargs)
-        trees.append(deserialize(doc))
+        trees.append(reference_tree(data, rows, rng_seed=int(rng.integers(0, 2**63)),
+                                    events=events, **kwargs))
     return trees
 
 
@@ -409,8 +407,7 @@ def test_level_wise_growth_equals_the_depth_first_reference(grow_block, monkeypa
             events["different_depths"] += trained.max_depth != forest.trees[0].max_depth
         seed = int(rng.integers(0, 2**63))
         tree = train_tree(data, rng_seed=seed, **kwargs)
-        assert tree == deserialize(reference_tree_doc(data, np.arange(data.n_rows),
-                                                      rng_seed=seed, **kwargs))
+        assert tree == reference_tree(data, np.arange(data.n_rows), rng_seed=seed, **kwargs)
     # the cases reach the search's rarer branches
     assert events["fall_through"] >= 50
     assert events["different_depths"] >= 10
@@ -433,16 +430,17 @@ FIXTURE = Path(__file__).parent.parent / "fixtures" / "synthetic.json"
 
 
 def test_all_features_models_are_unchanged():
-    # digests of model_io.dumps recorded before training became level-wise
-    # with keyed feature draws: a tree that searches every feature at every
-    # node has no draws, so its bytes must not change
+    # digests of model_io.dumps: a tree that searches every feature at every
+    # node has no feature draws, so its bytes must not change. Recorded
+    # before training became level-wise with keyed feature draws, and again
+    # in fairtree-model/2 from the same node arrays
     data = load_dataset(load_dataset_config(str(FIXTURE)))
     tree = train_tree(data, rng_seed=0)
     forest = train_forest(data, n_trees=3, max_depth=8, bootstrap=False, rng_seed=5)
     assert hashlib.sha256(dumps(tree).encode()).hexdigest() == (
-        "6e3912e0a6372dee781f0abf3be2db14e0a8a4c10099814ddb360adc789e0141")
+        "ba42bfefd3489ef9a05dcfaac555fc17ddaca4af1d2778f59ba2361e2fe03eec")
     assert hashlib.sha256(dumps(forest).encode()).hexdigest() == (
-        "3a6a0a61776e1b301fbbf481102de281b026db9c354ebb7a3611dfe4d950951c")
+        "858dddb2683d89c885ccea545881c75f85b60c0baa35eb3b552ed83e901d103f")
 
 
 def test_transient_memory_of_a_forest_fit_is_bounded():
