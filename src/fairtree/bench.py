@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .data import FoldPlan, load_dataset, load_dataset_config, make_folds
+from .data import FoldPlan, load_dataset, load_dataset_config, make_folds, read_json, write_text
 from .errors import ConfigError, DataError
 from .metrics import MetricsReport, full_report
 from .rng import stream_key
@@ -94,23 +95,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_config": self.dataset_config,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "features_per_split": self.features_per_split,
-            "bootstrap": self.bootstrap,
-            "n_simulations": self.n_simulations,
-            "p_max": self.p_max,
-            "alpha": self.alpha,
-            "folds": self.folds,
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "exact": self.exact,
-            "aggregation": self.aggregation,
-            "stratified": self.stratified,
-        }
+        return {**asdict(self), "methods": list(self.methods)}
 
 
 @dataclass(frozen=True)
@@ -413,34 +398,27 @@ def render_csv(result: ExperimentResult) -> str:
 def emit_report(result: ExperimentResult, out_dir, formats=("json", "csv", "table")):
     """Write report artifacts; returns {format: path}. Timings go to a
     separate timing.json so report bytes are reproducible run to run."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    try:
-        if "json" in formats:
-            paths["json"] = os.path.join(out_dir, "report.json")
-            _write(paths["json"], _dump_json(result_to_dict(result)))
-        if "csv" in formats:
-            paths["csv"] = os.path.join(out_dir, "report.csv")
-            _write(paths["csv"], render_csv(result))
-        if "table" in formats:
-            paths["table"] = os.path.join(out_dir, "report.txt")
-            _write(paths["table"], render_table(result))
-        if result.timings:
-            paths["timing"] = os.path.join(out_dir, "timing.json")
-            _write(
-                paths["timing"],
-                _dump_json({"schema": "fairtree-timing/1", "seconds": result.timings}),
-            )
-    except OSError as exc:
-        raise DataError(f"cannot write report to {out_dir}: {exc}") from exc
+    if "json" in formats:
+        paths["json"] = os.path.join(out_dir, "report.json")
+        write_text(paths["json"], _dump_json(result_to_dict(result)))
+    if "csv" in formats:
+        paths["csv"] = os.path.join(out_dir, "report.csv")
+        write_text(paths["csv"], render_csv(result))
+    if "table" in formats:
+        paths["table"] = os.path.join(out_dir, "report.txt")
+        write_text(paths["table"], render_table(result))
+    if result.timings:
+        paths["timing"] = os.path.join(out_dir, "timing.json")
+        write_text(
+            paths["timing"],
+            _dump_json({"schema": "fairtree-timing/1", "seconds": result.timings}),
+        )
     return paths
 
 
 def parse_report(path) -> ExperimentResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return result_from_dict(json.load(fh))
+    return result_from_dict(read_json(path, DataError, "report"))
 
 
 def sweep_to_dict(sweep: SweepResult) -> dict:
@@ -464,35 +442,24 @@ def sweep_to_dict(sweep: SweepResult) -> dict:
 
 
 def emit_sweep(sweep: SweepResult, out_dir, formats=("json", "csv")):
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
     doc = sweep_to_dict(sweep)
-    try:
-        if "json" in formats:
-            paths["json"] = os.path.join(out_dir, "sweep.json")
-            _write(paths["json"], _dump_json(doc))
-        if "csv" in formats:
-            lines = ["alpha,accuracy_mean,accuracy_std,eod_mean,eod_std,di_mean,di_std"]
-            for row in doc["fairttts"]:
-                lines.append(
-                    ",".join(
-                        [repr(row["alpha"])]
-                        + [
-                            "" if row[m][k] is None else repr(row[m][k])
-                            for m in ("accuracy", "eod", "di")
-                            for k in ("mean", "std")
-                        ]
-                    )
+    if "json" in formats:
+        paths["json"] = os.path.join(out_dir, "sweep.json")
+        write_text(paths["json"], _dump_json(doc))
+    if "csv" in formats:
+        lines = ["alpha,accuracy_mean,accuracy_std,eod_mean,eod_std,di_mean,di_std"]
+        for row in doc["fairttts"]:
+            lines.append(
+                ",".join(
+                    [repr(row["alpha"])]
+                    + [
+                        "" if row[m][k] is None else repr(row[m][k])
+                        for m in ("accuracy", "eod", "di")
+                        for k in ("mean", "std")
+                    ]
                 )
-            paths["csv"] = os.path.join(out_dir, "sweep.csv")
-            _write(paths["csv"], "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write sweep to {out_dir}: {exc}") from exc
+            )
+        paths["csv"] = os.path.join(out_dir, "sweep.csv")
+        write_text(paths["csv"], "\n".join(lines) + "\n")
     return paths
-
-
-def _write(path, text) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

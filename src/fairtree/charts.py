@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 
+from .data import write_text
+
 WIDTH = 640
 HEIGHT = 400
 MARGIN_LEFT = 70
@@ -204,21 +206,23 @@ def chart_alpha_sweep(sweep_doc: dict) -> str:
 
 def emit_charts(doc: dict, out_dir) -> dict:
     """Write the chart for a report or sweep document (dispatch on its
-    schema field); returns {name: path}."""
-    os.makedirs(out_dir, exist_ok=True)
+    schema field); returns {name: path}. A document that is not an object,
+    or lacks a field the chart reads, raises ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object")
     schema = doc.get("schema", "")
-    paths = {}
     if schema == "fairtree-sweep/1":
-        paths["alpha_sweep"] = os.path.join(out_dir, "alpha_sweep.svg")
-        _write(paths["alpha_sweep"], chart_alpha_sweep(doc))
+        name, render = "alpha_sweep", chart_alpha_sweep
     elif schema == "fairtree-report/1":
-        paths["accuracy_vs_eod"] = os.path.join(out_dir, "accuracy_vs_eod.svg")
-        _write(paths["accuracy_vs_eod"], chart_accuracy_vs_eod(doc))
+        name, render = "accuracy_vs_eod", chart_accuracy_vs_eod
     else:
         raise ValueError(f"cannot chart document with schema {schema!r}")
-    return paths
-
-
-def _write(path, text) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        text = render(doc)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    except TypeError as exc:  # a field of the wrong type
+        raise ValueError(f"malformed document: {exc}") from None
+    path = os.path.join(out_dir, f"{name}.svg")
+    write_text(path, text)
+    return {name: path}

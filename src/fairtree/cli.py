@@ -8,18 +8,15 @@ FAIRTREE_OUTPUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import bench, charts, model_io
-from .data import load_dataset, load_dataset_config, read_text
-from .errors import ConfigError, DataError, EnumerationLimitError, ModelFormatError
+from .data import load_dataset, load_dataset_config, read_json, read_rows, write_text
+from .errors import ConfigError, DataError
 from .metrics import full_report
 from .rng import stream_key
 from .traversal import (
@@ -168,25 +165,17 @@ def _cmd_train(args) -> int:
         rng_seed=args.seed,
         bootstrap=not args.no_bootstrap,
     )
-    _write(args.out or os.path.join(_default_out(), "model.json"),
-           lambda path: model_io.save_model(forest, path))
-    return 0
-
-
-def _write(path, write) -> None:
-    """write(path) into its created directory; an unwritable path is a DataError."""
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write(path)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from None
+    path = args.out or os.path.join(_default_out(), "model.json")
+    model_io.save_model(forest, path)
     print(f"wrote {path}")
+    return 0
 
 
 def _emit(text, out) -> None:
     """A command's text to the --out file, or to stdout without one."""
     if out:
-        _write(out, lambda path: Path(path).write_text(text, encoding="utf-8", newline="\n"))
+        write_text(out, text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
 
@@ -226,18 +215,19 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds_config, dataset = _load(args.data)
-    try:
-        rows = list(csv.DictReader(io.StringIO(read_text(args.pred, DataError), newline="")))
-    except FileNotFoundError:
-        raise DataError(f"predictions file not found: {args.pred}") from None
+    header, rows = read_rows(args.pred, "predictions file")
     if len(rows) != dataset.n_rows:
         raise DataError(
             f"predictions have {len(rows)} rows; dataset has {dataset.n_rows}"
         )
-    try:
-        preds = np.array([int(r["prediction"]) for r in rows])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad predictions file: {exc}") from exc
+    if "prediction" not in header:
+        raise DataError(f"{args.pred}: missing column 'prediction'")
+    j = header.index("prediction")
+    preds = np.array([{"0": 0, "1": 1}.get(row[j].strip(), -1) for row in rows])
+    bad = np.flatnonzero(preds < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{args.pred}: row {i + 1}: prediction {rows[i][j]!r} is not 0 or 1")
     group = dataset.rows[:, dataset.feature_index(ds_config.protected_column)]
     report = full_report(dataset.labels, preds, group.astype(np.int64))
     doc = {"schema": "fairtree-metrics/1", "dataset": ds_config.name}
@@ -278,12 +268,7 @@ def _cmd_charts(args) -> int:
         raise ConfigError("charts requires at least one --report file")
     out_dir = args.out_dir or _default_out()
     for path in args.report:
-        try:
-            doc = json.loads(read_text(path, DataError))
-        except FileNotFoundError:
-            raise DataError(f"report not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        doc = read_json(path, DataError, "report")
         try:
             paths = charts.emit_charts(doc, out_dir)
         except ValueError as exc:
@@ -304,19 +289,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except EnumerationLimitError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, ModelFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    except (ConfigError, DataError) as exc:
+        kind = "config" if isinstance(exc, ConfigError) else "data"
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""CSV ingestion, encoding, imputation, and fold planning.
+"""File access, CSV ingestion, encoding, imputation, and fold planning.
+
+Every file the package reads or writes goes through read_text, read_json,
+read_rows and write_text, which turn a failure into the caller's error
+type (ConfigError or DataError) naming the file.
 
 CSV files are RFC-4180 style, comma-delimited, UTF-8; a header row is
 required unless the config supplies column_names. Cell whitespace is
@@ -88,13 +92,7 @@ class DatasetConfig:
 
 def load_dataset_config(path) -> DatasetConfig:
     """Read a DatasetConfig from a JSON file."""
-    try:
-        doc = json.loads(read_text(path, ConfigError))
-    except FileNotFoundError:
-        raise ConfigError(f"dataset config not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return dataset_config_from_dict(doc, base=path)
+    return dataset_config_from_dict(read_json(path, ConfigError, "dataset config"), base=path)
 
 
 def _row_filter(f, where) -> RowFilter:
@@ -158,16 +156,15 @@ def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
         raise ConfigError(f"invalid dataset config: {exc}") from exc
 
 
-def read_text(path, error) -> str:
-    """The UTF-8 text of the file at ``path``. A missing file raises
-    FileNotFoundError, for the caller to name what is missing; a path that
+def read_text(path, error, what) -> str:
+    """The UTF-8 text of the file at ``path``. A missing file, a path that
     cannot be read (a directory, no permission), or bytes that are not
-    UTF-8, raise ``error`` naming the file."""
+    UTF-8 raise ``error`` naming the file; ``what`` names a missing one."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        raise
+        raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from None
     try:
@@ -176,32 +173,53 @@ def read_text(path, error) -> str:
         raise error(f"{path}: not UTF-8 (bad byte at offset {exc.start})") from None
 
 
-def _read_columns(config: DatasetConfig):
-    """(row count, {column name: raw cells}) of the configured CSV."""
+def parse_json(text, error):
+    """The JSON document in ``text``; text that is not JSON, or nests too
+    deeply to decode, raises ``error``."""
     try:
-        text = read_text(config.csv_path, DataError)
-    except FileNotFoundError:
-        raise DataError(f"CSV file not found: {config.csv_path}") from None
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from None
+
+
+def read_json(path, error, what):
+    """The JSON document in the file at ``path`` (see read_text)."""
+    return parse_json(read_text(path, error, what), lambda message: error(f"{path}: {message}"))
+
+
+def read_rows(path, what, header=None):
+    """(header, rows) of the CSV file at ``path``: the stripped names of
+    ``header``, or of the file's first row without it, and the remaining
+    non-blank rows, each as wide as the header. A leading BOM is dropped.
+    Malformed CSV raises DataError naming the file, and the line or row."""
+    text = read_text(path, DataError, what)
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:
-        raise DataError(f"{config.csv_path}: line {reader.line_num}: {exc}") from None
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
-        raise DataError(f"{config.csv_path}: empty file")
-    if config.column_names is not None:
-        header = [name.strip() for name in config.column_names]
-    else:
-        header = [name.strip() for name in rows.pop(0)]
+        raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in (rows.pop(0) if header is None else header)]
     if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
+        raise DataError(f"{path}: duplicate column names in header")
     if not rows:
-        raise DataError(f"{config.csv_path}: no data rows")
-    width = len(header)
+        raise DataError(f"{path}: no data rows")
     for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DataError(f"row {i}: expected {width} cells, found {len(row)}")
-    return len(rows), dict(zip(header, zip(*rows)))
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i}: expected {len(header)} cells, found {len(row)}")
+    return header, rows
+
+
+def write_text(path, text) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines untranslated, creating
+    its directory. A path that cannot be written raises DataError naming it."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _column(columns, name):
@@ -345,7 +363,8 @@ def load_dataset(config: DatasetConfig) -> Dataset:
     """Ingest the configured CSV into a fully numeric Dataset.
 
     Deterministic: identical file and config produce an identical Dataset."""
-    n_rows, columns = _read_columns(config)
+    header, rows = read_rows(config.csv_path, "CSV file", config.column_names)
+    n_rows, columns = len(rows), dict(zip(header, zip(*rows)))
     for name in (config.label_column, config.protected_column, *config.drop_columns,
                  *(config.keep_columns or ()), *(config.categorical_columns or ()),
                  *config.one_hot_columns):

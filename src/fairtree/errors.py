@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
-everything else is a bug and propagates with a traceback.
+Each error carries its CLI exit code: 1 for ConfigError, 2 for DataError.
+Everything else is a bug and propagates with a traceback.
 """
 
 
@@ -21,7 +21,7 @@ class DataError(FairtreeError):
     exit_code = 2
 
 
-class ModelFormatError(FairtreeError):
+class ModelFormatError(DataError):
     """Malformed model document. Carries the path to the offending node."""
 
     def __init__(self, path: str, message: str):
@@ -29,5 +29,5 @@ class ModelFormatError(FairtreeError):
         super().__init__(f"{path}: {message}")
 
 
-class EnumerationLimitError(FairtreeError):
+class EnumerationLimitError(ConfigError):
     """Exact path enumeration was asked to descend past its depth limit."""

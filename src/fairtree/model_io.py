@@ -12,11 +12,12 @@ its reloaded copy are equal array for array and one model has one text.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .data import read_text
+from .data import parse_json, read_text, write_text
 from .errors import DataError, ModelFormatError
 from .tree import _NODE_ARRAYS, DecisionTree, Forest
 
@@ -180,17 +181,12 @@ def dumps(model) -> str:
 
 
 def loads(text: str) -> "DecisionTree | Forest":
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError("document", f"invalid JSON: {exc}") from exc
-    return deserialize(doc)
+    return deserialize(parse_json(text, partial(ModelFormatError, "document")))
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model))
+    write_text(path, dumps(model))
 
 
 def load_model(path) -> "DecisionTree | Forest":
-    return loads(read_text(path, DataError))
+    return loads(read_text(path, DataError, "model file"))

@@ -27,7 +27,7 @@ from fairtree.bench import (
 )
 from fairtree.charts import chart_accuracy_vs_eod, chart_alpha_sweep, emit_charts
 from fairtree.data import load_dataset, load_dataset_config, make_folds
-from fairtree.errors import ConfigError
+from fairtree.errors import ConfigError, DataError
 from fairtree.model_io import dumps
 from fairtree.rng import stream_key
 
@@ -131,6 +131,13 @@ def test_experiment_is_end_to_end_deterministic(tmp_path):
     svg_b = emit_charts(result_to_dict(b), dir_b)
     for key in svg_a:
         assert Path(svg_a[key]).read_bytes() == Path(svg_b[key]).read_bytes()
+
+
+def test_parse_report_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"dataset": "caf\xe9"}')  # offset 16
+    with pytest.raises(DataError, match=r"report\.json: not UTF-8 \(bad byte at offset 16\)"):
+        parse_report(path)
 
 
 def test_report_json_round_trip(tmp_path):
@@ -425,8 +432,94 @@ def test_cli_csv_parser_errors_name_the_file_and_line(tmp_path, capsys):
     path = tmp_path / "long.csv"
     path.write_text("g,x,y\n1,1,yes\n0,\"" + "x" * 140_000 + "\n")
     config = write_config(tmp_path, "long", "long.csv")
-    assert cli.main(["train", "--data", config, "--n-trees", "1"]) == 2
-    assert f"{path}: line 3: field larger than field limit" in capsys.readouterr().err
+    preds = tmp_path / "long_preds.csv"
+    preds.write_text("row,prediction\n0,\"" + "x" * 140_000 + "\n")
+    cases = (
+        (["train", "--data", config, "--n-trees", "1"], path, 3),
+        (["evaluate", "--data", SYNTHETIC, "--pred", str(preds)], preds, 2),
+    )
+    for argv, path, line in cases:
+        assert cli.main(argv) == 2, argv
+        assert f"{path}: line {line}: field larger than field limit" in capsys.readouterr().err
+
+
+def assert_clean_exit(capsys, argv, code, message):
+    """cli.main(argv) returns code and prints one line, holding message."""
+    assert cli.main(argv) == code, argv
+    err = capsys.readouterr().err
+    assert message in err, (argv, err)
+    assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+
+
+def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys):
+    report = tmp_path / "out" / "report.json"
+    small = ["--data", SYNTHETIC, "--n-trees", "2", "--max-depth", "2", "--folds", "2",
+             "--n-simulations", "5"]
+    assert cli.main(["run", *small, "--out-dir", str(report.parent)]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    capsys.readouterr()
+    for argv in (["run", *small], ["sweep-alpha", *small, "--alphas", "1,2"],
+                 ["charts", "--report", str(report)]):
+        assert_clean_exit(capsys, argv + ["--out-dir", str(afile)], 2,
+                          f"data error: {afile}: cannot write")
+
+
+def test_cli_unreadable_json_inputs_exit_cleanly(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)  # deeper than the decoder can recurse
+    missing = tmp_path / "missing.json"
+    cases = (
+        (["predict", "--data", SYNTHETIC, "--model", str(nested)], 2,
+         "data error: document: invalid JSON: maximum recursion depth"),
+        (["train", "--data", str(nested)], 1,
+         f"config error: {nested}: invalid JSON: maximum recursion depth"),
+        (["charts", "--report", str(nested), "--out-dir", str(tmp_path)], 2,
+         f"data error: {nested}: invalid JSON: maximum recursion depth"),
+        (["predict", "--data", SYNTHETIC, "--model", str(missing)], 2,
+         f"data error: model file not found: {missing}"),
+    )
+    for argv, code, message in cases:
+        assert_clean_exit(capsys, argv, code, message)
+
+
+def test_cli_bad_predictions_name_the_file_and_row(tmp_path, capsys):
+    n_rows = load_dataset(load_dataset_config(SYNTHETIC)).n_rows
+    files = {
+        "short": "row,prediction\n" + "0,1\n" * 4 + "4\n" + "0,1\n" * (n_rows - 5),
+        "two": "row,prediction\n" + "0,0\n" * 2 + "2,2\n" + "0,0\n" * (n_rows - 3),
+        "no_column": "row,pred\n" + "0,1\n" * n_rows,
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    cases = (
+        ("short", "row 5: expected 2 cells, found 1"),
+        ("two", "row 3: prediction '2' is not 0 or 1"),
+        ("no_column", "missing column 'prediction'"),
+    )
+    for name, message in cases:
+        path = tmp_path / f"{name}.csv"
+        assert_clean_exit(capsys, ["evaluate", "--data", SYNTHETIC, "--pred", str(path)], 2,
+                          f"data error: {path}: {message}")
+
+
+def test_cli_malformed_chart_documents_name_the_file_and_field(tmp_path, capsys):
+    report = {"schema": "fairtree-report/1", "dataset": "d", "methods": ["baseline", "ghost"],
+              "aggregates": {"baseline": {"accuracy": {"mean": 0.8}, "eod": {"mean": 0.1}}}}
+    sweep = {"schema": "fairtree-sweep/1", "dataset": "d",
+             "fairttts": [{"alpha": 1.0, "accuracy": {"mean": 0.8}, "eod": {"mean": 0.1}},
+                          {"alpha": 2.0, "eod": {"mean": 0.1}}]}
+    cases = (
+        ([1, 2], "expected a JSON object"),
+        ({"schema": "fairtree-report/1"}, "missing field 'methods'"),
+        (report, "missing field 'ghost'"),
+        (sweep, "missing field 'accuracy'"),
+    )
+    for i, (doc, message) in enumerate(cases):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        assert_clean_exit(capsys, ["charts", "--report", str(path), "--out-dir", str(tmp_path)],
+                          2, f"data error: {path}: {message}")
 
 
 def test_cli_output_dir_env_var(tmp_path, monkeypatch):

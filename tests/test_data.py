@@ -324,13 +324,13 @@ def _ref_read_csv(config):
         header = rows[0]
         rows = rows[1:]
     if len(set(header)) != len(header):
-        raise DataError("duplicate column names in header")
+        raise DataError(f"{config.csv_path}: duplicate column names in header")
     if not rows:
         raise DataError(f"{config.csv_path}: no data rows")
     width = len(header)
     for i, row in enumerate(rows, start=1):
         if len(row) != width:
-            raise DataError(f"row {i}: expected {width} cells, found {len(row)}")
+            raise DataError(f"{config.csv_path}: row {i}: expected {width} cells, found {len(row)}")
     return header, rows
 
 
