@@ -35,7 +35,14 @@ from .traversal import (
     exact_path_distribution,
     predict_fair_batch,
 )
-from .tree import Dataset, Forest, forest_votes_batch, predict_forest_batch, train_forest
+from .tree import (
+    Dataset,
+    Forest,
+    check_growth,
+    forest_votes_batch,
+    predict_forest_batch,
+    train_forest,
+)
 
 REPORT_SCHEMA = "fairtree-report/1"
 SWEEP_SCHEMA = "fairtree-sweep/1"
@@ -61,9 +68,9 @@ class ExperimentConfig:
     min_samples_leaf: int = 1
     features_per_split: "int | str | None" = "sqrt"
     bootstrap: bool = True
-    n_simulations: int = 100
-    p_max: float = 0.1
-    alpha: float = 9.0
+    n_simulations: int = TraversalConfig.n_simulations
+    p_max: float = TraversalConfig.p_max
+    alpha: float = TraversalConfig.alpha
     folds: int = 5
     methods: tuple = METHODS
     seed: int = 0
@@ -72,6 +79,7 @@ class ExperimentConfig:
     stratified: bool = False
 
     def __post_init__(self):
+        """Check every setting, so that a bad one fails before any data is read."""
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if not self.methods:
@@ -79,12 +87,16 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {unknown}; choose from {METHODS}")
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
-        if self.exact and self.n_trees != 1:
-            raise ConfigError("exact evaluation requires n_trees == 1")
         if isinstance(self.features_per_split, str) and self.features_per_split != "sqrt":
             raise ConfigError("features_per_split must be an integer, 'sqrt', or null")
+        try:
+            check_growth(self.n_trees, self.max_depth, self.min_samples_leaf,
+                         None if self.features_per_split == "sqrt" else self.features_per_split)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.exact and self.n_trees != 1:
+            raise ConfigError("exact evaluation requires n_trees == 1")
+        self.traversal_config(self.seed)
 
     def traversal_config(self, seed: int) -> TraversalConfig:
         return TraversalConfig(
@@ -126,12 +138,6 @@ def _environment(seed: int) -> dict:
     }
 
 
-def _resolve_features_per_split(value, n_features: int):
-    if value == "sqrt":
-        return max(1, int(math.sqrt(n_features)))
-    return value
-
-
 def _aggregate(reports) -> dict:
     out = {}
     for metric in METRICS:
@@ -152,6 +158,22 @@ def _aggregate(reports) -> dict:
     return out
 
 
+def fit_forest(dataset: Dataset, config: ExperimentConfig, rng_seed: int) -> Forest:
+    """The configured forest, trained on every row of dataset."""
+    features = config.features_per_split
+    if features == "sqrt":
+        features = max(1, int(math.sqrt(dataset.n_features)))
+    return train_forest(
+        dataset,
+        n_trees=config.n_trees,
+        max_depth=config.max_depth,
+        min_samples_leaf=config.min_samples_leaf,
+        features_per_split=features,
+        rng_seed=rng_seed,
+        bootstrap=config.bootstrap,
+    )
+
+
 def fit_fold(
     dataset: Dataset,
     plan: FoldPlan,
@@ -168,17 +190,7 @@ def fit_fold(
         rows=dataset.rows[tr],
         labels=dataset.labels[tr],
     )
-    forest = train_forest(
-        train_data,
-        n_trees=config.n_trees,
-        max_depth=config.max_depth,
-        min_samples_leaf=config.min_samples_leaf,
-        features_per_split=_resolve_features_per_split(
-            config.features_per_split, dataset.n_features
-        ),
-        rng_seed=stream_key(config.seed, _TAG_TRAIN, fold),
-        bootstrap=config.bootstrap,
-    )
+    forest = fit_forest(train_data, config, stream_key(config.seed, _TAG_TRAIN, fold))
     policy = None
     if METHOD_THRESHOLD in config.methods:
         scores_tr = forest_votes_batch(forest, train_data.rows) / forest.n_trees
@@ -187,13 +199,27 @@ def fit_fold(
     return forest, policy
 
 
-def exact_predictions(forest: Forest, X, spec, engine_cfg):
-    """Predictions and favorable-class probabilities of a one-tree forest
-    by exact path enumeration, row by row."""
-    tree = forest.trees[0]
-    dists = [exact_path_distribution(tree, x, spec, engine_cfg) for x in X]
-    preds = np.array([d.predicted_class for d in dists], dtype=np.int64)
-    return preds, np.array([d.probs[1] for d in dists])
+def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: ExperimentConfig,
+                   seed: int, stream_ids=None, policy: Optional[ThresholdPolicy] = None,
+                   group=None):
+    """(predictions, favorable-class probabilities or None) of the rows X by
+    method. fairttts keys its streams on seed and stream_ids (default: the
+    row index) and, under config.exact, enumerates each row's paths through
+    the forest's one tree; threshold_optimizer applies policy to X's
+    vote-fraction scores by group."""
+    if method == METHOD_BASELINE:
+        return predict_forest_batch(forest, X), None
+    if method == METHOD_THRESHOLD:
+        scores = forest_votes_batch(forest, X) / forest.n_trees
+        return apply_threshold_policy(policy, scores, group), None
+    engine_cfg = config.traversal_config(seed)
+    if config.exact:
+        dists = [exact_path_distribution(forest.trees[0], x, spec, engine_cfg) for x in X]
+        preds = np.array([d.predicted_class for d in dists], dtype=np.int64)
+        return preds, np.array([d.probs[1] for d in dists])
+    preds, dist = predict_fair_batch(forest, X, spec, engine_cfg, stream_ids=stream_ids,
+                                     aggregation=config.aggregation)
+    return preds, dist[:, 1]
 
 
 def _plan_folds(dataset: Dataset, config: ExperimentConfig) -> FoldPlan:
@@ -225,24 +251,11 @@ def _evaluate_folds(
             X_te = dataset.rows[te]
             y_te = dataset.labels[te]
             g_te = group_all[te]
+            engine_seed = stream_key(config.seed, _TAG_ENGINE, fold)
             for method in config.methods:
                 start = time.perf_counter()
-                if method == METHOD_BASELINE:
-                    preds = predict_forest_batch(forest, X_te)
-                elif method == METHOD_THRESHOLD:
-                    scores_te = forest_votes_batch(forest, X_te) / forest.n_trees
-                    preds = apply_threshold_policy(policy, scores_te, g_te)
-                else:
-                    engine_cfg = config.traversal_config(
-                        stream_key(config.seed, _TAG_ENGINE, fold)
-                    )
-                    if config.exact:
-                        preds, _ = exact_predictions(forest, X_te, spec, engine_cfg)
-                    else:
-                        preds, _ = predict_fair_batch(
-                            forest, X_te, spec, engine_cfg,
-                            stream_ids=te, aggregation=config.aggregation,
-                        )
+                preds, _ = predict_method(method, forest, X_te, spec, config, engine_seed,
+                                          te, policy, g_te)
                 elapsed = time.perf_counter() - start
                 fold_reports[method].append(full_report(y_te, preds, g_te))
                 timings[method].append(elapsed)
@@ -261,11 +274,12 @@ def _evaluate_folds(
     )
 
 
-def _load(config: ExperimentConfig):
-    """The configured dataset, its protected feature index and its name."""
-    if config.dataset_config is None:
+def load(path):
+    """The dataset of the dataset config file at path, its protected
+    feature index and its name."""
+    if path is None:
         raise ConfigError("dataset_config path is required")
-    ds_config = load_dataset_config(config.dataset_config)
+    ds_config = load_dataset_config(path)
     dataset = load_dataset(ds_config)
     return dataset, dataset.feature_index(ds_config.protected_column), ds_config.name
 
@@ -295,7 +309,7 @@ def run_experiment_on(
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Load the configured dataset and run the full experiment."""
-    return run_experiment_on(*_load(config), config)
+    return run_experiment_on(*load(config.dataset_config), config)
 
 
 def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
@@ -306,13 +320,11 @@ def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
         raise ConfigError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alphas must be strictly increasing (no duplicates)")
-    dataset, protected_index, name = _load(config)
+    configs = [replace(config, alpha=alpha) for alpha in alphas]  # checked before the load
+    dataset, protected_index, name = load(config.dataset_config)
     plan, fitted = _fit_folds(dataset, protected_index, config)
     results = [
-        _evaluate_folds(
-            dataset, protected_index, name, replace(config, alpha=alpha), plan, fitted,
-        )
-        for alpha in alphas
+        _evaluate_folds(dataset, protected_index, name, c, plan, fitted) for c in configs
     ]
     return SweepResult(alphas=tuple(alphas), results=tuple(results))
 

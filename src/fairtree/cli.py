@@ -11,22 +11,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import bench, charts, model_io
-from .data import load_dataset, load_dataset_config, read_json, read_rows, write_text
+from .data import load_dataset, make_dir, read_json, read_rows, write_text  # noqa: F401
 from .errors import ConfigError, DataError
 from .metrics import full_report
-from .rng import stream_key
-from .traversal import (
-    VOTE_MAJORITY,
-    VOTE_MEAN,
-    FairnessSpec,
-    TraversalConfig,
-    predict_fair_batch,
-)
-from .tree import Forest, predict_forest_batch, train_forest
+from .traversal import VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, predict_fair_batch  # noqa: F401
+from .tree import Forest, train_forest  # noqa: F401
+
+# load_dataset, predict_fair_batch and train_forest are not called here:
+# benchmark/tracing.py patches them by name (--trace 1), so they stay
+# attributes of this module.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,27 +36,9 @@ def _default_out() -> str:
     return os.environ.get("FAIRTREE_OUTPUT_DIR", "fairtree_out")
 
 
-def _add_model_flags(p):
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument(
-        "--features-per-split",
-        default="sqrt",
-        help="integer, 'sqrt', or 'all' (default: sqrt)",
-    )
-    p.add_argument("--no-bootstrap", action="store_true")
-
-
-def _add_engine_flags(p):
-    p.add_argument("--n-simulations", type=int, default=100)
-    p.add_argument("--p-max", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=9.0)
-    p.add_argument(
-        "--aggregation", choices=(VOTE_MAJORITY, VOTE_MEAN), default=VOTE_MAJORITY
-    )
-    p.add_argument("--exact", action="store_true",
-                   help="exact path enumeration instead of Monte Carlo (single tree only)")
+def _names(value) -> tuple:
+    """The comma-separated names in value."""
+    return tuple(name.strip() for name in value.split(",") if name.strip())
 
 
 def _features_per_split(value):
@@ -74,22 +54,55 @@ def _features_per_split(value):
         ) from None
 
 
+def _settings(p, *flag_sets):
+    """Add to p the ExperimentConfig flags: --data, --seed and each of
+    flag_sets. Each flag's dest is its field's name, and a flag not given
+    stays out of the namespace, so the field's default applies."""
+    group = p.add_argument_group("settings (default: the ExperimentConfig field's)",
+                                 argument_default=argparse.SUPPRESS)
+    group.add_argument("--data", dest="dataset_config", required=True, metavar="DATA",
+                       help="dataset config JSON")
+    group.add_argument("--seed", type=int)
+    for add_flags in flag_sets:
+        add_flags(group)
+
+
+def _model_flags(g):
+    g.add_argument("--n-trees", type=int)
+    g.add_argument("--max-depth", type=int)
+    g.add_argument("--min-samples-leaf", type=int)
+    g.add_argument("--features-per-split", type=_features_per_split,
+                   help="integer, 'sqrt', or 'all' (default: sqrt)")
+    g.add_argument("--no-bootstrap", dest="bootstrap", action="store_false")
+
+
+def _engine_flags(g):
+    g.add_argument("--n-simulations", type=int)
+    g.add_argument("--p-max", type=float)
+    g.add_argument("--alpha", type=float)
+    g.add_argument("--aggregation", choices=(VOTE_MAJORITY, VOTE_MEAN))
+    g.add_argument("--exact", action="store_true",
+                   help="exact path enumeration instead of Monte Carlo (single tree only)")
+
+
+def _experiment_flags(g):
+    g.add_argument("--folds", type=int)
+    g.add_argument("--methods", type=_names)
+    g.add_argument("--stratified", action="store_true")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairtree", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("train", help="train a forest and write a model file")
-    p.add_argument("--data", required=True, help="dataset config JSON")
-    _add_model_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _settings(p, _model_flags)
     p.add_argument("--out", default=None, help="model path (default <out dir>/model.json)")
 
     p = sub.add_parser("predict", help="predict with a trained model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--method", choices=("baseline", "fairttts"), default="fairttts")
-    _add_engine_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _settings(p, _engine_flags)
     p.add_argument("--out", default=None, help="predictions CSV (default stdout)")
 
     p = sub.add_parser("evaluate", help="score a predictions CSV against a dataset")
@@ -98,24 +111,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="metrics JSON (default stdout)")
 
     p = sub.add_parser("run", help="full cross-validated benchmark")
-    p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    _add_engine_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--methods", default="baseline,threshold_optimizer,fairttts")
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _settings(p, _model_flags, _engine_flags, _experiment_flags)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--formats", default="json,csv,table")
+    p.add_argument("--formats", type=_names, default="json,csv,table")
 
     p = sub.add_parser("sweep-alpha", help="run the benchmark across alpha values")
-    p.add_argument("--data", required=True)
-    _add_model_flags(p)
-    _add_engine_flags(p)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--methods", default="baseline,fairttts")
-    p.add_argument("--stratified", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    _settings(p, _model_flags, _engine_flags, _experiment_flags)
+    p.set_defaults(methods=(bench.METHOD_BASELINE, bench.METHOD_FAIRTTTS))
     p.add_argument("--alphas", required=True, help="comma-separated, strictly increasing")
     p.add_argument("--out-dir", default=None)
 
@@ -126,47 +128,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _experiment_config(args) -> bench.ExperimentConfig:
+def _experiment_config(args, **given) -> bench.ExperimentConfig:
+    """The ExperimentConfig of the settings flags in args, and of given."""
+    names = {f.name for f in fields(bench.ExperimentConfig)}
     return bench.ExperimentConfig(
-        dataset_config=args.data,
-        n_trees=args.n_trees,
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        features_per_split=_features_per_split(args.features_per_split),
-        bootstrap=not args.no_bootstrap,
-        n_simulations=args.n_simulations,
-        p_max=args.p_max,
-        alpha=args.alpha,
-        folds=args.folds,
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        seed=args.seed,
-        exact=args.exact,
-        aggregation=args.aggregation,
-        stratified=args.stratified,
-    )
-
-
-def _load(data_path):
-    config = load_dataset_config(data_path)
-    dataset = load_dataset(config)
-    return config, dataset
+        **{name: value for name, value in vars(args).items() if name in names}, **given)
 
 
 def _cmd_train(args) -> int:
-    _, dataset = _load(args.data)
-    forest = train_forest(
-        dataset,
-        n_trees=args.n_trees,
-        max_depth=args.max_depth,
-        min_samples_leaf=args.min_samples_leaf,
-        features_per_split=bench._resolve_features_per_split(
-            _features_per_split(args.features_per_split), dataset.n_features
-        ),
-        rng_seed=args.seed,
-        bootstrap=not args.no_bootstrap,
-    )
+    config = _experiment_config(args)
+    dataset, _, _ = bench.load(config.dataset_config)
     path = args.out or os.path.join(_default_out(), "model.json")
-    model_io.save_model(forest, path)
+    model_io.save_model(bench.fit_forest(dataset, config, config.seed), path)
     print(f"wrote {path}")
     return 0
 
@@ -181,29 +154,15 @@ def _emit(text, out) -> None:
 
 
 def _cmd_predict(args) -> int:
-    ds_config, dataset = _load(args.data)
     model = model_io.load_model(args.model)
     forest = model if isinstance(model, Forest) else Forest(trees=[model], n_trees=1)
-    spec = FairnessSpec(
-        protected_feature=dataset.feature_index(ds_config.protected_column)
-    )
-    if args.method == "baseline":
-        preds = predict_forest_batch(forest, dataset.rows)
-        probs = None
-    else:
-        cfg = TraversalConfig(n_simulations=args.n_simulations, p_max=args.p_max,
-                              alpha=args.alpha, seed=args.seed)
-        if args.exact:
-            if forest.n_trees != 1:
-                raise ConfigError("exact evaluation requires a single-tree model")
-            preds, probs = bench.exact_predictions(forest, dataset.rows, spec, cfg)
-        else:
-            preds, dist = predict_fair_batch(
-                forest, dataset.rows, spec, cfg, aggregation=args.aggregation
-            )
-            probs = dist[:, 1]
+    config = _experiment_config(args, n_trees=forest.n_trees)
+    dataset, protected, _ = bench.load(config.dataset_config)
+    preds, probs = bench.predict_method(args.method, forest, dataset.rows,
+                                        FairnessSpec(protected_feature=protected),
+                                        config, config.seed)
     lines = ["row,label,group,prediction,prob_favorable"]
-    group = dataset.rows[:, dataset.feature_index(ds_config.protected_column)]
+    group = dataset.rows[:, protected]
     for i in range(dataset.n_rows):
         prob = "" if probs is None else repr(float(probs[i]))
         lines.append(
@@ -214,7 +173,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ds_config, dataset = _load(args.data)
+    dataset, protected, name = bench.load(args.data)
     header, rows = read_rows(args.pred, "predictions file")
     if len(rows) != dataset.n_rows:
         raise DataError(
@@ -228,23 +187,32 @@ def _cmd_evaluate(args) -> int:
     if bad.size:
         i = int(bad[0])
         raise DataError(f"{args.pred}: row {i + 1}: prediction {rows[i][j]!r} is not 0 or 1")
-    group = dataset.rows[:, dataset.feature_index(ds_config.protected_column)]
-    report = full_report(dataset.labels, preds, group.astype(np.int64))
-    doc = {"schema": "fairtree-metrics/1", "dataset": ds_config.name}
+    report = full_report(dataset.labels, preds, dataset.rows[:, protected].astype(np.int64))
+    doc = {"schema": "fairtree-metrics/1", "dataset": name}
     doc.update(report.to_dict())
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _cmd_run(args) -> int:
-    config = _experiment_config(args)
-    result = bench.run_experiment(config)
+def _out_dir(args) -> str:
+    """The command's output directory, created before any work is done."""
     out_dir = args.out_dir or _default_out()
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    paths = bench.emit_report(result, out_dir, formats=formats)
-    paths.update(charts.emit_charts(bench.result_to_dict(result), out_dir))
+    make_dir(out_dir)
+    return out_dir
+
+
+def _print_paths(paths) -> None:
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
+
+
+def _cmd_run(args) -> int:
+    config = _experiment_config(args)
+    out_dir = _out_dir(args)
+    result = bench.run_experiment(config)
+    paths = bench.emit_report(result, out_dir, formats=args.formats)
+    paths.update(charts.emit_charts(bench.result_to_dict(result), out_dir))
+    _print_paths(paths)
     return 0
 
 
@@ -254,12 +222,11 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--alphas must be comma-separated numbers: {args.alphas!r}") from None
     config = _experiment_config(args)
+    out_dir = _out_dir(args)
     sweep = bench.sweep_alpha(config, alphas)
-    out_dir = args.out_dir or _default_out()
     paths = bench.emit_sweep(sweep, out_dir)
     paths.update(charts.emit_charts(bench.sweep_to_dict(sweep), out_dir))
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
+    _print_paths(paths)
     return 0
 
 
@@ -273,8 +240,7 @@ def _cmd_charts(args) -> int:
             paths = charts.emit_charts(doc, out_dir)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-        for name in sorted(paths):
-            print(f"wrote {paths[name]}")
+        _print_paths(paths)
     return 0
 
 

@@ -211,15 +211,29 @@ def read_rows(path, what, header=None):
     return header, rows
 
 
+def _cannot_write(exc: OSError, path) -> DataError:
+    return DataError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}")
+
+
+def make_dir(path) -> None:
+    """Create the directory ``path`` and its parents where missing. A path
+    that cannot be a directory, such as a regular file, raises DataError
+    naming it."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(exc, path) from None
+
+
 def write_text(path, text) -> None:
     """Write ``text`` to ``path`` as UTF-8, newlines untranslated, creating
     its directory. A path that cannot be written raises DataError naming it."""
+    make_dir(os.path.dirname(path))
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise DataError(f"{exc.filename or path}: cannot write: {exc.strerror or exc}") from None
+        raise _cannot_write(exc, path) from None
 
 
 def _column(columns, name):

@@ -189,4 +189,5 @@ def save_model(model, path) -> None:
 
 
 def load_model(path) -> "DecisionTree | Forest":
-    return loads(read_text(path, DataError, "model file"))
+    text = read_text(path, DataError, "model file")
+    return deserialize(parse_json(text, partial(ModelFormatError, str(path))))

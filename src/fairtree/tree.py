@@ -433,15 +433,22 @@ class _Grower:
         out[3, p] = np.minimum(np.abs(a - t), np.abs(b - t))
 
 
-def _check_training(data: Dataset, max_depth, min_samples_leaf, features_per_split):
-    if data.n_rows == 0:
-        raise DataError("empty training set")
+def check_growth(n_trees, max_depth, min_samples_leaf, features_per_split) -> None:
+    """Raise ValueError naming the first growth setting out of range."""
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1 or None")
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
     if features_per_split is not None and features_per_split < 1:
         raise ValueError("features_per_split must be >= 1 or None")
+
+
+def _check_training(data: Dataset, *growth):
+    check_growth(*growth)
+    if data.n_rows == 0:
+        raise DataError("empty training set")
 
 
 def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split) -> list:
@@ -481,7 +488,7 @@ def train_tree(
     A node's order is a pure function of rng_seed and the node's path from
     the root, so growth order does not matter.
     """
-    _check_training(data, max_depth, min_samples_leaf, features_per_split)
+    _check_training(data, 1, max_depth, min_samples_leaf, features_per_split)
     return _grow(data, [(np.arange(data.n_rows), rng_seed)], max_depth, min_samples_leaf,
                  features_per_split)[0]
 
@@ -498,9 +505,7 @@ def train_forest(
 ) -> Forest:
     """Train a bagged ensemble; per-tree bootstrap rows and seeds derive
     from rng_seed. Each tree equals train_tree on its rows with its seed."""
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    _check_training(data, max_depth, min_samples_leaf, features_per_split)
+    _check_training(data, n_trees, max_depth, min_samples_leaf, features_per_split)
 
     def draws():
         for child in np.random.SeedSequence(rng_seed).spawn(n_trees):

@@ -1,12 +1,13 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairtree import cli
+from fairtree import bench, cli
 from fairtree.bench import (
     METHOD_BASELINE,
     METHOD_FAIRTTTS,
@@ -451,7 +452,14 @@ def assert_clean_exit(capsys, argv, code, message):
     assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
 
 
-def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys):
+def forbid(monkeypatch, name):
+    """Make a call of fairtree.bench.<name> fail the test."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"bench.{name} was called")
+    monkeypatch.setattr(bench, name, called)
+
+
+def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys, monkeypatch):
     report = tmp_path / "out" / "report.json"
     small = ["--data", SYNTHETIC, "--n-trees", "2", "--max-depth", "2", "--folds", "2",
              "--n-simulations", "5"]
@@ -459,6 +467,7 @@ def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
     capsys.readouterr()
+    forbid(monkeypatch, "train_forest")  # the directory is checked before any training
     for argv in (["run", *small], ["sweep-alpha", *small, "--alphas", "1,2"],
                  ["charts", "--report", str(report)]):
         assert_clean_exit(capsys, argv + ["--out-dir", str(afile)], 2,
@@ -471,7 +480,7 @@ def test_cli_unreadable_json_inputs_exit_cleanly(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     cases = (
         (["predict", "--data", SYNTHETIC, "--model", str(nested)], 2,
-         "data error: document: invalid JSON: maximum recursion depth"),
+         f"data error: {nested}: invalid JSON: maximum recursion depth"),
         (["train", "--data", str(nested)], 1,
          f"config error: {nested}: invalid JSON: maximum recursion depth"),
         (["charts", "--report", str(nested), "--out-dir", str(tmp_path)], 2,
@@ -481,6 +490,48 @@ def test_cli_unreadable_json_inputs_exit_cleanly(tmp_path, capsys):
     )
     for argv, code, message in cases:
         assert_clean_exit(capsys, argv, code, message)
+
+
+def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypatch):
+    model = str(tmp_path / "model.json")
+    assert cli.main(["train", "--data", SYNTHETIC, "--n-trees", "2", "--out", model]) == 0
+    capsys.readouterr()
+    forbid(monkeypatch, "load_dataset")
+    growth = (
+        (["--n-trees", "0"], "n_trees must be >= 1"),
+        (["--max-depth", "0"], "max_depth must be >= 1 or None"),
+        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1"),
+        (["--features-per-split", "0"], "features_per_split must be >= 1 or None"),
+    )
+    engine = (
+        (["--n-simulations", "0"], "n_simulations must be a positive integer"),
+        (["--p-max", "0.7"], "p_max must lie in [0, 0.5]"),
+    )
+    commands = (
+        (["train"], growth),
+        (["run"], growth + engine),
+        (["sweep-alpha", "--alphas", "1,2"], growth + engine),
+        (["predict", "--model", model], engine
+         + ((["--exact"], "exact evaluation requires n_trees == 1"),)),
+    )
+    for command, cases in commands:
+        for flags, message in cases:
+            assert_clean_exit(capsys, [*command, "--data", SYNTHETIC, *flags], 1,
+                              f"config error: {message}")
+
+
+def test_cli_settings_default_to_experiment_config():
+    parser = cli.build_parser()
+    default = ExperimentConfig(dataset_config=SYNTHETIC)
+    for command, expected in (
+        (["run"], default),
+        (["train"], default),
+        (["predict", "--model", "model.json"], default),
+        (["sweep-alpha", "--alphas", "1"],
+         replace(default, methods=(METHOD_BASELINE, METHOD_FAIRTTTS))),
+    ):
+        args = parser.parse_args([*command, "--data", SYNTHETIC])
+        assert cli._experiment_config(args) == expected, command
 
 
 def test_cli_bad_predictions_name_the_file_and_row(tmp_path, capsys):
