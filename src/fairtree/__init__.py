@@ -23,13 +23,9 @@ from .traversal import (
     FairnessSpec,
     PredictionDistribution,
     TraversalConfig,
-    adjusted_flip_probability,
     exact_path_distribution,
-    flip_probability,
     predict_fair,
     predict_fair_batch,
-    simulate,
-    traverse_once,
 )
 from .metrics import (
     GroupConfusion,

@@ -158,6 +158,9 @@ def _cmd_predict(args) -> int:
     forest = model if isinstance(model, Forest) else Forest(trees=[model], n_trees=1)
     config = _experiment_config(args, n_trees=forest.n_trees)
     dataset, protected, _ = bench.load(config.dataset_config)
+    if dataset.n_features != forest.trees[0].n_features:
+        raise DataError(f"{args.model}: model has {forest.trees[0].n_features} features; "
+                        f"dataset has {dataset.n_features}")
     preds, probs = bench.predict_method(args.method, forest, dataset.rows,
                                         FairnessSpec(protected_feature=protected),
                                         config, config.seed)

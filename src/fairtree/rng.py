@@ -7,8 +7,9 @@ The construction is the SplitMix64 finalizer used in counter mode:
     key     = fold(seed, w_0, w_1, ...)        with fold = finalize(key ^ w)
     draw_j  = finalize(key + (j + 1) * GAMMA)  mapped to [0, 1) via 53 bits
 
-Scalar (Python int) and vectorized (uint64 ndarray) implementations are
-bit-identical; tests assert this.
+The key functions have scalar (Python int) and vectorized (uint64 ndarray)
+forms, which tests assert bit-identical. Draws are vectorized only; tests
+assert them equal to the scalar reference draw in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -62,16 +63,10 @@ def stream_key_array(seed: int, *words) -> np.ndarray:
     return key
 
 
-def uniform_at(key: int, index: int) -> float:
-    """The index-th uniform draw of a stream, in [0, 1)."""
-    z = finalize((key + (index + 1) * GAMMA) & _MASK)
-    return (z >> 11) * _TO_UNIT
-
-
 def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:
-    """Vectorized uniform_at over an array of stream keys. index is one
-    draw index for every key, or an integer array of indices broadcast
-    against keys."""
+    """The index-th uniform draw, in [0, 1), of each stream in keys. index
+    is one draw index for every key, or an integer array of indices
+    broadcast against keys."""
     if isinstance(index, np.ndarray):
         # uint64 array arithmetic wraps modulo 2**64, as _MASK does
         offset = (index.astype(np.uint64, copy=False) + np.uint64(1)) * _U_GAMMA
@@ -79,22 +74,3 @@ def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:
         offset = np.uint64((index + 1) * GAMMA & _MASK)
     z = finalize_array(keys + offset)
     return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-class TraversalStream:
-    """Sequential view of one counter-based stream."""
-
-    __slots__ = ("key", "_index")
-
-    def __init__(self, key: int):
-        self.key = key & _MASK
-        self._index = 0
-
-    @classmethod
-    def derive(cls, seed: int, *words: int) -> "TraversalStream":
-        return cls(stream_key(seed, *words))
-
-    def next_uniform(self) -> float:
-        u = uniform_at(self.key, self._index)
-        self._index += 1
-        return u

@@ -7,7 +7,9 @@ boosted by ``alpha`` (capped at 0.5) at protected-attribute nodes whose
 deterministic child routes an unprivileged sample toward the unfavorable
 class. Monte Carlo aggregation over ``n_simulations`` traversals yields a
 class distribution; ``exact_path_distribution`` computes the same
-distribution in closed form for verification.
+distribution in closed form for verification. Both read their flip
+chances from one function, ``_flip_chance``; ``tests/reference.py`` keeps
+a scalar, node-by-node copy of the rule as the tests' oracle.
 
 Batch prediction walks a whole forest at once. Every (row, simulation,
 tree) triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one
@@ -126,79 +128,17 @@ class PredictionDistribution:
         return 1 if self.probs[1] > self.probs[0] else 0
 
 
-def flip_probability(tree: DecisionTree, node: int, sample, config: TraversalConfig) -> float:
-    """Distance-based flip chance at internal node ``node`` of ``tree``,
-    clamped to [0, p_max].
-
-    Nodes flagged uniform_distance saw a single training distance (0/1
-    encoded splits); distance carries no signal there and the flip chance
-    saturates at p_max.
-    """
-    if tree.uniform_distance[node]:
-        return config.p_max
-    d = abs(float(sample[tree.feature[node]]) - float(tree.threshold[node]))
-    scale = float(tree.scale[node])
-    if scale > 0.0:
-        base = config.p_max - d / scale
-    else:
-        base = config.p_max if d == 0.0 else 0.0
-    return min(max(base, 0.0), config.p_max)
-
-
-def _goes_left(tree: DecisionTree, node: int, sample) -> bool:
-    return float(sample[tree.feature[node]]) <= float(tree.threshold[node])
-
-
-def adjusted_flip_probability(
-    base: float,
-    tree: DecisionTree,
-    node: int,
-    sample,
-    spec: FairnessSpec,
-    config: TraversalConfig,
-) -> float:
-    """Apply the fairness boost min(alpha * base, 0.5) when the node splits
-    on the protected feature, the sample is unprivileged, and the
-    deterministic child's subtree majority is the unfavorable class.
-    With alpha = 0 the boost suppresses flips entirely at triggered nodes
-    (0 * base == 0); elsewhere the base chance is returned unchanged."""
-    if tree.feature[node] != spec.protected_feature:
-        return base
-    if float(sample[spec.protected_feature]) != spec.unprivileged_value:
-        return base
-    if tree.majority[node, 0 if _goes_left(tree, node, sample) else 1] != spec.unfavorable_class:
-        return base
-    return min(config.alpha * base, 0.5)
-
-
-def traverse_once(
-    tree: DecisionTree,
-    sample,
-    spec: FairnessSpec,
-    config: TraversalConfig,
-    rng: "_rng.TraversalStream",
-) -> int:
-    """One probabilistic root-to-leaf walk; returns the leaf's class.
-
-    Consumes one uniform per visited internal node. With p_max == 0 every
-    flip chance is 0 and the walk equals the deterministic traversal for
-    any stream state."""
-    sample = _check_sample(sample, tree.n_features)
-    node = 0
-    while tree.feature[node] >= 0:
-        base = flip_probability(tree, node, sample, config)
-        p_flip = adjusted_flip_probability(base, tree, node, sample, spec, config)
-        go_left = _goes_left(tree, node, sample)
-        if rng.next_uniform() < p_flip:
-            go_left = not go_left
-        node = tree.child[node, 0 if go_left else 1]
-    return int(tree.leaf_class[node])
-
-
 def _flip_chance(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
-    """The flip chances of walk_lanes' working lanes, called as
-    chance(node, feat, x, threshold, go_left); the arithmetic of
-    flip_probability and adjusted_flip_probability, lane by lane."""
+    """The flip chances of a batch of (node, sample) pairs, called as
+    chance(node, feat, x, threshold, go_left) with each pair's node, its
+    split feature, the sample's value x of it, the node's threshold and
+    the deterministic direction x <= threshold.
+
+    The base chance is p_max - |x - threshold| / scale, clamped to [0,
+    p_max]. The fairness boost replaces it with min(alpha * base, 0.5)
+    where the node splits on the protected feature, the sample is
+    unprivileged and the deterministic child's majority is the
+    unfavorable class; alpha = 0 suppresses flips there."""
     p_max, alpha = config.p_max, config.alpha
     # unscaled nodes flip at p_max exactly at the threshold and never
     # elsewhere; uniform-distance nodes always flip at p_max
@@ -227,7 +167,7 @@ def _flip_step(forest: FlatForest, chance, keys):
     """The Monte Carlo step of walk_lanes for lanes drawing from streams
     keys. A uniform is drawn only for lanes whose chance is above 0: u < 0
     never holds, so the skipped draws change no result. A lane at a node
-    of depth k uses draw k of its stream, as traverse_once does."""
+    of depth k uses draw k of its stream."""
 
     def flip(lane, node, feat, x, threshold, go_left):
         p = chance(node, feat, x, threshold, go_left)
@@ -278,29 +218,6 @@ def _first_flips(flat: FlatForest, steps, keys, budget: int):
         lanes.append(lane)
         children.append(flip_child[at][step])
     return np.concatenate(lanes), np.concatenate(children)
-
-
-def simulate(
-    tree: DecisionTree,
-    sample,
-    spec: FairnessSpec,
-    config: TraversalConfig,
-    stream_id: int = 0,
-) -> PredictionDistribution:
-    """Monte Carlo class distribution over n_simulations traversals.
-
-    Simulation s draws from the stream keyed by
-    (seed, stream_id, s, tree=0), so repeated calls are reproducible and
-    independent of other samples."""
-    sample = _check_sample(sample, tree.n_features)
-    _, probs = predict_fair_batch(
-        Forest(trees=[tree], n_trees=1), sample.reshape(1, -1), spec, config,
-        stream_ids=[stream_id],
-    )
-    return PredictionDistribution(
-        probs=(float(probs[0, 0]), float(probs[0, 1])),
-        n_simulations_used=config.n_simulations,
-    )
 
 
 def predict_fair(
@@ -419,24 +336,36 @@ def exact_path_distribution(
     max_enumeration_depth: int = 12,
 ) -> PredictionDistribution:
     """Closed-form traversal distribution by enumerating every root-leaf
-    path; the verification oracle for the Monte Carlo estimate."""
+    path; the verification oracle for the Monte Carlo estimate. The flip
+    chances are the Monte Carlo kernel's, from one call over the tree's
+    internal nodes."""
     sample = _check_sample(sample, tree.n_features)
     if tree.max_depth > max_enumeration_depth:
-        raise EnumerationLimitError("enumeration limit exceeded")
+        raise EnumerationLimitError(
+            f"enumeration limit exceeded: tree depth {tree.max_depth} > {max_enumeration_depth}")
+    internal = (tree.feature >= 0).nonzero()[0]
+    feat = tree.feature[internal]
+    x = sample[feat]
+    threshold = tree.threshold[internal]
+    go_left = x <= threshold
+    chance = _flip_chance(flatten_forest(tree), spec, config)
+    # each internal node's flip chance, and 1 where its deterministic
+    # child is the right one
+    p_flip, right = np.zeros(tree.feature.size), np.zeros(tree.feature.size, dtype=np.int8)
+    p_flip[internal] = chance(internal, feat, x, threshold, go_left)
+    right[internal] = ~go_left
+    feature, child, leaf_class = tree.feature, tree.child, tree.leaf_class
     probs = [0.0, 0.0]
 
     def walk(node, prob):
-        if tree.feature[node] < 0:
-            probs[tree.leaf_class[node]] += prob
+        if feature.item(node) < 0:
+            probs[leaf_class.item(node)] += prob
             return
-        base = flip_probability(tree, node, sample, config)
-        p_flip = adjusted_flip_probability(base, tree, node, sample, spec, config)
-        left, right = tree.child[node]
-        det_child, flip_child = (left, right) if _goes_left(tree, node, sample) else (right, left)
-        if prob * (1.0 - p_flip) > 0.0:
-            walk(det_child, prob * (1.0 - p_flip))
-        if prob * p_flip > 0.0:
-            walk(flip_child, prob * p_flip)
+        p, r = p_flip.item(node), right.item(node)
+        if prob * (1.0 - p) > 0.0:
+            walk(child.item(node, r), prob * (1.0 - p))
+        if prob * p > 0.0:
+            walk(child.item(node, 1 - r), prob * p)
 
     walk(0, 1.0)
     return PredictionDistribution(probs=tuple(probs), n_simulations_used=0)

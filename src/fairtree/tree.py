@@ -103,6 +103,8 @@ class DecisionTree:
     leaf_class: np.ndarray = field(init=False, repr=False)
     depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
+    # flatten_forest's memo
+    _flat: Optional["FlatForest"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype, _ in _NODE_ARRAYS:
@@ -586,11 +588,12 @@ class FlatForest:
     root: np.ndarray
 
 
-def flatten_forest(forest: Forest) -> FlatForest:
-    """The forest's flat form, built on the first call and kept on the forest."""
-    if forest._flat is None:
-        forest._flat = _join(forest.trees)
-    return forest._flat
+def flatten_forest(model: Union[Forest, DecisionTree]) -> FlatForest:
+    """The flat form of a forest or of one tree, built on the first call
+    and kept on the model."""
+    if model._flat is None:
+        model._flat = _join(model.trees if isinstance(model, Forest) else [model])
+    return model._flat
 
 
 def _join(trees) -> FlatForest:

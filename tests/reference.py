@@ -1,0 +1,137 @@
+"""Scalar reference implementations of the traversal mechanism.
+
+fairtree computes flip chances and draws in batches (traversal._flip_chance,
+rng.uniforms_at_array). This module keeps a plain, node-by-node copy of the
+same rule for tests to compare against: the distance-based flip chance, its
+fairness boost, one stream's sequential draws, one probabilistic walk, and
+the exact path enumeration on those helpers.
+"""
+
+from fairtree.rng import GAMMA, finalize, stream_key
+from fairtree.traversal import FairnessSpec, PredictionDistribution, TraversalConfig
+from fairtree.tree import DecisionTree, _check_sample
+
+_MASK = (1 << 64) - 1
+_TO_UNIT = 2.0 ** -53
+
+
+def uniform_at(key: int, index: int) -> float:
+    """The index-th uniform draw of a stream, in [0, 1)."""
+    z = finalize((key + (index + 1) * GAMMA) & _MASK)
+    return (z >> 11) * _TO_UNIT
+
+
+class TraversalStream:
+    """Sequential view of one counter-based stream."""
+
+    __slots__ = ("key", "_index")
+
+    def __init__(self, key: int):
+        self.key = key & _MASK
+        self._index = 0
+
+    @classmethod
+    def derive(cls, seed: int, *words: int) -> "TraversalStream":
+        return cls(stream_key(seed, *words))
+
+    def next_uniform(self) -> float:
+        u = uniform_at(self.key, self._index)
+        self._index += 1
+        return u
+
+
+def flip_probability(tree: DecisionTree, node: int, sample, config: TraversalConfig) -> float:
+    """Distance-based flip chance at internal node ``node`` of ``tree``,
+    clamped to [0, p_max].
+
+    Nodes flagged uniform_distance saw a single training distance (0/1
+    encoded splits); distance carries no signal there and the flip chance
+    saturates at p_max.
+    """
+    if tree.uniform_distance[node]:
+        return config.p_max
+    d = abs(float(sample[tree.feature[node]]) - float(tree.threshold[node]))
+    scale = float(tree.scale[node])
+    if scale > 0.0:
+        base = config.p_max - d / scale
+    else:
+        base = config.p_max if d == 0.0 else 0.0
+    return min(max(base, 0.0), config.p_max)
+
+
+def _goes_left(tree: DecisionTree, node: int, sample) -> bool:
+    return float(sample[tree.feature[node]]) <= float(tree.threshold[node])
+
+
+def adjusted_flip_probability(
+    base: float,
+    tree: DecisionTree,
+    node: int,
+    sample,
+    spec: FairnessSpec,
+    config: TraversalConfig,
+) -> float:
+    """Apply the fairness boost min(alpha * base, 0.5) when the node splits
+    on the protected feature, the sample is unprivileged, and the
+    deterministic child's subtree majority is the unfavorable class.
+    With alpha = 0 the boost suppresses flips entirely at triggered nodes
+    (0 * base == 0); elsewhere the base chance is returned unchanged."""
+    if tree.feature[node] != spec.protected_feature:
+        return base
+    if float(sample[spec.protected_feature]) != spec.unprivileged_value:
+        return base
+    if tree.majority[node, 0 if _goes_left(tree, node, sample) else 1] != spec.unfavorable_class:
+        return base
+    return min(config.alpha * base, 0.5)
+
+
+def _chance(tree, node, sample, spec, config) -> float:
+    base = flip_probability(tree, node, sample, config)
+    return adjusted_flip_probability(base, tree, node, sample, spec, config)
+
+
+def traverse_once(
+    tree: DecisionTree,
+    sample,
+    spec: FairnessSpec,
+    config: TraversalConfig,
+    rng: TraversalStream,
+) -> int:
+    """One probabilistic root-to-leaf walk; returns the leaf's class.
+
+    Consumes one uniform per visited internal node, so the walk at depth k
+    uses draw k of its stream. With p_max == 0 every flip chance is 0 and
+    the walk equals the deterministic traversal for any stream state."""
+    sample = _check_sample(sample, tree.n_features)
+    node = 0
+    while tree.feature[node] >= 0:
+        p_flip = _chance(tree, node, sample, spec, config)
+        go_left = _goes_left(tree, node, sample)
+        if rng.next_uniform() < p_flip:
+            go_left = not go_left
+        node = tree.child[node, 0 if go_left else 1]
+    return int(tree.leaf_class[node])
+
+
+def reference_exact(
+    tree: DecisionTree, sample, spec: FairnessSpec, config: TraversalConfig
+) -> PredictionDistribution:
+    """The class distribution of traverse_once, by enumerating every
+    root-leaf path node by node with the scalar flip chance."""
+    sample = _check_sample(sample, tree.n_features)
+    probs = [0.0, 0.0]
+
+    def walk(node, prob):
+        if tree.feature[node] < 0:
+            probs[tree.leaf_class[node]] += prob
+            return
+        p_flip = _chance(tree, node, sample, spec, config)
+        left, right = tree.child[node]
+        det_child, flip_child = (left, right) if _goes_left(tree, node, sample) else (right, left)
+        if prob * (1.0 - p_flip) > 0.0:
+            walk(det_child, prob * (1.0 - p_flip))
+        if prob * p_flip > 0.0:
+            walk(flip_child, prob * p_flip)
+
+    walk(0, 1.0)
+    return PredictionDistribution(probs=tuple(probs), n_simulations_used=0)

@@ -28,15 +28,14 @@ from fairtree.threshold import GRID, fit_threshold_policy
 from fairtree.traversal import (
     FairnessSpec,
     TraversalConfig,
-    adjusted_flip_probability,
+    _flip_chance,
     exact_path_distribution,
-    flip_probability,
     predict_fair,
-    simulate,
 )
-from fairtree.tree import DecisionTree, Forest, predict_deterministic
+from fairtree.tree import DecisionTree, Forest, flatten_forest, predict_deterministic
 
 from conftest import internal, leaf, make_tree, random_tree
+from reference import adjusted_flip_probability, flip_probability
 from test_metrics import brute_force_report
 from test_threshold import brute_force_policy, random_fixture
 
@@ -112,7 +111,7 @@ def test_criterion_2_monte_carlo_matches_exact_oracle(rng):
             seed=trial,
         )
         exact = exact_path_distribution(tree, sample, spec, cfg)
-        mc = simulate(tree, sample, spec, cfg, stream_id=trial)
+        _, mc = predict_fair(Forest(trees=[tree], n_trees=1), sample, spec, cfg, stream_id=trial)
         p = exact.probs[1]
         bound = 3.0 * np.sqrt(p * (1.0 - p) / S)
         if abs(mc.probs[1] - p) <= bound:
@@ -123,8 +122,10 @@ def test_criterion_2_monte_carlo_matches_exact_oracle(rng):
     report_pass(2, f"{hits}/{n_trials} trials within 3·sqrt(p(1-p)/S) ({elapsed:.1f}s)")
 
 
-def test_criterion_3_flip_probability_bounds(rng):
-    start = time.perf_counter()
+def criterion_3_nodes(rng):
+    """Criterion 3's 100,000 randomized cases as (tree, samples, p_maxes,
+    alphas): case i is split node i of tree meeting samples[i] under
+    p_maxes[i] and alphas[i]."""
     n = 100_000
     features = rng.integers(0, 3, n)
     thresholds = rng.uniform(-5, 5, n)
@@ -151,26 +152,63 @@ def test_criterion_3_flip_probability_bounds(rng):
         class_counts=np.r_[np.zeros((n, 2), dtype=int), np.ones((n_leaves, 2), dtype=int)],
         n_features=3,
     )
-    for i in range(n):
-        cfg = TraversalConfig(
-            n_simulations=1, p_max=float(p_maxes[i]), alpha=float(alphas[i]), seed=0
-        )
-        base = flip_probability(tree, i, samples[i], cfg)
-        adj = adjusted_flip_probability(base, tree, i, samples[i], SPEC, cfg)
-        assert 0.0 <= adj <= 0.5
+    return tree, samples, p_maxes, alphas
+
+
+def kernel_chances(tree, samples, p_maxes, alphas, spec):
+    """Yield (config, nodes, chances) per (p_max, alpha) group of criterion
+    3's cases: the batch kernel's flip chances at the group's nodes, from
+    one call of its chance function."""
+    flat = flatten_forest(tree)
+    for p_max, alpha in np.unique(np.c_[p_maxes, alphas], axis=0):
+        cfg = TraversalConfig(n_simulations=1, p_max=float(p_max), alpha=float(alpha), seed=0)
+        nodes = ((p_maxes == p_max) & (alphas == alpha)).nonzero()[0]
+        feat = tree.feature[nodes]
+        x = samples[nodes, feat]
+        threshold = tree.threshold[nodes]
+        yield cfg, nodes, _flip_chance(flat, spec, cfg)(nodes, feat, x, threshold, x <= threshold)
+
+
+def test_criterion_3_flip_probability_bounds(rng):
+    start = time.perf_counter()
+    tree, samples, p_maxes, alphas = criterion_3_nodes(rng)
+    n = samples.shape[0]
+    ids = np.arange(n)
+    go_left = samples[ids, tree.feature[ids]] <= tree.threshold[ids]
+    det_majority = tree.majority[ids, (~go_left).astype(int)]
+    triggered = (tree.feature[ids] == 0) & (samples[:, 0] == 0.0) & (det_majority == 0)
+    # the base chance: no node splits on feature 3, so none is boosted
+    unboosted = kernel_chances(tree, samples, p_maxes, alphas, FairnessSpec(protected_feature=3))
+    checked = 0
+    for (cfg, nodes, adj), (_, _, base) in zip(
+            kernel_chances(tree, samples, p_maxes, alphas, SPEC), unboosted):
+        assert ((0.0 <= adj) & (adj <= 0.5)).all()
+        assert ((0.0 <= base) & (base <= cfg.p_max)).all()
         if cfg.alpha >= 1.0:
-            assert adj >= base
-        det_majority = (
-            lmaj[i] if samples[i][features[i]] <= thresholds[i] else rmaj[i]
-        )
-        triggered = (
-            features[i] == 0 and samples[i][0] == 0.0 and det_majority == 0
-        )
-        if not triggered:
-            assert adj == base
+            assert (adj >= base).all()
+        kept = ~triggered[nodes]
+        np.testing.assert_array_equal(adj[kept], base[kept])
+        checked += nodes.size
+    assert checked == n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report_pass(3, f"bounds held on {n} randomized triples ({elapsed:.1f}s)")
+
+
+def test_kernel_flip_chance_equals_scalar_reference(rng):
+    # criterion 3's bounds hold on the kernel's chances; these are the
+    # scalar rule's, bit for bit
+    tree, samples, p_maxes, alphas = criterion_3_nodes(rng)
+    checked = 0
+    for cfg, nodes, chances in kernel_chances(tree, samples, p_maxes, alphas, SPEC):
+        expected = [
+            adjusted_flip_probability(flip_probability(tree, i, samples[i], cfg),
+                                      tree, i, samples[i], SPEC, cfg)
+            for i in nodes.tolist()
+        ]
+        np.testing.assert_array_equal(chances, expected)
+        checked += nodes.size
+    assert checked == samples.shape[0]
 
 
 def test_criterion_4_monotonicity_fixture():

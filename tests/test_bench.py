@@ -32,6 +32,8 @@ from fairtree.errors import ConfigError, DataError
 from fairtree.model_io import dumps
 from fairtree.rng import stream_key
 
+from conftest import internal, leaf, make_tree
+
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SYNTHETIC = str(FIXTURES / "synthetic.json")
 
@@ -490,6 +492,34 @@ def test_cli_unreadable_json_inputs_exit_cleanly(tmp_path, capsys):
     )
     for argv, code, message in cases:
         assert_clean_exit(capsys, argv, code, message)
+
+
+def test_cli_predict_model_and_data_mismatches_exit_cleanly(tmp_path, capsys):
+    (tmp_path / "two.csv").write_text("g,x,y\n1,1,yes\n0,2,no\n")
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({
+        "name": "two", "csv_path": "two.csv", "label_column": "y",
+        "positive_label_value": "yes", "protected_column": "g", "privileged_values": ["1"]}))
+    fixture_model = tmp_path / "fixture_model.json"
+    assert cli.main(["train", "--data", SYNTHETIC, "--n-trees", "2",
+                     "--out", str(fixture_model)]) == 0
+    n_features = load_dataset(load_dataset_config(SYNTHETIC)).n_features
+    assert n_features != 2
+    # a chain of 13 splits on x: one level past the enumeration limit
+    node = leaf(1, 0)
+    for _ in range(13):
+        node = internal(1, 0.0, 1.0, node, leaf(0, 1))
+    chain_model = tmp_path / "chain_model.json"
+    chain_model.write_text(dumps(make_tree(node, n_features=2)))
+    capsys.readouterr()
+    cases = (
+        (["--model", str(fixture_model)], 2,
+         f"data error: {fixture_model}: model has {n_features} features; dataset has 2"),
+        (["--model", str(chain_model), "--exact"], 1,
+         "config error: enumeration limit exceeded: tree depth 13 > 12"),
+    )
+    for flags, code, message in cases:
+        assert_clean_exit(capsys, ["predict", "--data", str(two), *flags], code, message)
 
 
 def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypatch):

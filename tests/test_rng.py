@@ -1,14 +1,14 @@
 import numpy as np
 
 from fairtree.rng import (
-    TraversalStream,
     finalize,
     finalize_array,
     stream_key,
     stream_key_array,
-    uniform_at,
     uniforms_at_array,
 )
+
+from reference import TraversalStream, uniform_at
 
 
 def test_scalar_and_array_finalize_agree():

@@ -5,19 +5,14 @@ import numpy as np
 import pytest
 
 from fairtree.errors import ConfigError, EnumerationLimitError
-from fairtree.rng import TraversalStream
 from fairtree.traversal import (
     VOTE_MAJORITY,
     VOTE_MEAN,
     FairnessSpec,
     TraversalConfig,
-    adjusted_flip_probability,
     exact_path_distribution,
-    flip_probability,
     predict_fair,
     predict_fair_batch,
-    simulate,
-    traverse_once,
 )
 from fairtree.tree import (
     MAX_LANES,
@@ -31,6 +26,13 @@ from fairtree.tree import (
 )
 
 from conftest import depth1_tree, internal, leaf, make_tree, random_tree
+from reference import (
+    TraversalStream,
+    adjusted_flip_probability,
+    flip_probability,
+    reference_exact,
+    traverse_once,
+)
 
 SPEC = FairnessSpec(protected_feature=0)
 
@@ -39,6 +41,13 @@ def config(**kwargs):
     defaults = dict(n_simulations=100, p_max=0.1, alpha=9.0, seed=7)
     defaults.update(kwargs)
     return TraversalConfig(**defaults)
+
+
+def simulate_tree(tree, sample, spec, cfg, stream_id=0):
+    """The Monte Carlo distribution of one tree: predict_fair on a
+    one-tree forest, whose simulation s draws from the stream keyed by
+    (seed, stream_id, s, tree 0)."""
+    return predict_fair(Forest(trees=[tree], n_trees=1), sample, spec, cfg, stream_id=stream_id)[1]
 
 
 # --- flip_probability -------------------------------------------------------
@@ -165,16 +174,16 @@ def test_leaf_only_tree_ignores_configuration():
 def test_at_threshold_flip_frequency_approaches_p_max():
     tree = depth1_tree()
     cfg = config(n_simulations=20_000, p_max=0.1, seed=5)
-    dist = simulate(tree, [5.0], SPEC, cfg)  # deterministic side is class 0
+    dist = simulate_tree(tree, [5.0], SPEC, cfg)  # deterministic side is class 0
     assert dist.probs[1] == pytest.approx(0.1, abs=3 * np.sqrt(0.1 * 0.9 / 20_000))
 
 
-# --- simulate ----------------------------------------------------------------
+# --- one-tree Monte Carlo -----------------------------------------------------
 
 def test_simulate_counts_traverse_once_outcomes_exactly():
     tree = depth1_tree()
     cfg = config(n_simulations=250, p_max=0.4, seed=11)
-    dist = simulate(tree, [4.9], SPEC, cfg, stream_id=6)
+    dist = simulate_tree(tree, [4.9], SPEC, cfg, stream_id=6)
     outcomes = [
         traverse_once(tree, np.array([4.9]), SPEC, cfg,
                       TraversalStream.derive(cfg.seed, 6, s, 0))
@@ -189,23 +198,23 @@ def test_simulate_probs_sum_exactly_to_one(rng):
     for _ in range(20):
         tree = random_tree(rng)
         cfg = config(n_simulations=int(rng.integers(1, 400)), p_max=0.3)
-        dist = simulate(tree, rng.uniform(-5, 5, tree.n_features), SPEC, cfg)
+        dist = simulate_tree(tree, rng.uniform(-5, 5, tree.n_features), SPEC, cfg)
         assert dist.probs[0] + dist.probs[1] == 1.0
 
 
 def test_simulate_with_zero_p_max_is_one_hot(rng):
     tree = random_tree(rng)
     sample = rng.uniform(-5, 5, tree.n_features)
-    dist = simulate(tree, sample, SPEC, config(p_max=0.0, n_simulations=25))
+    dist = simulate_tree(tree, sample, SPEC, config(p_max=0.0, n_simulations=25))
     expected = predict_deterministic(tree, sample)
     assert dist.probs[expected] == 1.0 and dist.probs[1 - expected] == 0.0
 
 
 def test_simulate_is_reproducible_and_seed_sensitive():
     tree = depth1_tree()
-    a = simulate(tree, [5.0], SPEC, config(seed=1, n_simulations=500))
-    b = simulate(tree, [5.0], SPEC, config(seed=1, n_simulations=500))
-    c = simulate(tree, [5.0], SPEC, config(seed=2, n_simulations=500))
+    a = simulate_tree(tree, [5.0], SPEC, config(seed=1, n_simulations=500))
+    b = simulate_tree(tree, [5.0], SPEC, config(seed=1, n_simulations=500))
+    c = simulate_tree(tree, [5.0], SPEC, config(seed=2, n_simulations=500))
     assert a == b
     assert a.probs != c.probs
 
@@ -274,11 +283,40 @@ def test_enumeration_limit_is_enforced():
         node = internal(0, 0.0, 1.0, node, leaf(0, 1))
     tree = make_tree(node)
     assert tree.max_depth == 13
-    with pytest.raises(EnumerationLimitError, match="enumeration limit exceeded"):
+    with pytest.raises(EnumerationLimitError, match="enumeration limit exceeded: tree depth 13 > 12"):
         exact_path_distribution(tree, [0.0], SPEC, config())
     # a higher limit enumerates fine
     dist = exact_path_distribution(tree, [0.0], SPEC, config(), max_enumeration_depth=13)
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_exact_equals_scalar_reference_bit_for_bit(rng):
+    # the kernel's flip chances give the sums of the node-by-node scalar
+    # enumeration exactly, on trees with unscaled, uniform-distance and
+    # protected-feature splits, on rows set exactly at a threshold, and
+    # on a tree that is one leaf
+    trees = [make_tree(leaf(2, 3), n_features=3)] + [
+        random_tree(rng, n_features=3, max_depth=int(rng.integers(1, 7)),
+                    p_zero_scale=0.25, p_uniform=0.25)
+        for _ in range(40)]
+    assert any((t.scale[t.feature >= 0] == 0.0).any() for t in trees)
+    assert any(t.uniform_distance[t.feature >= 0].any() for t in trees)
+    assert any((t.feature == SPEC.protected_feature).any() for t in trees)
+    compared = 0
+    for tree in trees:
+        forest = Forest(trees=[tree], n_trees=1)
+        X = (edge_case_samples(rng, forest, 4) if tree.max_depth
+             else rng.uniform(-5, 5, size=(4, 3)))
+        for p_max in (0.0, 0.1, 0.5):
+            for alpha in (0.0, 1.0, 9.0):
+                cfg = config(p_max=p_max, alpha=alpha)
+                for x in X:
+                    got = exact_path_distribution(tree, x, SPEC, cfg)
+                    want = reference_exact(tree, x, SPEC, cfg)
+                    assert got.probs == want.probs, (p_max, alpha, x)
+                    assert all(type(p) is float for p in got.probs)
+                    compared += 1
+    assert compared == 41 * 9 * 4
 
 
 def test_monte_carlo_matches_exact_within_binomial_bound(rng):
@@ -289,7 +327,7 @@ def test_monte_carlo_matches_exact_within_binomial_bound(rng):
         if rng.random() < 0.5:
             sample[0] = float(rng.integers(0, 2))
         exact = exact_path_distribution(tree, sample, SPEC, cfg)
-        mc = simulate(tree, sample, SPEC, cfg, stream_id=i)
+        mc = simulate_tree(tree, sample, SPEC, cfg, stream_id=i)
         p = exact.probs[1]
         bound = 3.0 * np.sqrt(max(p * (1 - p), 1e-12) / cfg.n_simulations) + 1e-9
         assert abs(mc.probs[1] - p) <= bound
@@ -313,23 +351,13 @@ def test_monte_carlo_consistency_rate_over_many_trials(rng):
             seed=i,
         )
         p = exact_path_distribution(tree, sample, SPEC, cfg).probs[1]
-        mc = simulate(tree, sample, SPEC, cfg, stream_id=i).probs[1]
+        mc = simulate_tree(tree, sample, SPEC, cfg, stream_id=i).probs[1]
         if abs(mc - p) <= 3.0 * np.sqrt(p * (1 - p) / S):
             hits += 1
     assert hits >= 990, f"{hits}/1000 trials inside the binomial bound"
 
 
 # --- predict_fair -------------------------------------------------------------
-
-def test_single_tree_forest_equals_simulate(rng):
-    tree = random_tree(rng)
-    forest = Forest(trees=[tree], n_trees=1)
-    sample = rng.uniform(-5, 5, tree.n_features)
-    cfg = config(n_simulations=300)
-    pred, dist = predict_fair(forest, sample, SPEC, cfg, stream_id=4)
-    assert dist == simulate(tree, sample, SPEC, cfg, stream_id=4)
-    assert pred == dist.predicted_class
-
 
 def test_predict_fair_degenerates_to_deterministic(rng):
     trees = [random_tree(rng, n_features=3) for _ in range(5)]
@@ -677,7 +705,7 @@ def test_zero_scale_nodes_agree_between_scalar_and_batch_paths():
     tree = make_tree(internal(0, 2.0, 0.0, leaf(2, 0), leaf(0, 2)))
     cfg = config(n_simulations=400, p_max=0.3, seed=9)
     for value in (2.0, 2.5):
-        dist = simulate(tree, [value], SPEC, cfg, stream_id=3)
+        dist = simulate_tree(tree, [value], SPEC, cfg, stream_id=3)
         outcomes = [
             traverse_once(tree, np.array([value]), SPEC, cfg,
                           TraversalStream.derive(cfg.seed, 3, s, 0))
@@ -685,7 +713,7 @@ def test_zero_scale_nodes_agree_between_scalar_and_batch_paths():
         ]
         count1 = sum(outcomes)
         assert dist.probs == ((400 - count1) / 400, count1 / 400)
-    at_threshold = simulate(tree, [2.0], SPEC, cfg, stream_id=3)
-    away = simulate(tree, [2.5], SPEC, cfg, stream_id=3)
+    at_threshold = simulate_tree(tree, [2.0], SPEC, cfg, stream_id=3)
+    away = simulate_tree(tree, [2.5], SPEC, cfg, stream_id=3)
     assert 0.0 < at_threshold.probs[1] < 1.0  # flips happen at the threshold
     assert away.probs == (0.0, 1.0)           # and nowhere else

@@ -11,7 +11,7 @@ import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import DataError
 from fairtree.model_io import dumps, loads
-from fairtree.rng import stream_key, uniform_at
+from fairtree.rng import stream_key
 from fairtree.tree import (
     Dataset,
     Forest,
@@ -23,6 +23,7 @@ from fairtree.tree import (
 )
 
 from conftest import internal, leaf, make_tree
+from reference import uniform_at
 
 
 def make_dataset(rows, labels, n_features=None):
