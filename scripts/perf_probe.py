@@ -2,11 +2,12 @@
 """Scale and mechanism probe on census-shaped synthetic data.
 
 The public benchmark CSVs cannot be fetched in every environment, so this
-probe generates a dataset with the same shape as the census benchmark
+probe takes the census-shaped table that benchmark/census.py generates
 (32,561 rows, 14 mixed-type features, ~24% positive rate, outcome
-suppressed for the unprivileged group) and runs the full 25-tree, 5-fold
-pipeline on it. It reports wall time per stage plus the direction checks
-the real benchmark asserts. Not a test; a dry run for budgeting.
+suppressed for the unprivileged group) as numeric codes and runs the full
+25-tree, 5-fold pipeline on it. It reports wall time per stage plus the
+direction checks the real benchmark asserts. Not a test; a dry run for
+budgeting.
 """
 
 import os
@@ -15,7 +16,11 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "benchmark"))
+
+import census  # noqa: E402
 
 from fairtree.bench import (  # noqa: E402
     METHOD_BASELINE,
@@ -27,48 +32,18 @@ from fairtree.bench import (  # noqa: E402
 from fairtree.tree import Dataset  # noqa: E402
 
 
-def census_shaped(seed=1, n=32_561):
-    rng = np.random.default_rng(seed)
-    age = rng.integers(17, 91, n).astype(float)
-    workclass = rng.integers(0, 9, n).astype(float)
-    fnlwgt = rng.integers(12_000, 1_500_000, n).astype(float)
-    education = rng.integers(0, 16, n).astype(float)
-    education_num = np.clip(education + rng.integers(-1, 2, n), 1, 16).astype(float)
-    marital = rng.integers(0, 7, n).astype(float)
-    occupation = rng.integers(0, 14, n).astype(float)
-    relationship = rng.integers(0, 6, n).astype(float)
-    race = (rng.random(n) < 0.85).astype(float)
-    sex = (rng.random(n) < 0.66).astype(float)
-    capital_gain = np.where(rng.random(n) < 0.08, rng.integers(1, 99_999, n), 0).astype(float)
-    capital_loss = np.where(rng.random(n) < 0.05, rng.integers(1, 4_356, n), 0).astype(float)
-    hours = rng.integers(1, 99, n).astype(float)
-    country = rng.integers(0, 41, n).astype(float)
-
-    merit = (
-        0.08 * (age - 17) / 73
-        + 0.45 * (education_num - 1) / 15
-        + 0.25 * hours / 99
-        + 0.9 * (capital_gain > 5000)
-        + 0.1 * (occupation / 13)
-    )
-    logit = 6.0 * (merit - 0.62)
-    p = 1.0 / (1.0 + np.exp(-logit))
-    p = np.where(sex == 0.0, p * 0.45, p)  # historical suppression
-    y = (rng.random(n) < p).astype(int)
-
-    rows = np.column_stack([
-        age, workclass, fnlwgt, education, education_num, marital, occupation,
-        relationship, race, sex, capital_gain, capital_loss, hours, country,
-    ])
-    names = ["age", "workclass", "fnlwgt", "education", "education_num",
-             "marital", "occupation", "relationship", "race", "sex",
-             "capital_gain", "capital_loss", "hours", "country"]
-    return Dataset(names, ["numeric"] * 14, rows, y), names.index("sex")
+def census_table(seed=1):
+    """The census benchmark's table (benchmark/census.py) as a numeric
+    Dataset, and the index of its protected column."""
+    columns, labels = census.generate(seed)
+    rows = np.column_stack([columns[name] for name in census.FEATURES]).astype(float)
+    names = list(census.FEATURES)
+    return Dataset(names, ["numeric"] * len(names), rows, labels), names.index(census.PROTECTED)
 
 
 def main():
     t0 = time.perf_counter()
-    dataset, sex_index = census_shaped()
+    dataset, sex_index = census_table()
     print(f"generated {dataset.n_rows} rows, positive rate "
           f"{dataset.labels.mean():.3f}, privileged share "
           f"{dataset.rows[:, sex_index].mean():.3f} "

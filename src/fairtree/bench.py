@@ -53,6 +53,7 @@ METHOD_FAIRTTTS = "fairttts"
 METHODS = (METHOD_BASELINE, METHOD_THRESHOLD, METHOD_FAIRTTTS)
 
 METRICS = ("accuracy", "eod", "di", "di_distance")
+REPORT_FORMATS = ("json", "csv", "table")
 
 # domain-separation tags for derived seeds
 _TAG_FOLDS = 101
@@ -222,15 +223,6 @@ def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: Experi
     return preds, dist[:, 1]
 
 
-def _plan_folds(dataset: Dataset, config: ExperimentConfig) -> FoldPlan:
-    return make_folds(
-        dataset.n_rows,
-        config.folds,
-        stream_key(config.seed, _TAG_FOLDS),
-        labels=dataset.labels if config.stratified else None,
-    )
-
-
 def _evaluate_folds(
     dataset: Dataset,
     protected_index: int,
@@ -286,7 +278,11 @@ def load(path):
 
 def _fit_folds(dataset: Dataset, protected_index: int, config: ExperimentConfig):
     """The fold plan and each fold's fitted (forest, policy)."""
-    plan = _plan_folds(dataset, config)
+    try:
+        plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS),
+                          labels=dataset.labels if config.stratified else None)
+    except ValueError as exc:
+        raise DataError(f"folds: {exc}") from exc
     fitted = []
     for fold in range(config.folds):
         try:
@@ -320,6 +316,8 @@ def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
         raise ConfigError("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alphas must be strictly increasing (no duplicates)")
+    if METHOD_FAIRTTTS not in config.methods:
+        raise ConfigError(f"an alpha sweep needs the {METHOD_FAIRTTTS} method")
     configs = [replace(config, alpha=alpha) for alpha in alphas]  # checked before the load
     dataset, protected_index, name = load(config.dataset_config)
     plan, fitted = _fit_folds(dataset, protected_index, config)
@@ -407,7 +405,7 @@ def render_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result: ExperimentResult, out_dir, formats=("json", "csv", "table")):
+def emit_report(result: ExperimentResult, out_dir, formats=REPORT_FORMATS):
     """Write report artifacts; returns {format: path}. Timings go to a
     separate timing.json so report bytes are reproducible run to run."""
     paths = {}

@@ -41,6 +41,14 @@ def _names(value) -> tuple:
     return tuple(name.strip() for name in value.split(",") if name.strip())
 
 
+def _formats(value) -> tuple:
+    formats = _names(value)
+    if not formats or not set(formats) <= set(bench.REPORT_FORMATS):
+        raise ConfigError(f"--formats must name one or more of "
+                          f"{', '.join(bench.REPORT_FORMATS)}; got {value!r}")
+    return formats
+
+
 def _features_per_split(value):
     if value in ("all", "none", ""):
         return None
@@ -113,7 +121,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="full cross-validated benchmark")
     _settings(p, _model_flags, _engine_flags, _experiment_flags)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--formats", type=_names, default="json,csv,table")
+    p.add_argument("--formats", type=_formats, default=",".join(bench.REPORT_FORMATS))
 
     p = sub.add_parser("sweep-alpha", help="run the benchmark across alpha values")
     _settings(p, _model_flags, _engine_flags, _experiment_flags)
@@ -190,7 +198,10 @@ def _cmd_evaluate(args) -> int:
     if bad.size:
         i = int(bad[0])
         raise DataError(f"{args.pred}: row {i + 1}: prediction {rows[i][j]!r} is not 0 or 1")
-    report = full_report(dataset.labels, preds, dataset.rows[:, protected].astype(np.int64))
+    try:
+        report = full_report(dataset.labels, preds, dataset.rows[:, protected].astype(np.int64))
+    except ValueError as exc:  # one protected group only
+        raise DataError(f"{args.data}: {exc}") from exc
     doc = {"schema": "fairtree-metrics/1", "dataset": name}
     doc.update(report.to_dict())
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)

@@ -13,9 +13,9 @@ a scalar, node-by-node copy of the rule as the tests' oracle.
 
 Batch prediction walks a whole forest at once. Every (row, simulation,
 tree) triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one
-level per step over the trees' node arrays (joined once per forest),
-reading each lane's feature value straight from its row, and drops lanes
-from the working set as they reach a leaf. Deterministic votes are that
+level per step over the forest's own joined node arrays, reading each
+lane's feature value straight from its row, and drops lanes from the
+working set as they reach a leaf. Deterministic votes are that
 walk from every (row, tree) root. Until it first flips, a simulation
 follows its (row, tree) pair's deterministic path, with the same flip
 chance at each node as every other simulation, so Monte Carlo prediction
@@ -54,11 +54,9 @@ from .tree import (
     MAX_LANES,
     MIN_SHARED_LANES,
     DecisionTree,
-    FlatForest,
     Forest,
     _check_matrix,
     _check_sample,
-    flatten_forest,
     walk_lanes,
 )
 
@@ -128,11 +126,12 @@ class PredictionDistribution:
         return 1 if self.probs[1] > self.probs[0] else 0
 
 
-def _flip_chance(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig):
-    """The flip chances of a batch of (node, sample) pairs, called as
-    chance(node, feat, x, threshold, go_left) with each pair's node, its
-    split feature, the sample's value x of it, the node's threshold and
-    the deterministic direction x <= threshold.
+def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: TraversalConfig):
+    """The flip chances of a batch of (node, sample) pairs of a forest's or
+    a tree's node arrays, called as chance(node, feat, x, threshold,
+    go_left) with each pair's node, its split feature, the sample's value x
+    of it, the node's threshold and the deterministic direction x <=
+    threshold.
 
     The base chance is p_max - |x - threshold| / scale, clamped to [0,
     p_max]. The fairness boost replaces it with min(alpha * base, 0.5)
@@ -140,17 +139,20 @@ def _flip_chance(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig
     unprivileged and the deterministic child's majority is the
     unfavorable class; alpha = 0 suppresses flips there."""
     p_max, alpha = config.p_max, config.alpha
+    scaled = model.scale > 0.0
+    safe_scale = np.where(scaled, model.scale, 1.0)
     # unscaled nodes flip at p_max exactly at the threshold and never
     # elsewhere; uniform-distance nodes always flip at p_max
-    special = forest.unscaled | forest.uniform_distance
-    majority = forest.majority.ravel()
+    uniform = model.uniform_distance
+    special = ~scaled | uniform
+    majority = model.majority.ravel()
 
     def chance(node, feat, x, threshold, go_left):
         d = np.abs(x - threshold)
-        p = np.maximum(p_max - d / forest.safe_scale[node], 0.0)
+        p = np.maximum(p_max - d / safe_scale[node], 0.0)
         s = special[node].nonzero()[0]
         if s.size:
-            p[s] = np.where(forest.uniform_distance[node[s]] | (d[s] == 0.0), p_max, 0.0)
+            p[s] = np.where(uniform[node[s]] | (d[s] == 0.0), p_max, 0.0)
         # the fairness boost: protected split, unprivileged sample, and the
         # deterministic child's majority unfavorable
         t = (feat == spec.protected_feature).nonzero()[0]
@@ -163,7 +165,7 @@ def _flip_chance(forest: FlatForest, spec: FairnessSpec, config: TraversalConfig
     return chance
 
 
-def _flip_step(forest: FlatForest, chance, keys):
+def _flip_step(forest: Forest, chance, keys):
     """The Monte Carlo step of walk_lanes for lanes drawing from streams
     keys. A uniform is drawn only for lanes whose chance is above 0: u < 0
     never holds, so the skipped draws change no result. A lane at a node
@@ -193,7 +195,7 @@ def _record_step(chance, steps):
     return record
 
 
-def _first_flips(flat: FlatForest, steps, keys, budget: int):
+def _first_flips(forest: Forest, steps, keys, budget: int):
     """Phase 2 of the shared walk: the lanes that flip, and the child each
     one flips to. steps holds a walk's (pair, node, chance, go_left) steps
     with a chance above 0, in walk order, so by depth within each pair;
@@ -203,13 +205,13 @@ def _first_flips(flat: FlatForest, steps, keys, budget: int):
     Steps are drawn in slices of at most budget draws."""
     n_sims = keys.shape[1]
     pair, node, p, go_left = (np.concatenate(a) for a in zip(*steps))
-    flip_child = flat.child.ravel()[2 * node + go_left]
+    flip_child = forest.child.ravel()[2 * node + go_left]
     flipped = np.zeros(keys.size, dtype=bool)
     lanes, children = [], []
     per_slice = max(1, budget // n_sims)
     for lo in range(0, pair.size, per_slice):
         at = slice(lo, lo + per_slice)
-        u = _rng.uniforms_at_array(keys[pair[at]], flat.depth[node[at], None])
+        u = _rng.uniforms_at_array(keys[pair[at]], forest.depth[node[at], None])
         step, sim = np.nonzero(u < p[at, None])  # ordered by step
         lane, first = np.unique(pair[at][step] * n_sims + sim, return_index=True)
         new = ~flipped[lane]
@@ -275,9 +277,8 @@ def predict_fair_batch(
     stream_ids = np.asarray(stream_ids, dtype=np.uint64)
     if stream_ids.shape != (n,):
         raise ValueError("stream_ids must have one entry per sample")
-    flat = flatten_forest(forest)
     S, T = config.n_simulations, forest.n_trees
-    chance = _flip_chance(flat, spec, config)
+    chance = _flip_chance(forest, spec, config)
     shared = n * S * T >= MIN_SHARED_LANES
     sims_per_chunk = min(S, max(1, max_lanes // T))
     # a chunk's lanes, and the steps its phase 1 records (at most one per
@@ -289,13 +290,13 @@ def predict_fair_batch(
     for r0 in range(0, n, rows_per_chunk):
         rows = np.arange(r0, min(n, r0 + rows_per_chunk))
         # (row, tree) pair j is tree j % T for row rows[j // T]
-        pair_root = np.tile(flat.root, rows.size)
+        pair_root = np.tile(forest.root, rows.size)
         pair_x = np.repeat(rows * X.shape[1], T)
         steps = []
         if shared:
             # phase 1: each pair's deterministic path, and its steps that
             # may flip; until its first flip a simulation follows it
-            pair_leaf = walk_lanes(flat, X, pair_root, pair_x, _record_step(chance, steps))
+            pair_leaf = walk_lanes(forest, X, pair_root, pair_x, _record_step(chance, steps))
         else:
             pair_leaf = np.zeros(pair_root.size, dtype=np.int8)
         for s0 in range(0, S, sims_per_chunk):
@@ -311,13 +312,13 @@ def predict_fair_batch(
                 keys = keys.reshape(pair_root.size, sims.size)
                 if shared:
                     # phase 2: the lanes that leave the shared path, and where
-                    lane, start = _first_flips(flat, steps, keys, max_lanes)
+                    lane, start = _first_flips(forest, steps, keys, max_lanes)
                 else:
                     lane = np.arange(keys.size)
                     start = np.repeat(pair_root, sims.size)
                 # phase 3: those lanes walk on alone, drawing their own flips
-                leaves[lane] = walk_lanes(flat, X, start, pair_x[lane // sims.size],
-                                          _flip_step(flat, chance, keys.ravel()[lane]))
+                leaves[lane] = walk_lanes(forest, X, start, pair_x[lane // sims.size],
+                                          _flip_step(forest, chance, keys.ravel()[lane]))
             votes = leaves.reshape(rows.size, T, sims.size).sum(axis=1)
             if aggregation == VOTE_MAJORITY:
                 votes = 2 * votes > T
@@ -348,7 +349,7 @@ def exact_path_distribution(
     x = sample[feat]
     threshold = tree.threshold[internal]
     go_left = x <= threshold
-    chance = _flip_chance(flatten_forest(tree), spec, config)
+    chance = _flip_chance(tree, spec, config)
     # each internal node's flip chance, and 1 where its deterministic
     # child is the right one
     p_flip, right = np.zeros(tree.feature.size), np.zeros(tree.feature.size, dtype=np.int8)

@@ -6,7 +6,9 @@ the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
 and the majority training class of each child subtree. A tree is held as
 parallel node arrays (``DecisionTree``), the one form that training builds,
-model files store and every traversal reads.
+model files store and every traversal reads. A ``Forest`` holds its trees'
+arrays end to end, joined once at construction, so a batch walk reads a
+forest and a single tree the same way.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ _NODE_ARRAYS = (
 
 @dataclass(eq=False)
 class DecisionTree:
-    """A tree as parallel node arrays. Node 0 is the root, and build_trees
+    """A tree as parallel node arrays. Node 0 is the root, and the grower
     numbers nodes in level order. Internal node i sends values <=
     threshold[i] of feature[i] left; row i of child holds its (left,
     right) children and row i of majority their subtrees' majority
@@ -103,8 +105,6 @@ class DecisionTree:
     leaf_class: np.ndarray = field(init=False, repr=False)
     depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
-    # flatten_forest's memo
-    _flat: Optional["FlatForest"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype, _ in _NODE_ARRAYS:
@@ -158,62 +158,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def build_trees(jobs, expand, n_features: int, metas) -> list:
-    """Build len(metas) trees level by level, all of them together, and
-    number each tree's nodes in level order: level by level, and within a
-    level left to right.
-
-    jobs are the root jobs, one per tree in order. expand(jobs) takes one
-    level's jobs and returns (nodes, jobs). nodes holds arrays over those
-    jobs in order: (feature, threshold, scale, uniform_distance, majority,
-    class_counts), with feature -1 at a leaf. The returned jobs are the
-    next level's: the left and then the right child of each split node, in
-    node order. metas[t] is tree t's training_meta."""
-    tree = np.arange(len(metas))
-    levels, level_tree, level_child = [], [], []
-    n_seen = 0  # nodes of the levels so far, all trees
-    while tree.size:
-        nodes, jobs = expand(jobs)
-        split = nodes[0] >= 0
-        # children as positions in the concatenated levels, for now
-        child = np.zeros((tree.size, 2), dtype=np.int64)
-        child[split] = n_seen + tree.size + np.arange(2 * np.count_nonzero(split)).reshape(-1, 2)
-        levels.append(nodes)
-        level_tree.append(tree)
-        level_child.append(child)
-        n_seen += tree.size
-        tree = np.repeat(tree[split], 2)
-    feature, threshold, scale, uniform, majority, counts = (
-        np.concatenate(column) for column in zip(*levels))
-    tree = np.concatenate(level_tree)
-    child = np.concatenate(level_child)
-    # a stable sort by tree keeps each tree's nodes in level order
-    order = np.argsort(tree, kind="stable")
-    n_nodes = np.bincount(tree, minlength=len(metas))
-    first = np.cumsum(n_nodes) - n_nodes
-    node_id = np.empty_like(order)
-    node_id[order] = np.arange(order.size) - np.repeat(first, n_nodes)
-    split = feature >= 0
-    child[split] = node_id[child[split]]
-    trees = []
-    for lo, n, meta in zip(first, n_nodes, metas):
-        at = order[lo:lo + n]
-        trees.append(DecisionTree(feature[at], threshold[at], scale[at], uniform[at], child[at],
-                                  majority[at], counts[at], n_features, training_meta=meta))
-    return trees
-
-
 @dataclass
 class Forest:
+    """Bagged trees. Besides its fields, a forest holds its trees' node
+    arrays end to end under the DecisionTree names (feature, threshold,
+    scale, uniform_distance, child, majority, leaf_class, depth), read-only.
+    Node ids are global: tree t's root is root[t], and child rows hold
+    global ids; depth stays a node's depth within its tree. A one-tree
+    forest shares its tree's arrays."""
+
     trees: list
     n_trees: int
     bagging_meta: dict = field(default_factory=dict)
-    # flatten_forest's memo
-    _flat: Optional["FlatForest"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
+        self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
+        for name in ("feature", "threshold", "scale", "uniform_distance", "majority",
+                     "leaf_class", "depth"):
+            setattr(self, name, _concat([getattr(t, name) for t in self.trees]))
+        self.child = _concat([t.child + r if r else t.child for t, r in zip(self.trees, self.root)])
+
+
+def _concat(arrays) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else _read_only(np.concatenate(arrays))
 
 
 # Elements one block of training work holds: the samples of one group of
@@ -250,12 +219,11 @@ class _Level:
 
 
 class _Grower:
-    """CART growth level by level, as build_trees' expand step over _Level
-    jobs. A node's split search runs on its drawn features only. The
-    samples of every (node, feature) pair of a search block are ordered by
-    value with one sort of packed integer keys (pair, value rank, label).
-    Features beyond the drawn ones are searched only for nodes whose draw
-    has no valid cut."""
+    """CART growth level by level, over _Level jobs. A node's split search
+    runs on its drawn features only. The samples of every (node, feature)
+    pair of a search block are ordered by value with one sort of packed
+    integer keys (pair, value rank, label). Features beyond the drawn ones
+    are searched only for nodes whose draw has no valid cut."""
 
     def __init__(self, data: Dataset, max_depth, min_leaf, features_per_split):
         X = np.ascontiguousarray(data.rows)
@@ -279,6 +247,47 @@ class _Grower:
         self.value_start = np.cumsum([0] + [v.size for v in values[:-1]])
         self.rank_bits = (max(v.size for v in values) - 1).bit_length()
 
+    def grow(self, samples, seeds) -> list:
+        """Trees grown on the given rows of the data, one per (rows, seed),
+        all together level by level. Each tree's nodes are numbered in
+        level order: level by level, and within a level left to right."""
+        tree = np.arange(len(seeds))
+        level = self.roots(samples, seeds)
+        levels, level_tree, level_child = [], [], []
+        n_seen = 0  # nodes of the levels so far, all trees
+        while tree.size:
+            nodes, level = self.expand(level)
+            split = nodes[0] >= 0
+            # children as positions in the concatenated levels, for now
+            child = np.zeros((tree.size, 2), dtype=np.int64)
+            child[split] = n_seen + tree.size + np.arange(2 * split.sum()).reshape(-1, 2)
+            levels.append(nodes)
+            level_tree.append(tree)
+            level_child.append(child)
+            n_seen += tree.size
+            tree = np.repeat(tree[split], 2)
+        feature, threshold, scale, uniform, majority, counts = (
+            np.concatenate(column) for column in zip(*levels))
+        tree = np.concatenate(level_tree)
+        child = np.concatenate(level_child)
+        # a stable sort by tree keeps each tree's nodes in level order
+        order = np.argsort(tree, kind="stable")
+        n_nodes = np.bincount(tree, minlength=len(seeds))
+        first = np.cumsum(n_nodes) - n_nodes
+        node_id = np.empty_like(order)
+        node_id[order] = np.arange(order.size) - np.repeat(first, n_nodes)
+        split = feature >= 0
+        child[split] = node_id[child[split]]
+        trees = []
+        for lo, n, seed in zip(first, n_nodes, seeds):
+            at = order[lo:lo + n]
+            meta = {"max_depth": self.max_depth, "min_samples_leaf": self.min_leaf,
+                    "rng_seed": seed}
+            trees.append(DecisionTree(feature[at], threshold[at], scale[at], uniform[at],
+                                      child[at], majority[at], counts[at], self.n_features,
+                                      training_meta=meta))
+        return trees
+
     def roots(self, samples, seeds) -> _Level:
         """The root level of trees grown on the given rows of the data."""
         node = np.repeat(np.arange(len(samples)), [s.size for s in samples])
@@ -299,6 +308,10 @@ class _Grower:
                       row[keep][order], label[keep][order])
 
     def expand(self, level: _Level):
+        """(nodes, next level): nodes are (feature, threshold, scale,
+        uniform_distance, majority, class_counts) over the level's jobs,
+        feature -1 at a leaf; the next level holds the left and then the
+        right child of each split node, in node order."""
         n = level.counts.shape[0]
         feature = np.full(n, -1, dtype=np.int64)
         threshold = np.zeros(n)
@@ -462,10 +475,7 @@ def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split)
     per_group = max(1, GROW_BLOCK // data.n_rows)
     grown, trees = [], iter(trees)
     while group := list(itertools.islice(trees, per_group)):
-        samples, seeds = zip(*group)
-        metas = [{"max_depth": max_depth, "min_samples_leaf": min_samples_leaf, "rng_seed": seed}
-                 for seed in seeds]
-        grown += build_trees(grower.roots(samples, seeds), grower.expand, data.n_features, metas)
+        grown += grower.grow(*zip(*group))
     return grown
 
 
@@ -568,57 +578,7 @@ def flatten_tree(tree: DecisionTree) -> DecisionTree:
     return tree
 
 
-@dataclass(frozen=True)
-class FlatForest:
-    """The flat arrays of a forest's trees end to end. Node ids are global:
-    tree t's root is root[t] and child rows hold global ids. safe_scale is
-    a node's scale where that is positive and 1 elsewhere (unscaled);
-    depth is a node's depth within its tree, the index of the uniform a
-    Monte Carlo walk draws there."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    safe_scale: np.ndarray
-    unscaled: np.ndarray
-    uniform_distance: np.ndarray
-    child: np.ndarray
-    majority: np.ndarray
-    leaf_class: np.ndarray
-    depth: np.ndarray
-    root: np.ndarray
-
-
-def flatten_forest(model: Union[Forest, DecisionTree]) -> FlatForest:
-    """The flat form of a forest or of one tree, built on the first call
-    and kept on the model."""
-    if model._flat is None:
-        model._flat = _join(model.trees if isinstance(model, Forest) else [model])
-    return model._flat
-
-
-def _join(trees) -> FlatForest:
-    root = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
-
-    def joined(arrays):
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    scale = joined([t.scale for t in trees])
-    scaled = scale > 0.0
-    return FlatForest(
-        feature=joined([t.feature for t in trees]),
-        threshold=joined([t.threshold for t in trees]),
-        safe_scale=np.where(scaled, scale, 1.0),
-        unscaled=~scaled,
-        uniform_distance=joined([t.uniform_distance for t in trees]),
-        child=joined([t.child + r if r else t.child for t, r in zip(trees, root)]),
-        majority=joined([t.majority for t in trees]),
-        leaf_class=joined([t.leaf_class for t in trees]),
-        depth=joined([t.depth for t in trees]).astype(np.uint64),
-        root=root,
-    )
-
-
-def walk_lanes(forest: FlatForest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarray,
+def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarray,
                flip=None) -> np.ndarray:
     """Leaf classes of a batch of lanes walked over a forest.
 
@@ -630,7 +590,7 @@ def walk_lanes(forest: FlatForest, X: np.ndarray, node: np.ndarray, x_pos: np.nd
     go_left)`` may reverse go_left in place; ``lane`` holds the working
     lanes' positions j, ``x`` their feature values."""
     lane = np.arange(node.size)
-    x_flat = X.ravel()
+    values = X.ravel()
     child = forest.child.ravel()
     out = np.empty(node.size, dtype=np.int8)
     feat = forest.feature[node]
@@ -644,7 +604,7 @@ def walk_lanes(forest: FlatForest, X: np.ndarray, node: np.ndarray, x_pos: np.nd
             lane, node, feat, x_pos = lane[keep], node[keep], feat[keep], x_pos[keep]
         if lane.size == 0:
             return out
-        x = x_flat[x_pos + feat]
+        x = values[x_pos + feat]
         threshold = forest.threshold[node]
         go_left = x <= threshold
         if flip is not None:
@@ -664,13 +624,12 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Per-sample count of trees voting for class 1: the lane walk with no
     flip step, one lane per (row, tree)."""
     X = _check_matrix(X, forest.trees[0].n_features)
-    flat = flatten_forest(forest)
     n_trees = forest.n_trees
     rows_per_chunk = max(1, MAX_LANES // n_trees)
     votes = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], rows_per_chunk):
         rows = np.arange(start, min(X.shape[0], start + rows_per_chunk))
-        leaves = walk_lanes(flat, X, np.tile(flat.root, rows.size),
+        leaves = walk_lanes(forest, X, np.tile(forest.root, rows.size),
                             np.repeat(rows * X.shape[1], n_trees))
         votes[rows] = leaves.reshape(-1, n_trees).sum(axis=1)
     return votes

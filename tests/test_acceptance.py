@@ -32,7 +32,7 @@ from fairtree.traversal import (
     exact_path_distribution,
     predict_fair,
 )
-from fairtree.tree import DecisionTree, Forest, flatten_forest, predict_deterministic
+from fairtree.tree import DecisionTree, Forest, predict_deterministic
 
 from conftest import internal, leaf, make_tree, random_tree
 from reference import adjusted_flip_probability, flip_probability
@@ -159,14 +159,13 @@ def kernel_chances(tree, samples, p_maxes, alphas, spec):
     """Yield (config, nodes, chances) per (p_max, alpha) group of criterion
     3's cases: the batch kernel's flip chances at the group's nodes, from
     one call of its chance function."""
-    flat = flatten_forest(tree)
     for p_max, alpha in np.unique(np.c_[p_maxes, alphas], axis=0):
         cfg = TraversalConfig(n_simulations=1, p_max=float(p_max), alpha=float(alpha), seed=0)
         nodes = ((p_maxes == p_max) & (alphas == alpha)).nonzero()[0]
         feat = tree.feature[nodes]
         x = samples[nodes, feat]
         threshold = tree.threshold[nodes]
-        yield cfg, nodes, _flip_chance(flat, spec, cfg)(nodes, feat, x, threshold, x <= threshold)
+        yield cfg, nodes, _flip_chance(tree, spec, cfg)(nodes, feat, x, threshold, x <= threshold)
 
 
 def test_criterion_3_flip_probability_bounds(rng):

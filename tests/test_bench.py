@@ -537,10 +537,15 @@ def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypa
         (["--n-simulations", "0"], "n_simulations must be a positive integer"),
         (["--p-max", "0.7"], "p_max must lie in [0, 0.5]"),
     )
+    formats = tuple(
+        (["--formats", value], f"--formats must name one or more of json, csv, table; "
+                               f"got {value!r}")
+        for value in ("jsn", "", "json,txt"))
     commands = (
         (["train"], growth),
-        (["run"], growth + engine),
-        (["sweep-alpha", "--alphas", "1,2"], growth + engine),
+        (["run"], growth + engine + formats),
+        (["sweep-alpha", "--alphas", "1,2"], growth + engine
+         + ((["--methods", "baseline"], "an alpha sweep needs the fairttts method"),)),
         (["predict", "--model", model], engine
          + ((["--exact"], "exact evaluation requires n_trees == 1"),)),
     )
@@ -548,6 +553,21 @@ def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypa
         for flags, message in cases:
             assert_clean_exit(capsys, [*command, "--data", SYNTHETIC, *flags], 1,
                               f"config error: {message}")
+
+
+def test_cli_data_that_cannot_be_split_or_scored_exits_cleanly(tmp_path, capsys):
+    (tmp_path / "one_group.csv").write_text("g,x,y\n1,1,yes\n1,2,no\n")
+    one_group = write_config(tmp_path, "one_group", "one_group.csv")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("row,prediction\n0,1\n1,0\n")
+    cases = (
+        (["run", "--data", SYNTHETIC, "--n-trees", "1", "--folds", "500",
+          "--out-dir", str(tmp_path)], "data error: folds: k (500) exceeds n_rows (400)"),
+        (["evaluate", "--data", one_group, "--pred", str(preds)],
+         f"data error: {one_group}: both groups required"),
+    )
+    for argv, message in cases:
+        assert_clean_exit(capsys, argv, 2, message)
 
 
 def test_cli_settings_default_to_experiment_config():
