@@ -98,6 +98,8 @@ class ExperimentConfig:
         if self.exact and self.n_trees != 1:
             raise ConfigError("exact evaluation requires n_trees == 1")
         self.traversal_config(self.seed)
+        if self.seed < 0:  # training seeds numpy, which takes no negative seed
+            raise ConfigError("seed must be a non-negative integer")
 
     def traversal_config(self, seed: int) -> TraversalConfig:
         return TraversalConfig(
@@ -308,9 +310,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return run_experiment_on(*load(config.dataset_config), config)
 
 
-def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
-    """The experiment per alpha, training each fold only once (the fitted
-    forests and policies do not depend on alpha and are shared)."""
+def sweep_configs(config: ExperimentConfig, alphas) -> list:
+    """config at each alpha of a sweep, checked without reading any data."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ConfigError("alphas must be non-empty")
@@ -318,13 +319,19 @@ def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
         raise ConfigError("alphas must be strictly increasing (no duplicates)")
     if METHOD_FAIRTTTS not in config.methods:
         raise ConfigError(f"an alpha sweep needs the {METHOD_FAIRTTTS} method")
-    configs = [replace(config, alpha=alpha) for alpha in alphas]  # checked before the load
+    return [replace(config, alpha=alpha) for alpha in alphas]
+
+
+def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
+    """The experiment per alpha, training each fold only once (the fitted
+    forests and policies do not depend on alpha and are shared)."""
+    configs = sweep_configs(config, alphas)
     dataset, protected_index, name = load(config.dataset_config)
     plan, fitted = _fit_folds(dataset, protected_index, config)
     results = [
         _evaluate_folds(dataset, protected_index, name, c, plan, fitted) for c in configs
     ]
-    return SweepResult(alphas=tuple(alphas), results=tuple(results))
+    return SweepResult(alphas=tuple(c.alpha for c in configs), results=tuple(results))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +376,8 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(value, digits=4) -> str:
-    return "undefined" if value is None else f"{value:.{digits}f}"
+def _fmt(value) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
 
 
 def render_table(result: ExperimentResult) -> str:
@@ -451,25 +458,16 @@ def sweep_to_dict(sweep: SweepResult) -> dict:
     return doc
 
 
-def emit_sweep(sweep: SweepResult, out_dir, formats=("json", "csv")):
-    paths = {}
+def emit_sweep(sweep: SweepResult, out_dir):
+    """Write sweep.json and sweep.csv; returns {format: path}."""
     doc = sweep_to_dict(sweep)
-    if "json" in formats:
-        paths["json"] = os.path.join(out_dir, "sweep.json")
-        write_text(paths["json"], _dump_json(doc))
-    if "csv" in formats:
-        lines = ["alpha,accuracy_mean,accuracy_std,eod_mean,eod_std,di_mean,di_std"]
-        for row in doc["fairttts"]:
-            lines.append(
-                ",".join(
-                    [repr(row["alpha"])]
-                    + [
-                        "" if row[m][k] is None else repr(row[m][k])
-                        for m in ("accuracy", "eod", "di")
-                        for k in ("mean", "std")
-                    ]
-                )
-            )
-        paths["csv"] = os.path.join(out_dir, "sweep.csv")
-        write_text(paths["csv"], "\n".join(lines) + "\n")
+    lines = ["alpha,accuracy_mean,accuracy_std,eod_mean,eod_std,di_mean,di_std"]
+    for row in doc["fairttts"]:
+        cells = ["" if row[m][k] is None else repr(row[m][k])
+                 for m in ("accuracy", "eod", "di") for k in ("mean", "std")]
+        lines.append(",".join([repr(row["alpha"])] + cells))
+    paths = {"json": os.path.join(out_dir, "sweep.json"),
+             "csv": os.path.join(out_dir, "sweep.csv")}
+    write_text(paths["json"], _dump_json(doc))
+    write_text(paths["csv"], "\n".join(lines) + "\n")
     return paths

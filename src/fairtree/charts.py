@@ -55,9 +55,9 @@ class _Scale:
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
-    def ticks(self, n=5):
-        step = (self.hi - self.lo) / (n - 1)
-        return [self.lo + i * step for i in range(n)]
+    def ticks(self):
+        step = (self.hi - self.lo) / 4  # five ticks, both ends included
+        return [self.lo + i * step for i in range(5)]
 
 
 def _header(title: str) -> list:

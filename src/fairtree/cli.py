@@ -236,6 +236,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--alphas must be comma-separated numbers: {args.alphas!r}") from None
     config = _experiment_config(args)
+    bench.sweep_configs(config, alphas)  # a rejected sweep creates no directory
     out_dir = _out_dir(args)
     sweep = bench.sweep_alpha(config, alphas)
     paths = bench.emit_sweep(sweep, out_dir)

@@ -1,12 +1,13 @@
 """Model documents: schema "fairtree-model/2".
 
 A tree document is a DecisionTree's node arrays (tree._NODE_ARRAYS), one
-JSON list entry per node, plus n_features, class_labels and training_meta;
-what the tree derives from them (leaf_class, depth) is not stored. A forest
-document lists tree documents. deserialize() checks whole arrays and the
-tree shape and names the offending entry (document.trees[i].<field>[j]).
-dumps() writes sorted compact JSON with round-trip floats, so a tree and
-its reloaded copy are equal array for array and one model has one text.
+JSON list entry per node, plus n_features, training_meta and class_labels,
+always [0, 1]; what the tree derives from them (leaf_class, depth) is not
+stored. A forest document lists tree documents. deserialize() checks
+whole arrays and the tree shape and names the offending entry
+(document.trees[i].<field>[j]). dumps() writes sorted compact JSON with
+round-trip floats, so a tree and its reloaded copy are equal array for
+array and one model has one text.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ SCHEMA = "fairtree-model/2"
 
 def _tree_doc(tree: DecisionTree) -> dict:
     doc = {name: getattr(tree, name).tolist() for name, _, _ in _NODE_ARRAYS}
-    doc.update(n_features=tree.n_features, class_labels=list(tree.class_labels),
+    doc.update(n_features=tree.n_features, class_labels=[0, 1],
                training_meta=dict(tree.training_meta))
     return doc
 
@@ -57,11 +58,11 @@ def _get(doc, key, path):
     return doc[key]
 
 
-def _as_int(value, path, minimum=None):
+def _positive_int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFormatError(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        raise ModelFormatError(path, f"must be >= {minimum}")
+    if value < 1:
+        raise ModelFormatError(path, "must be >= 1")
     return value
 
 
@@ -114,7 +115,7 @@ def _node_arrays(doc, path) -> dict:
 
 def _tree(doc, path) -> DecisionTree:
     doc = _expect_dict(doc, path)
-    n_features = _as_int(_get(doc, "n_features", path), f"{path}.n_features", minimum=1)
+    n_features = _positive_int(_get(doc, "n_features", path), f"{path}.n_features")
     if doc.get("class_labels", [0, 1]) != [0, 1]:
         raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
     meta = doc.get("training_meta", {})
@@ -161,7 +162,7 @@ def deserialize(doc) -> "DecisionTree | Forest":
         trees_doc = _get(doc, "trees", "document")
         if not isinstance(trees_doc, list) or not trees_doc:
             raise ModelFormatError("document.trees", "expected a non-empty list")
-        n_trees = _as_int(_get(doc, "n_trees", "document"), "document.n_trees", minimum=1)
+        n_trees = _positive_int(_get(doc, "n_trees", "document"), "document.n_trees")
         if n_trees != len(trees_doc):
             raise ModelFormatError("document.n_trees", "must equal len(trees)")
         meta = doc.get("bagging_meta", {})

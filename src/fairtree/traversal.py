@@ -62,27 +62,20 @@ from .tree import (
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
+MAX_ENUMERATION_DEPTH = 12  # exact enumeration walks up to 2 ** 12 paths
 
 
 @dataclass(frozen=True)
 class FairnessSpec:
-    """Which feature is protected and which outcomes count as favorable."""
+    """Which feature is protected. Its value 1 marks the privileged group
+    and 0 the unprivileged one, and class 1 is the favorable outcome, as
+    in the data loader, the metrics and the threshold policy."""
 
     protected_feature: int
-    privileged_value: float = 1.0
-    unprivileged_value: float = 0.0
-    favorable_class: int = 1
-    unfavorable_class: int = 0
 
     def __post_init__(self):
         if self.protected_feature < 0:
             raise ConfigError("protected_feature must be a feature index")
-        if self.favorable_class == self.unfavorable_class:
-            raise ConfigError("favorable and unfavorable classes must differ")
-        if {self.favorable_class, self.unfavorable_class} != {0, 1}:
-            raise ConfigError("classes must be 0 and 1")
-        if self.privileged_value == self.unprivileged_value:
-            raise ConfigError("privileged and unprivileged values must differ")
 
 
 @dataclass(frozen=True)
@@ -157,8 +150,8 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
         # deterministic child's majority unfavorable
         t = (feat == spec.protected_feature).nonzero()[0]
         if t.size:
-            t = t[x[t] == spec.unprivileged_value]
-            t = t[majority[2 * node[t] + ~go_left[t]] == spec.unfavorable_class]
+            t = t[x[t] == 0.0]
+            t = t[majority[2 * node[t] + ~go_left[t]] == 0]
             p[t] = np.minimum(alpha * p[t], 0.5)
         return p
 
@@ -334,16 +327,15 @@ def exact_path_distribution(
     sample,
     spec: FairnessSpec,
     config: TraversalConfig,
-    max_enumeration_depth: int = 12,
 ) -> PredictionDistribution:
     """Closed-form traversal distribution by enumerating every root-leaf
-    path; the verification oracle for the Monte Carlo estimate. The flip
-    chances are the Monte Carlo kernel's, from one call over the tree's
-    internal nodes."""
+    path of a tree at most MAX_ENUMERATION_DEPTH deep; the verification
+    oracle for the Monte Carlo estimate. The flip chances are the Monte
+    Carlo kernel's, from one call over the tree's internal nodes."""
     sample = _check_sample(sample, tree.n_features)
-    if tree.max_depth > max_enumeration_depth:
+    if tree.max_depth > MAX_ENUMERATION_DEPTH:
         raise EnumerationLimitError(
-            f"enumeration limit exceeded: tree depth {tree.max_depth} > {max_enumeration_depth}")
+            f"enumeration limit exceeded: tree depth {tree.max_depth} > {MAX_ENUMERATION_DEPTH}")
     internal = (tree.feature >= 0).nonzero()[0]
     feat = tree.feature[internal]
     x = sample[feat]

@@ -100,7 +100,6 @@ class DecisionTree:
     majority: np.ndarray
     class_counts: np.ndarray
     n_features: int
-    class_labels: tuple = (0, 1)
     training_meta: dict = field(default_factory=dict)
     leaf_class: np.ndarray = field(init=False, repr=False)
     depth: np.ndarray = field(init=False, repr=False)
@@ -138,7 +137,6 @@ class DecisionTree:
             return NotImplemented
         return (
             self.n_features == other.n_features
-            and tuple(self.class_labels) == tuple(other.class_labels)
             and self.training_meta == other.training_meta
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name, _, _ in _NODE_ARRAYS)

@@ -72,15 +72,15 @@ def adjusted_flip_probability(
     config: TraversalConfig,
 ) -> float:
     """Apply the fairness boost min(alpha * base, 0.5) when the node splits
-    on the protected feature, the sample is unprivileged, and the
-    deterministic child's subtree majority is the unfavorable class.
+    on the protected feature, the sample is unprivileged (value 0), and the
+    deterministic child's subtree majority is the unfavorable class 0.
     With alpha = 0 the boost suppresses flips entirely at triggered nodes
     (0 * base == 0); elsewhere the base chance is returned unchanged."""
     if tree.feature[node] != spec.protected_feature:
         return base
-    if float(sample[spec.protected_feature]) != spec.unprivileged_value:
+    if float(sample[spec.protected_feature]) != 0.0:
         return base
-    if tree.majority[node, 0 if _goes_left(tree, node, sample) else 1] != spec.unfavorable_class:
+    if tree.majority[node, 0 if _goes_left(tree, node, sample) else 1] != 0:
         return base
     return min(config.alpha * base, 0.5)
 

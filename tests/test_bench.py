@@ -541,18 +541,32 @@ def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypa
         (["--formats", value], f"--formats must name one or more of json, csv, table; "
                                f"got {value!r}")
         for value in ("jsn", "", "json,txt"))
+    seed = ((["--seed", "-1"], "seed must be a non-negative integer"),)
     commands = (
-        (["train"], growth),
-        (["run"], growth + engine + formats),
-        (["sweep-alpha", "--alphas", "1,2"], growth + engine
+        (["train"], growth + seed),
+        (["run"], growth + engine + formats + seed),
+        (["sweep-alpha", "--alphas", "1,2"], growth + engine + seed
          + ((["--methods", "baseline"], "an alpha sweep needs the fairttts method"),)),
-        (["predict", "--model", model], engine
+        (["predict", "--model", model], engine + seed
          + ((["--exact"], "exact evaluation requires n_trees == 1"),)),
     )
     for command, cases in commands:
         for flags, message in cases:
             assert_clean_exit(capsys, [*command, "--data", SYNTHETIC, *flags], 1,
                               f"config error: {message}")
+
+
+def test_cli_rejected_sweep_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    forbid(monkeypatch, "load_dataset")
+    out = tmp_path / "sweep"
+    for flags, message in (
+        (["--alphas", "2,1"], "alphas must be strictly increasing (no duplicates)"),
+        (["--alphas", "nan"], "alpha must be finite and >= 0"),
+        (["--alphas", "1,2", "--methods", "baseline"], "an alpha sweep needs the fairttts method"),
+    ):
+        assert_clean_exit(capsys, ["sweep-alpha", "--data", SYNTHETIC, *flags,
+                                   "--out-dir", str(out)], 1, f"config error: {message}")
+        assert not out.exists(), flags
 
 
 def test_cli_data_that_cannot_be_split_or_scored_exits_cleanly(tmp_path, capsys):

@@ -214,6 +214,26 @@ def test_version_1_documents_are_rejected(tmp_path, capsys):
     assert "document.schema" in capsys.readouterr().err
 
 
+def test_class_labels_other_than_0_1_are_rejected(tmp_path, capsys):
+    # class 1 is the favorable class throughout, so a model file may only
+    # name its labels [0, 1] (or leave them out)
+    deserialize({k: v for k, v in hand_written_tree().items() if k != "class_labels"})
+    path = tmp_path / "model.json"
+    for labels in ([1, 0], ["no", "yes"], [0, 1, 2]):
+        doc = hand_written_tree()
+        doc["class_labels"] = labels
+        with pytest.raises(ModelFormatError, match=r"^document\.class_labels: must be \[0, 1\]$"):
+            deserialize(doc)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--model", str(path), "--data", SYNTHETIC]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: document.class_labels: must be [0, 1]\n", err
+    forest = serialize(trained_forest())
+    forest["trees"][1]["class_labels"] = [1, 0]
+    with pytest.raises(ModelFormatError, match=r"^document\.trees\[1\]\.class_labels: "):
+        deserialize(forest)
+
+
 def test_forest_tree_count_mismatch_is_rejected():
     doc = serialize(trained_forest())
     doc["n_trees"] = 99

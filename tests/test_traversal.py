@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fairtree import traversal
 from fairtree.errors import ConfigError, EnumerationLimitError
 from fairtree.traversal import (
     VOTE_MAJORITY,
@@ -277,7 +278,7 @@ def test_exact_applies_fairness_boost():
     ) == 0.5
 
 
-def test_enumeration_limit_is_enforced():
+def test_enumeration_limit_is_enforced(monkeypatch):
     node = leaf(1, 0)
     for _ in range(13):
         node = internal(0, 0.0, 1.0, node, leaf(0, 1))
@@ -286,7 +287,8 @@ def test_enumeration_limit_is_enforced():
     with pytest.raises(EnumerationLimitError, match="enumeration limit exceeded: tree depth 13 > 12"):
         exact_path_distribution(tree, [0.0], SPEC, config())
     # a higher limit enumerates fine
-    dist = exact_path_distribution(tree, [0.0], SPEC, config(), max_enumeration_depth=13)
+    monkeypatch.setattr(traversal, "MAX_ENUMERATION_DEPTH", 13)
+    dist = exact_path_distribution(tree, [0.0], SPEC, config())
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -695,8 +697,6 @@ def test_traversal_config_validation():
         TraversalConfig(p_max=-0.1)
     with pytest.raises(ConfigError):
         TraversalConfig(alpha=-1.0)
-    with pytest.raises(ConfigError):
-        FairnessSpec(protected_feature=0, favorable_class=1, unfavorable_class=1)
 
 
 def test_zero_scale_nodes_agree_between_scalar_and_batch_paths():
