@@ -35,13 +35,14 @@ def finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def finalize_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 avalanche, elementwise on a uint64 array."""
-    z = z.astype(np.uint64, copy=True)
+def finalize_array(z) -> np.ndarray:
+    """SplitMix64 avalanche in place on a uint64 array the caller owns; a
+    scalar becomes a 0-d array, as scalar arithmetic warns on wrap-around."""
+    z = np.asarray(z)
     z ^= z >> np.uint64(30)
-    z *= _MUL1
+    z *= _U_MUL1
     z ^= z >> np.uint64(27)
-    z *= _MUL2
+    z *= _U_MUL2
     z ^= z >> np.uint64(31)
     return z
 
@@ -56,21 +57,34 @@ def stream_key(seed: int, *words: int) -> int:
 
 def stream_key_array(seed: int, *words) -> np.ndarray:
     """Vectorized stream_key; each word is a scalar or uint64-castable array."""
-    shape = np.broadcast_shapes(*(np.shape(w) for w in words)) if words else ()
-    key = np.full(shape, finalize(seed), dtype=np.uint64)
+    key = np.array(finalize(seed), dtype=np.uint64)
     for w in words:
         key = finalize_array(key ^ np.asarray(w, dtype=np.uint64))
     return key
+
+
+def _words_at(keys: np.ndarray, index) -> np.ndarray:
+    """The index-th 64-bit draw word of each stream in keys."""
+    if isinstance(index, np.ndarray):
+        # uint64 array arithmetic wraps modulo 2**64, as _MASK does
+        offset = index.astype(np.uint64)
+        offset += np.uint64(1)
+        offset *= _U_GAMMA
+    else:
+        offset = np.uint64((index + 1) * GAMMA & _MASK)
+    return finalize_array(keys + offset)
 
 
 def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:
     """The index-th uniform draw, in [0, 1), of each stream in keys. index
     is one draw index for every key, or an integer array of indices
     broadcast against keys."""
-    if isinstance(index, np.ndarray):
-        # uint64 array arithmetic wraps modulo 2**64, as _MASK does
-        offset = (index.astype(np.uint64, copy=False) + np.uint64(1)) * _U_GAMMA
-    else:
-        offset = np.uint64((index + 1) * GAMMA & _MASK)
-    z = finalize_array(keys + offset)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return (_words_at(keys, index) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
+def below_array(keys: np.ndarray, index, p) -> np.ndarray:
+    """uniforms_at_array(keys, index) < p for p in [0, 1), bit for bit: u =
+    (z >> 11) * 2**-53 for the draw word z, and p * 2**53 is exact, so u < p
+    exactly when z < ceil(p * 2**53) * 2**11."""
+    return _words_at(keys, index) < (np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)
+                                     << np.uint64(11))

@@ -15,30 +15,21 @@ Batch prediction walks a whole forest at once. Every (row, simulation,
 tree) triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one
 level per step over the forest's own joined node arrays, reading each
 lane's feature value straight from its row, and drops lanes from the
-working set as they reach a leaf. Deterministic votes are that
-walk from every (row, tree) root. Until it first flips, a simulation
-follows its (row, tree) pair's deterministic path, with the same flip
-chance at each node as every other simulation, so Monte Carlo prediction
-runs in three phases that change no draw and no comparison:
-
-1. each pair walks its deterministic path once, recording the steps whose
-   flip chance (``_flip_chance``) is above 0;
-2. each simulation draws a uniform at those steps only and keeps its
-   first flip (``_first_flips``);
-3. only the lanes that flipped walk on from the flip child, with the
-   Monte Carlo flip step (``_flip_step``), which draws a uniform only
-   where the chance is above 0; every other lane ends at its pair's
-   deterministic leaf.
-
-Calls with fewer than ``MIN_SHARED_LANES`` lanes skip phases 1 and 2 and
-walk every lane from its root with the flip step. ``max_lanes`` bounds the
-lanes of a chunk (whole rows, or whole simulations of one row), the steps
-phase 1 records per chunk and the uniforms phase 2 draws at a time, so
-transient memory does not grow with the row count or ``n_simulations``.
-
-All randomness comes from counter-based streams keyed by
-(seed, stream_id, simulation, tree), so results are independent of
-evaluation order, batching and chunk size.
+working set as they reach a leaf. Deterministic votes are that walk from
+every (row, tree) root. The lanes at one node of one (row, tree) pair take
+the same steps, at the same flip chances, until they flip, so Monte Carlo
+prediction goes in rounds of segments, a segment being such a (pair,
+node) and its lanes. A round walks each segment once, recording its steps
+whose flip chance (``_flip_chance``) is above 0; each lane draws at those
+steps only and keeps its first flip (``_first_flips``), or else ends at
+the segment's leaf; the lanes that flipped, grouped by (pair, flip child),
+are the next round's segments. Round 1's are the pairs at their roots.
+Lanes that share too little walk on alone with the flip step
+(``_flip_step``), as do all lanes of a call with fewer than
+``MIN_SHARED_LANES``. All randomness comes from counter-based streams keyed
+by (seed, stream_id, simulation, tree), and a draw keeps its stream, index
+(the node's depth) and comparison, so results do not depend on evaluation
+order, batching, chunks or rounds; ``max_lanes`` bounds memory.
 """
 
 from __future__ import annotations
@@ -63,6 +54,9 @@ from .tree import (
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
 MAX_ENUMERATION_DEPTH = 12  # exact enumeration walks up to 2 ** 12 paths
+# Lanes of a Monte Carlo chunk per max_lanes: a lane keeps about 13 bytes
+# across the rounds, a draw or a walked lane takes more but only briefly.
+CHUNK_LANES = 3
 
 
 @dataclass(frozen=True)
@@ -132,18 +126,15 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
     unprivileged and the deterministic child's majority is the
     unfavorable class; alpha = 0 suppresses flips there."""
     p_max, alpha = config.p_max, config.alpha
-    scaled = model.scale > 0.0
-    safe_scale = np.where(scaled, model.scale, 1.0)
     # unscaled nodes flip at p_max exactly at the threshold and never
     # elsewhere; uniform-distance nodes always flip at p_max
-    uniform = model.uniform_distance
-    special = ~scaled | uniform
+    safe_scale, fixed, uniform = model.safe_scale, model.fixed_chance, model.uniform_distance
     majority = model.majority.ravel()
 
     def chance(node, feat, x, threshold, go_left):
         d = np.abs(x - threshold)
         p = np.maximum(p_max - d / safe_scale[node], 0.0)
-        s = special[node].nonzero()[0]
+        s = fixed[node].nonzero()[0]
         if s.size:
             p[s] = np.where(uniform[node[s]] | (d[s] == 0.0), p_max, 0.0)
         # the fairness boost: protected split, unprivileged sample, and the
@@ -168,8 +159,7 @@ def _flip_step(forest: Forest, chance, keys):
         p = chance(node, feat, x, threshold, go_left)
         hit = (p > 0.0).nonzero()[0]
         if hit.size:
-            u = _rng.uniforms_at_array(keys[lane[hit]], forest.depth[node[hit]])
-            go_left[hit] ^= u < p[hit]
+            go_left[hit] ^= _rng.below_array(keys[lane[hit]], forest.depth[node[hit]], p[hit])
 
     return flip
 
@@ -188,31 +178,90 @@ def _record_step(chance, steps):
     return record
 
 
-def _first_flips(forest: Forest, steps, keys, budget: int):
-    """Phase 2 of the shared walk: the lanes that flip, and the child each
-    one flips to. steps holds a walk's (pair, node, chance, go_left) steps
-    with a chance above 0, in walk order, so by depth within each pair;
-    keys[pair, s] is the stream of simulation s of the pair. Each
-    simulation draws only at those steps and flips first at the first draw
-    below the chance. Lane pair * n_sims + s is simulation s of the pair.
-    Steps are drawn in slices of at most budget draws."""
-    n_sims = keys.shape[1]
-    pair, node, p, go_left = (np.concatenate(a) for a in zip(*steps))
-    flip_child = forest.child.ravel()[2 * node + go_left]
-    flipped = np.zeros(keys.size, dtype=bool)
-    lanes, children = [], []
-    per_slice = max(1, budget // n_sims)
-    for lo in range(0, pair.size, per_slice):
-        at = slice(lo, lo + per_slice)
-        u = _rng.uniforms_at_array(keys[pair[at]], forest.depth[node[at], None])
-        step, sim = np.nonzero(u < p[at, None])  # ordered by step
-        lane, first = np.unique(pair[at][step] * n_sims + sim, return_index=True)
-        new = ~flipped[lane]
-        lane, step = lane[new], step[first[new]]
-        flipped[lane] = True
-        lanes.append(lane)
-        children.append(flip_child[at][step])
-    return np.concatenate(lanes), np.concatenate(children)
+def _first_flips(forest: Forest, steps, keys, bounds, budget: int):
+    """The first flips of a round's lanes: their flat positions in keys and
+    flip children. steps holds the (segment, node, chance, go_left) arrays
+    of the steps with a chance above 0 in walk order, so by depth within a
+    segment. Segment g's lanes draw from keys[g] of a 2D keys (round 1: no
+    per-draw lane index), else keys[bounds[g]:bounds[g + 1]]; in slices of
+    budget draws, or a step's."""
+    seg, node, p, go_left = steps
+    first, size = bounds[seg], bounds[seg + 1] - bounds[seg]
+    end = np.cumsum(size)  # the draws of steps 0 to i
+    flip_step = np.full(keys.size, -1, dtype=np.int32)  # each lane's first flip
+    lo = 0
+    while lo < seg.size:
+        base = end[lo] - size[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, base + budget, "right")))
+        # the step and lane of each of the slice's draws below their chance
+        if keys.ndim == 2:
+            hit = _rng.below_array(keys[seg[lo:hi]], forest.depth[node[lo:hi], None],
+                                   p[lo:hi, None]).ravel().nonzero()[0]
+            step, lane = np.divmod(hit, keys.shape[1])
+            step += lo
+            lane += first[step]
+        else:
+            n = size[lo:hi]
+            lane = np.repeat(first[lo:hi] - end[lo:hi] + n, n) + np.arange(base, end[hi - 1])
+            hit = _rng.below_array(keys[lane], np.repeat(forest.depth[node[lo:hi]], n),
+                                   np.repeat(p[lo:hi], n)).nonzero()[0]
+            step, lane = lo + np.searchsorted(end[lo:hi], base + hit, "right"), lane[hit]
+        lane, at = np.unique(lane, return_index=True)  # each lane's first draw below
+        new = flip_step[lane] < 0
+        flip_step[lane[new]] = step[at[new]]
+        lo = hi
+    lane = (flip_step >= 0).nonzero()[0]
+    step = flip_step[lane]
+    return lane, forest.child.ravel()[2 * node[step] + go_left[step]]
+
+
+def _simulate(forest: Forest, X, chance, rows, stream_ids, sims, seed: int,
+              shared: bool, max_lanes: int):
+    """The leaf class of every lane of a chunk: lane j * m + s is simulation
+    sims[s] of (row, tree) pair j. Rounds stop once fewer than
+    MIN_SHARED_LANES lanes flip, or more than half of a round's, whose high
+    chances would waste most of a segment's draws after its first flips."""
+    T, m = forest.n_trees, sims.size
+    root, x_pos = np.tile(forest.root, rows.size), np.repeat(rows * X.shape[1], T)
+    # keys[j, s]: lane j * m + s's stream, keyed (seed, stream id, s, tree)
+    keys = _rng.stream_key_array(seed, stream_ids[:, None, None], sims,
+                                 np.arange(T, dtype=np.uint64)[:, None]).reshape(-1, m)
+    # round 1's segment j is pair j, its lanes keys[j]; later rounds carry
+    # their lanes and keys, segment g's in runs bounds[g] to bounds[g + 1]
+    lane, lane_keys, bounds, start, x = None, keys, np.arange(root.size + 1) * m, root, x_pos
+    if not shared:
+        lane, lane_keys, start = np.arange(keys.size), keys.ravel(), np.repeat(root, m)
+        leaves = np.empty(keys.size, dtype=np.int8)
+    del keys
+    while shared:
+        steps = []
+        seg_leaf = walk_lanes(forest, X, start, x, _record_step(chance, steps))
+        if lane is None:
+            leaves = np.repeat(seg_leaf, m)
+        else:
+            leaves[lane] = np.repeat(seg_leaf, np.diff(bounds))
+        if not steps:
+            return leaves
+        steps, n_round = tuple(np.concatenate(a) for a in zip(*steps)), bounds[-1]
+        pos, start = _first_flips(forest, steps, lane_keys, bounds, max_lanes // 2)
+        lane, lane_keys = (pos if lane is None else lane[pos]), lane_keys.ravel()[pos]
+        del pos, steps
+        if lane.size < MIN_SHARED_LANES or 2 * lane.size > n_round:
+            break
+        segment = lane // m * forest.feature.size + start
+        order = np.argsort(segment)
+        lane, lane_keys, segment = lane[order], lane_keys[order], segment[order]
+        new = np.r_[True, segment[1:] != segment[:-1]].nonzero()[0]
+        bounds = np.r_[new, lane.size]
+        pair, start = np.divmod(segment[new], forest.feature.size)
+        del order, segment
+        x = x_pos[pair]
+    walk = max(max_lanes, MIN_SHARED_LANES)  # lanes per walk
+    for i in range(0, lane.size, walk):
+        at = slice(i, i + walk)
+        leaves[lane[at]] = walk_lanes(forest, X, start[at], x_pos[lane[at] // m],
+                                      _flip_step(forest, chance, lane_keys[at]))
+    return leaves
 
 
 def predict_fair(
@@ -255,63 +304,43 @@ def predict_fair_batch(
     numbers) to make results invariant to batch composition. Returns
     (predictions, probs) with probs[i] = (P(class 0), P(class 1)).
 
-    The (row, simulation, tree) lanes are walked in chunks of whole rows,
-    or of whole simulations of one row when a row has more than max_lanes
-    lanes. A chunk holds at most max_lanes lanes, and its rows' paths at
-    most max_lanes levels, but never less than one simulation of one row;
-    phase 2 draws at most max_lanes uniforms at a time, or one step's.
-    Results do not depend on max_lanes."""
+    The (row, simulation, tree) lanes go in chunks of whole rows, or of
+    whole simulations of one row when a row has more than CHUNK_LANES *
+    max_lanes lanes. A chunk holds at most CHUNK_LANES * max_lanes lanes,
+    and its rows' paths at most as many levels, but never less than one
+    simulation of one row. Its rounds draw in slices of at most max_lanes
+    // 2 draws, or one step's, and the lanes that finish alone walk at
+    most max(max_lanes, MIN_SHARED_LANES) at a time. Results do not
+    depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.trees[0].n_features)
     n = X.shape[0]
     if stream_ids is None:
         stream_ids = np.arange(n)
-    stream_ids = np.asarray(stream_ids, dtype=np.uint64)
+    stream_ids = np.asarray(stream_ids)
     if stream_ids.shape != (n,):
         raise ValueError("stream_ids must have one entry per sample")
+    if n and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
+        raise ValueError("stream_ids must be non-negative integers")
+    stream_ids = stream_ids.astype(np.uint64)
     S, T = config.n_simulations, forest.n_trees
     chance = _flip_chance(forest, spec, config)
     shared = n * S * T >= MIN_SHARED_LANES
-    sims_per_chunk = min(S, max(1, max_lanes // T))
-    # a chunk's lanes, and the steps its phase 1 records (at most one per
-    # level of each pair's path), stay within max_lanes
+    sims_per_chunk = min(S, max(1, CHUNK_LANES * max_lanes // T))
+    # a chunk's lanes, and the steps its round 1 records (at most one per
+    # level of each pair's path), stay within CHUNK_LANES * max_lanes
     depth = max(tree.max_depth for tree in forest.trees)
-    rows_per_chunk = max(1, max_lanes // (T * max(sims_per_chunk, depth)))
-    tree_words = np.arange(T, dtype=np.uint64)
+    rows_per_chunk = max(1, CHUNK_LANES * max_lanes // (T * max(sims_per_chunk, depth)))
+    chunks = max(1, -(-n // rows_per_chunk))  # of even size
+    rows_per_chunk = max(1, -(-n // chunks))
     counts = np.zeros(n, dtype=np.int64)
     for r0 in range(0, n, rows_per_chunk):
         rows = np.arange(r0, min(n, r0 + rows_per_chunk))
-        # (row, tree) pair j is tree j % T for row rows[j // T]
-        pair_root = np.tile(forest.root, rows.size)
-        pair_x = np.repeat(rows * X.shape[1], T)
-        steps = []
-        if shared:
-            # phase 1: each pair's deterministic path, and its steps that
-            # may flip; until its first flip a simulation follows it
-            pair_leaf = walk_lanes(forest, X, pair_root, pair_x, _record_step(chance, steps))
-        else:
-            pair_leaf = np.zeros(pair_root.size, dtype=np.int8)
         for s0 in range(0, S, sims_per_chunk):
             sims = np.arange(s0, min(S, s0 + sims_per_chunk), dtype=np.uint64)
-            # lane pair * len(sims) + s - s0 is simulation s of the pair; a
-            # lane that never leaves the shared path ends at the pair's leaf
-            leaves = np.repeat(pair_leaf, sims.size)
-            if steps or not shared:  # else no step of the chunk may flip
-                # the stream of simulation s of (row, tree t) is keyed
-                # (seed, stream id, s, t)
-                prefix = _rng.stream_key_array(config.seed, stream_ids[rows, None], sims)
-                keys = _rng.finalize_array(prefix[:, None, :] ^ tree_words[:, None])
-                keys = keys.reshape(pair_root.size, sims.size)
-                if shared:
-                    # phase 2: the lanes that leave the shared path, and where
-                    lane, start = _first_flips(forest, steps, keys, max_lanes)
-                else:
-                    lane = np.arange(keys.size)
-                    start = np.repeat(pair_root, sims.size)
-                # phase 3: those lanes walk on alone, drawing their own flips
-                leaves[lane] = walk_lanes(forest, X, start, pair_x[lane // sims.size],
-                                          _flip_step(forest, chance, keys.ravel()[lane]))
+            leaves = _simulate(forest, X, chance, rows, stream_ids[rows], sims, config.seed,
+                               shared, max_lanes)
             votes = leaves.reshape(rows.size, T, sims.size).sum(axis=1)
             if aggregation == VOTE_MAJORITY:
                 votes = 2 * votes > T

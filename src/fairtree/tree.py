@@ -90,7 +90,9 @@ class DecisionTree:
     training class counts in class_counts (zero at internal nodes);
     leaf_class is the leaf's majority class, ties to 0. depth[i] is node
     i's distance from the root in edges and max_depth the longest
-    root-to-leaf path. The arrays are read-only."""
+    root-to-leaf path. The flip rule reads safe_scale (scale, or 1 where it
+    is 0) and fixed_chance (unscaled and uniform-distance nodes, whose flip
+    chance does not decay). The arrays are read-only."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -104,6 +106,8 @@ class DecisionTree:
     leaf_class: np.ndarray = field(init=False, repr=False)
     depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
+    safe_scale: np.ndarray = field(init=False, repr=False)
+    fixed_chance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype, _ in _NODE_ARRAYS:
@@ -116,6 +120,9 @@ class DecisionTree:
             )
         counts = self.class_counts
         self.leaf_class = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
+        scaled = self.scale > 0.0
+        self.safe_scale = _read_only(np.where(scaled, self.scale, 1.0))
+        self.fixed_chance = _read_only(~scaled | self.uniform_distance)
         node_depth = np.zeros(self.feature.size, dtype=np.int32)
         depth, level, reached = 0, np.zeros(1, dtype=np.int64), 1
         while True:
@@ -159,8 +166,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 @dataclass
 class Forest:
     """Bagged trees. Besides its fields, a forest holds its trees' node
-    arrays end to end under the DecisionTree names (feature, threshold,
-    scale, uniform_distance, child, majority, leaf_class, depth), read-only.
+    arrays end to end, read-only, under the DecisionTree names (feature,
+    threshold, child, depth, safe_scale and the others).
     Node ids are global: tree t's root is root[t], and child rows hold
     global ids; depth stays a node's depth within its tree. A one-tree
     forest shares its tree's arrays."""
@@ -174,7 +181,7 @@ class Forest:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
         self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
         for name in ("feature", "threshold", "scale", "uniform_distance", "majority",
-                     "leaf_class", "depth"):
+                     "leaf_class", "depth", "safe_scale", "fixed_chance"):
             setattr(self, name, _concat([getattr(t, name) for t in self.trees]))
         self.child = _concat([t.child + r if r else t.child for t, r in zip(self.trees, self.root)])
 

@@ -1,6 +1,7 @@
 import numpy as np
 
 from fairtree.rng import (
+    below_array,
     finalize,
     finalize_array,
     stream_key,
@@ -42,6 +43,28 @@ def test_scalar_and_array_uniforms_agree():
     grid = uniforms_at_array(keys[None, :], steps[:7, None])
     expected = np.array([[uniform_at(int(k), int(j)) for k in keys] for j in steps[:7]])
     np.testing.assert_array_equal(grid, expected)
+
+
+def test_integer_flip_test_equals_uniform_comparison():
+    # below_array compares the draw word with ceil(p * 2**53) << 11; it
+    # must agree with forming the uniform for every p, including those
+    # next to a multiple of 2**-53 (the uniforms' grid)
+    rng = np.random.default_rng(3)
+    keys = stream_key_array(5, np.arange(20_000, dtype=np.uint64))
+    grid = np.array([1, 2, 3, 2**20 + 1, 2**50 - 1, 2**51, 2**52 - 1]) * 2.0**-53
+    edges = np.r_[0.0, 2.0**-53, 0.1, 0.5, grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1.0),
+                  np.nextafter(0.5, 0.0), np.nextafter(0.1, 1.0)]
+    index = rng.integers(0, 40, size=keys.size).astype(np.int32)
+    for i in (0, 7, index):
+        u = uniforms_at_array(keys, i)
+        # chances at the draws themselves and at their neighbours
+        at_u = np.nextafter(u, [[0.0], [1.0]])
+        for p in (*edges, u, *at_u):
+            np.testing.assert_array_equal(below_array(keys, i, p), u < p)
+    # indices and chances broadcast against keys, as a step's draws do
+    u = uniforms_at_array(keys[None, :], index[:5, None])
+    p = np.r_[0.0, 2.0**-53, 0.1, 0.5, u[4, 0]][:, None]
+    np.testing.assert_array_equal(below_array(keys[None, :], index[:5, None], p), u < p)
 
 
 def test_uniforms_lie_in_unit_interval():

@@ -22,6 +22,7 @@ from fairtree.tree import (
     Forest,
     flatten_tree,
     forest_votes_batch,
+    walk_lanes,
     predict_deterministic,
     predict_forest_batch,
 )
@@ -465,6 +466,57 @@ def test_shared_path_batch_matches_manual_vote_recount(rng):
                     np.testing.assert_array_equal(preds, (2 * count1 > denom).astype(np.int64))
 
 
+def test_sharing_over_several_rounds_matches_manual_vote_recount(rng, monkeypatch):
+    # every split is uniform-distance, so every step may flip: at the
+    # default budget the flipped lanes stay at least MIN_SHARED_LANES (and
+    # at most half of a round's lanes) for 3 rounds, each a walk of its
+    # segments. A row's results do not depend on the other rows, so the
+    # one-lane budget runs on the first rows only.
+    n_rows, S, T = 60, 100, 4
+    forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(T)], n_trees=T)
+    X = rng.uniform(-5, 5, size=(n_rows, 3))
+    X[:, 0] = rng.integers(0, 2, n_rows)
+    ids = np.arange(n_rows) * 7 + 3
+    cfg = config(n_simulations=S, p_max=0.05, alpha=0.0, seed=17)
+    outcomes = np.array([[[
+        traverse_once(tree, X[i], SPEC, cfg, TraversalStream.derive(cfg.seed, int(ids[i]), s, t))
+        for t, tree in enumerate(forest.trees)] for s in range(S)] for i in range(n_rows)])
+    majority = (2 * outcomes.sum(axis=2) > T).sum(axis=1)
+    mean = outcomes.sum(axis=(1, 2))
+    walks = []
+
+    def counting_walk(*args):
+        walks.append(args[4].__qualname__.split(".")[0])
+        return walk_lanes(*args)
+
+    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    for aggregation, count1, denom in ((VOTE_MAJORITY, majority, S), (VOTE_MEAN, mean, S * T)):
+        expected = np.c_[(denom - count1) / denom, count1 / denom]
+        for max_lanes, rows in ((1, 3), (250, n_rows), (MAX_LANES, n_rows)):
+            walks.clear()
+            preds, probs = predict_fair_batch(forest, X[:rows], SPEC, cfg, stream_ids=ids[:rows],
+                                              aggregation=aggregation, max_lanes=max_lanes)
+            np.testing.assert_array_equal(probs, expected[:rows])
+            np.testing.assert_array_equal(preds, (2 * count1[:rows] > denom).astype(np.int64))
+        # the default budget walks the 60 rows in one chunk
+        assert walks.count("_record_step") >= 3, walks
+
+
+def test_stream_ids_must_be_non_negative_integers():
+    forest = edge_case_forest(np.random.default_rng(0), 3)
+    X = np.zeros((2, 3))
+    cfg = config(n_simulations=5)
+    # a cast to uint64 would give 1.2 and 1.7 the same stream, and wrap -1
+    for ids in ([1.2, 1.7], [0, -1], np.array([0, -1], dtype=np.int64), [True, False],
+                ["0", "1"], [0, 2**64]):
+        with pytest.raises(ValueError, match="stream_ids"):
+            predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+    with pytest.raises(ValueError, match="stream_ids"):
+        predict_fair(forest, X[0], SPEC, cfg, stream_id=-1)
+    for ids in (np.array([0, 2**64 - 1], dtype=np.uint64), np.array([3, 4], dtype=np.uint8)):
+        predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+
+
 def test_zero_rows_give_empty_results():
     forest = edge_case_forest(np.random.default_rng(0), 3)
     X = np.empty((0, 3))
@@ -498,9 +550,10 @@ def full_uniform_tree(rng, depth, n_features=3):
 
 def test_transient_memory_is_bounded_for_many_simulations():
     # 3 rows, 2 trees and S = 20,000: 120,000 lanes, each drawing at all
-    # 12 levels of its path. Walking them in chunks of at most MAX_LANES
-    # lanes, and drawing at most MAX_LANES uniforms at a time, peaks near
-    # 4 MB; drawing every recorded step of a chunk at once takes over 13 MB.
+    # 12 levels of its path. One chunk holds them, drawing at most
+    # MAX_LANES / 2 at a time; most flip, so they walk on alone, at most
+    # MAX_LANES at a time. That peaks near 5.3 MB; drawing every recorded
+    # step of a chunk at once takes over 13 MB.
     rng = np.random.default_rng(4)
     forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(2)], n_trees=2)
     X = rng.uniform(-5, 5, size=(3, 3))
@@ -513,6 +566,28 @@ def test_transient_memory_is_bounded_for_many_simulations():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_transient_memory_does_not_grow_with_rows():
+    # chunks of 100 rows each at this budget: 200 rows make 2, 2,000 make 20
+    rng = np.random.default_rng(6)
+    T, S = 4, 80
+    forest = Forest(trees=[full_uniform_tree(rng, 6) for _ in range(T)], n_trees=T)
+    X = rng.uniform(-5, 5, size=(2000, 3))
+    X[:, 0] = rng.integers(0, 2, 2000)
+    cfg = config(n_simulations=S, p_max=0.1)
+    max_lanes = -(-100 * T * S // traversal.CHUNK_LANES)
+    peaks = []
+    for n in (200, 2000):
+        predict_fair_batch(forest, X[:n], SPEC, cfg, max_lanes=max_lanes)
+        tracemalloc.start()
+        try:
+            predict_fair_batch(forest, X[:n], SPEC, cfg, max_lanes=max_lanes)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the outputs (preds, probs, counts) grow by at most 32 bytes a row
+    assert peaks[1] <= 1.05 * peaks[0] + 32 * 1800
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
