@@ -6,13 +6,16 @@ probe takes the census-shaped table that benchmark/census.py generates
 (32,561 rows, 14 mixed-type features, ~24% positive rate, outcome
 suppressed for the unprivileged group) as numeric codes and runs the full
 25-tree, 5-fold pipeline on it. It reports wall time per stage plus the
-direction checks the real benchmark asserts. Not a test; a dry run for
-budgeting.
+direction checks the real benchmark asserts. Before that, on fold 0, it
+times exact inference over the forest against Monte Carlo and reports how
+far their predictions agree and how many rows lie within Monte Carlo noise
+of the 0.5 boundary. Not a test; a dry run for budgeting.
 """
 
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,12 +26,19 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 import census  # noqa: E402
 
 from fairtree.bench import (  # noqa: E402
+    _TAG_ENGINE,
+    _TAG_FOLDS,
     METHOD_BASELINE,
     METHOD_FAIRTTTS,
     METHOD_THRESHOLD,
     ExperimentConfig,
+    fit_fold,
+    predict_method,
     run_experiment_on,
 )
+from fairtree.data import make_folds  # noqa: E402
+from fairtree.rng import stream_key  # noqa: E402
+from fairtree.traversal import FairnessSpec  # noqa: E402
 from fairtree.tree import Dataset  # noqa: E402
 
 
@@ -39,6 +49,30 @@ def census_table(seed=1):
     rows = np.column_stack([columns[name] for name in census.FEATURES]).astype(float)
     names = list(census.FEATURES)
     return Dataset(names, ["numeric"] * len(names), rows, labels), names.index(census.PROTECTED)
+
+
+def exact_vs_monte_carlo(dataset, protected, config):
+    """Fold 0 of config's plan: seconds and rows/s of exact inference and
+    of Monte Carlo on its test rows, how often their predictions agree, and
+    the share of rows whose exact favorable chance Q lies within
+    2 * sqrt(Q * (1 - Q) / S) of 0.5, where S simulations cannot tell the
+    side."""
+    plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS))
+    forest, _ = fit_fold(dataset, plan, 0, config, protected)
+    test = plan.test_indices(0)
+    X, spec = dataset.rows[test], FairnessSpec(protected_feature=protected)
+    seed = stream_key(config.seed, _TAG_ENGINE, 0)
+    out = {}
+    for name, cfg in (("exact", replace(config, exact=True)), ("monte carlo", config)):
+        t0 = time.perf_counter()
+        out[name] = predict_method(METHOD_FAIRTTTS, forest, X, spec, cfg, seed, test)
+        elapsed = time.perf_counter() - t0
+        print(f"fold 0 {name:<12} {elapsed:.2f}s  {len(X) / elapsed:,.0f} rows/s")
+    q, S = out["exact"][1], config.n_simulations
+    agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
+    noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))
+    print(f"fold 0 predictions agree on {agree:.2%} of {len(X)} rows; "
+          f"{noise:.2%} lie within 2*sqrt(Q(1-Q)/{S}) of 0.5")
 
 
 def main():
@@ -53,6 +87,7 @@ def main():
         n_simulations=100, p_max=0.1, alpha=9.0, folds=5, seed=20240601,
         methods=(METHOD_BASELINE, METHOD_THRESHOLD, METHOD_FAIRTTTS),
     )
+    exact_vs_monte_carlo(dataset, sex_index, config)
     t0 = time.perf_counter()
     result = run_experiment_on(dataset, sex_index, "census_shaped", config)
     total = time.perf_counter() - t0

@@ -27,6 +27,7 @@ from .traversal import (
     predict_fair,
     predict_fair_batch,
 )
+from .exact import exact_forest_batch
 from .metrics import (
     GroupConfusion,
     MetricsReport,

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .data import FoldPlan, load_dataset, load_dataset_config, make_folds, read_json, write_text
 from .errors import ConfigError, DataError
+from .exact import exact_forest_batch
 from .metrics import MetricsReport, full_report
 from .rng import stream_key
 from .threshold import ThresholdPolicy, apply_threshold_policy, fit_threshold_policy
@@ -32,7 +33,7 @@ from .traversal import (
     VOTE_MAJORITY,
     FairnessSpec,
     TraversalConfig,
-    exact_path_distribution,
+    exact_path_distribution,  # noqa: F401
     predict_fair_batch,
 )
 from .tree import (
@@ -43,6 +44,9 @@ from .tree import (
     predict_forest_batch,
     train_forest,
 )
+
+# exact_path_distribution is not called here: benchmark/tracing.py patches
+# it by name (--trace 1), so it stays an attribute of this module.
 
 REPORT_SCHEMA = "fairtree-report/1"
 SWEEP_SCHEMA = "fairtree-sweep/1"
@@ -95,8 +99,6 @@ class ExperimentConfig:
                          None if self.features_per_split == "sqrt" else self.features_per_split)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.exact and self.n_trees != 1:
-            raise ConfigError("exact evaluation requires n_trees == 1")
         self.traversal_config(self.seed)
         if self.seed < 0:  # training seeds numpy, which takes no negative seed
             raise ConfigError("seed must be a non-negative integer")
@@ -207,8 +209,8 @@ def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: Experi
                    group=None):
     """(predictions, favorable-class probabilities or None) of the rows X by
     method. fairttts keys its streams on seed and stream_ids (default: the
-    row index) and, under config.exact, enumerates each row's paths through
-    the forest's one tree; threshold_optimizer applies policy to X's
+    row index) and, under config.exact, takes the exact distribution of
+    the forest's paths instead; threshold_optimizer applies policy to X's
     vote-fraction scores by group."""
     if method == METHOD_BASELINE:
         return predict_forest_batch(forest, X), None
@@ -217,11 +219,10 @@ def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: Experi
         return apply_threshold_policy(policy, scores, group), None
     engine_cfg = config.traversal_config(seed)
     if config.exact:
-        dists = [exact_path_distribution(forest.trees[0], x, spec, engine_cfg) for x in X]
-        preds = np.array([d.predicted_class for d in dists], dtype=np.int64)
-        return preds, np.array([d.probs[1] for d in dists])
-    preds, dist = predict_fair_batch(forest, X, spec, engine_cfg, stream_ids=stream_ids,
-                                     aggregation=config.aggregation)
+        preds, dist = exact_forest_batch(forest, X, spec, engine_cfg, config.aggregation)
+    else:
+        preds, dist = predict_fair_batch(forest, X, spec, engine_cfg, stream_ids=stream_ids,
+                                         aggregation=config.aggregation)
     return preds, dist[:, 1]
 
 

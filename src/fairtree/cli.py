@@ -90,7 +90,7 @@ def _engine_flags(g):
     g.add_argument("--alpha", type=float)
     g.add_argument("--aggregation", choices=(VOTE_MAJORITY, VOTE_MEAN))
     g.add_argument("--exact", action="store_true",
-                   help="exact path enumeration instead of Monte Carlo (single tree only)")
+                   help="exact path distribution instead of Monte Carlo")
 
 
 def _experiment_flags(g):

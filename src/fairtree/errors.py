@@ -30,4 +30,5 @@ class ModelFormatError(DataError):
 
 
 class EnumerationLimitError(ConfigError):
-    """Exact path enumeration was asked to descend past its depth limit."""
+    """Exact inference was asked past its limit: a tree deeper than the per-row
+    enumeration's, or a row with more paths than the batch kernel's budget."""

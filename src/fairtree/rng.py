@@ -72,7 +72,8 @@ def _words_at(keys: np.ndarray, index) -> np.ndarray:
         offset *= _U_GAMMA
     else:
         offset = np.uint64((index + 1) * GAMMA & _MASK)
-    return finalize_array(keys + offset)
+    # as arrays: scalar arithmetic warns on the wrap-around
+    return finalize_array(np.asarray(keys) + offset)
 
 
 def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:

@@ -87,6 +87,34 @@ def random_tree(rng, n_features=4, max_depth=4, p_leaf=0.3, p_zero_scale=0.0,
     return make_tree(root, n_features)
 
 
+def full_uniform_tree(rng, depth, n_features=3):
+    """A complete tree of the given depth, heap-ordered, whose every split
+    is uniform-distance: every step of every walk draws."""
+    n, n_leaves = 2**depth - 1, 2**depth
+    ids = np.arange(n)
+    return DecisionTree(
+        feature=np.r_[rng.integers(0, n_features, n), np.full(n_leaves, -1)],
+        threshold=np.r_[rng.uniform(-5, 5, n), np.zeros(n_leaves)],
+        scale=np.ones(n + n_leaves),
+        uniform_distance=np.r_[np.ones(n, dtype=bool), np.zeros(n_leaves, dtype=bool)],
+        child=np.r_[np.c_[2 * ids + 1, 2 * ids + 2], np.zeros((n_leaves, 2), dtype=int)],
+        majority=np.r_[rng.integers(0, 2, (n, 2)), np.zeros((n_leaves, 2), dtype=int)],
+        class_counts=np.r_[np.zeros((n, 2), dtype=int), rng.integers(0, 5, (n_leaves, 2))],
+        n_features=n_features,
+    )
+
+
+def chain_tree(depth, n_features=2):
+    """depth uniform-distance splits on feature 1 at threshold 0, each
+    sending x <= 0 on down the chain and x > 0 to a class-1 leaf; the
+    chain ends in a class-0 leaf. At p_max p a row with x <= 0 reaches it
+    with chance (1 - p)**depth."""
+    root = leaf(1, 0)
+    for _ in range(depth):
+        root = internal(1, 0.0, 1.0, root, leaf(0, 1), uniform=True)
+    return make_tree(root, n_features)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)

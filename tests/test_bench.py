@@ -29,10 +29,13 @@ from fairtree.bench import (
 from fairtree.charts import chart_accuracy_vs_eod, chart_alpha_sweep, emit_charts
 from fairtree.data import load_dataset, load_dataset_config, make_folds
 from fairtree.errors import ConfigError, DataError
-from fairtree.model_io import dumps
+from fairtree.exact import exact_forest_batch
+from fairtree.model_io import dumps, load_model
 from fairtree.rng import stream_key
+from fairtree.traversal import FairnessSpec
+from fairtree.tree import MAX_LANES, Forest
 
-from conftest import internal, leaf, make_tree
+from conftest import chain_tree, full_uniform_tree, leaf, make_tree
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SYNTHETIC = str(FIXTURES / "synthetic.json")
@@ -208,9 +211,40 @@ def test_exact_sweep_unprivileged_favorable_rate_is_nondecreasing():
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
-def test_exact_mode_requires_single_tree():
-    with pytest.raises(ConfigError, match="exact"):
-        ExperimentConfig(dataset_config=SYNTHETIC, n_trees=5, exact=True)
+def test_exact_mode_runs_on_forests(tmp_path):
+    # run, sweep-alpha and predict take the exact distribution of a forest
+    config = sweep_fixture_config(n_trees=3, bootstrap=True)
+    result = run_experiment(config)
+    assert len(result.fold_reports[METHOD_FAIRTTTS]) == config.folds
+    assert len(sweep_alpha(config, [1.0, 9.0]).results) == 2
+    model, out = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert cli.main(["train", "--data", SYNTHETIC, "--n-trees", "3", "--out", str(model)]) == 0
+    assert cli.main(["predict", "--data", SYNTHETIC, "--model", str(model), "--exact",
+                     "--out", str(out)]) == 0
+    dataset, protected, _ = bench.load(SYNTHETIC)
+    preds, probs = exact_forest_batch(load_model(str(model)), dataset.rows,
+                                      FairnessSpec(protected_feature=protected),
+                                      ExperimentConfig().traversal_config(0))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[3]) for r in rows] == preds.tolist()
+    assert [float(r[4]) for r in rows] == probs[:, 1].tolist()
+
+
+def test_cli_exact_predict_down_chains_of_whole_key_words(tmp_path):
+    # exact inference keys 64 levels a word: chains of 64 and 128 levels
+    # fill their words exactly
+    (tmp_path / "zero.csv").write_text("g,x,y\n1,0,yes\n0,0,no\n")
+    data = tmp_path / "zero.json"
+    data.write_text(json.dumps({
+        "name": "zero", "csv_path": "zero.csv", "label_column": "y",
+        "positive_label_value": "yes", "protected_column": "g", "privileged_values": ["1"]}))
+    model, out = tmp_path / "chain.json", tmp_path / "preds.csv"
+    for depth in (64, 128):
+        model.write_text(dumps(Forest(trees=[chain_tree(depth)], n_trees=1)))
+        assert cli.main(["predict", "--data", str(data), "--model", str(model), "--exact",
+                         "--p-max", "0.5", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[4]) for r in rows] == [1.0 - 0.5**depth] * 2
 
 
 def test_chart_structure_for_sweep(tmp_path):
@@ -505,18 +539,19 @@ def test_cli_predict_model_and_data_mismatches_exit_cleanly(tmp_path, capsys):
                      "--out", str(fixture_model)]) == 0
     n_features = load_dataset(load_dataset_config(SYNTHETIC)).n_features
     assert n_features != 2
-    # a chain of 13 splits on x: one level past the enumeration limit
-    node = leaf(1, 0)
-    for _ in range(13):
-        node = internal(1, 0.0, 1.0, node, leaf(0, 1))
-    chain_model = tmp_path / "chain_model.json"
-    chain_model.write_text(dumps(make_tree(node, n_features=2)))
+    # a complete uniform-distance tree of depth 15 and a one-leaf tree:
+    # every row has 2**15 + 1 paths, one more than the exact kernel's budget
+    wide_model = tmp_path / "wide_model.json"
+    wide_model.write_text(dumps(Forest(trees=[
+        full_uniform_tree(np.random.default_rng(0), 15, n_features=2),
+        make_tree(leaf(1, 0), n_features=2)], n_trees=2)))
     capsys.readouterr()
     cases = (
         (["--model", str(fixture_model)], 2,
          f"data error: {fixture_model}: model has {n_features} features; dataset has 2"),
-        (["--model", str(chain_model), "--exact"], 1,
-         "config error: enumeration limit exceeded: tree depth 13 > 12"),
+        (["--model", str(wide_model), "--exact"], 1,
+         f"config error: enumeration limit exceeded: row 0 needs more than {MAX_LANES} "
+         f"branches"),
     )
     for flags, code, message in cases:
         assert_clean_exit(capsys, ["predict", "--data", str(two), *flags], code, message)
@@ -547,8 +582,7 @@ def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypa
         (["run"], growth + engine + formats + seed),
         (["sweep-alpha", "--alphas", "1,2"], growth + engine + seed
          + ((["--methods", "baseline"], "an alpha sweep needs the fairttts method"),)),
-        (["predict", "--model", model], engine + seed
-         + ((["--exact"], "exact evaluation requires n_trees == 1"),)),
+        (["predict", "--model", model], engine + seed),
     )
     for command, cases in commands:
         for flags, message in cases:

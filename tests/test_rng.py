@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from fairtree.rng import (
@@ -65,6 +67,19 @@ def test_integer_flip_test_equals_uniform_comparison():
     u = uniforms_at_array(keys[None, :], index[:5, None])
     p = np.r_[0.0, 2.0**-53, 0.1, 0.5, u[4, 0]][:, None]
     np.testing.assert_array_equal(below_array(keys[None, :], index[:5, None], p), u < p)
+
+
+def test_scalar_keys_draw_without_overflow_warnings():
+    # a numpy scalar key wraps modulo 2**64 like an array key, with no
+    # RuntimeWarning from scalar arithmetic
+    keys = stream_key_array(3, np.arange(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in keys:
+            for index in (2, np.arange(3)):
+                want = np.array([uniform_at(int(key), int(i)) for i in np.ravel(index)])
+                np.testing.assert_array_equal(np.ravel(uniforms_at_array(key, index)), want)
+                np.testing.assert_array_equal(np.ravel(below_array(key, index, 0.5)), want < 0.5)
 
 
 def test_uniforms_lie_in_unit_interval():

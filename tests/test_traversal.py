@@ -18,7 +18,6 @@ from fairtree.traversal import (
 from fairtree.tree import (
     MAX_LANES,
     MIN_SHARED_LANES,
-    DecisionTree,
     Forest,
     flatten_tree,
     forest_votes_batch,
@@ -27,7 +26,7 @@ from fairtree.tree import (
     predict_forest_batch,
 )
 
-from conftest import depth1_tree, internal, leaf, make_tree, random_tree
+from conftest import depth1_tree, full_uniform_tree, internal, leaf, make_tree, random_tree
 from reference import (
     TraversalStream,
     adjusted_flip_probability,
@@ -529,23 +528,6 @@ def test_zero_rows_give_empty_results():
     votes = forest_votes_batch(forest, X)
     assert votes.shape == (0,) and votes.dtype == np.int64
     assert predict_forest_batch(forest, X).shape == (0,)
-
-
-def full_uniform_tree(rng, depth, n_features=3):
-    """A complete tree of the given depth, heap-ordered, whose every split
-    is uniform-distance: every step of every walk draws."""
-    n, n_leaves = 2**depth - 1, 2**depth
-    ids = np.arange(n)
-    return DecisionTree(
-        feature=np.r_[rng.integers(0, n_features, n), np.full(n_leaves, -1)],
-        threshold=np.r_[rng.uniform(-5, 5, n), np.zeros(n_leaves)],
-        scale=np.ones(n + n_leaves),
-        uniform_distance=np.r_[np.ones(n, dtype=bool), np.zeros(n_leaves, dtype=bool)],
-        child=np.r_[np.c_[2 * ids + 1, 2 * ids + 2], np.zeros((n_leaves, 2), dtype=int)],
-        majority=np.r_[rng.integers(0, 2, (n, 2)), np.zeros((n_leaves, 2), dtype=int)],
-        class_counts=np.r_[np.zeros((n, 2), dtype=int), rng.integers(0, 5, (n_leaves, 2))],
-        n_features=n_features,
-    )
 
 
 def test_transient_memory_is_bounded_for_many_simulations():
