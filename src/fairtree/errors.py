@@ -30,5 +30,5 @@ class ModelFormatError(DataError):
 
 
 class EnumerationLimitError(ConfigError):
-    """Exact inference was asked past its limit: a tree deeper than the per-row
-    enumeration's, or a row with more paths than the batch kernel's budget."""
+    """Exact inference was asked past its one limit: a row whose live branches
+    and reached leaves outnumber tree.MAX_LANES."""

@@ -1,16 +1,17 @@
 """Exact fairness-adjusted inference over whole forests.
 
-Every (row, tree) pair's branches, (pair, node, mass, key) entries, go
-down the forest's joined node arrays one level per step, with one
-``_flip_chance`` call a level; a branch splits into mass * (1 - p) at the
-deterministic child and mass * p at the flip child, and one whose mass is
-not above 0 is dropped, as in ``exact_path_distribution``. A key holds the
-branch's flip bits, left-aligned, so a pair's leaves sorted by key are in
-that enumeration's depth-first order, and summed one at a time in it
-(``np.bincount``) they give its class masses (q0, q1) bit for bit.
-Simulations draw from independent streams per tree, so a simulation's
-majority vote is Bernoulli(Q), Q the Poisson-binomial chance that more
-than half of the trees vote 1.
+Every (row, tree) pair's branches, (pair, node, mass) entries, go down the
+forest's joined node arrays one level per step, with one ``_flip_chance``
+call a level; a branch splits into mass * (1 - p) at the deterministic
+child and mass * p at the flip child, and one whose mass is not above 0 is
+dropped. The summation order: a level holds the deterministic children of
+the level above, then its flip children, each in parent order, and a
+pair's class masses (q0, q1) are its leaves' masses added one at a time,
+level by level and in that order within a level (``np.bincount``), as
+``traversal.exact_path_distribution`` adds them. Simulations draw from
+independent streams per tree, so a simulation's majority vote is
+Bernoulli(Q), Q the Poisson-binomial chance that more than half of the
+trees vote 1.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .traversal import VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig, 
 from .tree import MAX_LANES, Forest, _check_matrix
 
 
-def _pair_masses(forest: Forest, X, chance, rows, words: int, limit: int):
-    """The (q0, q1) rows of rows' (row, tree) pairs, pair j * T + t being
-    row rows[j] in tree t, and the count of their leaves; None once the
-    live branches and the leaves held for the sum outnumber limit."""
+def _pair_masses(forest: Forest, X, chance, rows, limit: int):
+    """The (q0, q1) of rows' (row, tree) pairs, shaped (rows, T, 2), and
+    the count of their leaves; None once the live branches and the leaves
+    held for the sum outnumber limit."""
     T = forest.n_trees
     values, child = X.ravel(), forest.child.ravel()
     x_pos = np.repeat(rows * X.shape[1], T)
@@ -34,19 +35,16 @@ def _pair_masses(forest: Forest, X, chance, rows, words: int, limit: int):
         return None
     pair = np.arange(node.size)
     mass = np.ones(node.size)
-    key = np.zeros((node.size, words), dtype=np.uint64)
-    leaves, held, level = [], 0, 0
-    while True:
+    leaves, held = [], 0
+    while node.size:
         feat = forest.feature[node]
         done = feat < 0
         if done.any():
             at = done.nonzero()[0]
-            leaves.append((2 * pair[at] + forest.leaf_class[node[at]], mass[at], key[at]))
+            leaves.append((2 * pair[at] + forest.leaf_class[node[at]], mass[at]))
             held += at.size
             at = (~done).nonzero()[0]
-            if not at.size:
-                break
-            node, feat, pair, mass, key = node[at], feat[at], pair[at], mass[at], key[at]
+            node, feat, pair, mass = node[at], feat[at], pair[at], mass[at]
         x = values[x_pos[pair] + feat]
         threshold = forest.threshold[node]
         go_left = x <= threshold
@@ -55,28 +53,23 @@ def _pair_masses(forest: Forest, X, chance, rows, words: int, limit: int):
         s, f = (stay > 0.0).nonzero()[0], (flip > 0.0).nonzero()[0]
         if held + s.size + f.size > limit:
             return None
-        flipped = key[f]
-        flipped[:, level // 64] |= np.uint64(1 << (63 - level % 64))
         node = np.concatenate([child[2 * node[s] + ~go_left[s]], child[2 * node[f] + go_left[f]]])
         pair, mass = np.concatenate([pair[s], pair[f]]), np.concatenate([stay[s], flip[f]])
-        key = np.concatenate([key[s], flipped])
-        level += 1
-    slot, mass, key = (np.concatenate(a) for a in zip(*leaves))
-    order = np.lexsort((*key.T[::-1], slot))  # by pair, then depth-first
-    return np.bincount(slot[order], mass[order], 2 * rows.size * T).reshape(-1, 2), slot.size
+    slot, mass = (np.concatenate(a) for a in zip(*leaves))
+    return np.bincount(slot, mass, 2 * rows.size * T).reshape(rows.size, T, 2), held
 
 
 def _majority(q):
     """(P0, P1) of a majority vote, ties to 0, of trees voting 1 with the
     chances q[:, t, 1] and 0 with q[:, t, 0]: a DP over the count of 1
-    votes, clamped to [0, 1]."""
+    votes."""
     n, T, _ = q.shape
     count = np.zeros((n, T + 1))
     count[:, 0] = 1.0
     for t in range(T):
         count[:, 1:t + 2] = count[:, 1:t + 2] * q[:, t, :1] + count[:, :t + 1] * q[:, t, 1:]
         count[:, 0] *= q[:, t, 0]
-    return np.clip(np.add.reduceat(count, [0, T // 2 + 1], axis=1), 0.0, 1.0)
+    return np.add.reduceat(count, [0, T // 2 + 1], axis=1)
 
 
 def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig,
@@ -86,24 +79,22 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     prediction 1 where P(class 1) > P(class 0). One tree gives its (q0,
     q1), mean_distribution the trees' mean and majority_vote (P0, P1).
 
-    Rows go in chunks of at most MAX_LANES // T rows. A chunk whose
-    branches and held leaves outnumber MAX_LANES is halved and redone; one
-    whose leaves fill at most half of it lets the next double, up to that
-    size. A row alone that outgrows MAX_LANES raises
-    EnumerationLimitError. Results do not depend on MAX_LANES."""
+    Rows go in chunks of at most MAX_LANES // T rows, the first of
+    MAX_LANES // (the forest's leaf count), which fits: a pair holds at
+    most one branch or leaf per leaf of its tree. A chunk whose branches
+    and held leaves outnumber MAX_LANES is halved and redone; one whose
+    leaves fill at most half of it lets the next double. A row alone past
+    MAX_LANES raises EnumerationLimitError. Results do not depend on it."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.trees[0].n_features)
     n, T = X.shape[0], forest.n_trees
     chance = _flip_chance(forest, spec, config)
-    # a flip at level k sets bit k; the deepest flips are at level max_depth - 1
-    words = -(-max(tree.max_depth for tree in forest.trees) // 64)
-    q = np.empty((n * T, 2))
-    most = max(1, MAX_LANES // T)
-    r0, size = 0, most
+    q = np.empty((n, T, 2))
+    r0, size = 0, max(1, MAX_LANES // int((forest.feature < 0).sum()))
     while r0 < n:
         rows = np.arange(r0, min(n, r0 + size))
-        got = _pair_masses(forest, X, chance, rows, words, MAX_LANES)
+        got = _pair_masses(forest, X, chance, rows, MAX_LANES)
         if got is None and rows.size == 1:
             raise EnumerationLimitError(
                 f"enumeration limit exceeded: row {r0} needs more than {MAX_LANES} branches")
@@ -111,10 +102,9 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
             while size >= rows.size:  # sizes that do not depend on n
                 size //= 2
             continue
-        q[r0 * T:(r0 + rows.size) * T], held = got
+        q[r0:r0 + rows.size], held = got
         r0 += rows.size
         if 2 * held <= MAX_LANES:
-            size = min(most, 2 * size)
-    q = q.reshape(n, T, 2)
-    probs = q[:, 0] if T == 1 else q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q)
+            size = min(max(1, MAX_LANES // T), 2 * size)
+    probs = np.clip(q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q), 0.0, 1.0)
     return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs

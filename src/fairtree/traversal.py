@@ -53,7 +53,6 @@ from .tree import (
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
-MAX_ENUMERATION_DEPTH = 12  # exact enumeration walks up to 2 ** 12 paths
 # Lanes of a Monte Carlo chunk per max_lanes: a lane keeps about 13 bytes
 # across the rounds, a draw or a walked lane takes more but only briefly.
 CHUNK_LANES = 3
@@ -357,37 +356,36 @@ def exact_path_distribution(
     spec: FairnessSpec,
     config: TraversalConfig,
 ) -> PredictionDistribution:
-    """Closed-form traversal distribution by enumerating every root-leaf
-    path of a tree at most MAX_ENUMERATION_DEPTH deep; the verification
-    oracle for the Monte Carlo estimate. The flip chances are the Monte
-    Carlo kernel's, from one call over the tree's internal nodes."""
+    """Closed-form traversal distribution, the verification oracle for the
+    Monte Carlo estimate: every root-leaf path enumerated level by level
+    and summed in fairtree.exact's order, so it equals exact_forest_batch
+    on one tree bit for bit, and under its limit. The flip chances are the
+    Monte Carlo kernel's, from one call over the tree's internal nodes."""
     sample = _check_sample(sample, tree.n_features)
-    if tree.max_depth > MAX_ENUMERATION_DEPTH:
-        raise EnumerationLimitError(
-            f"enumeration limit exceeded: tree depth {tree.max_depth} > {MAX_ENUMERATION_DEPTH}")
     internal = (tree.feature >= 0).nonzero()[0]
     feat = tree.feature[internal]
-    x = sample[feat]
-    threshold = tree.threshold[internal]
+    x, threshold = sample[feat], tree.threshold[internal]
     go_left = x <= threshold
-    chance = _flip_chance(tree, spec, config)
-    # each internal node's flip chance, and 1 where its deterministic
-    # child is the right one
+    # each internal node's flip chance, and 1 where its deterministic child is the right one
     p_flip, right = np.zeros(tree.feature.size), np.zeros(tree.feature.size, dtype=np.int8)
-    p_flip[internal] = chance(internal, feat, x, threshold, go_left)
+    p_flip[internal] = _flip_chance(tree, spec, config)(internal, feat, x, threshold, go_left)
     right[internal] = ~go_left
     feature, child, leaf_class = tree.feature, tree.child, tree.leaf_class
-    probs = [0.0, 0.0]
-
-    def walk(node, prob):
-        if feature.item(node) < 0:
-            probs[leaf_class.item(node)] += prob
-            return
-        p, r = p_flip.item(node), right.item(node)
-        if prob * (1.0 - p) > 0.0:
-            walk(child.item(node, r), prob * (1.0 - p))
-        if prob * p > 0.0:
-            walk(child.item(node, 1 - r), prob * p)
-
-    walk(0, 1.0)
-    return PredictionDistribution(probs=tuple(probs), n_simulations_used=0)
+    probs, level, held = [0.0, 0.0], [(0, 1.0)], 0
+    while level:
+        if held + len(level) > MAX_LANES:
+            raise EnumerationLimitError(
+                f"enumeration limit exceeded: the sample needs more than {MAX_LANES} branches")
+        stay, flip = [], []
+        for node, mass in level:
+            if feature.item(node) < 0:
+                probs[leaf_class.item(node)] += mass
+                held += 1
+                continue
+            p, r = p_flip.item(node), right.item(node)
+            if mass * (1.0 - p) > 0.0:
+                stay.append((child.item(node, r), mass * (1.0 - p)))
+            if mass * p > 0.0:
+                flip.append((child.item(node, 1 - r), mass * p))
+        level = stay + flip
+    return PredictionDistribution(probs=tuple(min(p, 1.0) for p in probs), n_simulations_used=0)

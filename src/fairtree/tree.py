@@ -179,6 +179,9 @@ class Forest:
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
+        if any(t.n_features != self.trees[0].n_features for t in self.trees):
+            # the kernels read rows of trees[0].n_features values by flat offset
+            raise ValueError("forest trees disagree on n_features")
         self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
         for name in ("feature", "threshold", "scale", "uniform_distance", "majority",
                      "leaf_class", "depth", "safe_scale", "fixed_chance"):
@@ -545,12 +548,19 @@ def train_forest(
     )
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():  # a NaN compares false with every threshold
+        at = np.unravel_index(bad.argmax(), values.shape)
+        where = f"row {at[0]}, column {at[1]}" if values.ndim == 2 else f"column {at[0]}"
+        raise ValueError(f"{name} has a non-finite value {values[at]} at {where}")
+
+
 def _check_sample(sample, n_features):
     sample = np.asarray(sample, dtype=np.float64)
     if sample.shape != (n_features,):
-        raise ValueError(
-            f"sample has shape {sample.shape}; model expects ({n_features},)"
-        )
+        raise ValueError(f"sample has shape {sample.shape}; model expects ({n_features},)")
+    _check_finite(sample, "sample")
     return sample
 
 
@@ -622,6 +632,7 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError("X must be (n_samples, n_features)")
+    _check_finite(X, "X")
     return X
 
 

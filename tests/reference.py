@@ -117,21 +117,25 @@ def reference_exact(
     tree: DecisionTree, sample, spec: FairnessSpec, config: TraversalConfig
 ) -> PredictionDistribution:
     """The class distribution of traverse_once, by enumerating every
-    root-leaf path node by node with the scalar flip chance."""
+    root-leaf path node by node with the scalar flip chance. Leaves are
+    summed level by level, and within a level the deterministic children
+    of the level above come first, then its flip children, each in parent
+    order; sums are clamped to 1."""
     sample = _check_sample(sample, tree.n_features)
     probs = [0.0, 0.0]
-
-    def walk(node, prob):
-        if tree.feature[node] < 0:
-            probs[tree.leaf_class[node]] += prob
-            return
-        p_flip = _chance(tree, node, sample, spec, config)
-        left, right = tree.child[node]
-        det_child, flip_child = (left, right) if _goes_left(tree, node, sample) else (right, left)
-        if prob * (1.0 - p_flip) > 0.0:
-            walk(det_child, prob * (1.0 - p_flip))
-        if prob * p_flip > 0.0:
-            walk(flip_child, prob * p_flip)
-
-    walk(0, 1.0)
-    return PredictionDistribution(probs=tuple(probs), n_simulations_used=0)
+    level = [(0, 1.0)]
+    while level:
+        stay, flip = [], []
+        for node, prob in level:
+            if tree.feature[node] < 0:
+                probs[tree.leaf_class[node]] += prob
+                continue
+            p_flip = _chance(tree, node, sample, spec, config)
+            left, right = tree.child[node]
+            det_child, flip_child = (left, right) if _goes_left(tree, node, sample) else (right, left)
+            if prob * (1.0 - p_flip) > 0.0:
+                stay.append((det_child, prob * (1.0 - p_flip)))
+            if prob * p_flip > 0.0:
+                flip.append((flip_child, prob * p_flip))
+        level = stay + flip
+    return PredictionDistribution(probs=tuple(min(p, 1.0) for p in probs), n_simulations_used=0)

@@ -230,16 +230,16 @@ def test_exact_mode_runs_on_forests(tmp_path):
     assert [float(r[4]) for r in rows] == probs[:, 1].tolist()
 
 
-def test_cli_exact_predict_down_chains_of_whole_key_words(tmp_path):
-    # exact inference keys 64 levels a word: chains of 64 and 128 levels
-    # fill their words exactly
+def test_cli_exact_predict_down_deep_chains(tmp_path):
+    # exact inference has no depth limit: a chain of 1,100 levels at p_max
+    # 0.5 outlives the smallest float
     (tmp_path / "zero.csv").write_text("g,x,y\n1,0,yes\n0,0,no\n")
     data = tmp_path / "zero.json"
     data.write_text(json.dumps({
         "name": "zero", "csv_path": "zero.csv", "label_column": "y",
         "positive_label_value": "yes", "protected_column": "g", "privileged_values": ["1"]}))
     model, out = tmp_path / "chain.json", tmp_path / "preds.csv"
-    for depth in (64, 128):
+    for depth in (64, 128, 1100):
         model.write_text(dumps(Forest(trees=[chain_tree(depth)], n_trees=1)))
         assert cli.main(["predict", "--data", str(data), "--model", str(model), "--exact",
                          "--p-max", "0.5", "--out", str(out)]) == 0

@@ -10,7 +10,8 @@ from fairtree.exact import exact_forest_batch
 from fairtree.traversal import VOTE_MAJORITY, VOTE_MEAN, exact_path_distribution, predict_fair_batch
 from fairtree.tree import MAX_LANES, Forest
 
-from conftest import chain_tree, full_uniform_tree, leaf, make_tree, random_tree
+from conftest import chain_tree, full_uniform_tree, internal, leaf, make_tree, random_tree
+from reference import reference_exact
 from test_traversal import (
     EDGE_CONFIGS,
     SPEC,
@@ -29,9 +30,9 @@ def protected_rows(rng, n, n_features=3):
 
 
 def test_one_tree_equals_exact_path_distribution_bit_for_bit(rng):
-    # the enumeration's depth-first sums, leaf by leaf, on scale-0 nodes,
-    # rows at a threshold, p_max 0.5 and alpha 0, and on a complete tree
-    # whose every branch survives
+    # the level-order sums, leaf by leaf, of the kernel, the per-row API
+    # and the scalar oracle, on scale-0 nodes, rows at a threshold, p_max
+    # 0.5 and alpha 0, and on a complete tree whose every branch survives
     cases = []
     for _ in range(30):
         forest = edge_case_forest(rng, 1)
@@ -41,6 +42,8 @@ def test_one_tree_equals_exact_path_distribution_bit_for_bit(rng):
     cases.append((full, protected_rows(rng, 20), config(p_max=0.5, alpha=9.0)))
     for forest, X, cfg in cases:
         want = [exact_path_distribution(forest.trees[0], x, SPEC, cfg) for x in X]
+        assert [d.probs for d in want] == [
+            reference_exact(forest.trees[0], x, SPEC, cfg).probs for x in X]
         for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
             preds, probs = exact_forest_batch(forest, X, SPEC, cfg, aggregation)
             assert [tuple(p) for p in probs] == [d.probs for d in want]
@@ -48,21 +51,22 @@ def test_one_tree_equals_exact_path_distribution_bit_for_bit(rng):
             assert preds.dtype == np.int64
 
 
-def test_chains_whose_flip_keys_fill_whole_words(monkeypatch):
-    # a key holds 64 levels a word: chains of 64 and 128 levels fill their
-    # words exactly, and a one-leaf forest needs none
-    monkeypatch.setattr(traversal, "MAX_ENUMERATION_DEPTH", 130)
+def test_chains_of_any_depth_agree_between_the_exact_paths():
+    # no depth limit: a chain of 1,100 levels at p_max 0.5 outlives the
+    # smallest float, so its deepest branches underflow to 0 and drop out
     X = np.array([[0.0, 0.0], [1.0, -1.0], [0.0, 2.0]])
     cfg = config(p_max=0.5)
-    for depth in (0, 63, 64, 65, 128, 129):
+    for depth in (0, 1, 63, 64, 65, 129, 1000, 1100):
         tree = chain_tree(depth)
         want = [exact_path_distribution(tree, x, SPEC, cfg).probs for x in X]
+        assert want == [reference_exact(tree, x, SPEC, cfg).probs for x in X]
         _, probs = exact_forest_batch(Forest(trees=[tree], n_trees=1), X, SPEC, cfg)
         assert [tuple(p) for p in probs] == want
         np.testing.assert_allclose(probs[:, 0], 0.5**depth, rtol=1e-12)
-    forest = Forest(trees=[chain_tree(64), chain_tree(128), make_tree(leaf(0, 1), 2)], n_trees=3)
+    forest = Forest(trees=[chain_tree(64), chain_tree(1100), make_tree(leaf(0, 1), 2)],
+                    n_trees=3)
     _, probs = exact_forest_batch(forest, X, SPEC, cfg, VOTE_MEAN)
-    np.testing.assert_allclose(probs[:, 0], (0.5**64 + 0.5**128) / 3, rtol=1e-12)
+    np.testing.assert_allclose(probs[:, 0], 0.5**64 / 3, rtol=1e-12)
 
 
 def test_forest_combines_per_tree_distributions(rng):
@@ -99,8 +103,8 @@ def test_forest_monte_carlo_within_binomial_bound_of_exact(rng):
 
 
 def test_results_do_not_depend_on_lane_budget_or_row_order(rng, monkeypatch):
-    # a row has at most 3 * 16 + 32 = 80 leaves; a budget of 97 lanes
-    # starts at 24-row chunks and splits them down to single rows
+    # a row has at most 3 * 16 + 32 = 80 leaves; budgets of 80 and 97
+    # run the rows one or two at a time, the default all at once
     forest = Forest(trees=[random_tree(rng, n_features=3, max_depth=4) for _ in range(3)]
                     + [full_uniform_tree(rng, 5)], n_trees=4)
     X = protected_rows(rng, 120)
@@ -116,6 +120,37 @@ def test_results_do_not_depend_on_lane_budget_or_row_order(rng, monkeypatch):
         monkeypatch.setattr(exact, "MAX_LANES", MAX_LANES)
         got = exact_forest_batch(forest, X[order], SPEC, cfg, aggregation)
         np.testing.assert_array_equal(got[1], probs[order])
+
+
+def test_chunks_halve_when_doubling_reaches_wide_rows(rng, monkeypatch):
+    # a complete depth-6 tree splitting on feature 1 at 0 with scale 1:
+    # a row at 0 flips everywhere (64 leaves), a row at 100 nowhere (one).
+    # A budget of 128 starts at 2-row chunks, doubles them over narrow
+    # rows and must halve them again at the wide ones
+    def grow(depth):
+        if depth == 0:
+            return leaf(*rng.integers(0, 5, 2))
+        return internal(1, 0.0, 1.0, grow(depth - 1), grow(depth - 1))
+
+    forest = Forest(trees=[make_tree(grow(6), n_features=3)], n_trees=1)
+    X = protected_rows(rng, 100)
+    X[:, 1] = np.where(np.arange(100) % 25 < 20, 100.0, rng.uniform(-0.05, 0.05, 100))
+    cfg = config(p_max=0.3, alpha=9.0)
+    preds, probs = exact_forest_batch(forest, X, SPEC, cfg)
+    attempts = []
+    pair_masses = exact._pair_masses
+
+    def counted(*args):
+        got = pair_masses(*args)
+        attempts.append(got is None)
+        return got
+
+    monkeypatch.setattr(exact, "_pair_masses", counted)
+    monkeypatch.setattr(exact, "MAX_LANES", 128)
+    got = exact_forest_batch(forest, X, SPEC, cfg)
+    np.testing.assert_array_equal(got[0], preds)
+    np.testing.assert_array_equal(got[1], probs)
+    assert attempts[0] is False and sum(attempts) >= 4
 
 
 def test_transient_memory_does_not_grow_with_rows():
@@ -154,6 +189,59 @@ def test_row_outgrowing_the_budget_raises(rng, monkeypatch):
     monkeypatch.setattr(exact, "MAX_LANES", 4096)
     _, probs = exact_forest_batch(forest, X, SPEC, config())
     np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
+
+def raises_at_budget(call):
+    try:
+        call()
+    except EnumerationLimitError:
+        return True
+    return False
+
+
+def test_both_exact_paths_share_one_budget(rng, monkeypatch):
+    # each row needs as many branches as its widest level holds alive
+    # plus the leaves reached above it; a complete uniform-distance tree
+    # of depth d needs 2^d
+    cfg = config(p_max=0.5, alpha=9.0)
+    cases = [(full_uniform_tree(rng, d), protected_rows(rng, 2), 2**d) for d in (0, 3, 6)]
+    cases += [(random_tree(rng, n_features=3, max_depth=6, p_leaf=0.15, p_uniform=0.3),
+               protected_rows(rng, 4), None) for _ in range(6)]
+    for tree, X, need in cases:
+        forest = Forest(trees=[tree], n_trees=1)
+        for budget in range(2 ** tree.max_depth + 2):
+            monkeypatch.setattr(exact, "MAX_LANES", budget)
+            monkeypatch.setattr(traversal, "MAX_LANES", budget)
+            per_row = [raises_at_budget(lambda: exact_path_distribution(tree, x, SPEC, cfg))
+                       for x in X]
+            kernel = [raises_at_budget(lambda: exact_forest_batch(forest, X[i:i + 1], SPEC, cfg))
+                      for i in range(len(X))]
+            assert per_row == kernel, budget
+            if need is not None:
+                assert per_row == [budget < need] * len(X)
+            if any(per_row):
+                first = per_row.index(True)
+                with pytest.raises(EnumerationLimitError,
+                                   match=f"row {first} needs more than {budget} branches"):
+                    exact_forest_batch(forest, X, SPEC, cfg)
+
+
+def test_exact_probabilities_never_exceed_one(rng):
+    # the consistency test's trees, rows and settings: a sum of leaf
+    # masses may round past 1, and both paths clamp it
+    for _ in range(1000):
+        tree = random_tree(rng, max_depth=4)
+        sample = rng.uniform(-6, 6, tree.n_features)
+        if rng.random() < 0.5:
+            sample[0] = float(rng.integers(0, 2))
+        cfg = config(p_max=float(rng.uniform(0.0, 0.5)),
+                     alpha=float(rng.choice([0.5, 1.0, 4.0, 9.0])))
+        probs = exact_path_distribution(tree, sample, SPEC, cfg).probs
+        assert 0.0 <= min(probs) and max(probs) <= 1.0
+        for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+            _, batch = exact_forest_batch(Forest(trees=[tree], n_trees=1), sample[None],
+                                          SPEC, cfg, aggregation)
+            assert tuple(batch[0]) == probs
 
 
 def test_empty_input_and_unknown_aggregation(rng):

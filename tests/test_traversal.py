@@ -6,6 +6,7 @@ import pytest
 
 from fairtree import traversal
 from fairtree.errors import ConfigError, EnumerationLimitError
+from fairtree.exact import exact_forest_batch
 from fairtree.traversal import (
     VOTE_MAJORITY,
     VOTE_MEAN,
@@ -279,16 +280,24 @@ def test_exact_applies_fairness_boost():
 
 
 def test_enumeration_limit_is_enforced(monkeypatch):
+    # no depth limit: a chain of 1,000 levels enumerates, and a row that
+    # needs more branches than MAX_LANES raises; a complete
+    # uniform-distance tree of depth 12 holds 4,096 leaves a row
     node = leaf(1, 0)
-    for _ in range(13):
+    for _ in range(1000):
         node = internal(0, 0.0, 1.0, node, leaf(0, 1))
     tree = make_tree(node)
-    assert tree.max_depth == 13
-    with pytest.raises(EnumerationLimitError, match="enumeration limit exceeded: tree depth 13 > 12"):
-        exact_path_distribution(tree, [0.0], SPEC, config())
-    # a higher limit enumerates fine
-    monkeypatch.setattr(traversal, "MAX_ENUMERATION_DEPTH", 13)
+    assert tree.max_depth == 1000
     dist = exact_path_distribution(tree, [0.0], SPEC, config())
+    assert dist.probs[0] == pytest.approx(0.9**1000, rel=1e-12)
+    tree = full_uniform_tree(np.random.default_rng(3), 12)
+    monkeypatch.setattr(traversal, "MAX_LANES", 4095)
+    with pytest.raises(EnumerationLimitError,
+                       match=r"^enumeration limit exceeded: the sample needs more than 4095 "
+                             r"branches$"):
+        exact_path_distribution(tree, [0.0, 1.0, 2.0], SPEC, config())
+    monkeypatch.setattr(traversal, "MAX_LANES", 4096)
+    dist = exact_path_distribution(tree, [0.0, 1.0, 2.0], SPEC, config())
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -514,6 +523,28 @@ def test_stream_ids_must_be_non_negative_integers():
         predict_fair(forest, X[0], SPEC, cfg, stream_id=-1)
     for ids in (np.array([0, 2**64 - 1], dtype=np.uint64), np.array([3, 4], dtype=np.uint8)):
         predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+
+
+def test_non_finite_values_are_rejected_naming_the_cell():
+    # NaN compares false with every threshold: a row holding one would go
+    # right at every split on its feature
+    forest = edge_case_forest(np.random.default_rng(0), 3)
+    X = np.zeros((4, 3))
+    X[2, 1], X[3, 0] = np.nan, np.inf
+    cfg = config(n_simulations=5)
+    for predict in (lambda: predict_forest_batch(forest, X),
+                    lambda: predict_fair_batch(forest, X, SPEC, cfg),
+                    lambda: exact_forest_batch(forest, X, SPEC, cfg)):
+        with pytest.raises(ValueError, match=r"^X has a non-finite value nan at row 2, column 1$"):
+            predict()
+    for value, text in ((np.nan, "nan"), (-np.inf, "-inf")):
+        sample = np.array([0.0, 1.0, value])
+        for predict in (lambda: predict_fair(forest, sample, SPEC, cfg),
+                        lambda: predict_deterministic(forest, sample),
+                        lambda: exact_path_distribution(forest.trees[0], sample, SPEC, cfg)):
+            with pytest.raises(ValueError,
+                               match=rf"^sample has a non-finite value {text} at column 2$"):
+                predict()
 
 
 def test_zero_rows_give_empty_results():

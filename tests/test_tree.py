@@ -247,6 +247,17 @@ def test_split_on_a_feature_beyond_n_features_is_rejected():
         replace(tree, n_features=1)
 
 
+def test_forest_trees_must_agree_on_n_features():
+    # the kernels read tree t's feature f of row i at offset i * F + f,
+    # with F the first tree's feature count: a wider tree would read the
+    # next row's values, or past the last row
+    narrow = make_tree(leaf(1, 0), n_features=1)
+    wide = make_tree(internal(2, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=3)
+    with pytest.raises(ValueError, match="forest trees disagree on n_features"):
+        Forest(trees=[narrow, wide], n_trees=2)
+    Forest(trees=[wide, replace(narrow, n_features=3)], n_trees=2)
+
+
 def test_child_rows_that_loop_are_rejected():
     tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
     with pytest.raises(ValueError, match="do not form a tree"):
