@@ -9,10 +9,12 @@ suppressed for the unprivileged group) as numeric codes and runs the full
 direction checks the real benchmark asserts. Before that, on fold 0, it
 times exact inference over the forest against Monte Carlo and reports how
 far their predictions agree and how many rows lie within Monte Carlo noise
-of the 0.5 boundary. Not a test; a dry run for budgeting.
+of the 0.5 boundary. It ends with the process's peak RSS. Not a test; a
+dry run for budgeting.
 """
 
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -98,6 +100,8 @@ def main():
               f"  di {agg['di']['mean']:.4f}"
               f"  inference {sum(result.timings[method]):.1f}s")
     print(f"total wall time {total:.1f}s")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
     eod_b = result.aggregates[METHOD_BASELINE]["eod"]["mean"]
     eod_f = result.aggregates[METHOD_FAIRTTTS]["eod"]["mean"]
     acc_b = result.aggregates[METHOD_BASELINE]["accuracy"]["mean"]

@@ -6,6 +6,11 @@ traversal uses counter-based streams keyed by (master seed, fold) with the
 dataset row index as the stream id, so method comparisons share training
 randomness but not flip randomness.
 
+run and sweep-alpha share one fold loop: each fold is fitted once, scored
+by every method at every alpha (the alpha-independent methods once), and
+its forest released before the next fold is fitted, so one fold's forest
+is held at a time.
+
 All report artifacts are deterministic given (config, seed); wall-clock
 timings are kept out of them and written to a separate timing file.
 """
@@ -92,6 +97,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {unknown}; choose from {METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods named more than once: {repeated}")
         if isinstance(self.features_per_split, str) and self.features_per_split != "sqrt":
             raise ConfigError("features_per_split must be an integer, 'sqrt', or null")
         try:
@@ -226,49 +234,6 @@ def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: Experi
     return preds, dist[:, 1]
 
 
-def _evaluate_folds(
-    dataset: Dataset,
-    protected_index: int,
-    dataset_name: str,
-    config: ExperimentConfig,
-    plan: FoldPlan,
-    fitted,
-) -> ExperimentResult:
-    """Score every (method, fold) pair against fold test splits using the
-    already-fitted per-fold models."""
-    spec = FairnessSpec(protected_feature=protected_index)
-    group_all = dataset.rows[:, protected_index].astype(np.int64)
-    fold_reports = {m: [] for m in config.methods}
-    timings = {m: [] for m in config.methods}
-    for fold, (forest, policy) in enumerate(fitted):
-        try:
-            te = plan.test_indices(fold)
-            X_te = dataset.rows[te]
-            y_te = dataset.labels[te]
-            g_te = group_all[te]
-            engine_seed = stream_key(config.seed, _TAG_ENGINE, fold)
-            for method in config.methods:
-                start = time.perf_counter()
-                preds, _ = predict_method(method, forest, X_te, spec, config, engine_seed,
-                                          te, policy, g_te)
-                elapsed = time.perf_counter() - start
-                fold_reports[method].append(full_report(y_te, preds, g_te))
-                timings[method].append(elapsed)
-        except (ValueError, DataError) as exc:
-            raise DataError(f"fold {fold}: {exc}") from exc
-    return ExperimentResult(
-        dataset=dataset_name,
-        seed=config.seed,
-        folds=config.folds,
-        methods=tuple(config.methods),
-        config=config.to_dict(),
-        fold_reports=fold_reports,
-        aggregates={m: _aggregate(fold_reports[m]) for m in config.methods},
-        environment=_environment(config.seed),
-        timings=timings,
-    )
-
-
 def load(path):
     """The dataset of the dataset config file at path, its protected
     feature index and its name."""
@@ -279,20 +244,54 @@ def load(path):
     return dataset, dataset.feature_index(ds_config.protected_column), ds_config.name
 
 
-def _fit_folds(dataset: Dataset, protected_index: int, config: ExperimentConfig):
-    """The fold plan and each fold's fitted (forest, policy)."""
+def _run_folds(dataset: Dataset, protected_index: int, dataset_name: str, configs) -> list:
+    """One ExperimentResult per config of configs, which differ only in
+    alpha. Each fold is fitted once and scored under every config (the
+    alpha-independent methods once, shared by all configs), and its forest
+    released before the next fold is fitted."""
+    config = configs[0]
     try:
         plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS),
                           labels=dataset.labels if config.stratified else None)
     except ValueError as exc:
         raise DataError(f"folds: {exc}") from exc
-    fitted = []
+    spec = FairnessSpec(protected_feature=protected_index)
+    scored = [{m: [] for m in config.methods} for _ in configs]  # per fold: (report, seconds)
     for fold in range(config.folds):
         try:
-            fitted.append(fit_fold(dataset, plan, fold, config, protected_index))
+            forest, policy = fit_fold(dataset, plan, fold, config, protected_index)
+            te = plan.test_indices(fold)
+            X_te, y_te = dataset.rows[te], dataset.labels[te]
+            g_te = X_te[:, protected_index].astype(np.int64)
+            engine_seed = stream_key(config.seed, _TAG_ENGINE, fold)
+            for i, c in enumerate(configs):
+                for method in config.methods:
+                    if i and method != METHOD_FAIRTTTS:  # alpha-independent
+                        scored[i][method].append(scored[0][method][-1])
+                        continue
+                    start = time.perf_counter()
+                    preds, _ = predict_method(method, forest, X_te, spec, c, engine_seed, te,
+                                              policy, g_te)
+                    elapsed = time.perf_counter() - start
+                    scored[i][method].append((full_report(y_te, preds, g_te), elapsed))
+            del forest, policy  # not held while the next fold's forest is fitted
         except (ValueError, DataError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
-    return plan, fitted
+    results = []
+    for c, out in zip(configs, scored):
+        fold_reports = {m: [report for report, _ in out[m]] for m in c.methods}
+        results.append(ExperimentResult(
+            dataset=dataset_name,
+            seed=c.seed,
+            folds=c.folds,
+            methods=tuple(c.methods),
+            config=c.to_dict(),
+            fold_reports=fold_reports,
+            aggregates={m: _aggregate(fold_reports[m]) for m in c.methods},
+            environment=_environment(c.seed),
+            timings={m: [seconds for _, seconds in out[m]] for m in c.methods},
+        ))
+    return results
 
 
 def run_experiment_on(
@@ -302,8 +301,7 @@ def run_experiment_on(
     config: ExperimentConfig,
 ) -> ExperimentResult:
     """Run the configured experiment on an already-loaded dataset."""
-    plan, fitted = _fit_folds(dataset, protected_index, config)
-    return _evaluate_folds(dataset, protected_index, dataset_name, config, plan, fitted)
+    return _run_folds(dataset, protected_index, dataset_name, [config])[0]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -324,14 +322,10 @@ def sweep_configs(config: ExperimentConfig, alphas) -> list:
 
 
 def sweep_alpha(config: ExperimentConfig, alphas) -> SweepResult:
-    """The experiment per alpha, training each fold only once (the fitted
-    forests and policies do not depend on alpha and are shared)."""
+    """The experiment per alpha. Each fold is fitted once, as neither the
+    forest nor the policy depends on alpha."""
     configs = sweep_configs(config, alphas)
-    dataset, protected_index, name = load(config.dataset_config)
-    plan, fitted = _fit_folds(dataset, protected_index, config)
-    results = [
-        _evaluate_folds(dataset, protected_index, name, c, plan, fitted) for c in configs
-    ]
+    results = _run_folds(*load(config.dataset_config), configs)
     return SweepResult(alphas=tuple(c.alpha for c in configs), results=tuple(results))
 
 

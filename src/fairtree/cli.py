@@ -136,11 +136,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _experiment_config(args, **given) -> bench.ExperimentConfig:
-    """The ExperimentConfig of the settings flags in args, and of given."""
+def _experiment_config(args) -> bench.ExperimentConfig:
+    """The ExperimentConfig of the settings flags in args."""
     names = {f.name for f in fields(bench.ExperimentConfig)}
     return bench.ExperimentConfig(
-        **{name: value for name, value in vars(args).items() if name in names}, **given)
+        **{name: value for name, value in vars(args).items() if name in names})
 
 
 def _cmd_train(args) -> int:
@@ -164,10 +164,10 @@ def _emit(text, out) -> None:
 def _cmd_predict(args) -> int:
     model = model_io.load_model(args.model)
     forest = model if isinstance(model, Forest) else Forest(trees=[model], n_trees=1)
-    config = _experiment_config(args, n_trees=forest.n_trees)
+    config = _experiment_config(args)
     dataset, protected, _ = bench.load(config.dataset_config)
-    if dataset.n_features != forest.trees[0].n_features:
-        raise DataError(f"{args.model}: model has {forest.trees[0].n_features} features; "
+    if dataset.n_features != forest.n_features:
+        raise DataError(f"{args.model}: model has {forest.n_features} features; "
                         f"dataset has {dataset.n_features}")
     preds, probs = bench.predict_method(args.method, forest, dataset.rows,
                                         FairnessSpec(protected_feature=protected),

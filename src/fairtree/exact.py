@@ -87,7 +87,7 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     MAX_LANES raises EnumerationLimitError. Results do not depend on it."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
-    X = _check_matrix(X, forest.trees[0].n_features)
+    X = _check_matrix(X, forest.n_features)
     n, T = X.shape[0], forest.n_trees
     chance = _flip_chance(forest, spec, config)
     q = np.empty((n, T, 2))

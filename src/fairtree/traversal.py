@@ -276,7 +276,7 @@ def predict_fair(
     Each simulation traverses every tree probabilistically and takes the
     majority vote (ties to class 0); the distribution aggregates the
     simulation votes. Returns (predicted class, distribution)."""
-    sample = _check_sample(sample, forest.trees[0].n_features)
+    sample = _check_sample(sample, forest.n_features)
     preds, probs = predict_fair_batch(
         forest, sample.reshape(1, -1), spec, config,
         stream_ids=[stream_id], aggregation=aggregation,
@@ -313,7 +313,7 @@ def predict_fair_batch(
     depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
-    X = _check_matrix(X, forest.trees[0].n_features)
+    X = _check_matrix(X, forest.n_features)
     n = X.shape[0]
     if stream_ids is None:
         stream_ids = np.arange(n)
@@ -329,8 +329,7 @@ def predict_fair_batch(
     sims_per_chunk = min(S, max(1, CHUNK_LANES * max_lanes // T))
     # a chunk's lanes, and the steps its round 1 records (at most one per
     # level of each pair's path), stay within CHUNK_LANES * max_lanes
-    depth = max(tree.max_depth for tree in forest.trees)
-    rows_per_chunk = max(1, CHUNK_LANES * max_lanes // (T * max(sims_per_chunk, depth)))
+    rows_per_chunk = max(1, CHUNK_LANES * max_lanes // (T * max(sims_per_chunk, forest.max_depth)))
     chunks = max(1, -(-n // rows_per_chunk))  # of even size
     rows_per_chunk = max(1, -(-n // chunks))
     counts = np.zeros(n, dtype=np.int64)

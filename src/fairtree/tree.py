@@ -170,18 +170,23 @@ class Forest:
     threshold, child, depth, safe_scale and the others).
     Node ids are global: tree t's root is root[t], and child rows hold
     global ids; depth stays a node's depth within its tree. A one-tree
-    forest shares its tree's arrays."""
+    forest shares its tree's arrays. n_features is every tree's, and
+    max_depth the deepest tree's."""
 
     trees: list
     n_trees: int
     bagging_meta: dict = field(default_factory=dict)
+    n_features: int = field(init=False)
+    max_depth: int = field(init=False)
 
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
-        if any(t.n_features != self.trees[0].n_features for t in self.trees):
-            # the kernels read rows of trees[0].n_features values by flat offset
+        self.n_features = self.trees[0].n_features
+        if any(t.n_features != self.n_features for t in self.trees):
+            # the kernels read rows of n_features values by flat offset
             raise ValueError("forest trees disagree on n_features")
+        self.max_depth = max(t.max_depth for t in self.trees)
         self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
         for name in ("feature", "threshold", "scale", "uniform_distance", "majority",
                      "leaf_class", "depth", "safe_scale", "fixed_chance"):
@@ -567,11 +572,10 @@ def _check_sample(sample, n_features):
 def predict_deterministic(model, sample):
     """Standard traversal: value <= threshold goes left. Forests take a
     majority vote over trees; ties go to class 0."""
+    sample = _check_sample(sample, model.n_features)
     if isinstance(model, Forest):
-        sample = _check_sample(sample, model.trees[0].n_features)
         votes = sum(predict_deterministic(t, sample) for t in model.trees)
         return 1 if 2 * votes > model.n_trees else 0
-    sample = _check_sample(sample, model.n_features)
     node = 0
     while model.feature[node] >= 0:
         node = model.child[node, 0 if sample[model.feature[node]] <= model.threshold[node] else 1]
@@ -639,7 +643,7 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Per-sample count of trees voting for class 1: the lane walk with no
     flip step, one lane per (row, tree)."""
-    X = _check_matrix(X, forest.trees[0].n_features)
+    X = _check_matrix(X, forest.n_features)
     n_trees = forest.n_trees
     rows_per_chunk = max(1, MAX_LANES // n_trees)
     votes = np.empty(X.shape[0], dtype=np.int64)

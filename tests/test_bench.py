@@ -1,6 +1,9 @@
+import gc
 import json
 import os
+import weakref
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from fairtree.bench import (
     METHOD_BASELINE,
     METHOD_FAIRTTTS,
     METHOD_THRESHOLD,
+    METHODS,
     METRICS,
     ExperimentConfig,
     emit_report,
@@ -179,6 +183,44 @@ def test_single_alpha_sweep_with_zero_p_max_matches_baseline():
     sweep = sweep_alpha(small_config(p_max=0.0), [1.0])
     result = sweep.results[0]
     assert result.fold_reports[METHOD_FAIRTTTS] == result.fold_reports[METHOD_BASELINE]
+
+
+def test_folds_are_fitted_one_forest_at_a_time(monkeypatch):
+    forests = []
+    fit = bench.fit_fold
+
+    def tracked(*args):
+        gc.collect()
+        assert all(ref() is None for ref in forests), f"a forest is alive at fit {len(forests)}"
+        forest, policy = fit(*args)
+        forests.append(weakref.ref(forest))
+        return forest, policy
+
+    monkeypatch.setattr(bench, "fit_fold", tracked)
+    run_experiment(small_config())
+    sweep_alpha(small_config(), [1.0, 2.0])
+    assert len(forests) == 6
+
+
+def test_sweep_scores_alpha_independent_methods_once_per_fold(monkeypatch):
+    calls = Counter()
+    for name in ("predict_forest_batch", "apply_threshold_policy"):
+        def counted(*args, _name=name, _fn=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bench, name, counted)
+    config = small_config()
+    sweep_alpha(config, [1.0, 2.0, 4.0])
+    assert calls == {"predict_forest_batch": config.folds,
+                     "apply_threshold_policy": config.folds}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sweep_results_equal_runs_at_each_alpha(exact):
+    config = small_config(methods=METHODS, exact=exact)
+    alphas = [1.0, 3.0, 9.0]
+    sweep = sweep_alpha(config, alphas)
+    assert list(sweep.results) == [run_experiment(replace(config, alpha=a)) for a in alphas]
 
 
 def sweep_fixture_config(**kwargs):
@@ -577,10 +619,12 @@ def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypa
                                f"got {value!r}")
         for value in ("jsn", "", "json,txt"))
     seed = ((["--seed", "-1"], "seed must be a non-negative integer"),)
+    repeated = ((["--methods", "fairttts,fairttts,baseline"],
+                 "methods named more than once: ['fairttts']"),)
     commands = (
         (["train"], growth + seed),
-        (["run"], growth + engine + formats + seed),
-        (["sweep-alpha", "--alphas", "1,2"], growth + engine + seed
+        (["run"], growth + engine + formats + seed + repeated),
+        (["sweep-alpha", "--alphas", "1,2"], growth + engine + seed + repeated
          + ((["--methods", "baseline"], "an alpha sweep needs the fairttts method"),)),
         (["predict", "--model", model], engine + seed),
     )
