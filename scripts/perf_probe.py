@@ -9,8 +9,8 @@ suppressed for the unprivileged group) as numeric codes and runs the full
 direction checks the real benchmark asserts. Before that, on fold 0, it
 times exact inference over the forest against Monte Carlo and reports how
 far their predictions agree and how many rows lie within Monte Carlo noise
-of the 0.5 boundary. It ends with the process's peak RSS. Not a test; a
-dry run for budgeting.
+of the 0.5 boundary, and how many MB of node arrays its forest holds. It
+ends with the process's peak RSS. Not a test; a dry run for budgeting.
 """
 
 import os
@@ -53,6 +53,19 @@ def census_table(seed=1):
     return Dataset(names, ["numeric"] * len(names), rows, labels), names.index(census.PROTECTED)
 
 
+def node_array_mb(forest):
+    """MB of node arrays a forest holds: each distinct numpy buffer
+    reachable from the forest and its trees, counted once."""
+    size = {}
+    for owner in [forest, *forest.trees]:
+        for array in vars(owner).values():
+            if isinstance(array, np.ndarray):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                size[id(array)] = array.nbytes
+    return sum(size.values()) / 1e6
+
+
 def exact_vs_monte_carlo(dataset, protected, config):
     """Fold 0 of config's plan: seconds and rows/s of exact inference and
     of Monte Carlo on its test rows, how often their predictions agree, and
@@ -61,6 +74,8 @@ def exact_vs_monte_carlo(dataset, protected, config):
     side."""
     plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS))
     forest, _ = fit_fold(dataset, plan, 0, config, protected)
+    print(f"fold 0 forest holds {node_array_mb(forest):.1f} MB of node arrays "
+          f"({forest.feature.size:,} nodes)")
     test = plan.test_indices(0)
     X, spec = dataset.rows[test], FairnessSpec(protected_feature=protected)
     seed = stream_key(config.seed, _TAG_ENGINE, 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 
+from .bench import REPORT_SCHEMA, SWEEP_SCHEMA
 from .data import write_text
 
 WIDTH = 640
@@ -211,9 +212,9 @@ def emit_charts(doc: dict, out_dir) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object")
     schema = doc.get("schema", "")
-    if schema == "fairtree-sweep/1":
+    if schema == SWEEP_SCHEMA:
         name, render = "alpha_sweep", chart_alpha_sweep
-    elif schema == "fairtree-report/1":
+    elif schema == REPORT_SCHEMA:
         name, render = "accuracy_vs_eod", chart_accuracy_vs_eod
     else:
         raise ValueError(f"cannot chart document with schema {schema!r}")

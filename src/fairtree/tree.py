@@ -6,9 +6,10 @@ the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
 and the majority training class of each child subtree. A tree is held as
 parallel node arrays (``DecisionTree``), the one form that training builds,
-model files store and every traversal reads. A ``Forest`` holds its trees'
-arrays end to end, joined once at construction, so a batch walk reads a
-forest and a single tree the same way.
+model files store and every traversal reads. A ``Forest`` holds node data
+once, joined for batch walks: building it re-points its trees' arrays, values
+unchanged, at read-only slices of its own (``child`` stays local to each
+tree), so a tree keeps its forest's buffers alive.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ _NODE_ARRAYS = (
     ("majority", np.int8, (2,)),
     ("class_counts", np.int64, (2,)),
 )
+_DERIVED_ARRAYS = ("leaf_class", "depth", "safe_scale", "fixed_chance")  # what it derives of them
 
 
 @dataclass(eq=False)
@@ -110,8 +112,13 @@ class DecisionTree:
     fixed_chance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype, _ in _NODE_ARRAYS:
-            setattr(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        n = len(np.atleast_1d(self.feature))
+        for name, dtype, shape in _NODE_ARRAYS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            if n == 0 or array.shape != (n,) + shape:
+                raise ValueError(f"node array {name} has shape {array.shape}, feature has {n} "
+                                 f"nodes; a tree has at least one, an entry of shape {shape} each")
+            setattr(self, name, _read_only(array))
         if self.feature.max() >= self.n_features:
             # batch walks read feature values by flat offset into each row
             raise ValueError(
@@ -165,13 +172,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Forest:
-    """Bagged trees. Besides its fields, a forest holds its trees' node
-    arrays end to end, read-only, under the DecisionTree names (feature,
-    threshold, child, depth, safe_scale and the others).
-    Node ids are global: tree t's root is root[t], and child rows hold
-    global ids; depth stays a node's depth within its tree. A one-tree
-    forest shares its tree's arrays. n_features is every tree's, and
-    max_depth the deepest tree's."""
+    """Bagged trees. A forest holds its trees' node arrays once, end to end
+    and read-only, under the DecisionTree names (feature, threshold, child,
+    depth, safe_scale and the others): building it re-points each tree's
+    arrays, values unchanged, at slices of these, so a tree keeps its
+    forest's buffers alive. Node ids are global (tree t's root is root[t])
+    except in a tree's own child, which stays local; depth is a node's depth
+    within its tree. n_features is every tree's, max_depth the deepest's."""
 
     trees: list
     n_trees: int
@@ -188,14 +195,11 @@ class Forest:
             raise ValueError("forest trees disagree on n_features")
         self.max_depth = max(t.max_depth for t in self.trees)
         self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
-        for name in ("feature", "threshold", "scale", "uniform_distance", "majority",
-                     "leaf_class", "depth", "safe_scale", "fixed_chance"):
-            setattr(self, name, _concat([getattr(t, name) for t in self.trees]))
-        self.child = _concat([t.child + r if r else t.child for t, r in zip(self.trees, self.root)])
-
-
-def _concat(arrays) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else _read_only(np.concatenate(arrays))
+        for name in [n for n, _, _ in _NODE_ARRAYS if n != "child"] + list(_DERIVED_ARRAYS):
+            setattr(self, name, _read_only(np.concatenate([getattr(t, name) for t in self.trees])))
+            for t, r in zip(self.trees, self.root):  # each tree's own copy is freed at once
+                setattr(t, name, getattr(self, name)[r:r + t.feature.size])
+        self.child = _read_only(np.vstack([t.child + r for t, r in zip(self.trees, self.root)]))
 
 
 # Elements one block of training work holds: the samples of one group of

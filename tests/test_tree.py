@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fairtree.model_io as model_io
 import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import DataError
@@ -18,11 +20,12 @@ from fairtree.tree import (
     _split_score,
     forest_votes_batch,
     predict_deterministic,
+    predict_forest_batch,
     train_forest,
     train_tree,
 )
 
-from conftest import internal, leaf, make_tree
+from conftest import depth1_tree, internal, leaf, make_tree
 from reference import uniform_at
 
 
@@ -262,6 +265,70 @@ def test_child_rows_that_loop_are_rejected():
     tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
     with pytest.raises(ValueError, match="do not form a tree"):
         replace(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
+
+
+@pytest.mark.parametrize("kind", ["trained", "loaded", "one tree"])
+def test_a_forests_trees_become_read_only_views_of_its_arrays(kind, monkeypatch):
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(0, 10, size=(60, 3))
+    data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, (rows[:, 0] > rows[:, 1]).astype(int))
+    text = dumps(train_forest(data, n_trees=3, max_depth=4, rng_seed=2))
+    before = []
+
+    def forest(trees, **kwargs):  # copies of the trees just before the forest is built
+        before.extend(copy.deepcopy(trees))
+        return Forest(trees=trees, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "Forest", forest)
+        patch.setattr(model_io, "Forest", forest)
+        built = {"trained": lambda: train_forest(data, n_trees=3, max_depth=4, rng_seed=2),
+                 "loaded": lambda: loads(text),
+                 "one tree": lambda: train_forest(data, n_trees=1, max_depth=4)}[kind]()
+    assert built.trees == before
+    assert [dumps(t) for t in built.trees] == [dumps(t) for t in before]
+    if kind != "one tree":
+        assert dumps(built) == text
+    joined = [name for name, value in vars(built).items()
+              if isinstance(value, np.ndarray) and name not in ("child", "root")]
+    assert len(joined) == 10
+    for tree, root in zip(built.trees, built.root):
+        for name in joined:
+            array = getattr(tree, name)
+            assert not array.flags.writeable and array.base is getattr(built, name), name
+        # a tree's child keeps local ids; the forest's holds global ones
+        assert not tree.child.flags.writeable and tree.child.base is not built.child
+        np.testing.assert_array_equal(built.child[root:root + tree.feature.size], tree.child + root)
+
+
+@pytest.mark.parametrize("variant", ["one row short", "one row long", "wrong per-node shape"])
+@pytest.mark.parametrize("name", [name for name, _, _ in tree_module._NODE_ARRAYS])
+def test_node_arrays_whose_shape_differs_from_features_are_rejected(name, variant):
+    tree = depth1_tree()
+    array = getattr(tree, name)
+    bad = {"one row short": array[:-1],
+           "one row long": np.concatenate([array, array[:1]]),
+           "wrong per-node shape": array[:, 0] if array.ndim == 2 else np.c_[array, array]}[variant]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        replace(tree, **{name: bad})
+
+
+def test_a_tree_without_nodes_is_rejected():
+    tree = depth1_tree()
+    empty = {name: getattr(tree, name)[:0] for name, _, _ in tree_module._NODE_ARRAYS}
+    with pytest.raises(ValueError, match="feature has 0 nodes; a tree has at least one"):
+        replace(tree, **empty)
+
+
+def test_a_class_counts_row_beyond_the_nodes_is_rejected_when_the_tree_is_built():
+    # an extra row would shift the leaf classes of every tree joined after
+    # this one: placed before a correct copy of itself, the forest would
+    # vote [0, 0] on rows [[0.], [1.]], where each tree alone votes 0, then 1
+    tree = depth1_tree(threshold=0.5, scale=0.5)
+    assert predict_forest_batch(Forest(trees=[tree, replace(tree)], n_trees=2),
+                                [[0.0], [1.0]]).tolist() == [0, 1]
+    with pytest.raises(ValueError, match="node array class_counts has shape"):
+        replace(tree, class_counts=np.r_[tree.class_counts, [[0, 1]]])
 
 
 # The depth-first, node-at-a-time CART grower that level-wise training
