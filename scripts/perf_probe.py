@@ -9,14 +9,18 @@ suppressed for the unprivileged group) as numeric codes and runs the full
 direction checks the real benchmark asserts. Before that, on fold 0, it
 times exact inference over the forest against Monte Carlo and reports how
 far their predictions agree and how many rows lie within Monte Carlo noise
-of the 0.5 boundary, and how many MB of node arrays its forest holds. It
-ends with the process's peak RSS. Not a test; a dry run for budgeting.
+of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
+a second, untimed Monte Carlo call, how many chunks that call takes and its
+tracemalloc peak in bytes per lane of its largest chunk. It ends with the
+process's peak RSS, and exits 1 when fairttts does not lower EOD or drops
+accuracy by more than 0.005. Not a test; a dry run for budgeting.
 """
 
 import os
 import resource
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +31,7 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
 import census  # noqa: E402
 
+from fairtree import traversal  # noqa: E402
 from fairtree.bench import (  # noqa: E402
     _TAG_ENGINE,
     _TAG_FOLDS,
@@ -66,6 +71,25 @@ def node_array_mb(forest):
     return sum(size.values()) / 1e6
 
 
+def chunk_memory(forest, X, spec, config, seed, stream_ids):
+    """The lanes of each chunk of one Monte Carlo call of predict_method,
+    and the call's tracemalloc peak in bytes."""
+    chunks, simulate = [], traversal._simulate
+
+    def counted(forest, X, chance, rows, stream_ids, sims, *args):
+        chunks.append(rows.size * forest.n_trees * sims.size)
+        return simulate(forest, X, chance, rows, stream_ids, sims, *args)
+
+    traversal._simulate = counted
+    tracemalloc.start()
+    try:
+        predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
+        return chunks, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        traversal._simulate = simulate
+
+
 def exact_vs_monte_carlo(dataset, protected, config):
     """Fold 0 of config's plan: seconds and rows/s of exact inference and
     of Monte Carlo on its test rows, how often their predictions agree, and
@@ -85,6 +109,9 @@ def exact_vs_monte_carlo(dataset, protected, config):
         out[name] = predict_method(METHOD_FAIRTTTS, forest, X, spec, cfg, seed, test)
         elapsed = time.perf_counter() - t0
         print(f"fold 0 {name:<12} {elapsed:.2f}s  {len(X) / elapsed:,.0f} rows/s")
+    chunks, peak = chunk_memory(forest, X, spec, config, seed, test)
+    print(f"fold 0 monte carlo   {len(chunks)} chunks of at most {max(chunks):,} lanes, "
+          f"tracemalloc peak {peak / 1e6:.2f} MB = {peak / max(chunks):.1f} bytes a lane")
     q, S = out["exact"][1], config.n_simulations
     agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))
@@ -121,11 +148,13 @@ def main():
     eod_f = result.aggregates[METHOD_FAIRTTTS]["eod"]["mean"]
     acc_b = result.aggregates[METHOD_BASELINE]["accuracy"]["mean"]
     acc_f = result.aggregates[METHOD_FAIRTTTS]["accuracy"]["mean"]
+    improved, holds = eod_f < eod_b, acc_f >= acc_b - 0.005
     print(f"direction: EOD {eod_b:.4f} -> {eod_f:.4f} "
-          f"({'improved' if eod_f < eod_b else 'NOT improved'}); "
+          f"({'improved' if improved else 'NOT improved'}); "
           f"accuracy {acc_b:.4f} -> {acc_f:.4f} "
-          f"({'holds' if acc_f >= acc_b - 0.005 else 'DROPPED beyond 0.005'})")
+          f"({'holds' if holds else 'DROPPED beyond 0.005'})")
+    return 0 if improved and holds else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,10 +6,10 @@ traversal uses counter-based streams keyed by (master seed, fold) with the
 dataset row index as the stream id, so method comparisons share training
 randomness but not flip randomness.
 
-run and sweep-alpha share one fold loop: each fold is fitted once, scored
-by every method at every alpha (the alpha-independent methods once), and
-its forest released before the next fold is fitted, so one fold's forest
-is held at a time.
+run and sweep-alpha share one fold loop: each fold is fitted once, scored by
+every method at every alpha (the alpha-independent methods once, from one walk
+of the test rows' votes), and its forest released before the next fold is
+fitted, so one fold's forest is held at a time.
 
 All report artifacts are deterministic given (config, seed); wall-clock
 timings are kept out of them and written to a separate timing file.
@@ -214,17 +214,17 @@ def fit_fold(
 
 def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: ExperimentConfig,
                    seed: int, stream_ids=None, policy: Optional[ThresholdPolicy] = None,
-                   group=None):
+                   group=None, votes=None):
     """(predictions, favorable-class probabilities or None) of the rows X by
     method. fairttts keys its streams on seed and stream_ids (default: the
     row index) and, under config.exact, takes the exact distribution of
     the forest's paths instead; threshold_optimizer applies policy to X's
-    vote-fraction scores by group."""
+    vote-fraction scores by group; it and baseline take X's vote counts from votes if given."""
     if method == METHOD_BASELINE:
-        return predict_forest_batch(forest, X), None
+        return predict_forest_batch(forest, X, votes), None
     if method == METHOD_THRESHOLD:
-        scores = forest_votes_batch(forest, X) / forest.n_trees
-        return apply_threshold_policy(policy, scores, group), None
+        votes = forest_votes_batch(forest, X) if votes is None else votes
+        return apply_threshold_policy(policy, votes / forest.n_trees, group), None
     engine_cfg = config.traversal_config(seed)
     if config.exact:
         preds, dist = exact_forest_batch(forest, X, spec, engine_cfg, config.aggregation)
@@ -264,17 +264,20 @@ def _run_folds(dataset: Dataset, protected_index: int, dataset_name: str, config
             X_te, y_te = dataset.rows[te], dataset.labels[te]
             g_te = X_te[:, protected_index].astype(np.int64)
             engine_seed = stream_key(config.seed, _TAG_ENGINE, fold)
+            votes = None  # of the test rows: walked once, by the first method that reads them
             for i, c in enumerate(configs):
                 for method in config.methods:
                     if i and method != METHOD_FAIRTTTS:  # alpha-independent
                         scored[i][method].append(scored[0][method][-1])
                         continue
                     start = time.perf_counter()
+                    if votes is None and method != METHOD_FAIRTTTS:
+                        votes = forest_votes_batch(forest, X_te)
                     preds, _ = predict_method(method, forest, X_te, spec, c, engine_seed, te,
-                                              policy, g_te)
+                                              policy, g_te, votes)
                     elapsed = time.perf_counter() - start
                     scored[i][method].append((full_report(y_te, preds, g_te), elapsed))
-            del forest, policy  # not held while the next fold's forest is fitted
+            del forest, policy, votes  # not held while the next fold's forest is fitted
         except (ValueError, DataError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
     results = []

@@ -11,25 +11,26 @@ distribution in closed form for verification. Both read their flip
 chances from one function, ``_flip_chance``; ``tests/reference.py`` keeps
 a scalar, node-by-node copy of the rule as the tests' oracle.
 
-Batch prediction walks a whole forest at once. Every (row, simulation,
-tree) triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one
-level per step over the forest's own joined node arrays, reading each
-lane's feature value straight from its row, and drops lanes from the
-working set as they reach a leaf. Deterministic votes are that walk from
-every (row, tree) root. The lanes at one node of one (row, tree) pair take
-the same steps, at the same flip chances, until they flip, so Monte Carlo
-prediction goes in rounds of segments, a segment being such a (pair,
-node) and its lanes. A round walks each segment once, recording its steps
-whose flip chance (``_flip_chance``) is above 0; each lane draws at those
-steps only and keeps its first flip (``_first_flips``), or else ends at
-the segment's leaf; the lanes that flipped, grouped by (pair, flip child),
-are the next round's segments. Round 1's are the pairs at their roots.
-Lanes that share too little walk on alone with the flip step
+Batch prediction walks a whole forest at once. Every (row, simulation, tree)
+triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one level per
+step over the forest's own joined node arrays, reading each lane's feature
+value straight from its row, and drops lanes from the working set as they
+reach a leaf. Deterministic votes are that walk from every (row, tree) root.
+The lanes at one node of one (row, tree) pair take the same steps, at the same
+flip chances, until they flip, so Monte Carlo prediction goes in rounds of
+segments, a segment being such a (pair, node) and its lanes. A round walks
+each segment once, recording its steps whose flip chance (``_flip_chance``) is
+above 0; segment by segment, each lane draws at those steps in depth order and
+keeps its first flip (``_first_flips``), or else ends at the segment's leaf.
+Round 1's segments are the pairs at their roots; a lane's stream key is
+derived whenever it draws, so a lane holds only its leaf byte, and the lanes
+that flipped go on as int32 ids, grouped by (pair, flip child) into the next
+round's segments. Lanes that share too little walk on alone with the flip step
 (``_flip_step``), as do all lanes of a call with fewer than
-``MIN_SHARED_LANES``. All randomness comes from counter-based streams keyed
-by (seed, stream_id, simulation, tree), and a draw keeps its stream, index
-(the node's depth) and comparison, so results do not depend on evaluation
-order, batching, chunks or rounds; ``max_lanes`` bounds memory.
+``MIN_SHARED_LANES``. All randomness comes from counter-based streams keyed by
+(seed, stream_id, simulation, tree), and a draw keeps its stream, index (the
+node's depth) and comparison, so results do not depend on evaluation order,
+batching, chunks or rounds; ``max_lanes`` bounds memory.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .tree import (
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
-# Lanes of a Monte Carlo chunk per max_lanes: a lane keeps about 13 bytes
-# across the rounds, a draw or a walked lane takes more but only briefly.
-CHUNK_LANES = 3
+# Lanes of a Monte Carlo chunk per max_lanes: a chunk peaks at 9-12 bytes a lane (tracemalloc,
+# 100-row calls on 25 trees, 300-row calls on 10 census trees), a default one at about 3 MB.
+CHUNK_LANES = 10
 
 
 @dataclass(frozen=True)
@@ -177,41 +178,52 @@ def _record_step(chance, steps):
     return record
 
 
-def _first_flips(forest: Forest, steps, keys, bounds, budget: int):
-    """The first flips of a round's lanes: their flat positions in keys and
-    flip children. steps holds the (segment, node, chance, go_left) arrays
-    of the steps with a chance above 0 in walk order, so by depth within a
-    segment. Segment g's lanes draw from keys[g] of a 2D keys (round 1: no
-    per-draw lane index), else keys[bounds[g]:bounds[g + 1]]; in slices of
-    budget draws, or a step's."""
-    seg, node, p, go_left = steps
-    first, size = bounds[seg], bounds[seg + 1] - bounds[seg]
-    end = np.cumsum(size)  # the draws of steps 0 to i
-    flip_step = np.full(keys.size, -1, dtype=np.int32)  # each lane's first flip
-    lo = 0
-    while lo < seg.size:
-        base = end[lo] - size[lo]
-        hi = max(lo + 1, int(np.searchsorted(end, base + budget, "right")))
-        # the step and lane of each of the slice's draws below their chance
-        if keys.ndim == 2:
-            hit = _rng.below_array(keys[seg[lo:hi]], forest.depth[node[lo:hi], None],
-                                   p[lo:hi, None]).ravel().nonzero()[0]
-            step, lane = np.divmod(hit, keys.shape[1])
-            step += lo
-            lane += first[step]
-        else:
-            n = size[lo:hi]
-            lane = np.repeat(first[lo:hi] - end[lo:hi] + n, n) + np.arange(base, end[hi - 1])
-            hit = _rng.below_array(keys[lane], np.repeat(forest.depth[node[lo:hi]], n),
-                                   np.repeat(p[lo:hi], n)).nonzero()[0]
-            step, lane = lo + np.searchsorted(end[lo:hi], base + hit, "right"), lane[hit]
-        lane, at = np.unique(lane, return_index=True)  # each lane's first draw below
-        new = flip_step[lane] < 0
-        flip_step[lane[new]] = step[at[new]]
-        lo = hi
-    lane = (flip_step >= 0).nonzero()[0]
-    step = flip_step[lane]
-    return lane, forest.child.ravel()[2 * node[step] + go_left[step]]
+def _first_flips(forest: Forest, steps, keys, m: int, b: int, bounds, lane, budget: int):
+    """Keys (pair * nodes + flip child) * 2**b + s of the first flips of a
+    round's lanes, lane j * m + s drawing from keys(j, s). steps lists each
+    walk step's (segment, node, chance, go_left) arrays of its steps with a
+    chance above 0, and is emptied. Segment g's lanes are lane[bounds[g]:
+    bounds[g + 1]], or in round 1 (lane None) pair g's. Segment by segment
+    and lane by lane, a lane's draws follow its path, so its first flip is
+    its first hit. The draws go in slices of whole segments, or of some
+    lanes of one, of at most budget draws or one lane's."""
+    seg, node, p, go_left = (np.concatenate(a) for a in zip(*steps))
+    steps.clear()
+    order = np.argsort(seg, kind="stable")  # by segment, then by depth
+    seg, node, p, go_left = seg[order], node[order], p[order], go_left[order]
+    depth, child = forest.depth[node], forest.child.ravel()[2 * node + go_left]
+    k = np.bincount(seg, minlength=bounds.size - 1)
+    g = k.nonzero()[0]  # the segments with steps: their steps, lanes, first position
+    k, lo, n = k[g], bounds[g], bounds[g + 1] - bounds[g]
+    run, end = np.cumsum(k) - k, np.cumsum(k * n)  # end[r]: the draws of segments 0 to r
+    flips, r = [np.empty(0, dtype=np.int64)], 0
+    while r < g.size:
+        r1 = max(r + 1, int(np.searchsorted(end, end[r] - k[r] * n[r] + budget, "right")))
+        width = max(1, budget // int(k[r])) if r1 == r + 1 else budget
+        for c0 in range(0, int(n[r]), width):
+            count = np.minimum(n[r:r1], c0 + width) - c0  # of each segment's lanes
+            if lane is None:  # (simulation, step) draws, a row of its path's draws a lane
+                per, s0, s1 = k[r:r1], run[r], run[r1 - 1] + k[r1 - 1]
+                hit = _rng.below_array(keys(g[r:r1], slice(c0, c0 + count[0]))[
+                    :, np.repeat(np.arange(per.size), per)], depth[s0:s1], p[s0:s1])
+                s, step = np.divmod(hit.ravel().nonzero()[0], s1 - s0)
+                step += s0
+                ids = seg[step] * m + s + c0
+            else:  # each lane's draws in a row
+                ids = lane[np.repeat(lo[r:r1] + c0 - np.cumsum(count) + count, count)
+                           + np.arange(count.sum())]
+                per = np.repeat(k[r:r1], count)  # a lane's draws
+                first = np.cumsum(per) - per
+                step = np.arange(per.sum()) - np.repeat(first - np.repeat(run[r:r1], count), per)
+                at = _rng.below_array(np.repeat(keys(*np.divmod(ids, m)), per), depth[step],
+                                      p[step]).nonzero()[0]
+                ids, step = ids[np.searchsorted(first, at, "right") - 1], step[at]
+            new = np.ones(ids.size, dtype=bool)  # each lane's first hit
+            new[1:] = ids[1:] != ids[:-1]
+            pair, s = np.divmod(ids[new].astype(np.int64), m)
+            flips.append(((pair * forest.feature.size + child[step[new]]) << b) + s)
+        r = r1
+    return np.concatenate(flips)
 
 
 def _simulate(forest: Forest, X, chance, rows, stream_ids, sims, seed: int,
@@ -220,18 +232,22 @@ def _simulate(forest: Forest, X, chance, rows, stream_ids, sims, seed: int,
     sims[s] of (row, tree) pair j. Rounds stop once fewer than
     MIN_SHARED_LANES lanes flip, or more than half of a round's, whose high
     chances would waste most of a segment's draws after its first flips."""
-    T, m = forest.n_trees, sims.size
+    T, m, nodes, b = forest.n_trees, sims.size, forest.feature.size, (sims.size - 1).bit_length()
     root, x_pos = np.tile(forest.root, rows.size), np.repeat(rows * X.shape[1], T)
-    # keys[j, s]: lane j * m + s's stream, keyed (seed, stream id, s, tree)
-    keys = _rng.stream_key_array(seed, stream_ids[:, None, None], sims,
-                                 np.arange(T, dtype=np.uint64)[:, None]).reshape(-1, m)
-    # round 1's segment j is pair j, its lanes keys[j]; later rounds carry
-    # their lanes and keys, segment g's in runs bounds[g] to bounds[g + 1]
-    lane, lane_keys, bounds, start, x = None, keys, np.arange(root.size + 1) * m, root, x_pos
+    # lane j * m + s draws from the stream keyed (seed, stream id, sims[s], tree):
+    # prefix[s, row] folded with the tree, derived again for each draw slice or walk
+    prefix = _rng.stream_key_array(seed, stream_ids, sims[:, None])
+
+    def keys(pair, s):
+        row, tree = np.divmod(pair, T)
+        return _rng.finalize_array(prefix[s, row] ^ tree.astype(np.uint64))
+
+    # round 1's segment j is pair j, its lanes j * m to j * m + m - 1; later
+    # rounds carry only their int32 lanes, segment g's lane[bounds[g]:bounds[g + 1]]
+    lane, bounds, start, x = None, np.arange(root.size + 1) * m, root, x_pos
     if not shared:
-        lane, lane_keys, start = np.arange(keys.size), keys.ravel(), np.repeat(root, m)
-        leaves = np.empty(keys.size, dtype=np.int8)
-    del keys
+        lane, start = np.arange(root.size * m), np.repeat(root, m)
+        leaves = np.empty(lane.size, dtype=np.int8)
     while shared:
         steps = []
         seg_leaf = walk_lanes(forest, X, start, x, _record_step(chance, steps))
@@ -241,25 +257,32 @@ def _simulate(forest: Forest, X, chance, rows, stream_ids, sims, seed: int,
             leaves[lane] = np.repeat(seg_leaf, np.diff(bounds))
         if not steps:
             return leaves
-        steps, n_round = tuple(np.concatenate(a) for a in zip(*steps)), bounds[-1]
-        pos, start = _first_flips(forest, steps, lane_keys, bounds, max_lanes // 2)
-        lane, lane_keys = (pos if lane is None else lane[pos]), lane_keys.ravel()[pos]
-        del pos, steps
-        if lane.size < MIN_SHARED_LANES or 2 * lane.size > n_round:
+        n_round = leaves.size if lane is None else lane.size
+        key = _first_flips(forest, steps, keys, m, b, bounds, lane, max_lanes // 2)
+        key.sort()
+        # decoded in place: lane takes the low bits, s, then adds pair * m
+        lane = key.astype(np.int32 if leaves.size < 2**31 else np.int64)
+        lane &= (1 << b) - 1
+        key >>= b  # each flipped lane's segment, pair * nodes + flip child
+        alone = key.size < MIN_SHARED_LANES or 2 * key.size > n_round
+        if alone:
+            start = key % nodes
+        else:
+            new = np.r_[True, key[1:] != key[:-1]].nonzero()[0]
+            bounds = np.r_[new, key.size]
+            pair, start = np.divmod(key[new], nodes)
+            x = x_pos[pair]
+        key //= nodes
+        key *= m
+        lane += key
+        del key
+        if alone:
             break
-        segment = lane // m * forest.feature.size + start
-        order = np.argsort(segment)
-        lane, lane_keys, segment = lane[order], lane_keys[order], segment[order]
-        new = np.r_[True, segment[1:] != segment[:-1]].nonzero()[0]
-        bounds = np.r_[new, lane.size]
-        pair, start = np.divmod(segment[new], forest.feature.size)
-        del order, segment
-        x = x_pos[pair]
     walk = max(max_lanes, MIN_SHARED_LANES)  # lanes per walk
     for i in range(0, lane.size, walk):
-        at = slice(i, i + walk)
-        leaves[lane[at]] = walk_lanes(forest, X, start[at], x_pos[lane[at] // m],
-                                      _flip_step(forest, chance, lane_keys[at]))
+        at = lane[i:i + walk]
+        leaves[at] = walk_lanes(forest, X, start[i:i + walk], x_pos[at // m],
+                                _flip_step(forest, chance, keys(*np.divmod(at, m))))
     return leaves
 
 
@@ -307,10 +330,9 @@ def predict_fair_batch(
     whole simulations of one row when a row has more than CHUNK_LANES *
     max_lanes lanes. A chunk holds at most CHUNK_LANES * max_lanes lanes,
     and its rows' paths at most as many levels, but never less than one
-    simulation of one row. Its rounds draw in slices of at most max_lanes
-    // 2 draws, or one step's, and the lanes that finish alone walk at
-    most max(max_lanes, MIN_SHARED_LANES) at a time. Results do not
-    depend on max_lanes."""
+    simulation of one row. Its rounds draw in slices of at most max_lanes // 2
+    draws, or one lane's; lanes that finish alone walk at most max(max_lanes,
+    MIN_SHARED_LANES) at a time. Results do not depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)

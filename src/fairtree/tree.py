@@ -619,10 +619,10 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
     feat = forest.feature[node]
     while True:
         done = feat < 0
-        if done.any():
+        # np.count_nonzero and ndarray.nonzero, not ndarray.any and
+        # np.flatnonzero: their wrappers cost more than a small step's arithmetic
+        if np.count_nonzero(done):
             out[lane[done]] = forest.leaf_class[node[done]]
-            # ndarray.nonzero, not np.flatnonzero: its wrappers cost more
-            # than a small step's arithmetic
             keep = (~done).nonzero()[0]
             lane, node, feat, x_pos = lane[keep], node[keep], feat[keep], x_pos[keep]
         if lane.size == 0:
@@ -659,6 +659,6 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     return votes
 
 
-def predict_forest_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
-    votes = forest_votes_batch(forest, X)
+def predict_forest_batch(forest: Forest, X: np.ndarray, votes=None) -> np.ndarray:
+    votes = forest_votes_batch(forest, X) if votes is None else votes
     return (2 * votes > forest.n_trees).astype(np.int64)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairtree import bench, cli
+from fairtree import bench, cli, tree
 from fairtree.bench import (
     METHOD_BASELINE,
     METHOD_FAIRTTTS,
@@ -213,6 +213,24 @@ def test_sweep_scores_alpha_independent_methods_once_per_fold(monkeypatch):
     sweep_alpha(config, [1.0, 2.0, 4.0])
     assert calls == {"predict_forest_batch": config.folds,
                      "apply_threshold_policy": config.folds}
+
+
+def test_each_fold_walks_its_test_votes_once(monkeypatch):
+    # baseline and threshold_optimizer share one vote walk of a fold's
+    # test rows; fitting the threshold policy walks its train rows
+    walks, walk = [], tree.walk_lanes
+
+    def counting_walk(forest, X, node, x_pos, flip=None):
+        walks.append(node.size // forest.n_trees)  # the rows walked
+        return walk(forest, X, node, x_pos, flip)
+
+    monkeypatch.setattr(tree, "walk_lanes", counting_walk)
+    config = small_config(methods=(METHOD_BASELINE, METHOD_THRESHOLD))
+    run_experiment(config)
+    n_rows = load_dataset(load_dataset_config(SYNTHETIC)).n_rows
+    assert len(walks) == 2 * config.folds, walks
+    assert [train + test for train, test in zip(walks[::2], walks[1::2])] == [n_rows] * config.folds
+    assert sum(walks[1::2]) == n_rows  # each row is tested once
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -565,7 +565,7 @@ def test_transient_memory_is_bounded_for_many_simulations():
     # 3 rows, 2 trees and S = 20,000: 120,000 lanes, each drawing at all
     # 12 levels of its path. One chunk holds them, drawing at most
     # MAX_LANES / 2 at a time; most flip, so they walk on alone, at most
-    # MAX_LANES at a time. That peaks near 5.3 MB; drawing every recorded
+    # MAX_LANES at a time. That peaks near 5.7 MB; drawing every recorded
     # step of a chunk at once takes over 13 MB.
     rng = np.random.default_rng(4)
     forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(2)], n_trees=2)
@@ -601,6 +601,57 @@ def test_transient_memory_does_not_grow_with_rows():
             tracemalloc.stop()
     # the outputs (preds, probs, counts) grow by at most 32 bytes a row
     assert peaks[1] <= 1.05 * peaks[0] + 32 * 1800
+
+
+def census_sized_forest(rng, n_rows, T=10):
+    """T random trees of depth 10 over 3 features, and n_rows rows whose
+    feature 0, the protected one, is 0 or 1."""
+    forest = Forest(trees=[random_tree(rng, n_features=3, max_depth=10, p_leaf=0.1)
+                           for _ in range(T)], n_trees=T)
+    X = rng.uniform(-5, 5, size=(n_rows, 3))
+    X[:, 0] = rng.integers(0, 2, n_rows)
+    return forest, X
+
+
+def test_a_census_sized_call_runs_as_one_chunk(monkeypatch):
+    # 300 rows, 10 trees and S = 100 make 300,000 lanes: one chunk at the
+    # default budget, so one round-1 walk from all 3,000 (row, tree) roots
+    forest, X = census_sized_forest(np.random.default_rng(8), 300)
+    cfg = config(n_simulations=100)
+    round1 = []
+
+    def counting_walk(*args):
+        # later rounds start at flip children, which are never roots
+        if args[4].__qualname__.startswith("_record_step") and np.isin(args[2], forest.root).all():
+            round1.append(args[2].size)
+        return walk_lanes(*args)
+
+    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    preds, probs = predict_fair_batch(forest, X, SPEC, cfg)
+    assert round1 == [300 * 10]
+    monkeypatch.undo()
+    chunked = predict_fair_batch(forest, X, SPEC, cfg, max_lanes=1000)
+    np.testing.assert_array_equal(preds, chunked[0])
+    np.testing.assert_array_equal(probs, chunked[1])
+
+
+def test_a_full_default_chunk_peaks_within_12_bytes_a_lane():
+    # CHUNK_LANES * MAX_LANES lanes, 28% of which flip in round 1 (p_max =
+    # 0.2) and 6% in round 2: a chunk holds each lane's leaf byte, the keys
+    # of its flipped lanes and bounded draw slices, about 9 bytes a lane
+    T, S = 10, 100
+    rows = traversal.CHUNK_LANES * MAX_LANES // (T * S)
+    forest, X = census_sized_forest(np.random.default_rng(5), rows, T)
+    cfg = config(n_simulations=S, p_max=0.2)
+    lanes = X.shape[0] * T * S
+    predict_fair_batch(forest, X, SPEC, cfg)  # joins the forest's arrays once
+    tracemalloc.start()
+    try:
+        predict_fair_batch(forest, X, SPEC, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * lanes, peak / lanes
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
