@@ -3,11 +3,11 @@
 A tree document is a DecisionTree's node arrays (tree._NODE_ARRAYS), one
 JSON list entry per node, plus n_features, training_meta and class_labels,
 always [0, 1]; what the tree derives from them (leaf_class, depth) is not
-stored. A forest document lists tree documents. deserialize() checks
-whole arrays and the tree shape and names the offending entry
-(document.trees[i].<field>[j]). dumps() writes sorted compact JSON with
-round-trip floats, so a tree and its reloaded copy are equal array for
-array and one model has one text.
+stored. A forest document lists tree documents. deserialize() parses
+fields, JSON types and list lengths; DecisionTree checks the tree rules.
+Either names the offending entry (document.trees[i].<field>[j]). dumps()
+writes sorted compact JSON with round-trip floats, so a tree and its
+reloaded copy are equal array for array and one model has one text.
 """
 
 from __future__ import annotations
@@ -122,32 +122,11 @@ def _tree(doc, path) -> DecisionTree:
     if not isinstance(meta, dict):
         raise ModelFormatError(f"{path}.training_meta", "expected an object")
     arrays = _node_arrays(doc, path)
-    feature, child = arrays["feature"], arrays["child"]
-    majority, counts = arrays["majority"], arrays["class_counts"]
-    n = feature.size
-    leaf = feature < 0
-
-    def check(name, bad, message):
-        if bad.any():
-            raise ModelFormatError(f"{path}.{name}[{int(np.flatnonzero(bad)[0])}]", message)
-
-    check("feature", (feature < -1) | (feature >= n_features),
-          f"must be -1 (a leaf) or in [0, n_features) = [0, {n_features})")
-    check("scale", arrays["scale"] < 0, "must be >= 0")
-    check("majority", ((majority != 0) & (majority != 1)).any(axis=1), "class ids must be 0 or 1")
-    check("class_counts", (counts < 0).any(axis=1), "counts must be >= 0")
-    check("child", leaf & child.any(axis=1), "must be [0, 0] at a leaf")
-    check("majority", leaf & majority.any(axis=1), "must be [0, 0] at a leaf")
-    check("class_counts", ~leaf & counts.any(axis=1), "must be [0, 0] at an internal node")
-    # children after their parent make the nodes a tree, reached from node
-    # 0, once every other node has exactly one parent
-    check("child", ~leaf & ((child <= np.arange(n)[:, None]) | (child >= n)).any(axis=1),
-          f"an internal node's children must be in (its id, {n})")
-    parents = np.bincount(child[~leaf].ravel(), minlength=n)
-    check("child", ~leaf & (parents[child] > 1).any(axis=1),
-          "names a child that is named more than once")
-    check("child", (np.arange(n) > 0) & (parents == 0), "node is no internal node's child")
-    return DecisionTree(**arrays, n_features=n_features, training_meta=dict(meta))
+    try:
+        return DecisionTree(**arrays, n_features=n_features, training_meta=dict(meta))
+    except ValueError as exc:  # "<array>[<j>]: <rule>"
+        where, rule = str(exc).split(": ", 1)
+        raise ModelFormatError(f"{path}.{where}", rule) from None
 
 
 def deserialize(doc) -> "DecisionTree | Forest":

@@ -125,7 +125,9 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
     where the node splits on the protected feature, the sample is
     unprivileged and the deterministic child's majority is the
     unfavorable class; alpha = 0 suppresses flips there."""
-    p_max, alpha = config.p_max, config.alpha
+    p_max, alpha, protected = config.p_max, config.alpha, spec.protected_feature
+    if protected >= model.n_features:
+        raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
     # unscaled nodes flip at p_max exactly at the threshold and never
     # elsewhere; uniform-distance nodes always flip at p_max
     safe_scale, fixed, uniform = model.safe_scale, model.fixed_chance, model.uniform_distance
@@ -139,7 +141,7 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
             p[s] = np.where(uniform[node[s]] | (d[s] == 0.0), p_max, 0.0)
         # the fairness boost: protected split, unprivileged sample, and the
         # deterministic child's majority unfavorable
-        t = (feat == spec.protected_feature).nonzero()[0]
+        t = (feat == protected).nonzero()[0]
         if t.size:
             t = t[x[t] == 0.0]
             t = t[majority[2 * node[t] + ~go_left[t]] == 0]

@@ -6,10 +6,10 @@ the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
 and the majority training class of each child subtree. A tree is held as
 parallel node arrays (``DecisionTree``), the one form that training builds,
-model files store and every traversal reads. A ``Forest`` holds node data
-once, joined for batch walks: building it re-points its trees' arrays, values
-unchanged, at read-only slices of its own (``child`` stays local to each
-tree), so a tree keeps its forest's buffers alive.
+model files store and every traversal reads; building one checks every tree
+rule, however the arrays were made. A ``Forest`` holds node data once,
+joined for batch walks: it re-points its trees' arrays, values unchanged, at
+read-only slices of its own (``child`` stays local to each tree).
 """
 
 from __future__ import annotations
@@ -88,13 +88,18 @@ class DecisionTree:
     numbers nodes in level order. Internal node i sends values <=
     threshold[i] of feature[i] left; row i of child holds its (left,
     right) children and row i of majority their subtrees' majority
-    classes. Leaves have feature == -1, a zero child row and their
-    training class counts in class_counts (zero at internal nodes);
-    leaf_class is the leaf's majority class, ties to 0. depth[i] is node
-    i's distance from the root in edges and max_depth the longest
+    classes. A leaf has feature -1 and its training class counts in
+    class_counts; leaf_class is its majority class, ties to 0. depth[i] is
+    node i's distance from the root in edges and max_depth the longest
     root-to-leaf path. The flip rule reads safe_scale (scale, or 1 where it
     is 0) and fixed_chance (unscaled and uniform-distance nodes, whose flip
-    chance does not decay). The arrays are read-only."""
+    chance does not decay). The arrays are read-only. Building a tree
+    (trained, loaded or by hand) checks that feature is in [-1,
+    n_features), threshold finite, scale finite and >= 0, majority 0 or 1,
+    class_counts >= 0; child and majority are [0, 0] at leaves and
+    class_counts at internal nodes; an internal node's children have ids in
+    (its id, n); every node but the root has one parent. The first broken
+    rule raises ValueError("<array>[<j>]: <rule>")."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -119,32 +124,34 @@ class DecisionTree:
                 raise ValueError(f"node array {name} has shape {array.shape}, feature has {n} "
                                  f"nodes; a tree has at least one, an entry of shape {shape} each")
             setattr(self, name, _read_only(array))
-        if self.feature.max() >= self.n_features:
-            # batch walks read feature values by flat offset into each row
-            raise ValueError(
-                f"tree splits on feature {int(self.feature.max())} but has "
-                f"{self.n_features} features"
-            )
-        counts = self.class_counts
+        leaf, child, counts = self.feature[:, None] < 0, self.child, self.class_counts
+        _check("feature", (self.feature < -1) | (self.feature >= self.n_features),
+               f"must be -1 (a leaf) or in [0, n_features) = [0, {self.n_features})")
+        _check("threshold", ~np.isfinite(self.threshold), "must be finite")
+        _check("scale", ~(self.scale >= 0.0) | np.isinf(self.scale), "must be >= 0 and finite")
+        _check("majority", (self.majority < 0) | (self.majority > 1), "class ids must be 0 or 1")
+        _check("class_counts", counts < 0, "counts must be >= 0")
+        _check("child", leaf & (child != 0), "must be [0, 0] at a leaf")
+        _check("majority", leaf & (self.majority != 0), "must be [0, 0] at a leaf")
+        _check("class_counts", ~leaf & (counts != 0), "must be [0, 0] at an internal node")
+        # children after their parent and one parent for each node but the
+        # root make a tree from node 0: the depth walk meets each node once
+        _check("child", ~leaf & ((child <= np.arange(n)[:, None]) | (child >= n)),
+               f"an internal node's children must be in (its id, {n})")
+        # leaves' [0, 0] rows count toward node 0: the root is never an orphan
+        parents = np.bincount(child.ravel(), minlength=n)
+        _check("child", ~leaf & (parents[child] > 1), "names a child that is named more than once")
+        _check("child", parents == 0, "node is no internal node's child")
         self.leaf_class = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
         scaled = self.scale > 0.0
         self.safe_scale = _read_only(np.where(scaled, self.scale, 1.0))
         self.fixed_chance = _read_only(~scaled | self.uniform_distance)
-        node_depth = np.zeros(self.feature.size, dtype=np.int32)
-        depth, level, reached = 0, np.zeros(1, dtype=np.int64), 1
-        while True:
-            level = level[self.feature[level] >= 0]
-            if level.size == 0:
-                break
-            level = self.child[level].ravel()
-            reached += level.size
-            if reached > self.feature.size:
-                # a tree reaches each node once; a cycle would never end
-                raise ValueError("child rows do not form a tree")
-            depth += 1
-            node_depth[level] = depth
-        self.depth = _read_only(node_depth)
-        self.max_depth = depth
+        depth, level, self.max_depth = np.zeros(n, dtype=np.int32), np.zeros(1, dtype=np.int64), 0
+        while (level := level[self.feature[level] >= 0]).size:
+            level = child[level].ravel()
+            self.max_depth += 1
+            depth[level] = self.max_depth
+        self.depth = _read_only(depth)
 
     def __eq__(self, other):
         if not isinstance(other, DecisionTree):
@@ -163,6 +170,12 @@ class DecisionTree:
     @property
     def right(self) -> np.ndarray:
         return self.child[:, 1]
+
+
+def _check(name: str, bad: np.ndarray, rule: str) -> None:
+    """Raise ValueError naming the node of the first True entry of bad."""
+    if np.count_nonzero(bad):
+        raise ValueError(f"{name}[{int(bad.nonzero()[0][0])}]: {rule}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

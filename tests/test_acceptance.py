@@ -11,6 +11,7 @@ import json
 import os
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,8 +177,10 @@ def test_criterion_3_flip_probability_bounds(rng):
     go_left = samples[ids, tree.feature[ids]] <= tree.threshold[ids]
     det_majority = tree.majority[ids, (~go_left).astype(int)]
     triggered = (tree.feature[ids] == 0) & (samples[:, 0] == 0.0) & (det_majority == 0)
-    # the base chance: no node splits on feature 3, so none is boosted
-    unboosted = kernel_chances(tree, samples, p_maxes, alphas, FairnessSpec(protected_feature=3))
+    # the base chance: a 4-feature copy of the tree splits on no feature 3,
+    # so no node is boosted
+    unboosted = kernel_chances(replace(tree, n_features=4), samples, p_maxes, alphas,
+                               FairnessSpec(protected_feature=3))
     checked = 0
     for (cfg, nodes, adj), (_, _, base) in zip(
             kernel_chances(tree, samples, p_maxes, alphas, SPEC), unboosted):

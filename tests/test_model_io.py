@@ -9,7 +9,9 @@ from fairtree.data import load_dataset, load_dataset_config
 from fairtree.errors import ModelFormatError
 from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
 from fairtree.tree import (
+    _NODE_ARRAYS,
     Dataset,
+    DecisionTree,
     Forest,
     predict_deterministic,
     predict_forest_batch,
@@ -163,6 +165,10 @@ def test_bad_node_entries_are_rejected_with_their_path(field, index, value, mess
     doc["trees"][1][field][index] = value
     with pytest.raises(ModelFormatError, match=r"^document\.trees\[1\]\." + message):
         deserialize(doc)
+    if ": expected " not in message:  # a tree rule, not a JSON type: the tree enforces it
+        arrays = {name: doc["trees"][1][name] for name, _, _ in _NODE_ARRAYS}
+        with pytest.raises(ValueError, match="^" + message):
+            DecisionTree(**arrays, n_features=doc["trees"][1]["n_features"])
 
 
 def test_unreachable_node_is_rejected():

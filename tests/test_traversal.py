@@ -547,6 +547,21 @@ def test_non_finite_values_are_rejected_naming_the_cell():
                 predict()
 
 
+def test_a_protected_feature_beyond_the_model_is_rejected():
+    # a spec that names no feature of the model would boost no node, silently
+    forest = edge_case_forest(np.random.default_rng(0), 3)
+    X, cfg = np.zeros((2, 3)), config(n_simulations=5)
+    for protected in (3, 99):
+        spec = FairnessSpec(protected)
+        for predict in (lambda: predict_fair_batch(forest, X, spec, cfg),
+                        lambda: exact_forest_batch(forest, X, spec, cfg),
+                        lambda: exact_path_distribution(forest.trees[0], X[0], spec, cfg)):
+            with pytest.raises(ValueError,
+                               match=rf"^protected_feature {protected}: model has 3 features$"):
+                predict()
+    predict_fair_batch(forest, X, FairnessSpec(2), cfg)
+
+
 def test_zero_rows_give_empty_results():
     forest = edge_case_forest(np.random.default_rng(0), 3)
     X = np.empty((0, 3))

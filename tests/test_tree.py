@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairtree.model_io as model_io
 import fairtree.tree as tree_module
@@ -25,7 +27,7 @@ from fairtree.tree import (
     train_tree,
 )
 
-from conftest import depth1_tree, internal, leaf, make_tree
+from conftest import depth1_tree, internal, leaf, make_tree, random_tree
 from reference import uniform_at
 
 
@@ -246,7 +248,7 @@ def test_batch_predictions_match_scalar():
 
 def test_split_on_a_feature_beyond_n_features_is_rejected():
     tree = make_tree(internal(1, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=2)
-    with pytest.raises(ValueError, match="splits on feature 1 but has 1 features"):
+    with pytest.raises(ValueError, match=r"^feature\[0\]: must be -1 .* = \[0, 1\)$"):
         replace(tree, n_features=1)
 
 
@@ -263,8 +265,55 @@ def test_forest_trees_must_agree_on_n_features():
 
 def test_child_rows_that_loop_are_rejected():
     tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
-    with pytest.raises(ValueError, match="do not form a tree"):
+    with pytest.raises(ValueError, match=r"^child\[0\]: an internal node's children must be in"):
         replace(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
+
+
+# Malformed variants of depth1_tree (node 0 splits, nodes 1 and 2 are
+# leaves). All but the last once built, predicted and saved into files that
+# loading rejected; the last ended in an IndexError.
+@pytest.mark.parametrize("change, message", [
+    ({"majority": [[2, 1], [0, 0], [0, 0]]}, r"majority\[0\]: class ids must be 0 or 1"),
+    ({"scale": [-1.0, 1.0, 1.0]}, r"scale\[0\]: must be >= 0"),
+    ({"feature": [0, -5, -1]}, r"feature\[1\]: must be -1 \(a leaf\) or in"),
+    ({"child": [[1, 1], [0, 0], [0, 0]]}, r"child\[0\]: names a child that is named more"),
+    ({"feature": [-1, 0, -1], "child": [[0, 0], [0, 2], [0, 0]],
+      "majority": [[0, 0], [0, 1], [0, 0]], "class_counts": [[1, 0], [0, 0], [0, 2]]},
+     r"child\[1\]: an internal node's children must be in \(its id, 3\)"),
+    ({"class_counts": [[0, 0], [-3, 0], [0, 2]]}, r"class_counts\[1\]: counts must be >= 0"),
+    ({"child": [[1, 3], [0, 0], [0, 0]]},
+     r"child\[0\]: an internal node's children must be in \(its id, 3\)"),
+], ids=["majority 2", "scale -1", "feature -5", "a child named twice", "a child below its parent",
+        "a negative class count", "a child past the last node"])
+def test_a_malformed_tree_is_rejected_when_it_is_built(change, message):
+    with pytest.raises(ValueError, match="^" + message):
+        replace(depth1_tree(), **change)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(tree_module._NODE_ARRAYS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array, data):
+    # one entry of one node array of a valid tree changed to any value of
+    # the array's dtype: the tree is rejected, or its model file loads
+    name, dtype, shape = node_array
+    tree = random_tree(np.random.default_rng(seed), n_features=3, max_depth=3)
+    array = getattr(tree, name).copy()
+    at = (data.draw(st.integers(0, array.shape[0] - 1)),) + tuple(
+        data.draw(st.integers(0, size - 1)) for size in shape)
+    kind = np.dtype(dtype).kind
+    if kind == "f":
+        value = data.draw(st.floats())
+    elif kind == "b":
+        value = data.draw(st.booleans())
+    else:
+        info = np.iinfo(dtype)
+        value = data.draw(st.integers(-2, array.shape[0] + 1) | st.integers(info.min, info.max))
+    array[at] = value
+    try:
+        changed = replace(tree, **{name: array})
+    except ValueError:
+        return
+    assert loads(dumps(changed)) == changed
 
 
 @pytest.mark.parametrize("kind", ["trained", "loaded", "one tree"])
