@@ -10,8 +10,9 @@ direction checks the real benchmark asserts. Before that, on fold 0, it
 times exact inference over the forest against Monte Carlo and reports how
 far their predictions agree and how many rows lie within Monte Carlo noise
 of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
-a second, untimed Monte Carlo call, how many chunks that call takes and its
-tracemalloc peak in bytes per lane of its largest chunk. It ends with the
+a second, untimed Monte Carlo call, how many chunks of the exact frontier
+that call draws from and its tracemalloc peak in bytes per (row,
+simulation, tree) lane. It ends with the
 process's peak RSS, and exits 1 when fairttts does not lower EOD or drops
 accuracy by more than 0.005. Not a test; a dry run for budgeting.
 """
@@ -72,22 +73,23 @@ def node_array_mb(forest):
 
 
 def chunk_memory(forest, X, spec, config, seed, stream_ids):
-    """The lanes of each chunk of one Monte Carlo call of predict_method,
-    and the call's tracemalloc peak in bytes."""
-    chunks, simulate = [], traversal._simulate
+    """The rows of each chunk of the exact frontier that one Monte Carlo
+    call of predict_method draws from, and the call's tracemalloc peak in
+    bytes."""
+    chunks, pair_masses = [], traversal._pair_masses
 
-    def counted(forest, X, chance, rows, stream_ids, sims, *args):
-        chunks.append(rows.size * forest.n_trees * sims.size)
-        return simulate(forest, X, chance, rows, stream_ids, sims, *args)
+    def counted(forest, X, chance, rows, limit):
+        chunks.append(rows.size)
+        return pair_masses(forest, X, chance, rows, limit)
 
-    traversal._simulate = counted
+    traversal._pair_masses = counted
     tracemalloc.start()
     try:
         predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
         return chunks, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        traversal._simulate = simulate
+        traversal._pair_masses = pair_masses
 
 
 def exact_vs_monte_carlo(dataset, protected, config):
@@ -110,8 +112,10 @@ def exact_vs_monte_carlo(dataset, protected, config):
         elapsed = time.perf_counter() - t0
         print(f"fold 0 {name:<12} {elapsed:.2f}s  {len(X) / elapsed:,.0f} rows/s")
     chunks, peak = chunk_memory(forest, X, spec, config, seed, test)
-    print(f"fold 0 monte carlo   {len(chunks)} chunks of at most {max(chunks):,} lanes, "
-          f"tracemalloc peak {peak / 1e6:.2f} MB = {peak / max(chunks):.1f} bytes a lane")
+    lanes = len(X) * config.n_simulations * config.n_trees
+    print(f"fold 0 monte carlo   {len(chunks)} chunks of at most {max(chunks):,} rows, "
+          f"tracemalloc peak {peak / 1e6:.2f} MB = {peak / lanes:.2f} bytes a lane "
+          f"of {lanes:,}")
     q, S = out["exact"][1], config.n_simulations
     agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))

@@ -115,7 +115,7 @@ def _node_arrays(doc, path) -> dict:
 
 def _tree(doc, path) -> DecisionTree:
     doc = _expect_dict(doc, path)
-    n_features = _positive_int(_get(doc, "n_features", path), f"{path}.n_features")
+    n_features = _get(doc, "n_features", path)
     if doc.get("class_labels", [0, 1]) != [0, 1]:
         raise ModelFormatError(f"{path}.class_labels", "must be [0, 1]")
     meta = doc.get("training_meta", {})

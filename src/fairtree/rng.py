@@ -84,8 +84,9 @@ def uniforms_at_array(keys: np.ndarray, index) -> np.ndarray:
 
 
 def below_array(keys: np.ndarray, index, p) -> np.ndarray:
-    """uniforms_at_array(keys, index) < p for p in [0, 1), bit for bit: u =
-    (z >> 11) * 2**-53 for the draw word z, and p * 2**53 is exact, so u < p
-    exactly when z < ceil(p * 2**53) * 2**11."""
-    return _words_at(keys, index) < (np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)
-                                     << np.uint64(11))
+    """uniforms_at_array(keys, index) < p for p >= 0, bit for bit: u = (z
+    >> 11) * 2**-53 for the draw word z, and p * 2**53 is exact, so u < p
+    exactly when z >> 11 < ceil(p * 2**53); p >= 1 always holds, as u < 1."""
+    words = _words_at(keys, index)
+    words >>= np.uint64(11)
+    return words < np.ceil(np.minimum(p, 1.0) * 2.0 ** 53).astype(np.uint64)

@@ -11,26 +11,21 @@ distribution in closed form for verification. Both read their flip
 chances from one function, ``_flip_chance``; ``tests/reference.py`` keeps
 a scalar, node-by-node copy of the rule as the tests' oracle.
 
-Batch prediction walks a whole forest at once. Every (row, simulation, tree)
-triple is a lane; ``tree.walk_lanes`` moves a batch of lanes one level per
-step over the forest's own joined node arrays, reading each lane's feature
-value straight from its row, and drops lanes from the working set as they
-reach a leaf. Deterministic votes are that walk from every (row, tree) root.
-The lanes at one node of one (row, tree) pair take the same steps, at the same
-flip chances, until they flip, so Monte Carlo prediction goes in rounds of
-segments, a segment being such a (pair, node) and its lanes. A round walks
-each segment once, recording its steps whose flip chance (``_flip_chance``) is
-above 0; segment by segment, each lane draws at those steps in depth order and
-keeps its first flip (``_first_flips``), or else ends at the segment's leaf.
-Round 1's segments are the pairs at their roots; a lane's stream key is
-derived whenever it draws, so a lane holds only its leaf byte, and the lanes
-that flipped go on as int32 ids, grouped by (pair, flip child) into the next
-round's segments. Lanes that share too little walk on alone with the flip step
-(``_flip_step``), as do all lanes of a call with fewer than
-``MIN_SHARED_LANES``. All randomness comes from counter-based streams keyed by
-(seed, stream_id, simulation, tree), and a draw keeps its stream, index (the
-node's depth) and comparison, so results do not depend on evaluation order,
-batching, chunks or rounds; ``max_lanes`` bounds memory.
+One kernel computes both engines: the exact frontier (``_pair_masses``).
+Every (row, tree) pair's branches, (pair, node, mass) entries, go down the
+forest's joined node arrays one level per step with one ``_flip_chance``
+call a level; a branch splits into mass * (1 - p) at the deterministic
+child and mass * p at the flip child, and one whose mass is not above 0 is
+dropped. A pair's leaves sum to its class masses (q0, q1), which
+``fairtree.exact`` aggregates. Each simulation walks each tree on its own
+stream, so a tree's vote in a simulation is Bernoulli(q1): Monte Carlo
+(``predict_fair_batch``) takes the pairs' masses and lets tree t vote 1 in
+simulation s when draw 0 of the stream keyed (seed, stream_id, s, t) is
+below q1. A row alone past the frontier's budget walks its lanes instead
+(``tree.walk_lanes`` with ``_flip_step``), drawing at a node of depth k
+draw k of the same streams. Which way a row goes depends on the row alone,
+so results do not depend on evaluation order, batching or chunks;
+``max_lanes`` bounds memory.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from . import rng as _rng
 from .errors import ConfigError, EnumerationLimitError
 from .tree import (
     MAX_LANES,
-    MIN_SHARED_LANES,
     DecisionTree,
     Forest,
     _check_matrix,
@@ -54,9 +48,6 @@ from .tree import (
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
-# Lanes of a Monte Carlo chunk per max_lanes: a chunk peaks at 9-12 bytes a lane (tracemalloc,
-# 100-row calls on 25 trees, 300-row calls on 10 census trees), a default one at about 3 MB.
-CHUNK_LANES = 10
 
 
 @dataclass(frozen=True)
@@ -166,126 +157,79 @@ def _flip_step(forest: Forest, chance, keys):
     return flip
 
 
-def _record_step(chance, steps):
-    """A walk_lanes step that flips nothing and appends, to steps, the
-    (lane, node, chance, go_left) arrays of each step's lanes whose chance
-    is above 0."""
-
-    def record(lane, node, feat, x, threshold, go_left):
+def _pair_masses(forest: Forest, X, chance, rows, limit: int):
+    """The (q0, q1) of rows' (row, tree) pairs, shaped (rows, T, 2), and
+    the most live branches and leaves held for the sum at once; None once
+    they outnumber limit."""
+    T = forest.n_trees
+    values, child = X.ravel(), forest.child.ravel()
+    x_pos = np.repeat(rows * X.shape[1], T)
+    node = np.tile(forest.root, rows.size)
+    if node.size > limit:
+        return None
+    pair = np.arange(node.size)
+    mass = np.ones(node.size)
+    leaves, held, peak = [], 0, node.size
+    while node.size:
+        feat = forest.feature[node]
+        done = feat < 0
+        if np.count_nonzero(done):
+            at = done.nonzero()[0]
+            leaves.append((2 * pair[at] + forest.leaf_class[node[at]], mass[at]))
+            held += at.size
+            at = (~done).nonzero()[0]
+            node, feat, pair, mass = node[at], feat[at], pair[at], mass[at]
+            if not node.size:
+                break
+        x = values[x_pos[pair] + feat]
+        threshold = forest.threshold[node]
+        go_left = x <= threshold
         p = chance(node, feat, x, threshold, go_left)
-        hit = (p > 0.0).nonzero()[0]
-        if hit.size:
-            steps.append((lane[hit], node[hit], p[hit], go_left[hit]))
-
-    return record
-
-
-def _first_flips(forest: Forest, steps, keys, m: int, b: int, bounds, lane, budget: int):
-    """Keys (pair * nodes + flip child) * 2**b + s of the first flips of a
-    round's lanes, lane j * m + s drawing from keys(j, s). steps lists each
-    walk step's (segment, node, chance, go_left) arrays of its steps with a
-    chance above 0, and is emptied. Segment g's lanes are lane[bounds[g]:
-    bounds[g + 1]], or in round 1 (lane None) pair g's. Segment by segment
-    and lane by lane, a lane's draws follow its path, so its first flip is
-    its first hit. The draws go in slices of whole segments, or of some
-    lanes of one, of at most budget draws or one lane's."""
-    seg, node, p, go_left = (np.concatenate(a) for a in zip(*steps))
-    steps.clear()
-    order = np.argsort(seg, kind="stable")  # by segment, then by depth
-    seg, node, p, go_left = seg[order], node[order], p[order], go_left[order]
-    depth, child = forest.depth[node], forest.child.ravel()[2 * node + go_left]
-    k = np.bincount(seg, minlength=bounds.size - 1)
-    g = k.nonzero()[0]  # the segments with steps: their steps, lanes, first position
-    k, lo, n = k[g], bounds[g], bounds[g + 1] - bounds[g]
-    run, end = np.cumsum(k) - k, np.cumsum(k * n)  # end[r]: the draws of segments 0 to r
-    flips, r = [np.empty(0, dtype=np.int64)], 0
-    while r < g.size:
-        r1 = max(r + 1, int(np.searchsorted(end, end[r] - k[r] * n[r] + budget, "right")))
-        width = max(1, budget // int(k[r])) if r1 == r + 1 else budget
-        for c0 in range(0, int(n[r]), width):
-            count = np.minimum(n[r:r1], c0 + width) - c0  # of each segment's lanes
-            if lane is None:  # (simulation, step) draws, a row of its path's draws a lane
-                per, s0, s1 = k[r:r1], run[r], run[r1 - 1] + k[r1 - 1]
-                hit = _rng.below_array(keys(g[r:r1], slice(c0, c0 + count[0]))[
-                    :, np.repeat(np.arange(per.size), per)], depth[s0:s1], p[s0:s1])
-                s, step = np.divmod(hit.ravel().nonzero()[0], s1 - s0)
-                step += s0
-                ids = seg[step] * m + s + c0
-            else:  # each lane's draws in a row
-                ids = lane[np.repeat(lo[r:r1] + c0 - np.cumsum(count) + count, count)
-                           + np.arange(count.sum())]
-                per = np.repeat(k[r:r1], count)  # a lane's draws
-                first = np.cumsum(per) - per
-                step = np.arange(per.sum()) - np.repeat(first - np.repeat(run[r:r1], count), per)
-                at = _rng.below_array(np.repeat(keys(*np.divmod(ids, m)), per), depth[step],
-                                      p[step]).nonzero()[0]
-                ids, step = ids[np.searchsorted(first, at, "right") - 1], step[at]
-            new = np.ones(ids.size, dtype=bool)  # each lane's first hit
-            new[1:] = ids[1:] != ids[:-1]
-            pair, s = np.divmod(ids[new].astype(np.int64), m)
-            flips.append(((pair * forest.feature.size + child[step[new]]) << b) + s)
-        r = r1
-    return np.concatenate(flips)
-
-
-def _simulate(forest: Forest, X, chance, rows, stream_ids, sims, seed: int,
-              shared: bool, max_lanes: int):
-    """The leaf class of every lane of a chunk: lane j * m + s is simulation
-    sims[s] of (row, tree) pair j. Rounds stop once fewer than
-    MIN_SHARED_LANES lanes flip, or more than half of a round's, whose high
-    chances would waste most of a segment's draws after its first flips."""
-    T, m, nodes, b = forest.n_trees, sims.size, forest.feature.size, (sims.size - 1).bit_length()
-    root, x_pos = np.tile(forest.root, rows.size), np.repeat(rows * X.shape[1], T)
-    # lane j * m + s draws from the stream keyed (seed, stream id, sims[s], tree):
-    # prefix[s, row] folded with the tree, derived again for each draw slice or walk
-    prefix = _rng.stream_key_array(seed, stream_ids, sims[:, None])
-
-    def keys(pair, s):
-        row, tree = np.divmod(pair, T)
-        return _rng.finalize_array(prefix[s, row] ^ tree.astype(np.uint64))
-
-    # round 1's segment j is pair j, its lanes j * m to j * m + m - 1; later
-    # rounds carry only their int32 lanes, segment g's lane[bounds[g]:bounds[g + 1]]
-    lane, bounds, start, x = None, np.arange(root.size + 1) * m, root, x_pos
-    if not shared:
-        lane, start = np.arange(root.size * m), np.repeat(root, m)
-        leaves = np.empty(lane.size, dtype=np.int8)
-    while shared:
-        steps = []
-        seg_leaf = walk_lanes(forest, X, start, x, _record_step(chance, steps))
-        if lane is None:
-            leaves = np.repeat(seg_leaf, m)
+        # masses are >= 0, so the branches above 0 are the nonzero ones
+        stay, flip = mass * (1.0 - p), mass * p
+        n_stay, n_flip = np.count_nonzero(stay), np.count_nonzero(flip)
+        if held + n_stay + n_flip > limit:
+            return None
+        peak = max(peak, held + n_stay + n_flip)
+        if n_stay < node.size:
+            s = stay.nonzero()[0]
+            node_s, left_s, pair_s, stay = node[s], go_left[s], pair[s], stay[s]
         else:
-            leaves[lane] = np.repeat(seg_leaf, np.diff(bounds))
-        if not steps:
-            return leaves
-        n_round = leaves.size if lane is None else lane.size
-        key = _first_flips(forest, steps, keys, m, b, bounds, lane, max_lanes // 2)
-        key.sort()
-        # decoded in place: lane takes the low bits, s, then adds pair * m
-        lane = key.astype(np.int32 if leaves.size < 2**31 else np.int64)
-        lane &= (1 << b) - 1
-        key >>= b  # each flipped lane's segment, pair * nodes + flip child
-        alone = key.size < MIN_SHARED_LANES or 2 * key.size > n_round
-        if alone:
-            start = key % nodes
-        else:
-            new = np.r_[True, key[1:] != key[:-1]].nonzero()[0]
-            bounds = np.r_[new, key.size]
-            pair, start = np.divmod(key[new], nodes)
-            x = x_pos[pair]
-        key //= nodes
-        key *= m
-        lane += key
-        del key
-        if alone:
-            break
-    walk = max(max_lanes, MIN_SHARED_LANES)  # lanes per walk
-    for i in range(0, lane.size, walk):
-        at = lane[i:i + walk]
-        leaves[at] = walk_lanes(forest, X, start[i:i + walk], x_pos[at // m],
-                                _flip_step(forest, chance, keys(*np.divmod(at, m))))
-    return leaves
+            node_s, left_s, pair_s = node, go_left, pair
+        det = child[2 * node_s + ~left_s]
+        if n_flip:  # the flip children follow the deterministic ones
+            f = flip.nonzero()[0]
+            det = np.concatenate([det, child[2 * node[f] + go_left[f]]])
+            pair_s, stay = np.concatenate([pair_s, pair[f]]), np.concatenate([stay, flip[f]])
+        node, pair, mass = det, pair_s, stay
+    slot, mass = (np.concatenate(a) for a in zip(*leaves))
+    return np.bincount(slot, mass, 2 * rows.size * T).reshape(rows.size, T, 2), peak
+
+
+def _mass_chunks(forest: Forest, X, chance, limit: int):
+    """(rows, q) for X's rows in consecutive chunks: q the chunk's pair
+    masses (_pair_masses), or None for a row alone whose branches and held
+    leaves outnumber limit. A chunk first holds limit // (the forest's leaf
+    count) rows, which fits: a pair holds at most one branch or leaf per
+    leaf of its tree. A chunk past limit is halved and redone. After one
+    that fits, the next holds as many rows as would fill 2/3 of limit at
+    the chunk's peak per row, if that is more, but at most 32 times its
+    rows (a small chunk's peak per row is a rough estimate) and limit // T.
+    A row's q does not depend on its chunk."""
+    n, T = X.shape[0], forest.n_trees
+    r0, size = 0, max(1, limit // int((forest.feature < 0).sum()))
+    while r0 < n:
+        rows = np.arange(r0, min(n, r0 + size))
+        got = _pair_masses(forest, X, chance, rows, limit)
+        if got is None and rows.size > 1:
+            while size >= rows.size:  # sizes that do not depend on n
+                size //= 2
+            continue
+        yield rows, None if got is None else got[0]
+        r0 += rows.size
+        if got is not None:
+            size = min(max(1, limit // T), 32 * rows.size,
+                       max(size, 2 * rows.size * limit // (3 * got[1])))
 
 
 def predict_fair(
@@ -328,13 +272,13 @@ def predict_fair_batch(
     numbers) to make results invariant to batch composition. Returns
     (predictions, probs) with probs[i] = (P(class 0), P(class 1)).
 
-    The (row, simulation, tree) lanes go in chunks of whole rows, or of
-    whole simulations of one row when a row has more than CHUNK_LANES *
-    max_lanes lanes. A chunk holds at most CHUNK_LANES * max_lanes lanes,
-    and its rows' paths at most as many levels, but never less than one
-    simulation of one row. Its rounds draw in slices of at most max_lanes // 2
-    draws, or one lane's; lanes that finish alone walk at most max(max_lanes,
-    MIN_SHARED_LANES) at a time. Results do not depend on max_lanes."""
+    Rows go in the chunks of exact_forest_batch, whose pair masses q give
+    each (row, tree) pair's vote chance q1. Tree t votes 1 in simulation s
+    of a row when draw 0 of stream (seed, stream id, s, t) is below q1. A
+    row alone past MAX_LANES walks its lanes instead, drawing at a node of
+    depth k draw k of the same stream. The (row, simulation, tree) lanes go
+    in blocks of whole simulations, at most max_lanes lanes but never less
+    than one simulation of one row. Results do not depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)
@@ -349,24 +293,27 @@ def predict_fair_batch(
     stream_ids = stream_ids.astype(np.uint64)
     S, T = config.n_simulations, forest.n_trees
     chance = _flip_chance(forest, spec, config)
-    shared = n * S * T >= MIN_SHARED_LANES
-    sims_per_chunk = min(S, max(1, CHUNK_LANES * max_lanes // T))
-    # a chunk's lanes, and the steps its round 1 records (at most one per
-    # level of each pair's path), stay within CHUNK_LANES * max_lanes
-    rows_per_chunk = max(1, CHUNK_LANES * max_lanes // (T * max(sims_per_chunk, forest.max_depth)))
-    chunks = max(1, -(-n // rows_per_chunk))  # of even size
-    rows_per_chunk = max(1, -(-n // chunks))
+    sims, trees = np.arange(S, dtype=np.uint64), np.arange(T, dtype=np.uint64)
+    block_sims = min(S, max(1, max_lanes // T))
+    block_rows = max(1, max_lanes // (T * block_sims))
     counts = np.zeros(n, dtype=np.int64)
-    for r0 in range(0, n, rows_per_chunk):
-        rows = np.arange(r0, min(n, r0 + rows_per_chunk))
-        for s0 in range(0, S, sims_per_chunk):
-            sims = np.arange(s0, min(S, s0 + sims_per_chunk), dtype=np.uint64)
-            leaves = _simulate(forest, X, chance, rows, stream_ids[rows], sims, config.seed,
-                               shared, max_lanes)
-            votes = leaves.reshape(rows.size, T, sims.size).sum(axis=1)
-            if aggregation == VOTE_MAJORITY:
-                votes = 2 * votes > T
-            counts[rows] += votes.sum(axis=1)
+    for rows, q in _mass_chunks(forest, X, chance, MAX_LANES):
+        for r0 in range(0, rows.size, block_rows):
+            at = rows[r0:r0 + block_rows]
+            for s0 in range(0, S, block_sims):
+                # keys[row, tree, simulation]: stream (seed, stream id, simulation, tree)
+                keys = _rng.stream_key_array(config.seed, stream_ids[at, None, None],
+                                             sims[s0:s0 + block_sims], trees[:, None])
+                if q is None:  # one row, past the budget
+                    votes = walk_lanes(forest, X, np.repeat(forest.root, keys.shape[2]),
+                                       np.full(keys.size, at[0] * X.shape[1]),
+                                       _flip_step(forest, chance, keys.ravel())).reshape(keys.shape)
+                else:
+                    votes = _rng.below_array(keys, 0, q[r0:r0 + at.size, :, 1, None])
+                votes = votes.sum(axis=1)  # each simulation's votes for 1
+                if aggregation == VOTE_MAJORITY:
+                    votes = 2 * votes > T
+                counts[at] += votes.sum(axis=1)
     denom = S * (1 if aggregation == VOTE_MAJORITY else T)
     probs = np.stack([(denom - counts) / denom, counts / denom], axis=1)
     preds = (2 * counts > denom).astype(np.int64)

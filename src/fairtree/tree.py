@@ -94,12 +94,13 @@ class DecisionTree:
     root-to-leaf path. The flip rule reads safe_scale (scale, or 1 where it
     is 0) and fixed_chance (unscaled and uniform-distance nodes, whose flip
     chance does not decay). The arrays are read-only. Building a tree
-    (trained, loaded or by hand) checks that feature is in [-1,
-    n_features), threshold finite, scale finite and >= 0, majority 0 or 1,
-    class_counts >= 0; child and majority are [0, 0] at leaves and
+    (trained, loaded or by hand) checks that n_features is an integer >= 1;
+    each node array casts to its dtype with no value changed; feature is in
+    [-1, n_features), threshold finite, scale finite and >= 0, majority 0
+    or 1, class_counts >= 0; child and majority are [0, 0] at leaves and
     class_counts at internal nodes; an internal node's children have ids in
     (its id, n); every node but the root has one parent. The first broken
-    rule raises ValueError("<array>[<j>]: <rule>")."""
+    rule raises ValueError("<array>[<j>]: <rule>"), or "<field>: <rule>"."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -117,12 +118,23 @@ class DecisionTree:
     fixed_chance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.n_features, bool) or not isinstance(self.n_features, int):
+            raise ValueError("n_features: expected an integer")
+        if self.n_features < 1:
+            raise ValueError("n_features: must be >= 1")
         n = len(np.atleast_1d(self.feature))
         for name, dtype, shape in _NODE_ARRAYS:
-            array = np.array(getattr(self, name), dtype=dtype)
+            value = np.asarray(getattr(self, name))
+            try:  # a copy, which numpy may wrap or round within a kind
+                array = value.astype(dtype, casting="same_kind")
+            except TypeError:
+                raise ValueError(f"{name}: expected {np.dtype(dtype)} values, "
+                                 f"not {value.dtype}") from None
             if n == 0 or array.shape != (n,) + shape:
                 raise ValueError(f"node array {name} has shape {array.shape}, feature has {n} "
                                  f"nodes; a tree has at least one, an entry of shape {shape} each")
+            if value.dtype != array.dtype:
+                _check(name, array != value, f"must fit {np.dtype(dtype)}")
             setattr(self, name, _read_only(array))
         leaf, child, counts = self.feature[:, None] < 0, self.child, self.class_counts
         _check("feature", (self.feature < -1) | (self.feature >= self.n_features),
@@ -343,11 +355,11 @@ class _Grower:
         feature -1 at a leaf; the next level holds the left and then the
         right child of each split node, in node order."""
         n = level.counts.shape[0]
-        feature = np.full(n, -1, dtype=np.int64)
+        feature = np.full(n, -1, dtype=np.int32)
         threshold = np.zeros(n)
         scale = np.ones(n)
         uniform = np.zeros(n, dtype=bool)
-        majority = np.zeros((n, 2), dtype=np.int64)
+        majority = np.zeros((n, 2), dtype=np.int8)
         counts = level.counts.copy()
         found, f, t, dmax, dmin = self._splits(level)
         split = level.active[found]
@@ -599,14 +611,11 @@ def predict_deterministic(model, sample):
     return int(model.leaf_class[node])
 
 
-# Lanes per chunk of a batch walk. A lane is one root-to-leaf walk of one
-# tree for one row (and, in Monte Carlo, one simulation); a chunk's
-# transient arrays take a few MB at this size.
+# Lanes per chunk of a batch walk, and branches and held leaves per chunk of
+# the exact frontier. A lane is one root-to-leaf walk of one tree for one
+# row (and, in Monte Carlo, one simulation); a chunk's transient arrays take
+# a few MB at this size.
 MAX_LANES = 2**15
-# Monte Carlo calls with fewer (row, simulation, tree) lanes than this walk
-# every lane from its root: below it, the fixed cost of first walking each
-# (row, tree) path alone outweighs the simulations' shared steps.
-MIN_SHARED_LANES = 2**11
 
 
 def flatten_tree(tree: DecisionTree) -> DecisionTree:

@@ -3,8 +3,9 @@
 fairtree computes flip chances and draws in batches (traversal._flip_chance,
 rng.uniforms_at_array). This module keeps a plain, node-by-node copy of the
 same rule for tests to compare against: the distance-based flip chance, its
-fairness boost, one stream's sequential draws, one probabilistic walk, and
-the exact path enumeration on those helpers.
+fairness boost, one stream's sequential draws, one probabilistic walk, the
+exact path enumeration on those helpers, and Monte Carlo's votes drawn from
+the exact chances.
 """
 
 from fairtree.rng import GAMMA, finalize, stream_key
@@ -139,3 +140,14 @@ def reference_exact(
                 flip.append((flip_child, prob * p_flip))
         level = stay + flip
     return PredictionDistribution(probs=tuple(min(p, 1.0) for p in probs), n_simulations_used=0)
+
+
+def reference_monte_carlo(trees, sample, spec: FairnessSpec, config: TraversalConfig,
+                          stream_id: int = 0, exact=reference_exact):
+    """The votes of predict_fair, a list of n_simulations lists of one 0/1
+    vote a tree: tree t votes 1 in simulation s when draw 0 of stream
+    (seed, stream_id, s, t) is below the tree's exact chance of class 1,
+    exact(tree, sample, spec, config).probs[1]."""
+    qs = [exact(tree, sample, spec, config).probs[1] for tree in trees]
+    return [[int(uniform_at(stream_key(config.seed, stream_id, s, t), 0) < q)
+             for t, q in enumerate(qs)] for s in range(config.n_simulations)]

@@ -125,7 +125,7 @@ def test_results_do_not_depend_on_lane_budget_or_row_order(rng, monkeypatch):
 def test_chunks_halve_when_doubling_reaches_wide_rows(rng, monkeypatch):
     # a complete depth-6 tree splitting on feature 1 at 0 with scale 1:
     # a row at 0 flips everywhere (64 leaves), a row at 100 nowhere (one).
-    # A budget of 128 starts at 2-row chunks, doubles them over narrow
+    # A budget of 128 starts at 2-row chunks, grows them over narrow
     # rows and must halve them again at the wide ones
     def grow(depth):
         if depth == 0:
@@ -138,14 +138,14 @@ def test_chunks_halve_when_doubling_reaches_wide_rows(rng, monkeypatch):
     cfg = config(p_max=0.3, alpha=9.0)
     preds, probs = exact_forest_batch(forest, X, SPEC, cfg)
     attempts = []
-    pair_masses = exact._pair_masses
+    pair_masses = traversal._pair_masses
 
     def counted(*args):
         got = pair_masses(*args)
         attempts.append(got is None)
         return got
 
-    monkeypatch.setattr(exact, "_pair_masses", counted)
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
     monkeypatch.setattr(exact, "MAX_LANES", 128)
     got = exact_forest_batch(forest, X, SPEC, cfg)
     np.testing.assert_array_equal(got[0], preds)

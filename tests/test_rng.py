@@ -69,6 +69,20 @@ def test_integer_flip_test_equals_uniform_comparison():
     np.testing.assert_array_equal(below_array(keys[None, :], index[:5, None], p), u < p)
 
 
+def test_flip_test_is_exact_up_to_one():
+    # p * 2**53 reaches 2**53 at p = 1, where a shifted bound would wrap to
+    # 0; a vote's chance is often exactly 1, and every draw is below it
+    keys = stream_key_array(8, np.arange(20_000, dtype=np.uint64))
+    below_one = np.nextafter(1.0, 0.0)
+    for i in (0, 3):
+        u = uniforms_at_array(keys, i)
+        for p in (0.0, below_one, 1.0):
+            np.testing.assert_array_equal(below_array(keys, i, p), u < p)
+        assert not below_array(keys, i, 0.0).any()
+        assert below_array(keys, i, 1.0).all()
+        assert below_array(keys, i, np.r_[below_one, 1.0, 2.0][:, None])[1:].all()
+
+
 def test_scalar_keys_draw_without_overflow_warnings():
     # a numpy scalar key wraps modulo 2**64 like an array key, with no
     # RuntimeWarning from scalar arithmetic

@@ -18,7 +18,6 @@ from fairtree.traversal import (
 )
 from fairtree.tree import (
     MAX_LANES,
-    MIN_SHARED_LANES,
     Forest,
     flatten_tree,
     forest_votes_batch,
@@ -33,6 +32,7 @@ from reference import (
     adjusted_flip_probability,
     flip_probability,
     reference_exact,
+    reference_monte_carlo,
     traverse_once,
 )
 
@@ -183,17 +183,22 @@ def test_at_threshold_flip_frequency_approaches_p_max():
 # --- one-tree Monte Carlo -----------------------------------------------------
 
 def test_simulate_counts_traverse_once_outcomes_exactly():
+    # simulation s votes 1 when draw 0 of its stream is below the tree's
+    # exact chance q1. On one split whose deterministic leaf is class 0,
+    # q1 is the root's flip chance, so that vote is the walk's flip at the
+    # root, which uses the same draw
     tree = depth1_tree()
     cfg = config(n_simulations=250, p_max=0.4, seed=11)
     dist = simulate_tree(tree, [4.9], SPEC, cfg, stream_id=6)
+    count1 = sum(v for v, in reference_monte_carlo([tree], [4.9], SPEC, cfg, stream_id=6))
+    assert dist.probs == ((250 - count1) / 250, count1 / 250)
+    assert dist.n_simulations_used == 250
     outcomes = [
         traverse_once(tree, np.array([4.9]), SPEC, cfg,
                       TraversalStream.derive(cfg.seed, 6, s, 0))
         for s in range(cfg.n_simulations)
     ]
-    count1 = sum(outcomes)
-    assert dist.probs == ((250 - count1) / 250, count1 / 250)
-    assert dist.n_simulations_used == 250
+    assert sum(outcomes) == count1
 
 
 def test_simulate_probs_sum_exactly_to_one(rng):
@@ -412,14 +417,8 @@ def test_predict_fair_matches_manual_vote_recount(rng):
         cfg = config(n_simulations=40, p_max=p_max, alpha=alpha, seed=i)
         sample = edge_case_samples(rng, forest, 1)[0]
         pred, dist = predict_fair(forest, sample, SPEC, cfg, stream_id=17)
-        votes = []
-        for s in range(cfg.n_simulations):
-            outcomes = [
-                traverse_once(tree, sample, SPEC, cfg,
-                              TraversalStream.derive(cfg.seed, 17, s, t))
-                for t, tree in enumerate(forest.trees)
-            ]
-            votes.append(1 if 2 * sum(outcomes) > 3 else 0)
+        votes = [1 if 2 * sum(outcomes) > 3 else 0
+                 for outcomes in reference_monte_carlo(forest.trees, sample, SPEC, cfg, 17)]
         count1 = sum(votes)
         assert dist.probs == ((40 - count1) / 40, count1 / 40)
         assert pred == (1 if 2 * count1 > 40 else 0)
@@ -438,12 +437,11 @@ def draws_on_path(tree, sample, cfg):
 
 
 def test_shared_path_batch_matches_manual_vote_recount(rng):
-    # rows * S * T reaches MIN_SHARED_LANES, so simulations share each
-    # (row, tree) path until they flip. The forests: the edge cases, one
-    # with no uniform-distance node (its far row never draws), and one
-    # whose every split is uniform-distance (every step draws).
+    # the simulations of a (row, tree) pair share its path frontier and
+    # draw their votes from its exact chance. The forests: the edge cases,
+    # one with no uniform-distance node (its far row's chances are one-hot),
+    # and one whose every split is uniform-distance (every step may flip).
     n_rows, S, T = 9, 80, 3
-    assert n_rows * S * T >= MIN_SHARED_LANES
     forests = [
         edge_case_forest(rng, T),
         Forest(trees=[random_tree(rng, n_features=3, max_depth=3, p_zero_scale=0.25, p_uniform=0.0)
@@ -459,55 +457,54 @@ def test_shared_path_batch_matches_manual_vote_recount(rng):
             cfg = config(n_simulations=S, p_max=p_max, alpha=alpha, seed=31 + f)
             if f == 1:
                 assert not any(draws_on_path(tree, X[-1], cfg) for tree in forest.trees)
-            outcomes = np.array([[[
-                traverse_once(tree, X[i], SPEC, cfg, TraversalStream.derive(cfg.seed, int(ids[i]), s, t))
-                for t, tree in enumerate(forest.trees)] for s in range(S)] for i in range(n_rows)])
+            outcomes = np.array([reference_monte_carlo(forest.trees, X[i], SPEC, cfg, int(ids[i]))
+                                 for i in range(n_rows)])
             majority = (2 * outcomes.sum(axis=2) > T).sum(axis=1)
             mean = outcomes.sum(axis=(1, 2))
             for aggregation, count1, denom in ((VOTE_MAJORITY, majority, S), (VOTE_MEAN, mean, S * T)):
-                # 250 lanes cut a row's 240 into chunks of one row, and its
-                # draws into slices of three steps
-                for max_lanes in (250, MAX_LANES):
+                # 250 lanes draw in blocks of one row's 240, and 7 lanes in
+                # blocks of two simulations of one row
+                for max_lanes in (7, 250, MAX_LANES):
                     preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
                                                       aggregation=aggregation, max_lanes=max_lanes)
                     np.testing.assert_array_equal(probs, np.c_[(denom - count1) / denom, count1 / denom])
                     np.testing.assert_array_equal(preds, (2 * count1 > denom).astype(np.int64))
 
 
-def test_sharing_over_several_rounds_matches_manual_vote_recount(rng, monkeypatch):
-    # every split is uniform-distance, so every step may flip: at the
-    # default budget the flipped lanes stay at least MIN_SHARED_LANES (and
-    # at most half of a round's lanes) for 3 rounds, each a walk of its
-    # segments. A row's results do not depend on the other rows, so the
+def test_wide_frontiers_run_in_many_chunks_and_match_manual_vote_recount(rng, monkeypatch):
+    # every split is uniform-distance, so every branch may flip: a row's
+    # frontier holds 4 * 4,096 leaves, two rows fill the budget, and the
+    # call runs in at least 6 chunks of the exact frontier and walks no
+    # lane. A row's results do not depend on the other rows, so the
     # one-lane budget runs on the first rows only.
-    n_rows, S, T = 60, 100, 4
+    n_rows, S, T = 12, 100, 4
     forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(T)], n_trees=T)
     X = rng.uniform(-5, 5, size=(n_rows, 3))
     X[:, 0] = rng.integers(0, 2, n_rows)
     ids = np.arange(n_rows) * 7 + 3
     cfg = config(n_simulations=S, p_max=0.05, alpha=0.0, seed=17)
-    outcomes = np.array([[[
-        traverse_once(tree, X[i], SPEC, cfg, TraversalStream.derive(cfg.seed, int(ids[i]), s, t))
-        for t, tree in enumerate(forest.trees)] for s in range(S)] for i in range(n_rows)])
+    outcomes = np.array([reference_monte_carlo(forest.trees, X[i], SPEC, cfg, int(ids[i]),
+                                               exact=exact_path_distribution)
+                         for i in range(n_rows)])
     majority = (2 * outcomes.sum(axis=2) > T).sum(axis=1)
     mean = outcomes.sum(axis=(1, 2))
-    walks = []
+    chunks, pair_masses = [], traversal._pair_masses
 
-    def counting_walk(*args):
-        walks.append(args[4].__qualname__.split(".")[0])
-        return walk_lanes(*args)
+    def counted(forest, X, chance, rows, limit):
+        chunks.append(rows.size)
+        return pair_masses(forest, X, chance, rows, limit)
 
-    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    monkeypatch.setattr(traversal, "walk_lanes", None)
     for aggregation, count1, denom in ((VOTE_MAJORITY, majority, S), (VOTE_MEAN, mean, S * T)):
         expected = np.c_[(denom - count1) / denom, count1 / denom]
         for max_lanes, rows in ((1, 3), (250, n_rows), (MAX_LANES, n_rows)):
-            walks.clear()
+            chunks.clear()
             preds, probs = predict_fair_batch(forest, X[:rows], SPEC, cfg, stream_ids=ids[:rows],
                                               aggregation=aggregation, max_lanes=max_lanes)
             np.testing.assert_array_equal(probs, expected[:rows])
             np.testing.assert_array_equal(preds, (2 * count1[:rows] > denom).astype(np.int64))
-        # the default budget walks the 60 rows in one chunk
-        assert walks.count("_record_step") >= 3, walks
+        assert len(chunks) >= 6, chunks
 
 
 def test_stream_ids_must_be_non_negative_integers():
@@ -577,11 +574,10 @@ def test_zero_rows_give_empty_results():
 
 
 def test_transient_memory_is_bounded_for_many_simulations():
-    # 3 rows, 2 trees and S = 20,000: 120,000 lanes, each drawing at all
-    # 12 levels of its path. One chunk holds them, drawing at most
-    # MAX_LANES / 2 at a time; most flip, so they walk on alone, at most
-    # MAX_LANES at a time. That peaks near 5.7 MB; drawing every recorded
-    # step of a chunk at once takes over 13 MB.
+    # 3 rows, 2 trees and S = 20,000: 120,000 lanes on trees whose every
+    # split may flip. One frontier chunk holds the rows' 24,576 leaves, and
+    # the votes are drawn in blocks of at most MAX_LANES lanes. That peaks
+    # near 2.2 MB.
     rng = np.random.default_rng(4)
     forest = Forest(trees=[full_uniform_tree(rng, 12) for _ in range(2)], n_trees=2)
     X = rng.uniform(-5, 5, size=(3, 3))
@@ -597,14 +593,14 @@ def test_transient_memory_is_bounded_for_many_simulations():
 
 
 def test_transient_memory_does_not_grow_with_rows():
-    # chunks of 100 rows each at this budget: 200 rows make 2, 2,000 make 20
+    # draw blocks of 10 rows each at this budget: 200 rows make 20, 2,000 make 200
     rng = np.random.default_rng(6)
     T, S = 4, 80
     forest = Forest(trees=[full_uniform_tree(rng, 6) for _ in range(T)], n_trees=T)
     X = rng.uniform(-5, 5, size=(2000, 3))
     X[:, 0] = rng.integers(0, 2, 2000)
     cfg = config(n_simulations=S, p_max=0.1)
-    max_lanes = -(-100 * T * S // traversal.CHUNK_LANES)
+    max_lanes = 3200
     peaks = []
     for n in (200, 2000):
         predict_fair_batch(forest, X[:n], SPEC, cfg, max_lanes=max_lanes)
@@ -628,34 +624,43 @@ def census_sized_forest(rng, n_rows, T=10):
     return forest, X
 
 
-def test_a_census_sized_call_runs_as_one_chunk(monkeypatch):
-    # 300 rows, 10 trees and S = 100 make 300,000 lanes: one chunk at the
-    # default budget, so one round-1 walk from all 3,000 (row, tree) roots
+def test_a_census_sized_call_draws_in_the_exact_chunks_and_walks_no_lane(monkeypatch):
+    # 300 rows, 10 trees and S = 100 make 300,000 lanes. The call takes its
+    # pair masses in the chunks exact_forest_batch takes them in, walks no
+    # lane, and draws in blocks of 32 rows, MAX_LANES // 1,000 lanes a row
     forest, X = census_sized_forest(np.random.default_rng(8), 300)
     cfg = config(n_simulations=100)
-    round1 = []
+    chunks, draws, pair_masses, below = [], [], traversal._pair_masses, traversal._rng.below_array
 
-    def counting_walk(*args):
-        # later rounds start at flip children, which are never roots
-        if args[4].__qualname__.startswith("_record_step") and np.isin(args[2], forest.root).all():
-            round1.append(args[2].size)
-        return walk_lanes(*args)
+    def counted(forest, X, chance, rows, limit):
+        chunks.append(rows.size)
+        return pair_masses(forest, X, chance, rows, limit)
 
-    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    def counted_draws(keys, index, p):
+        draws.append(keys.shape)
+        return below(keys, index, p)
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    exact_forest_batch(forest, X, SPEC, cfg)
+    exact_chunks = chunks[:]
+    chunks.clear()
+    monkeypatch.setattr(traversal, "walk_lanes", None)
+    monkeypatch.setattr(traversal._rng, "below_array", counted_draws)
     preds, probs = predict_fair_batch(forest, X, SPEC, cfg)
-    assert round1 == [300 * 10]
+    assert chunks == exact_chunks and sum(chunks) == 300
+    assert len(chunks) <= 4, chunks  # rows of a chunk that fits fill the next to half the budget
+    assert draws == [(min(32, n - r), 10, 100) for n in chunks for r in range(0, n, 32)]
     monkeypatch.undo()
     chunked = predict_fair_batch(forest, X, SPEC, cfg, max_lanes=1000)
     np.testing.assert_array_equal(preds, chunked[0])
     np.testing.assert_array_equal(probs, chunked[1])
 
 
-def test_a_full_default_chunk_peaks_within_12_bytes_a_lane():
-    # CHUNK_LANES * MAX_LANES lanes, 28% of which flip in round 1 (p_max =
-    # 0.2) and 6% in round 2: a chunk holds each lane's leaf byte, the keys
-    # of its flipped lanes and bounded draw slices, about 9 bytes a lane
+def test_a_census_sized_call_peaks_within_12_bytes_a_lane():
+    # 327 rows, 10 trees and S = 100 (327,000 lanes): a call holds one
+    # chunk's frontier, its pair masses and one block of draws at a time
     T, S = 10, 100
-    rows = traversal.CHUNK_LANES * MAX_LANES // (T * S)
+    rows = 10 * MAX_LANES // (T * S)
     forest, X = census_sized_forest(np.random.default_rng(5), rows, T)
     cfg = config(n_simulations=S, p_max=0.2)
     lanes = X.shape[0] * T * S
@@ -667,6 +672,57 @@ def test_a_full_default_chunk_peaks_within_12_bytes_a_lane():
     finally:
         tracemalloc.stop()
     assert peak < 12 * lanes, peak / lanes
+
+
+def test_rows_past_the_budget_walk_their_lanes(rng, monkeypatch):
+    # a budget of 64 branches. The first tree is complete, of depth 6, and
+    # splits on feature 1 at 0 with scale 1: an odd row, near 0, reaches all
+    # 64 leaves and is past the budget, so it walks its lanes, drawing at a
+    # node of depth k draw k of its streams; an even row, at 100, reaches
+    # one and fits. Each row's results equal the row's alone, and stay
+    # within the binomial bound of exact
+    def grow(depth):
+        if depth == 0:
+            return leaf(*rng.integers(0, 5, 2))
+        return internal(1, 0.0, 1.0, grow(depth - 1), grow(depth - 1))
+
+    T, S, n_rows = 2, 400, 8
+    forest = Forest(trees=[make_tree(grow(6), n_features=3),
+                           random_tree(rng, n_features=3, max_depth=4)], n_trees=T)
+    X = rng.uniform(-5, 5, size=(n_rows, 3))
+    X[:, 0] = rng.integers(0, 2, n_rows)
+    X[:, 1] = np.where(np.arange(n_rows) % 2, rng.uniform(-0.05, 0.05, n_rows), 100.0)
+    ids = np.arange(n_rows) * 3 + 1
+    cfg = config(n_simulations=S, p_max=0.3, alpha=4.0, seed=23)
+    q = [[exact_path_distribution(t, x, SPEC, cfg).probs[1] for t in forest.trees] for x in X]
+    # row 1's walks, node by node
+    walks = np.array([[traverse_once(tree, X[1], SPEC, cfg,
+                                     TraversalStream.derive(cfg.seed, int(ids[1]), s, t))
+                       for t, tree in enumerate(forest.trees)] for s in range(S)])
+    monkeypatch.setattr(traversal, "MAX_LANES", 64)
+    walked = []
+
+    def counting_walk(forest, X, node, x_pos, flip=None):
+        walked.append(int(x_pos[0]) // X.shape[1])
+        return walk_lanes(forest, X, node, x_pos, flip)
+
+    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    for aggregation, count1, denom in ((VOTE_MAJORITY, (2 * walks.sum(axis=1) > T).sum(), S),
+                                       (VOTE_MEAN, walks.sum(), S * T)):
+        walked.clear()
+        preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
+                                          aggregation=aggregation, max_lanes=150)
+        assert sorted(set(walked)) == list(range(1, n_rows, 2))
+        assert probs[1, 1] == count1 / denom
+        for i in range(n_rows):
+            alone = predict_fair_batch(forest, X[i:i + 1], SPEC, cfg, stream_ids=ids[i:i + 1],
+                                       aggregation=aggregation)
+            np.testing.assert_array_equal(alone[1], probs[i:i + 1])
+            assert alone[0][0] == preds[i]
+        if aggregation == VOTE_MAJORITY:
+            for i in range(n_rows):
+                Q = majority_probability(q[i])
+                assert binomial_tail(round(probs[i, 1] * S), S, Q) > 1e-6, (i, Q, probs[i, 1])
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
@@ -692,11 +748,7 @@ def test_mean_distribution_aggregation_counts_tree_outcomes(rng):
     cfg = config(n_simulations=30, p_max=0.3, seed=2)
     sample = rng.uniform(-3, 3, 2)
     pred, dist = predict_fair(forest, sample, SPEC, cfg, stream_id=5, aggregation=VOTE_MEAN)
-    total = 0
-    for s in range(cfg.n_simulations):
-        for t, tree in enumerate(trees):
-            total += traverse_once(tree, sample, SPEC, cfg,
-                                   TraversalStream.derive(cfg.seed, 5, s, t))
+    total = sum(map(sum, reference_monte_carlo(trees, sample, SPEC, cfg, stream_id=5)))
     denom = 30 * 3
     assert dist.probs == ((denom - total) / denom, total / denom)
 

@@ -290,6 +290,24 @@ def test_a_malformed_tree_is_rejected_when_it_is_built(change, message):
         replace(depth1_tree(), **change)
 
 
+# Values that the casts to the node arrays' dtypes once wrapped or truncated
+# into a valid tree (feature 0, feature 0, majority 1), and n_features
+# values that built trees whose files loading rejected.
+@pytest.mark.parametrize("change, message", [
+    ({"feature": np.array([2**32, -1, -1])}, r"feature\[0\]: must fit int32$"),
+    ({"feature": np.array([0.9, -1.0, -1.0])}, r"feature: expected int32 values, not float64$"),
+    ({"feature": [0.9, -1, -1]}, r"feature: expected int32 values, not float64$"),
+    ({"majority": np.array([[257, 1], [0, 0], [0, 0]])}, r"majority\[0\]: must fit int8$"),
+    ({"n_features": 0}, r"n_features: must be >= 1$"),
+    ({"n_features": True}, r"n_features: expected an integer$"),
+    ({"n_features": 2.0}, r"n_features: expected an integer$"),
+], ids=["feature 2**32", "float feature 0.9", "a list holding 0.9", "majority 257",
+        "n_features 0", "n_features True", "n_features 2.0"])
+def test_a_value_that_does_not_fit_its_field_is_rejected(change, message):
+    with pytest.raises(ValueError, match="^" + message):
+        replace(depth1_tree(), **change)
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(tree_module._NODE_ARRAYS), st.data())
 @settings(max_examples=300, deadline=None)
 def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array, data):
