@@ -11,10 +11,11 @@ times exact inference over the forest against Monte Carlo and reports how
 far their predictions agree and how many rows lie within Monte Carlo noise
 of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
 a second, untimed Monte Carlo call, how many chunks of the exact frontier
-that call draws from and its tracemalloc peak in bytes per (row,
-simulation, tree) lane. It ends with the
-process's peak RSS, and exits 1 when fairttts does not lower EOD or drops
-accuracy by more than 0.005. Not a test; a dry run for budgeting.
+that call draws from, how many attempts outgrew the frontier's budget and
+were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
+lane. It ends with the process's peak RSS, and exits 1 when fairttts does
+not lower EOD or drops accuracy by more than 0.005. Not a test; a dry run
+for budgeting.
 """
 
 import os
@@ -74,19 +75,24 @@ def node_array_mb(forest):
 
 def chunk_memory(forest, X, spec, config, seed, stream_ids):
     """The rows of each chunk of the exact frontier that one Monte Carlo
-    call of predict_method draws from, and the call's tracemalloc peak in
+    call of predict_method draws from, the rows of each attempt that
+    outgrew the budget and was halved, and the call's tracemalloc peak in
     bytes."""
-    chunks, pair_masses = [], traversal._pair_masses
+    chunks, failed, pair_masses = [], [], traversal._pair_masses
 
     def counted(forest, X, chance, rows, limit):
-        chunks.append(rows.size)
-        return pair_masses(forest, X, chance, rows, limit)
+        got = pair_masses(forest, X, chance, rows, limit)
+        if got is None and rows.size > 1:  # halved and run again
+            failed.append(rows.size)
+        else:
+            chunks.append(rows.size)
+        return got
 
     traversal._pair_masses = counted
     tracemalloc.start()
     try:
         predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
-        return chunks, tracemalloc.get_traced_memory()[1]
+        return chunks, failed, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         traversal._pair_masses = pair_masses
@@ -111,9 +117,10 @@ def exact_vs_monte_carlo(dataset, protected, config):
         out[name] = predict_method(METHOD_FAIRTTTS, forest, X, spec, cfg, seed, test)
         elapsed = time.perf_counter() - t0
         print(f"fold 0 {name:<12} {elapsed:.2f}s  {len(X) / elapsed:,.0f} rows/s")
-    chunks, peak = chunk_memory(forest, X, spec, config, seed, test)
+    chunks, failed, peak = chunk_memory(forest, X, spec, config, seed, test)
     lanes = len(X) * config.n_simulations * config.n_trees
-    print(f"fold 0 monte carlo   {len(chunks)} chunks of at most {max(chunks):,} rows, "
+    print(f"fold 0 monte carlo   {len(chunks)} chunks of at most {max(chunks):,} rows "
+          f"({len(failed)} failed attempts), "
           f"tracemalloc peak {peak / 1e6:.2f} MB = {peak / lanes:.2f} bytes a lane "
           f"of {lanes:,}")
     q, S = out["exact"][1], config.n_simulations

@@ -7,10 +7,11 @@ p) at the deterministic child and mass * p at the flip child. The summation
 order: a level holds the deterministic children of the level above, then
 its flip children, each in parent order, and a pair's class masses are its
 leaves' masses added one at a time, level by level and in that order
-within a level (``np.bincount``), as ``traversal.exact_path_distribution``
-adds them. Simulations draw from independent streams per tree, so a
-simulation's majority vote is Bernoulli(Q), Q the Poisson-binomial chance
-that more than half of the trees vote 1.
+within a level (``np.bincount``, or ``np.add.at`` in parts, which adds in
+the same order), as ``traversal.exact_path_distribution`` adds them.
+Simulations draw from independent streams per tree, so a simulation's
+majority vote is Bernoulli(Q), Q the Poisson-binomial chance that more
+than half of the trees vote 1.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     q1), mean_distribution the trees' mean and majority_vote (P0, P1).
 
     Rows go in the chunks of traversal._mass_chunks with a budget of
-    MAX_LANES branches and held leaves. A row alone past it raises
-    EnumerationLimitError. Results do not depend on the chunks."""
+    MAX_LANES live branches a level. A row whose own reached leaves and
+    live branches outnumber MAX_LANES at some level raises
+    EnumerationLimitError naming it. Results do not depend on the
+    chunks."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)

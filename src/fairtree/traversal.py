@@ -21,11 +21,13 @@ dropped. A pair's leaves sum to its class masses (q0, q1), which
 stream, so a tree's vote in a simulation is Bernoulli(q1): Monte Carlo
 (``predict_fair_batch``) takes the pairs' masses and lets tree t vote 1 in
 simulation s when draw 0 of the stream keyed (seed, stream_id, s, t) is
-below q1. A row alone past the frontier's budget walks its lanes instead
-(``tree.walk_lanes`` with ``_flip_step``), drawing at a node of depth k
-draw k of the same streams. Which way a row goes depends on the row alone,
-so results do not depend on evaluation order, batching or chunks;
-``max_lanes`` bounds memory.
+below q1. The frontier's budget, ``tree.MAX_LANES``, counts a level's
+live branches; reached leaves are held apart and added in as they pile
+up. A row whose own reached leaves and live branches outnumber it at some
+level walks its lanes instead (``tree.walk_lanes`` with ``_flip_step``),
+drawing at a node of depth k draw k of the same streams. Which way a row
+goes depends on the row alone, so results do not depend on evaluation
+order, batching or chunks; ``max_lanes`` bounds memory.
 """
 
 from __future__ import annotations
@@ -157,11 +159,32 @@ def _flip_step(forest: Forest, chance, keys):
     return flip
 
 
+def _add_leaves(q, leaves, slots):
+    """q plus the masses of leaves, a list of (slot, mass) arrays, each
+    added at its slot one at a time in list order: np.bincount into a new
+    q (None), np.add.at into a given one. Both add in index order, so
+    adding a list in parts gives one np.bincount's sums bit for bit."""
+    slot, mass = (np.concatenate(a) for a in zip(*leaves))
+    if q is None:
+        return np.bincount(slot, mass, slots)
+    np.add.at(q, slot, mass)
+    return q
+
+
 def _pair_masses(forest: Forest, X, chance, rows, limit: int):
-    """The (q0, q1) of rows' (row, tree) pairs, shaped (rows, T, 2), and
-    the most live branches and leaves held for the sum at once; None once
-    they outnumber limit."""
+    """(q, past, peak) for rows: q the (q0, q1) of their (row, tree)
+    pairs, shaped (rows, T, 2); past None, or a mask of the rows whose own
+    reached leaves and live branches outnumber limit at some level, whose
+    branches are dropped there and whose q is not valid; peak the most
+    live branches of a level. None once one level's live branches
+    outnumber limit.
+
+    Only live branches count against limit. Reached leaves are held in
+    arrival order and added into q whenever more than limit are held.
+    Rows are counted one by one only at levels where the chunk's reached
+    leaves and live branches outnumber limit."""
     T = forest.n_trees
+    slots = 2 * rows.size * T
     values, child = X.ravel(), forest.child.ravel()
     x_pos = np.repeat(rows * X.shape[1], T)
     node = np.tile(forest.root, rows.size)
@@ -169,7 +192,14 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
         return None
     pair = np.arange(node.size)
     mass = np.ones(node.size)
-    leaves, held, peak = [], 0, node.size
+    leaves, held, reached, peak = [], 0, 0, node.size
+    # per_row: each row's reached leaves, counted from the first flush or
+    # the first level past limit on
+    q = per_row = past = None
+
+    def held_rows():
+        return np.bincount(np.concatenate([s for s, _ in leaves]) // (2 * T), minlength=rows.size)
+
     while node.size:
         feat = forest.feature[node]
         done = feat < 0
@@ -177,6 +207,13 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
             at = done.nonzero()[0]
             leaves.append((2 * pair[at] + forest.leaf_class[node[at]], mass[at]))
             held += at.size
+            reached += at.size
+            if per_row is not None:
+                per_row += np.bincount(pair[at] // T, minlength=rows.size)
+            if held > limit:
+                if per_row is None:
+                    per_row = held_rows()
+                q, leaves, held = _add_leaves(q, leaves, slots), [], 0
             at = (~done).nonzero()[0]
             node, feat, pair, mass = node[at], feat[at], pair[at], mass[at]
             if not node.size:
@@ -188,9 +225,9 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
         # masses are >= 0, so the branches above 0 are the nonzero ones
         stay, flip = mass * (1.0 - p), mass * p
         n_stay, n_flip = np.count_nonzero(stay), np.count_nonzero(flip)
-        if held + n_stay + n_flip > limit:
+        if n_stay + n_flip > limit:
             return None
-        peak = max(peak, held + n_stay + n_flip)
+        peak = max(peak, n_stay + n_flip)
         if n_stay < node.size:
             s = stay.nonzero()[0]
             node_s, left_s, pair_s, stay = node[s], go_left[s], pair[s], stay[s]
@@ -202,20 +239,31 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
             det = np.concatenate([det, child[2 * node[f] + go_left[f]]])
             pair_s, stay = np.concatenate([pair_s, pair[f]]), np.concatenate([stay, flip[f]])
         node, pair, mass = det, pair_s, stay
-    slot, mass = (np.concatenate(a) for a in zip(*leaves))
-    return np.bincount(slot, mass, 2 * rows.size * T).reshape(rows.size, T, 2), peak
+        if reached + node.size > limit:  # drop the rows past limit
+            if per_row is None:
+                per_row = held_rows()
+            over = per_row + np.bincount(pair // T, minlength=rows.size) > limit
+            if np.count_nonzero(over):
+                at = (~over[pair // T]).nonzero()[0]
+                node, pair, mass = node[at], pair[at], mass[at]
+                reached -= int(per_row[over].sum())
+                per_row[over] = 0
+                past = over if past is None else past | over
+    if leaves:  # a row is dropped only after it reached a leaf, so q is set
+        q = _add_leaves(q, leaves, slots)
+    return q.reshape(rows.size, T, 2), past, peak
 
 
 def _mass_chunks(forest: Forest, X, chance, limit: int):
-    """(rows, q) for X's rows in consecutive chunks: q the chunk's pair
-    masses (_pair_masses), or None for a row alone whose branches and held
-    leaves outnumber limit. A chunk first holds limit // (the forest's leaf
-    count) rows, which fits: a pair holds at most one branch or leaf per
-    leaf of its tree. A chunk past limit is halved and redone. After one
-    that fits, the next holds as many rows as would fill 2/3 of limit at
-    the chunk's peak per row, if that is more, but at most 32 times its
-    rows (a small chunk's peak per row is a rough estimate) and limit // T.
-    A row's q does not depend on its chunk."""
+    """(rows, q) for X's rows in consecutive runs, in row order: q the
+    rows' pair masses (_pair_masses), or None for a row alone whose own
+    reached leaves and live branches outnumber limit at some level. A
+    chunk first holds limit // (the forest's leaf count) rows, which fits:
+    a pair has at most one live branch per leaf of its tree. A chunk whose
+    live branches outnumber limit at some level is halved and redone.
+    After one that fits, the next holds as many rows as would fill 2/3 of
+    limit at the chunk's live peak per row, if that is more, but at most
+    limit // T. A row's q does not depend on its chunk."""
     n, T = X.shape[0], forest.n_trees
     r0, size = 0, max(1, limit // int((forest.feature < 0).sum()))
     while r0 < n:
@@ -225,11 +273,20 @@ def _mass_chunks(forest: Forest, X, chance, limit: int):
             while size >= rows.size:  # sizes that do not depend on n
                 size //= 2
             continue
-        yield rows, None if got is None else got[0]
         r0 += rows.size
-        if got is not None:
-            size = min(max(1, limit // T), 32 * rows.size,
-                       max(size, 2 * rows.size * limit // (3 * got[1])))
+        if got is None:
+            yield rows, None
+            continue
+        q, past, peak = got
+        start = 0
+        for i in () if past is None else past.nonzero()[0]:
+            if i > start:
+                yield rows[start:i], q[start:i]
+            yield rows[i:i + 1], None
+            start = i + 1
+        if start < rows.size:
+            yield rows[start:], q[start:]
+        size = min(max(1, limit // T), max(size, 2 * rows.size * limit // (3 * peak)))
 
 
 def predict_fair(
@@ -275,8 +332,9 @@ def predict_fair_batch(
     Rows go in the chunks of exact_forest_batch, whose pair masses q give
     each (row, tree) pair's vote chance q1. Tree t votes 1 in simulation s
     of a row when draw 0 of stream (seed, stream id, s, t) is below q1. A
-    row alone past MAX_LANES walks its lanes instead, drawing at a node of
-    depth k draw k of the same stream. The (row, simulation, tree) lanes go
+    row whose own reached leaves and live branches outnumber MAX_LANES at
+    some level walks its lanes instead, drawing at a node of depth k draw
+    k of the same stream. The (row, simulation, tree) lanes go
     in blocks of whole simulations, at most max_lanes lanes but never less
     than one simulation of one row. Results do not depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):

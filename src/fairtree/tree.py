@@ -611,10 +611,12 @@ def predict_deterministic(model, sample):
     return int(model.leaf_class[node])
 
 
-# Lanes per chunk of a batch walk, and branches and held leaves per chunk of
-# the exact frontier. A lane is one root-to-leaf walk of one tree for one
-# row (and, in Monte Carlo, one simulation); a chunk's transient arrays take
-# a few MB at this size.
+# Lanes per chunk of a batch walk; live branches per level, and unflushed
+# reached leaves, per chunk of the exact frontier; and each row's own
+# reached leaves plus live branches, past which the exact engine raises and
+# Monte Carlo walks the row. A lane is one root-to-leaf walk of one tree for
+# one row (and, in Monte Carlo, one simulation); a chunk's transient arrays
+# take a few MB at this size.
 MAX_LANES = 2**15
 
 

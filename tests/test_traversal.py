@@ -656,6 +656,26 @@ def test_a_census_sized_call_draws_in_the_exact_chunks_and_walks_no_lane(monkeyp
     np.testing.assert_array_equal(probs, chunked[1])
 
 
+def test_a_census_sized_call_fills_its_chunks_with_live_branches(monkeypatch):
+    # the call above: its 8-row first chunk peaks at 133 live branches,
+    # about 17 a row, so the next could hold over 1,000 rows and takes the
+    # other 292. Reached leaves do not count against the budget; when they
+    # counted with the live branches, the call ran chunks of 8, 256 and 36
+    forest, X = census_sized_forest(np.random.default_rng(8), 300)
+    attempts, pair_masses = [], traversal._pair_masses
+
+    def counted(forest, X, chance, rows, limit):
+        got = pair_masses(forest, X, chance, rows, limit)
+        attempts.append((rows.size, got is not None))
+        return got
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    predict_fair_batch(forest, X, SPEC, config(n_simulations=100))
+    assert all(fits for _, fits in attempts), attempts
+    assert sum(rows for rows, _ in attempts) == 300
+    assert len(attempts) <= 2, attempts
+
+
 def test_a_census_sized_call_peaks_within_12_bytes_a_lane():
     # 327 rows, 10 trees and S = 100 (327,000 lanes): a call holds one
     # chunk's frontier, its pair masses and one block of draws at a time
@@ -723,6 +743,66 @@ def test_rows_past_the_budget_walk_their_lanes(rng, monkeypatch):
             for i in range(n_rows):
                 Q = majority_probability(q[i])
                 assert binomial_tail(round(probs[i, 1] * S), S, Q) > 1e-6, (i, Q, probs[i, 1])
+
+
+def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
+    # a budget of 79. The first tree is complete, of depth 6, and splits on
+    # feature 1 at 0 with scale 1; the second is complete, of depth 4, and
+    # uniform-distance. Row 5, near 0, has 64 live branches at depth 6
+    # after reaching 16 leaves at depth 4: 80, past the limit. The other
+    # rows, at 100, reach 16 + 1 leaves. A 3-row chunk holding row 5 has
+    # at most 64 + 2 live branches, so it fits, and row 5 alone is past
+    def grow(depth):
+        if depth == 0:
+            return leaf(*rng.integers(0, 5, 2))
+        return internal(1, 0.0, 1.0, grow(depth - 1), grow(depth - 1))
+
+    T, S, n_rows, wide, budget = 2, 50, 12, 5, 79
+    forest = Forest(trees=[make_tree(grow(6), n_features=3), full_uniform_tree(rng, 4)],
+                    n_trees=T)
+    X = rng.uniform(-5, 5, size=(n_rows, 3))
+    X[:, 0] = rng.integers(0, 2, n_rows)
+    X[:, 1] = 100.0
+    X[wide, 1] = 0.01
+    ids = np.arange(n_rows) * 5 + 2
+    cfg = config(n_simulations=S, p_max=0.3, alpha=4.0, seed=29)
+    monkeypatch.setattr("fairtree.exact.MAX_LANES", budget)
+    monkeypatch.setattr(traversal, "MAX_LANES", budget)
+    attempts, walked, pair_masses = [], [], traversal._pair_masses
+
+    def counted(forest, X, chance, rows, limit):
+        got = pair_masses(forest, X, chance, rows, limit)
+        attempts.append((rows.tolist(), got is not None))
+        return got
+
+    def counting_walk(forest, X, node, x_pos, flip=None):
+        walked.append(int(x_pos[0]) // X.shape[1])
+        return walk_lanes(forest, X, node, x_pos, flip)
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
+    with pytest.raises(EnumerationLimitError,
+                       match=rf"^enumeration limit exceeded: row {wide} needs more than "
+                             rf"{budget} branches$"):
+        exact_forest_batch(forest, X, SPEC, cfg)
+    assert any(wide in rows and len(rows) > 1 and fits for rows, fits in attempts), attempts
+    narrow = np.delete(np.arange(n_rows), wide)
+    _, probs = exact_forest_batch(forest, X[narrow], SPEC, cfg)
+    for i, row in enumerate(narrow):
+        np.testing.assert_array_equal(exact_forest_batch(forest, X[row:row + 1], SPEC, cfg)[1],
+                                      probs[i:i + 1])
+    for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+        attempts.clear()
+        walked.clear()
+        preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
+                                          aggregation=aggregation)
+        assert set(walked) == {wide}
+        assert any(wide in rows and len(rows) > 1 and fits for rows, fits in attempts), attempts
+        for i in range(n_rows):
+            alone = predict_fair_batch(forest, X[i:i + 1], SPEC, cfg, stream_ids=ids[i:i + 1],
+                                       aggregation=aggregation)
+            np.testing.assert_array_equal(alone[1], probs[i:i + 1])
+            assert alone[0][0] == preds[i]
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
