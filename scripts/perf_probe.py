@@ -13,11 +13,15 @@ of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
 a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
-lane. It ends with the process's peak RSS, and exits 1 when fairttts does
-not lower EOD or drops accuracy by more than 0.005. Not a test; a dry run
-for budgeting.
+lane. During the 5-fold run it prints each fold's forest fit in seconds
+and seconds per tree. It ends with the number of column rankings the
+probe made (the table ranks its columns once; each fold's train split
+gathers those ranks) and the process's peak RSS, and exits 1 when
+fairttts does not lower EOD or drops accuracy by more than 0.005. Not a
+test; a dry run for budgeting.
 """
 
+import itertools
 import os
 import resource
 import sys
@@ -33,7 +37,7 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
 import census  # noqa: E402
 
-from fairtree import traversal  # noqa: E402
+from fairtree import bench, traversal, tree  # noqa: E402
 from fairtree.bench import (  # noqa: E402
     _TAG_ENGINE,
     _TAG_FOLDS,
@@ -98,6 +102,29 @@ def chunk_memory(forest, X, spec, config, seed, stream_ids):
         traversal._pair_masses = pair_masses
 
 
+def count_rankings() -> list:
+    """A list that gets the shape of each table whose columns are ranked
+    from now on."""
+    rankings, rank = [], tree._rank_columns
+    tree._rank_columns = lambda rows, labels: rankings.append(rows.shape) or rank(rows, labels)
+    return rankings
+
+
+def log_forest_fits(n_trees):
+    """Print the seconds of each later forest fit, and per tree, numbering
+    the fits as folds from 0."""
+    fit, folds = bench.fit_forest, itertools.count()
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        forest = fit(*args)
+        elapsed = time.perf_counter() - t0
+        print(f"fold {next(folds)} forest fit {elapsed:.2f}s  {elapsed / n_trees:.3f} s per tree")
+        return forest
+
+    bench.fit_forest = timed
+
+
 def exact_vs_monte_carlo(dataset, protected, config):
     """Fold 0 of config's plan: seconds and rows/s of exact inference and
     of Monte Carlo on its test rows, how often their predictions agree, and
@@ -131,6 +158,7 @@ def exact_vs_monte_carlo(dataset, protected, config):
 
 
 def main():
+    rankings = count_rankings()
     t0 = time.perf_counter()
     dataset, sex_index = census_table()
     print(f"generated {dataset.n_rows} rows, positive rate "
@@ -143,6 +171,7 @@ def main():
         methods=(METHOD_BASELINE, METHOD_THRESHOLD, METHOD_FAIRTTTS),
     )
     exact_vs_monte_carlo(dataset, sex_index, config)
+    log_forest_fits(config.n_trees)
     t0 = time.perf_counter()
     result = run_experiment_on(dataset, sex_index, "census_shaped", config)
     total = time.perf_counter() - t0
@@ -153,6 +182,8 @@ def main():
               f"  di {agg['di']['mean']:.4f}"
               f"  inference {sum(result.timings[method]):.1f}s")
     print(f"total wall time {total:.1f}s")
+    tables = ", ".join(f"{rows:,} x {columns}" for rows, columns in rankings)
+    print(f"column rankings {len(rankings)} (tables of rows x columns: {tables})")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
     eod_b = result.aggregates[METHOD_BASELINE]["eod"]["mean"]

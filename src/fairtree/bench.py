@@ -196,13 +196,7 @@ def fit_fold(
 ):
     """Train the fold's forest (and threshold policy if requested) using
     only the fold's train split."""
-    tr = plan.train_indices(fold)
-    train_data = Dataset(
-        feature_names=dataset.feature_names,
-        feature_kinds=dataset.feature_kinds,
-        rows=dataset.rows[tr],
-        labels=dataset.labels[tr],
-    )
+    train_data = dataset.subset(plan.train_indices(fold))
     forest = fit_forest(train_data, config, stream_key(config.seed, _TAG_TRAIN, fold))
     policy = None
     if METHOD_THRESHOLD in config.methods:

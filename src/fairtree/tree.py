@@ -15,7 +15,9 @@ read-only slices of its own (``child`` stays local to each tree).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -28,7 +30,9 @@ FeatureKind = Union[str, dict]  # "numeric" or {raw value: integer code}
 
 @dataclass
 class Dataset:
-    """Fully numeric training matrix with binary labels."""
+    """Fully numeric training matrix with binary labels, held as read-only
+    copies. Its columns are ranked on its first fit, and the ranks kept for
+    every later fit and gathered by subsets."""
 
     feature_names: list
     feature_kinds: list
@@ -36,8 +40,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.rows = _read_only(np.array(self.rows, dtype=np.float64))
+        self.labels = _read_only(np.array(self.labels, dtype=np.int64))
         if self.rows.ndim != 2:
             raise DataError("rows must be a 2-d matrix")
         if self.rows.shape[1] != len(self.feature_names):
@@ -53,6 +57,21 @@ class Dataset:
             raise DataError("non-finite feature value in dataset")
         if self.labels.size and not np.isin(self.labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
+
+    @cached_property
+    def column_ranks(self) -> tuple:
+        """(key, value, value_start, rank_bits), ranked when first read: key[f, i]
+        is r << 1 | labels[i] where rows[i, f] = value[value_start[f] + r], the
+        r-th of column f's ascending values, and r fits in rank_bits bits."""
+        return _rank_columns(self.rows, self.labels)
+
+    def subset(self, index) -> Dataset:
+        """The table of the rows at index, which share this table's ranks:
+        ranks with gaps order the rows as dense ones do."""
+        part = Dataset(self.feature_names, self.feature_kinds, self.rows[index], self.labels[index])
+        key, *tables = self.column_ranks
+        part.column_ranks = (_read_only(key[:, index]), *tables)
+        return part
 
     @property
     def n_rows(self) -> int:
@@ -234,6 +253,13 @@ class Forest:
 GROW_BLOCK = 2**15
 
 
+@cache
+def _narrowest(bits: int, dtypes):
+    """The first of dtypes whose non-negative values span bits bits: the
+    narrower a sort key, the faster the sort (16-bit keys radix-sort)."""
+    return next(d for d in dtypes if np.iinfo(d).max.bit_length() >= bits)
+
+
 def _split_score(c0l, c1l, nl, c0r, c1r, nr):
     """Gini-equivalent score; larger is purer.
 
@@ -260,6 +286,19 @@ class _Level:
     label: np.ndarray
 
 
+def _rank_columns(rows: np.ndarray, labels: np.ndarray) -> tuple:
+    """Dataset.column_ranks of a fresh table, with dense ranks."""
+    key = np.empty(rows.shape[::-1], dtype=np.int32)  # column by column
+    values = []
+    for f in range(rows.shape[1]):
+        column_values, key[f] = np.unique(rows[:, f], return_inverse=True)
+        values.append(column_values)
+    key = key << 1 | labels.astype(np.int32)
+    start = np.cumsum([0] + [v.size for v in values[:-1]])
+    bits = (max(v.size for v in values) - 1).bit_length()
+    return _read_only(key), _read_only(np.concatenate(values)), start, bits
+
+
 class _Grower:
     """CART growth level by level, over _Level jobs. A node's split search
     runs on its drawn features only. The samples of every (node, feature)
@@ -268,26 +307,15 @@ class _Grower:
     are searched only for nodes whose draw has no valid cut."""
 
     def __init__(self, data: Dataset, max_depth, min_leaf, features_per_split):
-        X = np.ascontiguousarray(data.rows)
-        self.x = X.ravel()
         self.y = data.labels
-        self.n_features = X.shape[1]
+        self.n_features = data.n_features
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.n_primary = self.n_features
         if features_per_split is not None:
             self.n_primary = min(features_per_split, self.n_features)
-        # dense ranks of each column's values: rank r of feature f has
-        # value self.value[self.value_start[f] + r]
-        rank = np.empty(X.shape, dtype=np.int32)
-        values = []
-        for f in range(self.n_features):
-            column_values, rank[:, f] = np.unique(X[:, f], return_inverse=True)
-            values.append(column_values)
-        self.rank = rank.ravel()
-        self.value = np.concatenate(values)
-        self.value_start = np.cumsum([0] + [v.size for v in values[:-1]])
-        self.rank_bits = (max(v.size for v in values) - 1).bit_length()
+        rank_label, self.value, self.value_start, self.rank_bits = data.column_ranks
+        self.rank_label = rank_label.ravel()  # feature f's from f * n_rows
 
     def grow(self, samples, seeds) -> list:
         """Trees grown on the given rows of the data, one per (rows, seed),
@@ -344,10 +372,10 @@ class _Grower:
         can = (counts.min(axis=1) > 0) & (n >= 2 * self.min_leaf)
         if self.max_depth is not None and depth >= self.max_depth:
             can[:] = False
-        keep = can[node]
-        order = np.argsort(node[keep], kind="stable")
-        return _Level(depth, counts, key, can.nonzero()[0], n[can],
-                      row[keep][order], label[keep][order])
+        at = can[node].nonzero()[0]
+        by_node = node[at].astype(_narrowest((can.size - 1).bit_length(), (np.uint16, np.int64)))
+        at = at[np.argsort(by_node, kind="stable")]
+        return _Level(depth, counts, key, can.nonzero()[0], n[can], row[at], label[at])
 
     def expand(self, level: _Level):
         """(nodes, next level): nodes are (feature, threshold, scale,
@@ -361,7 +389,7 @@ class _Grower:
         uniform = np.zeros(n, dtype=bool)
         majority = np.zeros((n, 2), dtype=np.int8)
         counts = level.counts.copy()
-        found, f, t, dmax, dmin = self._splits(level)
+        found, f, t, dmax, dmin, left_key = self._splits(level)
         split = level.active[found]
         feature[split] = f
         threshold[split] = t
@@ -375,7 +403,8 @@ class _Grower:
         rank = np.repeat(split_rank, level.size)
         moves = rank >= 0
         rank, row, label = rank[moves], level.row[moves], level.label[moves]
-        right = self.x[row * self.n_features + f[rank]] > t[rank]
+        # value > threshold, by rank: no sample of the node lies between the cut's two values
+        right = self.rank_label[row + f[rank] * self.y.size] > left_key.astype(np.int32)[rank]
         child = 2 * rank + right
         child_counts = np.bincount(2 * child + label, minlength=4 * split.size).reshape(-1, 2)
         majority[split] = (child_counts[:, 1] > child_counts[:, 0]).reshape(-1, 2)
@@ -386,8 +415,8 @@ class _Grower:
 
     def _splits(self, level: _Level):
         """The split of each active node: (found mask, then feature,
-        threshold, largest and smallest distance to the threshold of the
-        nodes found)."""
+        threshold, largest and smallest distance to the threshold and
+        largest rank_label of the left side of the nodes found)."""
         n = level.active.size
         F, k = self.n_features, self.n_primary
         if k < F:
@@ -417,20 +446,21 @@ class _Grower:
 
     def _search(self, level: _Level, start, nodes, features) -> np.ndarray:
         """(score, threshold, largest and smallest distance to the
-        threshold) of the best cut of each (node, feature) pair, node i
-        searching features[i]; score is -inf where a pair has no valid cut.
-        Pairs are searched in blocks of about GROW_BLOCK samples."""
+        threshold, largest rank_label of the left side) of the best cut of
+        each (node, feature) pair, node i searching features[i]; score is
+        -inf where a pair has no valid cut. Pairs are searched in blocks of
+        about GROW_BLOCK samples."""
         feature = features.ravel()
         size = np.repeat(level.size[nodes], features.shape[1])
         first = np.repeat(start[nodes], features.shape[1])
-        out = np.full((4, feature.size), -np.inf)
+        out = np.full((5, feature.size), -np.inf)
         end = np.cumsum(size)
         lo = 0
         while lo < feature.size:
             hi = max(lo + 1, int(np.searchsorted(end, end[lo] - size[lo] + GROW_BLOCK, "right")))
             self._search_block(level, feature[lo:hi], first[lo:hi], size[lo:hi], out[:, lo:hi])
             lo = hi
-        return out.reshape(4, *features.shape)
+        return out.reshape(5, *features.shape)
 
     def _search_block(self, level, feature, first, size, out):
         end = np.cumsum(size)
@@ -439,15 +469,13 @@ class _Grower:
         sample = np.repeat(first - start, size)
         sample += np.arange(sample.size)
         index = level.row[sample]
-        index *= self.n_features
-        index += feature[pair]
+        index += (feature * self.y.size)[pair]
         # sorted, the keys order each pair's samples by value rank, then label
-        key = self.rank[index].astype(np.int64)
-        del index
-        key <<= 1
-        key |= level.label[sample]
-        del sample
-        key |= pair << (self.rank_bits + 1)
+        bits = self.rank_bits + 1
+        width = bits + (feature.size - 1).bit_length()
+        key = self.rank_label[index].astype(_narrowest(width, (np.int32, np.int64)), copy=False)
+        del index, sample
+        key |= pair.astype(key.dtype) << bits
         key.sort()
         value_key = key >> 1
         cut = value_key[1:] != value_key[:-1]  # between positions i and i + 1
@@ -460,7 +488,7 @@ class _Grower:
             cut, p, nl = cut[ok], p[ok], nl[ok]
         if cut.size == 0:
             return
-        ones = np.cumsum(key & 1)
+        ones = np.cumsum(key & 1, dtype=key.dtype)  # an int32 -> int64 cast costs more than the sum
         ones_before = ones[start] - (key[start] & 1)
         c1l = ones[cut] - ones_before[p]
         c1r = ones[end - 1][p] - ones_before[p] - c1l
@@ -488,18 +516,21 @@ class _Grower:
         out[1, p] = t
         out[2, p] = np.maximum(np.abs(value(start[p]) - t), np.abs(value(end[p] - 1) - t))
         out[3, p] = np.minimum(np.abs(a - t), np.abs(b - t))
+        out[4, p] = (value_key[i] & mask) * 2 + 1
 
 
 def check_growth(n_trees, max_depth, min_samples_leaf, features_per_split) -> None:
-    """Raise ValueError naming the first growth setting out of range."""
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1 or None")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    if features_per_split is not None and features_per_split < 1:
-        raise ValueError("features_per_split must be >= 1 or None")
+    """Raise ValueError naming the first growth setting that is not an
+    integer >= 1 (a bool is not); max_depth and features_per_split may be None."""
+    for name, value, none in (("n_trees", n_trees, ""), ("max_depth", max_depth, " or None"),
+                              ("min_samples_leaf", min_samples_leaf, ""),
+                              ("features_per_split", features_per_split, " or None")):
+        if value is None and none:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1{none}")
 
 
 def _check_training(data: Dataset, *growth):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fairtree.tree as tree_module
 from fairtree.tree import DecisionTree
 
 
@@ -118,3 +119,12 @@ def chain_tree(depth, n_features=2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture
+def rankings(monkeypatch):
+    """The shapes (rows, columns) of the tables whose columns get ranked."""
+    calls, rank = [], tree_module._rank_columns
+    monkeypatch.setattr(tree_module, "_rank_columns",
+                        lambda rows, labels: calls.append(rows.shape) or rank(rows, labels))
+    return calls

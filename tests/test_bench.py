@@ -742,6 +742,13 @@ def test_cli_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "report.json").exists()
 
 
+def test_a_run_ranks_the_table_once_for_all_of_its_folds(tmp_path, rankings):
+    assert cli.main(["run", "--data", SYNTHETIC, "--n-trees", "2", "--max-depth", "3",
+                     "--folds", "5", "--n-simulations", "5", "--out-dir", str(tmp_path)]) == 0
+    # the whole table's ranks, which each fold's train split gathers
+    assert len(rankings) == 1 and rankings[0][0] == 400
+
+
 def test_run_experiment_on_accepts_preloaded_dataset():
     ds_config = load_dataset_config(SYNTHETIC)
     dataset = load_dataset(ds_config)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import fairtree.model_io as model_io
 import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
-from fairtree.errors import DataError
+from fairtree.bench import ExperimentConfig
+from fairtree.errors import ConfigError, DataError
 from fairtree.model_io import dumps, loads
 from fairtree.rng import stream_key
 from fairtree.tree import (
@@ -173,6 +174,65 @@ def test_forest_training_is_deterministic():
     assert dumps(train_forest(data, **kwargs)) == dumps(train_forest(data, **kwargs))
     other = train_forest(data, n_trees=5, max_depth=4, features_per_split=2, rng_seed=100)
     assert dumps(other) != dumps(train_forest(data, **kwargs))
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("features_per_split", [None, 1, 3])
+@pytest.mark.parametrize("max_depth", [None, 3])
+def test_a_subset_fits_the_models_of_a_fresh_table_of_its_rows(
+        bootstrap, features_per_split, max_depth, rankings):
+    rng = np.random.default_rng(23)
+    n = 200
+    rows = np.column_stack([rng.integers(0, 30, n), rng.uniform(-1, 1, n),
+                            rng.integers(0, 2, n), rng.integers(0, 500, n)]).astype(float)
+    labels = ((rows[:, 0] > 12) ^ (rng.random(n) < 0.2)).astype(int)
+    parent = Dataset([f"f{i}" for i in range(4)], ["numeric"] * 4, rows, labels)
+    index = rng.choice(n, 120)  # some rows twice, some not at all
+    part = parent.subset(index)
+    fresh = Dataset(parent.feature_names, parent.feature_kinds, rows[index], labels[index])
+    kwargs = dict(max_depth=max_depth, features_per_split=features_per_split)
+    assert dumps(train_forest(part, n_trees=4, bootstrap=bootstrap, rng_seed=7, **kwargs)) == (
+        dumps(train_forest(fresh, n_trees=4, bootstrap=bootstrap, rng_seed=7, **kwargs)))
+    assert dumps(train_tree(part, rng_seed=3, **kwargs)) == (
+        dumps(train_tree(fresh, rng_seed=3, **kwargs)))
+    assert rankings == [(200, 4), (120, 4)]  # the subset gathered its parent's ranks
+    # which have gaps where the subset lacks its parent's values
+    assert (part.column_ranks[0].max(axis=1) > fresh.column_ranks[0].max(axis=1)).any()
+
+
+def test_mutating_the_arrays_a_table_was_built_from_leaves_its_fits_unchanged():
+    rng = np.random.default_rng(31)
+    rows = rng.uniform(0, 10, (80, 3))
+    labels = (rows[:, 0] > 5).astype(np.int64)
+    expected = dumps(train_forest(make_dataset(rows.copy(), labels.copy()), n_trees=3))
+    data = make_dataset(rows, labels)
+    for _ in range(2):  # before the table is ranked, and after
+        rows[:] = rows[::-1]
+        labels ^= 1
+        assert dumps(train_forest(data, n_trees=3)) == expected
+    assert not data.rows.flags.writeable and not data.labels.flags.writeable
+
+
+def test_a_table_ranks_its_columns_once_for_all_of_its_fits(rankings):
+    data = make_dataset(np.arange(40.0).reshape(20, 2) % 7, np.arange(20) % 2)
+    for seed in range(3):
+        train_forest(data, n_trees=2, rng_seed=seed)
+    assert rankings == [(20, 2)]
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("max_depth", 2.5), ("min_samples_leaf", 1.5), ("max_depth", True),
+    ("features_per_split", 1.5), ("n_trees", 2.0), ("n_trees", True)])
+def test_growth_settings_that_are_not_integers_are_rejected(setting, value):
+    data = make_dataset([1, 2, 8, 9], [0, 0, 1, 1])
+    message = rf"^{setting} must be an integer, not {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        train_forest(data, **{"n_trees": 2, setting: value})
+    if setting != "n_trees":
+        with pytest.raises(ValueError, match=message):
+            train_tree(data, **{setting: value})
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{setting: value})
 
 
 def test_feature_subsampling_still_finds_valid_splits():
@@ -528,11 +588,23 @@ def random_training_data(rng):
                    np.column_stack(columns), labels)
 
 
-@pytest.mark.parametrize("grow_block", [2**15, 50, 1])
-def test_level_wise_growth_equals_the_depth_first_reference(grow_block, monkeypatch):
+@pytest.mark.parametrize("grow_block, wide", [
+    pytest.param(block, wide, id=f"{block}{suffix}")
+    for block in (2**15, 50, 1) for wide, suffix in ((False, ""), (True, "-int64"))])
+def test_level_wise_growth_equals_the_depth_first_reference(grow_block, wide, monkeypatch):
     # small blocks split a level's search into many blocks, and a forest's
-    # trees into several groups grown together
+    # trees into several groups grown together. These small tables' search
+    # keys fit in int32 and their node ids in uint16; forcing int64 for
+    # both runs the same cases on the wide paths
     monkeypatch.setattr(tree_module, "GROW_BLOCK", grow_block)
+    widths, rule = Counter(), tree_module._narrowest
+
+    def width(bits, dtypes):
+        dtype = np.dtype(np.int64 if wide else rule(bits, dtypes))
+        widths[dtype.name] += 1
+        return dtype
+
+    monkeypatch.setattr(tree_module, "_narrowest", width)
     rng = np.random.default_rng(20250106 + grow_block)
     events = Counter()
     for case in range(60):
@@ -558,6 +630,7 @@ def test_level_wise_growth_equals_the_depth_first_reference(grow_block, monkeypa
     assert events["fall_through"] >= 50
     assert events["different_depths"] >= 10
     assert events["midpoint_on_upper_value"] >= 20
+    assert set(widths) == ({"int64"} if wide else {"int32", "uint16"})
 
 
 def test_midpoint_that_rounds_onto_the_upper_value_is_not_used():
