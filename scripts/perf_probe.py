@@ -14,9 +14,11 @@ a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
 lane. During the 5-fold run it prints each fold's forest fit in seconds
-and seconds per tree. It ends with the number of column rankings the
-probe made (the table ranks its columns once; each fold's train split
-gathers those ranks) and the process's peak RSS, and exits 1 when
+and seconds per tree, and beside fold 0's the seconds to write its model
+text (model_io.dumps) and to load it back (model_io.loads). It ends with
+the number of column rankings the probe made (the table ranks its columns
+once; each fold's train split gathers those ranks) and the process's peak
+RSS, which includes fold 0's model text and its reload, and exits 1 when
 fairttts does not lower EOD or drops accuracy by more than 0.005. Not a
 test; a dry run for budgeting.
 """
@@ -37,7 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 
 import census  # noqa: E402
 
-from fairtree import bench, traversal, tree  # noqa: E402
+from fairtree import bench, model_io, traversal, tree  # noqa: E402
 from fairtree.bench import (  # noqa: E402
     _TAG_ENGINE,
     _TAG_FOLDS,
@@ -112,14 +114,23 @@ def count_rankings() -> list:
 
 def log_forest_fits(n_trees):
     """Print the seconds of each later forest fit, and per tree, numbering
-    the fits as folds from 0."""
+    the fits as folds from 0; beside fold 0's, the seconds of
+    model_io.dumps of its forest and of model_io.loads of that text."""
     fit, folds = bench.fit_forest, itertools.count()
 
     def timed(*args):
         t0 = time.perf_counter()
         forest = fit(*args)
         elapsed = time.perf_counter() - t0
-        print(f"fold {next(folds)} forest fit {elapsed:.2f}s  {elapsed / n_trees:.3f} s per tree")
+        line = f"fold {next(folds)} forest fit {elapsed:.2f}s  {elapsed / n_trees:.3f} s per tree"
+        if line.startswith("fold 0 "):
+            t0 = time.perf_counter()
+            text = model_io.dumps(forest)
+            t1 = time.perf_counter()
+            model_io.loads(text)
+            t2 = time.perf_counter()
+            line += f"  dumps {t1 - t0:.2f}s  loads {t2 - t1:.2f}s  ({len(text) / 1e6:.1f} MB)"
+        print(line)
         return forest
 
     bench.fit_forest = timed

@@ -404,6 +404,7 @@ def load_dataset(config: DatasetConfig) -> Dataset:
         feature_kinds=[kind for _, _, kind in features],
         rows=np.column_stack([values for _, values, _ in features]),
         labels=labels,
+        copy=False,
     )
 
 

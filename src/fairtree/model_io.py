@@ -4,8 +4,11 @@ A tree document is a DecisionTree's node arrays (tree._NODE_ARRAYS), one
 JSON list entry per node, plus n_features, training_meta and class_labels,
 always [0, 1]; what the tree derives from them (leaf_class, depth) is not
 stored. A forest document lists tree documents. deserialize() parses
-fields, JSON types and list lengths; DecisionTree checks the tree rules.
-Either names the offending entry (document.trees[i].<field>[j]). dumps()
+fields, JSON types and list lengths, each node array field once over all of
+a forest's trees (a tree document is a forest of one), and hands the joined
+arrays to Forest.from_arrays, which checks the tree rules once per forest.
+Either names the offending entry (document.trees[i].<field>[j], j counted
+within tree i). dumps()
 writes sorted compact JSON with round-trip floats, so a tree and its
 reloaded copy are equal array for array and one model has one text.
 """
@@ -20,7 +23,7 @@ import numpy as np
 
 from .data import parse_json, read_text, write_text
 from .errors import DataError, ModelFormatError
-from .tree import _NODE_ARRAYS, DecisionTree, Forest
+from .tree import _NODE_ARRAYS, DecisionTree, Forest, check_n_features
 
 SCHEMA = "fairtree-model/2"
 
@@ -91,29 +94,8 @@ def _array(values, dtype, shape):
     return array
 
 
-def _node_arrays(doc, path) -> dict:
-    """The tree document's node arrays: lists of equal length, each entry
-    of its array's dtype and shape."""
-    arrays = {}
-    for name, dtype, shape in _NODE_ARRAYS:
-        where = f"{path}.{name}"
-        values = _get(doc, name, path)
-        if not isinstance(values, list) or not values:
-            raise ModelFormatError(where, "expected a non-empty list")
-        if arrays and len(values) != len(arrays["feature"]):
-            raise ModelFormatError(where, f"expected {len(arrays['feature'])} entries")
-        arrays[name] = _array(values, dtype, shape)
-        if arrays[name] is None:
-            # an array fails only where one of its entries fails alone
-            j = next(j for j, v in enumerate(values) if _array([v], dtype, shape) is None)
-            what = _KINDS[np.dtype(dtype).kind][1].format(dtype=np.dtype(dtype))
-            if shape:
-                what = f"a list of {shape[0]} entries, each {what}"
-            raise ModelFormatError(f"{where}[{j}]", f"expected {what}")
-    return arrays
-
-
-def _tree(doc, path) -> DecisionTree:
+def _header(doc, path) -> tuple:
+    """The tree document as a dict, its n_features and its training_meta."""
     doc = _expect_dict(doc, path)
     n_features = _get(doc, "n_features", path)
     if doc.get("class_labels", [0, 1]) != [0, 1]:
@@ -121,12 +103,45 @@ def _tree(doc, path) -> DecisionTree:
     meta = doc.get("training_meta", {})
     if not isinstance(meta, dict):
         raise ModelFormatError(f"{path}.training_meta", "expected an object")
-    arrays = _node_arrays(doc, path)
-    try:
-        return DecisionTree(**arrays, n_features=n_features, training_meta=dict(meta))
-    except ValueError as exc:  # "<array>[<j>]: <rule>"
-        where, rule = str(exc).split(": ", 1)
-        raise ModelFormatError(f"{path}.{where}", rule) from None
+    return doc, n_features, dict(meta)
+
+
+def _node_arrays(docs, paths) -> tuple:
+    """(arrays, size): the node arrays of the tree documents joined
+    tree-major, each field parsed once over all trees; tree t's lists of
+    size[t] entries, each of its array's dtype and shape."""
+    arrays, size = {}, None
+    for name, dtype, shape in _NODE_ARRAYS:
+        lists = []
+        for t, (doc, path) in enumerate(zip(docs, paths)):
+            values = _get(doc, name, path)
+            if not isinstance(values, list) or not values:
+                raise ModelFormatError(f"{path}.{name}", "expected a non-empty list")
+            if size and len(values) != size[t]:
+                raise ModelFormatError(f"{path}.{name}", f"expected {size[t]} entries")
+            lists.append(values)
+        size = size or [len(values) for values in lists]
+        values = lists[0] if len(lists) == 1 else list(chain.from_iterable(lists))
+        arrays[name] = _array(values, dtype, shape)
+        if arrays[name] is None:
+            # an array fails only where one of its entries fails alone
+            j = next(j for j, v in enumerate(values) if _array([v], dtype, shape) is None)
+            t = int(np.searchsorted(np.cumsum(size), j, "right"))
+            what = _KINDS[np.dtype(dtype).kind][1].format(dtype=np.dtype(dtype))
+            if shape:
+                what = f"a list of {shape[0]} entries, each {what}"
+            raise ModelFormatError(f"{paths[t]}.{name}[{j - sum(size[:t])}]", f"expected {what}")
+    return arrays, np.array(size)
+
+
+def _rule_error(exc: ValueError, paths) -> ModelFormatError:
+    """A broken tree rule's ValueError("[trees[<t>].]<where>: <rule>") as
+    the model file's error at the path of tree t (of paths[0] without t)."""
+    where, rule = str(exc).split(": ", 1)
+    if where.startswith("trees["):
+        t, where = where[6:].split("].", 1)
+        paths = paths[int(t):]
+    return ModelFormatError(f"{paths[0]}.{where}", rule)
 
 
 def deserialize(doc) -> "DecisionTree | Forest":
@@ -134,9 +149,7 @@ def deserialize(doc) -> "DecisionTree | Forest":
     schema = _get(doc, "schema", "document")
     if schema != SCHEMA:
         raise ModelFormatError("document.schema", f"expected {SCHEMA!r}, got {schema!r}")
-    kind = _get(doc, "kind", "document")
-    if kind == "tree":
-        return _tree(doc, "document")
+    kind, meta, trees_doc, paths = _get(doc, "kind", "document"), {}, [doc], ["document"]
     if kind == "forest":
         trees_doc = _get(doc, "trees", "document")
         if not isinstance(trees_doc, list) or not trees_doc:
@@ -147,13 +160,23 @@ def deserialize(doc) -> "DecisionTree | Forest":
         meta = doc.get("bagging_meta", {})
         if not isinstance(meta, dict):
             raise ModelFormatError("document.bagging_meta", "expected an object")
-        trees = [_tree(t, f"document.trees[{i}]") for i, t in enumerate(trees_doc)]
-        for i, tree in enumerate(trees):
-            if tree.n_features != trees[0].n_features:
-                raise ModelFormatError(f"document.trees[{i}].n_features",
-                                       "trees disagree on n_features")
-        return Forest(trees=trees, n_trees=n_trees, bagging_meta=dict(meta))
-    raise ModelFormatError("document.kind", "expected 'tree' or 'forest'")
+        paths = [f"document.trees[{t}]" for t in range(n_trees)]
+    elif kind != "tree":
+        raise ModelFormatError("document.kind", "expected 'tree' or 'forest'")
+    docs, n_features, training_meta = zip(*map(_header, trees_doc, paths))
+    for path, n in zip(paths, n_features):
+        try:
+            check_n_features(n)
+        except ValueError as exc:
+            raise _rule_error(exc, [path]) from None
+        if n != n_features[0]:
+            raise ModelFormatError(f"{path}.n_features", "trees disagree on n_features")
+    try:  # a tree document is a forest of one here
+        forest = Forest.from_arrays(*_node_arrays(docs, paths), n_features[0], training_meta,
+                                    dict(meta))
+    except ValueError as exc:
+        raise _rule_error(exc, paths) from None
+    return forest if kind == "forest" else forest.trees[0]
 
 
 def dumps(model) -> str:

@@ -8,15 +8,18 @@ and the majority training class of each child subtree. A tree is held as
 parallel node arrays (``DecisionTree``), the one form that training builds,
 model files store and every traversal reads; building one checks every tree
 rule, however the arrays were made. A ``Forest`` holds node data once,
-joined for batch walks: it re-points its trees' arrays, values unchanged, at
-read-only slices of its own (``child`` stays local to each tree).
+joined tree-major for batch walks. Training and model files build it
+straight from joined arrays, checking the rules once over all of its trees,
+and its trees are read-only views of its arrays (``child`` stays local to
+each tree).
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property
 from typing import Optional, Union
 
@@ -31,17 +34,21 @@ FeatureKind = Union[str, dict]  # "numeric" or {raw value: integer code}
 @dataclass
 class Dataset:
     """Fully numeric training matrix with binary labels, held as read-only
-    copies. Its columns are ranked on its first fit, and the ranks kept for
-    every later fit and gathered by subsets."""
+    copies; copy=False hands rows and labels over instead, and the table
+    keeps them as they are if their dtypes match. Its columns are ranked on
+    its first fit, and the ranks kept for every later fit and gathered by
+    subsets."""
 
     feature_names: list
     feature_kinds: list
     rows: np.ndarray
     labels: np.ndarray
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
-        self.rows = _read_only(np.array(self.rows, dtype=np.float64))
-        self.labels = _read_only(np.array(self.labels, dtype=np.int64))
+    def __post_init__(self, copy):
+        array = np.array if copy else np.asarray
+        self.rows = _read_only(array(self.rows, dtype=np.float64))
+        self.labels = _read_only(array(self.labels, dtype=np.int64))
         if self.rows.ndim != 2:
             raise DataError("rows must be a 2-d matrix")
         if self.rows.shape[1] != len(self.feature_names):
@@ -68,7 +75,8 @@ class Dataset:
     def subset(self, index) -> Dataset:
         """The table of the rows at index, which share this table's ranks:
         ranks with gaps order the rows as dense ones do."""
-        part = Dataset(self.feature_names, self.feature_kinds, self.rows[index], self.labels[index])
+        part = Dataset(self.feature_names, self.feature_kinds, self.rows[index],
+                       self.labels[index], copy=False)
         key, *tables = self.column_ranks
         part.column_ranks = (_read_only(key[:, index]), *tables)
         return part
@@ -98,7 +106,6 @@ _NODE_ARRAYS = (
     ("majority", np.int8, (2,)),
     ("class_counts", np.int64, (2,)),
 )
-_DERIVED_ARRAYS = ("leaf_class", "depth", "safe_scale", "fixed_chance")  # what it derives of them
 
 
 @dataclass(eq=False)
@@ -113,7 +120,8 @@ class DecisionTree:
     root-to-leaf path. The flip rule reads safe_scale (scale, or 1 where it
     is 0) and fixed_chance (unscaled and uniform-distance nodes, whose flip
     chance does not decay). The arrays are read-only. Building a tree
-    (trained, loaded or by hand) checks that n_features is an integer >= 1;
+    (trained, loaded or by hand; a forest's trees all at once, with the
+    same rules) checks that n_features is an integer >= 1;
     each node array casts to its dtype with no value changed; feature is in
     [-1, n_features), threshold finite, scale finite and >= 0, majority 0
     or 1, class_counts >= 0; child and majority are [0, 0] at leaves and
@@ -137,52 +145,10 @@ class DecisionTree:
     fixed_chance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.n_features, bool) or not isinstance(self.n_features, int):
-            raise ValueError("n_features: expected an integer")
-        if self.n_features < 1:
-            raise ValueError("n_features: must be >= 1")
-        n = len(np.atleast_1d(self.feature))
-        for name, dtype, shape in _NODE_ARRAYS:
-            value = np.asarray(getattr(self, name))
-            try:  # a copy, which numpy may wrap or round within a kind
-                array = value.astype(dtype, casting="same_kind")
-            except TypeError:
-                raise ValueError(f"{name}: expected {np.dtype(dtype)} values, "
-                                 f"not {value.dtype}") from None
-            if n == 0 or array.shape != (n,) + shape:
-                raise ValueError(f"node array {name} has shape {array.shape}, feature has {n} "
-                                 f"nodes; a tree has at least one, an entry of shape {shape} each")
-            if value.dtype != array.dtype:
-                _check(name, array != value, f"must fit {np.dtype(dtype)}")
-            setattr(self, name, _read_only(array))
-        leaf, child, counts = self.feature[:, None] < 0, self.child, self.class_counts
-        _check("feature", (self.feature < -1) | (self.feature >= self.n_features),
-               f"must be -1 (a leaf) or in [0, n_features) = [0, {self.n_features})")
-        _check("threshold", ~np.isfinite(self.threshold), "must be finite")
-        _check("scale", ~(self.scale >= 0.0) | np.isinf(self.scale), "must be >= 0 and finite")
-        _check("majority", (self.majority < 0) | (self.majority > 1), "class ids must be 0 or 1")
-        _check("class_counts", counts < 0, "counts must be >= 0")
-        _check("child", leaf & (child != 0), "must be [0, 0] at a leaf")
-        _check("majority", leaf & (self.majority != 0), "must be [0, 0] at a leaf")
-        _check("class_counts", ~leaf & (counts != 0), "must be [0, 0] at an internal node")
-        # children after their parent and one parent for each node but the
-        # root make a tree from node 0: the depth walk meets each node once
-        _check("child", ~leaf & ((child <= np.arange(n)[:, None]) | (child >= n)),
-               f"an internal node's children must be in (its id, {n})")
-        # leaves' [0, 0] rows count toward node 0: the root is never an orphan
-        parents = np.bincount(child.ravel(), minlength=n)
-        _check("child", ~leaf & (parents[child] > 1), "names a child that is named more than once")
-        _check("child", parents == 0, "node is no internal node's child")
-        self.leaf_class = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
-        scaled = self.scale > 0.0
-        self.safe_scale = _read_only(np.where(scaled, self.scale, 1.0))
-        self.fixed_chance = _read_only(~scaled | self.uniform_distance)
-        depth, level, self.max_depth = np.zeros(n, dtype=np.int32), np.zeros(1, dtype=np.int64), 0
-        while (level := level[self.feature[level] >= 0]).size:
-            level = child[level].ravel()
-            self.max_depth += 1
-            depth[level] = self.max_depth
-        self.depth = _read_only(depth)
+        arrays = {name: getattr(self, name) for name, _, _ in _NODE_ARRAYS}
+        nodes, _, _, (self.max_depth,) = _checked_nodes(
+            arrays, np.array([len(np.atleast_1d(self.feature))]), self.n_features, copy=True)
+        vars(self).update(nodes)
 
     def __eq__(self, other):
         if not isinstance(other, DecisionTree):
@@ -203,10 +169,85 @@ class DecisionTree:
         return self.child[:, 1]
 
 
-def _check(name: str, bad: np.ndarray, rule: str) -> None:
-    """Raise ValueError naming the node of the first True entry of bad."""
-    if np.count_nonzero(bad):
-        raise ValueError(f"{name}[{int(bad.nonzero()[0][0])}]: {rule}")
+def check_n_features(n_features) -> None:
+    """Raise ValueError("n_features: <rule>") unless n_features is an int >= 1."""
+    if isinstance(n_features, bool) or not isinstance(n_features, int):
+        raise ValueError("n_features: expected an integer")
+    if n_features < 1:
+        raise ValueError("n_features: must be >= 1")
+
+
+def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
+                   in_forest: bool = False) -> tuple:
+    """Every DecisionTree rule checked at once over n_features and the node
+    arrays of trees joined tree-major, tree t's size[t] nodes with child ids
+    local to it: (nodes, root, child, max_depth), nodes holding each node
+    array cast to its dtype (a copy if copy or the dtype differs) and each
+    derived one, all read-only; root[t] is tree t's first node, child the
+    global ids and max_depth a list of each tree's. The first broken rule
+    raises ValueError("<field>[<j>]: <rule>"), j local to its tree t, with
+    "trees[<t>]." in front in_forest."""
+
+    def check(name, bad, rule):  # {n} in a rule: the node count of its tree
+        if np.count_nonzero(bad):
+            j = int(bad.nonzero()[0][0])
+            t = int(np.searchsorted(root, j, "right")) - 1
+            where = f"trees[{t}].{name}" if in_forest else name
+            raise ValueError(f"{where}[{j - root[t]}]: {rule.format(n=size[t])}")
+
+    check_n_features(n_features)
+    end = np.cumsum(size)
+    n, root, empty = int(end[-1]), end - size, size.min() < 1
+    nodes = {}
+    for name, dtype, shape in _NODE_ARRAYS:
+        value = np.asarray(arrays[name])
+        try:  # numpy may wrap or round within a kind
+            array = value.astype(dtype, casting="same_kind", copy=copy)
+        except TypeError:
+            raise ValueError(f"{name}: expected {np.dtype(dtype)} values, "
+                             f"not {value.dtype}") from None
+        if empty or array.shape != (n,) + shape:
+            raise ValueError(f"node array {name} has shape {array.shape}, feature has {n} "
+                             f"nodes; a tree has at least one, an entry of shape {shape} each")
+        if value.dtype != array.dtype:
+            check(name, array != value, f"must fit {np.dtype(dtype)}")
+        nodes[name] = _read_only(array)
+    feature, scale, child, majority, counts = (
+        nodes[name] for name in ("feature", "scale", "child", "majority", "class_counts"))
+    leaf = feature[:, None] < 0
+    check("feature", (feature < -1) | (feature >= n_features),
+          f"must be -1 (a leaf) or in [0, n_features) = [0, {n_features})")
+    check("threshold", ~np.isfinite(nodes["threshold"]), "must be finite")
+    check("scale", ~(scale >= 0.0) | np.isinf(scale), "must be >= 0 and finite")
+    check("majority", (majority < 0) | (majority > 1), "class ids must be 0 or 1")
+    check("class_counts", counts < 0, "counts must be >= 0")
+    check("child", leaf & (child != 0), "must be [0, 0] at a leaf")
+    check("majority", leaf & (majority != 0), "must be [0, 0] at a leaf")
+    check("class_counts", ~leaf & (counts != 0), "must be [0, 0] at an internal node")
+    # children after their parent and one parent for each node but a root
+    # make a tree from each root: the depth walk meets each node once
+    node_child = np.repeat(root, size)[:, None]  # each node's tree's root, for now
+    check("child", ~leaf & ((child <= np.arange(n)[:, None] - node_child)
+                            | (child >= np.repeat(size, size)[:, None])),
+          "an internal node's children must be in (its id, {n})")
+    node_child = node_child + child
+    # leaves' [0, 0] rows count toward their root: a root is never an orphan
+    parents = np.bincount(node_child.ravel(), minlength=n)
+    check("child", ~leaf & (parents > 1)[node_child], "names a child that is named more than once")
+    check("child", parents == 0, "node is no internal node's child")
+    del parents  # before the derived arrays: it would raise a forest build's peak
+    nodes["leaf_class"] = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
+    scaled = scale > 0.0
+    nodes["safe_scale"] = _read_only(np.where(scaled, scale, 1.0))
+    nodes["fixed_chance"] = _read_only(~scaled | nodes["uniform_distance"])
+    depth, level, d = np.zeros(n, dtype=np.int32), root, 0
+    while (level := level[feature[level] >= 0]).size:
+        level = node_child[level].ravel()
+        d += 1
+        depth[level] = d
+    nodes["depth"] = _read_only(depth)
+    max_depth = np.maximum.reduceat(depth, root).tolist()
+    return nodes, _read_only(root), _read_only(node_child), max_depth
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -216,13 +257,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Forest:
-    """Bagged trees. A forest holds its trees' node arrays once, end to end
-    and read-only, under the DecisionTree names (feature, threshold, child,
-    depth, safe_scale and the others): building it re-points each tree's
-    arrays, values unchanged, at slices of these, so a tree keeps its
-    forest's buffers alive. Node ids are global (tree t's root is root[t])
+    """Bagged trees. A forest holds its trees' node arrays once, joined
+    tree-major and read-only, under the DecisionTree names (feature,
+    threshold, child, depth, safe_scale and the others), and its trees are
+    read-only views of them. Building it checks every tree rule once over
+    the joined arrays. Node ids are global (tree t's root is root[t])
     except in a tree's own child, which stays local; depth is a node's depth
-    within its tree. n_features is every tree's, max_depth the deepest's."""
+    within its tree. n_features is every tree's, max_depth the deepest's.
+    Forest(trees=...) joins copies of the given trees' arrays and leaves the
+    trees as they were; Forest.from_arrays takes arrays already joined."""
 
     trees: list
     n_trees: int
@@ -233,17 +276,34 @@ class Forest:
     def __post_init__(self):
         if self.n_trees != len(self.trees) or self.n_trees < 1:
             raise ValueError("forest requires n_trees == len(trees) >= 1")
-        self.n_features = self.trees[0].n_features
-        if any(t.n_features != self.n_features for t in self.trees):
+        if any(t.n_features != self.trees[0].n_features for t in self.trees):
             # the kernels read rows of n_features values by flat offset
             raise ValueError("forest trees disagree on n_features")
-        self.max_depth = max(t.max_depth for t in self.trees)
-        self.root = _read_only(np.cumsum([0] + [t.feature.size for t in self.trees[:-1]]))
-        for name in [n for n, _, _ in _NODE_ARRAYS if n != "child"] + list(_DERIVED_ARRAYS):
-            setattr(self, name, _read_only(np.concatenate([getattr(t, name) for t in self.trees])))
-            for t, r in zip(self.trees, self.root):  # each tree's own copy is freed at once
-                setattr(t, name, getattr(self, name)[r:r + t.feature.size])
-        self.child = _read_only(np.vstack([t.child + r for t, r in zip(self.trees, self.root)]))
+        vars(self).update(vars(Forest.from_arrays(
+            {name: np.concatenate([getattr(t, name) for t in self.trees])
+             for name, _, _ in _NODE_ARRAYS}, [t.feature.size for t in self.trees],
+            self.trees[0].n_features, [t.training_meta for t in self.trees], self.bagging_meta)))
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, size, n_features: int, training_meta: list,
+                    bagging_meta: dict) -> Forest:
+        """The forest of trees whose node arrays (a dict by DecisionTree
+        name, which the forest takes over) are joined tree-major, tree t
+        holding size[t] nodes with child ids local to it and training_meta[t].
+        A broken rule raises ValueError("trees[<t>].<field>[<j>]: <rule>")."""
+        size, forest = np.asarray(size, dtype=np.int64), cls.__new__(cls)
+        nodes, forest.root, forest.child, depths = _checked_nodes(
+            arrays, size, n_features, copy=False, in_forest=True)
+        forest.trees = [DecisionTree.__new__(DecisionTree) for _ in depths]
+        for tree, r, n, meta, max_depth in zip(forest.trees, forest.root.tolist(), size.tolist(),
+                                               training_meta, depths):
+            vars(tree).update({name: array[r:r + n] for name, array in nodes.items()},
+                              n_features=n_features, training_meta=dict(meta),
+                              max_depth=max_depth)
+        del nodes["child"]  # the trees' own, with local ids
+        vars(forest).update(nodes, n_trees=len(depths), bagging_meta=bagging_meta,
+                            n_features=n_features, max_depth=max(depths))
+        return forest
 
 
 # Elements one block of training work holds: the samples of one group of
@@ -317,10 +377,12 @@ class _Grower:
         rank_label, self.value, self.value_start, self.rank_bits = data.column_ranks
         self.rank_label = rank_label.ravel()  # feature f's from f * n_rows
 
-    def grow(self, samples, seeds) -> list:
-        """Trees grown on the given rows of the data, one per (rows, seed),
-        all together level by level. Each tree's nodes are numbered in
-        level order: level by level, and within a level left to right."""
+    def grow(self, samples, seeds) -> tuple:
+        """(arrays, size): the node arrays (a dict by DecisionTree name) of
+        trees grown on the given rows of the data, one per (rows, seed),
+        all together level by level, joined tree-major; tree t holds size[t]
+        nodes. Each tree's nodes are numbered in level order: level by
+        level, and within a level left to right."""
         tree = np.arange(len(seeds))
         level = self.roots(samples, seeds)
         levels, level_tree, level_child = [], [], []
@@ -342,21 +404,13 @@ class _Grower:
         child = np.concatenate(level_child)
         # a stable sort by tree keeps each tree's nodes in level order
         order = np.argsort(tree, kind="stable")
-        n_nodes = np.bincount(tree, minlength=len(seeds))
-        first = np.cumsum(n_nodes) - n_nodes
+        size = np.bincount(tree, minlength=len(seeds))
         node_id = np.empty_like(order)
-        node_id[order] = np.arange(order.size) - np.repeat(first, n_nodes)
+        node_id[order] = np.arange(order.size) - np.repeat(np.cumsum(size) - size, size)
         split = feature >= 0
         child[split] = node_id[child[split]]
-        trees = []
-        for lo, n, seed in zip(first, n_nodes, seeds):
-            at = order[lo:lo + n]
-            meta = {"max_depth": self.max_depth, "min_samples_leaf": self.min_leaf,
-                    "rng_seed": seed}
-            trees.append(DecisionTree(feature[at], threshold[at], scale[at], uniform[at],
-                                      child[at], majority[at], counts[at], self.n_features,
-                                      training_meta=meta))
-        return trees
+        columns = (feature, threshold, scale, uniform, child, majority, counts)
+        return {name: column[order] for (name, _, _), column in zip(_NODE_ARRAYS, columns)}, size
 
     def roots(self, samples, seeds) -> _Level:
         """The root level of trees grown on the given rows of the data."""
@@ -496,27 +550,28 @@ class _Grower:
         nl, c1l, nr, c1r = (a.astype(np.float64) for a in (nl, c1l, size[p] - nl, c1r))
         score = _split_score(nl - c1l, c1l, nl, nr - c1r, c1r, nr)
         # first max of each pair's cuts: the smallest threshold wins ties
-        run = np.r_[0, (p[1:] != p[:-1]).nonzero()[0] + 1]
-        top = np.maximum.reduceat(score, run)
-        at = (score == np.repeat(top, np.diff(np.r_[run, score.size]))).nonzero()[0]
-        at = at[np.r_[True, p[at[1:]] != p[at[:-1]]]]
+        first = np.empty(p.size, dtype=bool)  # a cut of a new pair
+        first[0] = True
+        np.not_equal(p[1:], p[:-1], out=first[1:])
+        top = np.maximum.reduceat(score, first.nonzero()[0])
+        at = (score == top[np.cumsum(first) - 1]).nonzero()[0]
+        first = first[:at.size]
+        np.not_equal(p[at[1:]], p[at[:-1]], out=first[1:])
+        at = at[first]
         p, i = p[at], cut[at]
-        base = self.value_start[feature[p]]
         mask = (1 << self.rank_bits) - 1
-
-        def value(position):
-            return self.value[base + (value_key[position] & mask)]
-
-        a, b = value(i), value(i + 1)
+        # the values at the cut, after it, and at the pair's two ends
+        rank = value_key[np.array([i, i + 1, start[p], end[p] - 1])] & mask
+        a, b, low, high = self.value[self.value_start[feature[p]] + rank]
         t = (a + b) / 2.0
         # between adjacent floats the midpoint can round up onto b, which
         # would send b's samples left and can leave the right child empty
         t = np.where(t == b, a, t)
         out[0, p] = top
         out[1, p] = t
-        out[2, p] = np.maximum(np.abs(value(start[p]) - t), np.abs(value(end[p] - 1) - t))
+        out[2, p] = np.maximum(np.abs(low - t), np.abs(high - t))
         out[3, p] = np.minimum(np.abs(a - t), np.abs(b - t))
-        out[4, p] = (value_key[i] & mask) * 2 + 1
+        out[4, p] = rank[0] * 2 + 1
 
 
 def check_growth(n_trees, max_depth, min_samples_leaf, features_per_split) -> None:
@@ -533,23 +588,36 @@ def check_growth(n_trees, max_depth, min_samples_leaf, features_per_split) -> No
             raise ValueError(f"{name} must be >= 1{none}")
 
 
-def _check_training(data: Dataset, *growth):
+def _check_training(data: Dataset, *growth) -> list:
+    """The growth settings as Python ints (None kept), once they are checked
+    and data has rows: model files store them as JSON."""
     check_growth(*growth)
     if data.n_rows == 0:
         raise DataError("empty training set")
+    return [None if value is None else int(value) for value in growth]
 
 
-def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split) -> list:
-    """Trees grown on rows of the data: trees yields each tree's (rows,
-    seed), its rows (n_rows of them, repeated under bootstrap) and the seed
-    of its feature draws. Trees are drawn and grown together in groups of
-    about GROW_BLOCK samples."""
+def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split,
+          bagging_meta=None) -> Forest:
+    """The forest of trees grown on rows of the data: trees yields each
+    tree's (rows, seed), its rows (n_rows of them, repeated under
+    bootstrap) and the seed of its feature draws. Trees are drawn and grown
+    together in groups of about GROW_BLOCK samples."""
     grower = _Grower(data, max_depth, min_samples_leaf, features_per_split)
     per_group = max(1, GROW_BLOCK // data.n_rows)
-    grown, trees = [], iter(trees)
+    groups, size, meta, trees = [], [], [], iter(trees)
     while group := list(itertools.islice(trees, per_group)):
-        grown += grower.grow(*zip(*group))
-    return grown
+        samples, seeds = zip(*group)
+        arrays, group_size = grower.grow(samples, seeds)
+        groups.append(arrays)
+        size.append(group_size)
+        meta += [{"max_depth": max_depth, "min_samples_leaf": min_samples_leaf, "rng_seed": seed}
+                 for seed in seeds]
+    # a group's array is freed once it is joined
+    joined = {name: np.concatenate([part.pop(name) for part in groups])
+              for name, _, _ in _NODE_ARRAYS}
+    return Forest.from_arrays(joined, np.concatenate(size), data.n_features, meta,
+                              bagging_meta or {})
 
 
 def train_tree(
@@ -573,9 +641,8 @@ def train_tree(
     A node's order is a pure function of rng_seed and the node's path from
     the root, so growth order does not matter.
     """
-    _check_training(data, 1, max_depth, min_samples_leaf, features_per_split)
-    return _grow(data, [(np.arange(data.n_rows), rng_seed)], max_depth, min_samples_leaf,
-                 features_per_split)[0]
+    _, *growth = _check_training(data, 1, max_depth, min_samples_leaf, features_per_split)
+    return _grow(data, [(np.arange(data.n_rows), operator.index(rng_seed))], *growth).trees[0]
 
 
 def train_forest(
@@ -590,7 +657,9 @@ def train_forest(
 ) -> Forest:
     """Train a bagged ensemble; per-tree bootstrap rows and seeds derive
     from rng_seed. Each tree equals train_tree on its rows with its seed."""
-    _check_training(data, n_trees, max_depth, min_samples_leaf, features_per_split)
+    n_trees, *growth = _check_training(data, n_trees, max_depth, min_samples_leaf,
+                                       features_per_split)
+    rng_seed = operator.index(rng_seed)
 
     def draws():
         for child in np.random.SeedSequence(rng_seed).spawn(n_trees):
@@ -601,16 +670,9 @@ def train_forest(
                 rows = np.arange(data.n_rows)
             yield rows, int(rng.integers(0, 2**63))
 
-    trees = _grow(data, draws(), max_depth, min_samples_leaf, features_per_split)
-    return Forest(
-        trees=trees,
-        n_trees=n_trees,
-        bagging_meta={
-            "bootstrap": bootstrap,
-            "features_per_split": features_per_split,
-            "rng_seed": rng_seed,
-        },
-    )
+    bagging_meta = {"bootstrap": bool(bootstrap), "features_per_split": growth[-1],
+                    "rng_seed": rng_seed}
+    return _grow(data, draws(), *growth, bagging_meta)
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:

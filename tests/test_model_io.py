@@ -198,6 +198,39 @@ def test_bad_tree_arrays_are_rejected(change, message):
         deserialize(doc)
 
 
+def test_a_child_in_the_next_trees_ids_is_rejected_naming_its_tree():
+    # joined tree-major, tree 0's 5 nodes take ids 0-4 and tree 1's 5-9:
+    # child 5 lies past tree 0's nodes but inside tree 1's ids
+    doc = {"schema": SCHEMA, "kind": "forest", "n_trees": 2,
+           "trees": [chain_tree_doc(), chain_tree_doc()]}
+    doc["trees"][0]["child"][2] = [3, 5]
+    with pytest.raises(ModelFormatError, match=r"^document\.trees\[0\]\.child\[2\]: "
+                       r"an internal node's children must be in \(its id, 5\)$"):
+        deserialize(doc)
+
+
+def small_table():
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0, 10, size=(40, 3))
+    return Dataset(["a", "b", "c"], ["numeric"] * 3, rows, (rows[:, 0] > 4).astype(int))
+
+
+@pytest.mark.parametrize("fit, settings", [
+    (train_tree, {"max_depth": np.int64(2)}),
+    (train_tree, {"min_samples_leaf": np.int32(2)}),
+    (train_tree, {"features_per_split": np.int8(2), "rng_seed": np.uint16(7)}),
+    (train_forest, {"n_trees": np.int64(2), "rng_seed": np.int64(3)}),
+    (train_forest, {"n_trees": 2, "features_per_split": np.int64(1), "bootstrap": np.bool_(False)}),
+], ids=["max_depth int64", "min_samples_leaf int32", "features_per_split int8",
+        "n_trees and rng_seed int64", "features_per_split int64"])
+def test_numpy_scalar_settings_give_the_model_file_of_python_ones(fit, settings):
+    model = fit(small_table(), **settings)
+    text = dumps(model)
+    assert loads(text) == model and dumps(loads(text)) == text
+    python = {name: np.array(value).item() for name, value in settings.items()}
+    assert text == dumps(fit(small_table(), **python))
+
+
 def test_schema_and_kind_are_checked():
     doc = serialize(trained_tree())
     doc["schema"] = "fairtree-model/999"

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fairtree.model_io as model_io
 import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
 from fairtree.bench import ExperimentConfig
@@ -19,6 +18,7 @@ from fairtree.model_io import dumps, loads
 from fairtree.rng import stream_key
 from fairtree.tree import (
     Dataset,
+    DecisionTree,
     Forest,
     _split_score,
     forest_votes_batch,
@@ -213,6 +213,25 @@ def test_mutating_the_arrays_a_table_was_built_from_leaves_its_fits_unchanged():
     assert not data.rows.flags.writeable and not data.labels.flags.writeable
 
 
+def test_a_subset_holds_the_rows_it_gathers_without_copying_them_again():
+    # a census-shaped train split: the subset keeps its rows, labels and
+    # gathered ranks; its transient peak stays near what it keeps
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 1000, (26_000, 14)).astype(float)
+    data = make_dataset(rows, rng.integers(0, 2, 26_000))
+    data.column_ranks  # ranked before the subset, which gathers the ranks
+    tracemalloc.start()
+    try:
+        part = data.subset(rng.permutation(26_000))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = part.rows.nbytes + part.labels.nbytes + part.column_ranks[0].nbytes
+    assert held <= kept < 1.05 * held
+    assert peak < 1.15 * kept, (peak, kept)
+    assert part.rows.base is None and not part.rows.flags.writeable
+
+
 def test_a_table_ranks_its_columns_once_for_all_of_its_fits(rankings):
     data = make_dataset(np.arange(40.0).reshape(20, 2) % 7, np.arange(20) % 2)
     for seed in range(3):
@@ -394,27 +413,34 @@ def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array,
     assert loads(dumps(changed)) == changed
 
 
-@pytest.mark.parametrize("kind", ["trained", "loaded", "one tree"])
-def test_a_forests_trees_become_read_only_views_of_its_arrays(kind, monkeypatch):
+@pytest.mark.parametrize("kind", ["trained", "loaded", "one tree", "built"])
+def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
     rng = np.random.default_rng(12)
     rows = rng.uniform(0, 10, size=(60, 3))
     data = Dataset(["a", "b", "c"], ["numeric"] * 3, rows, (rows[:, 0] > rows[:, 1]).astype(int))
     text = dumps(train_forest(data, n_trees=3, max_depth=4, rng_seed=2))
-    before = []
-
-    def forest(trees, **kwargs):  # copies of the trees just before the forest is built
-        before.extend(copy.deepcopy(trees))
-        return Forest(trees=trees, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(tree_module, "Forest", forest)
-        patch.setattr(model_io, "Forest", forest)
-        built = {"trained": lambda: train_forest(data, n_trees=3, max_depth=4, rng_seed=2),
-                 "loaded": lambda: loads(text),
-                 "one tree": lambda: train_forest(data, n_trees=1, max_depth=4)}[kind]()
-    assert built.trees == before
-    assert [dumps(t) for t in built.trees] == [dumps(t) for t in before]
-    if kind != "one tree":
+    given = [random_tree(rng, n_features=3, max_depth=4) for _ in range(3)]
+    built = {"trained": lambda: train_forest(data, n_trees=3, max_depth=4, rng_seed=2),
+             "loaded": lambda: loads(text),
+             "one tree": lambda: train_forest(data, n_trees=1, max_depth=4),
+             "built": lambda: Forest(trees=given, n_trees=3)}[kind]()
+    # each tree equals the tree built, and checked, on its own from copies of its arrays
+    alone = [DecisionTree(**{name: getattr(t, name).copy()
+                             for name, _, _ in tree_module._NODE_ARRAYS},
+                          n_features=t.n_features, training_meta=copy.deepcopy(t.training_meta))
+             for t in built.trees]
+    assert built.trees == alone
+    if kind == "built":  # the given trees are left as they were
+        assert alone == given
+        assert all(g.feature.base is not built.feature for g in given)
+    for tree, one in zip(built.trees, alone):
+        assert tree.max_depth == one.max_depth
+        for name in ("leaf_class", "depth", "safe_scale", "fixed_chance"):
+            np.testing.assert_array_equal(getattr(tree, name), getattr(one, name), err_msg=name)
+            assert getattr(tree, name).dtype == getattr(one, name).dtype, name
+    assert built.max_depth == max(t.max_depth for t in alone)
+    assert [dumps(t) for t in built.trees] == [dumps(t) for t in alone]
+    if kind in ("trained", "loaded"):
         assert dumps(built) == text
     joined = [name for name, value in vars(built).items()
               if isinstance(value, np.ndarray) and name not in ("child", "root")]
@@ -426,6 +452,22 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind, monkeypatch)
         # a tree's child keeps local ids; the forest's holds global ones
         assert not tree.child.flags.writeable and tree.child.base is not built.child
         np.testing.assert_array_equal(built.child[root:root + tree.feature.size], tree.child + root)
+
+
+def test_a_child_in_the_next_trees_ids_is_rejected_naming_its_tree():
+    # joined, tree 0's 3 nodes take ids 0-2 and tree 1's 3-5: tree 0's
+    # child 3 lies past its own nodes but inside tree 1's ids
+    broken, fine = depth1_tree(), depth1_tree()
+    broken.child = np.array([[1, 3], [0, 0], [0, 0]])  # set after the tree's own check
+    arrays = {name: np.concatenate([getattr(broken, name), getattr(fine, name)])
+              for name, _, _ in tree_module._NODE_ARRAYS}
+    message = r"^trees\[0\]\.child\[0\]: an internal node's children must be in \(its id, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        Forest.from_arrays(arrays, [3, 3], 1, [{}, {}], {})
+    with pytest.raises(ValueError, match=message):
+        Forest(trees=[broken, fine], n_trees=2)
+    with pytest.raises(ValueError, match=message.replace("0", "1", 1)):
+        Forest(trees=[fine, broken], n_trees=2)
 
 
 @pytest.mark.parametrize("variant", ["one row short", "one row long", "wrong per-node shape"])
