@@ -13,14 +13,16 @@ of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
 a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
-lane. During the 5-fold run it prints each fold's forest fit in seconds
-and seconds per tree, and beside fold 0's the seconds to write its model
-text (model_io.dumps) and to load it back (model_io.loads). It ends with
-the number of column rankings the probe made (the table ranks its columns
-once; each fold's train split gathers those ranks) and the process's peak
-RSS, which includes fold 0's model text and its reload, and exits 1 when
-fairttts does not lower EOD or drops accuracy by more than 0.005. Not a
-test; a dry run for budgeting.
+lane, and, from a third, how many levels the frontier walks in that call
+and its mean microseconds a level (the per-level cost). During the 5-fold
+run it prints each fold's forest fit in seconds and seconds per tree, and
+beside fold 0's the seconds to write its model text (model_io.dumps) and
+to load it back (model_io.loads). It ends with the number of column
+rankings the probe made (the table ranks its columns once; each fold's
+train split gathers those ranks) and the process's peak RSS, which
+includes fold 0's model text and its reload, and exits 1 when fairttts
+does not lower EOD or drops accuracy by more than 0.005. Not a test; a
+dry run for budgeting.
 """
 
 import itertools
@@ -104,6 +106,32 @@ def chunk_memory(forest, X, spec, config, seed, stream_ids):
         traversal._pair_masses = pair_masses
 
 
+def frontier_levels(forest, X, spec, config, seed, stream_ids):
+    """The levels of the exact frontier in one Monte Carlo call of
+    predict_method, counted as calls of the flip-chance callable that
+    traversal._pair_masses is given (one a level), and the seconds spent
+    in _pair_masses."""
+    levels, spent, pair_masses = [0], [0.0], traversal._pair_masses
+
+    def timed(forest, X, chance, rows, limit):
+        def counted(*args):
+            levels[0] += 1
+            return chance(*args)
+
+        t0 = time.perf_counter()
+        try:
+            return pair_masses(forest, X, counted, rows, limit)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    traversal._pair_masses = timed
+    try:
+        predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
+        return levels[0], spent[0]
+    finally:
+        traversal._pair_masses = pair_masses
+
+
 def count_rankings() -> list:
     """A list that gets the shape of each table whose columns are ranked
     from now on."""
@@ -161,6 +189,9 @@ def exact_vs_monte_carlo(dataset, protected, config):
           f"({len(failed)} failed attempts), "
           f"tracemalloc peak {peak / 1e6:.2f} MB = {peak / lanes:.2f} bytes a lane "
           f"of {lanes:,}")
+    levels, spent = frontier_levels(forest, X, spec, config, seed, test)
+    print(f"fold 0 monte carlo   {levels} frontier levels, {spent:.2f}s in the frontier, "
+          f"{spent / levels * 1e6:.0f} us a level")
     q, S = out["exact"][1], config.n_simulations
     agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))

@@ -101,12 +101,12 @@ class MetricsReport:
 
 
 def _as_binary(name, values):
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def _confusion(y_true, y_pred) -> ConfusionCounts:

@@ -50,6 +50,9 @@ from .tree import (
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
+# the kernels' operands: a Python number costs a ufunc call more than these
+_INT32_0, _INT64_1, _DBL_MAX = np.int32(0), np.int64(1), np.finfo(np.float64).max
+_ZERO, _HALF, _ONE = np.float64(0.0), np.float64(0.5), np.float64(1.0)
 
 
 @dataclass(frozen=True)
@@ -113,32 +116,30 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
     of it, the node's threshold and the deterministic direction x <=
     threshold.
 
-    The base chance is p_max - |x - threshold| / scale, clamped to [0,
-    p_max]. The fairness boost replaces it with min(alpha * base, 0.5)
+    The base chance is max(p_max - min(|x - threshold|, DBL_MAX) /
+    flip_divisor, 0): p_max at uniform-distance nodes, and at unscaled ones
+    p_max exactly at the threshold and 0 elsewhere; callers run it under
+    np.errstate(over="ignore"), as its overflows to inf give the right
+    chance. The fairness boost replaces it with min(alpha * base, 0.5)
     where the node splits on the protected feature, the sample is
     unprivileged and the deterministic child's majority is the
     unfavorable class; alpha = 0 suppresses flips there."""
-    p_max, alpha, protected = config.p_max, config.alpha, spec.protected_feature
+    protected = spec.protected_feature
     if protected >= model.n_features:
         raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
-    # unscaled nodes flip at p_max exactly at the threshold and never
-    # elsewhere; uniform-distance nodes always flip at p_max
-    safe_scale, fixed, uniform = model.safe_scale, model.fixed_chance, model.uniform_distance
-    majority = model.majority.ravel()
+    p_max, alpha, divisor = np.float64(config.p_max), np.float64(config.alpha), model.flip_divisor
+    protected, majority = np.int32(protected), model.majority.ravel()
 
     def chance(node, feat, x, threshold, go_left):
-        d = np.abs(x - threshold)
-        p = np.maximum(p_max - d / safe_scale[node], 0.0)
-        s = fixed[node].nonzero()[0]
-        if s.size:
-            p[s] = np.where(uniform[node[s]] | (d[s] == 0.0), p_max, 0.0)
+        d = np.minimum(np.abs(x - threshold), _DBL_MAX)
+        p = np.maximum(p_max - d / divisor[node], _ZERO)
         # the fairness boost: protected split, unprivileged sample, and the
         # deterministic child's majority unfavorable
         t = (feat == protected).nonzero()[0]
         if t.size:
-            t = t[x[t] == 0.0]
+            t = t[x[t] == _ZERO]
             t = t[majority[2 * node[t] + ~go_left[t]] == 0]
-            p[t] = np.minimum(alpha * p[t], 0.5)
+            p[t] = np.minimum(alpha * p[t], _HALF)
         return p
 
     return chance
@@ -150,9 +151,10 @@ def _flip_step(forest: Forest, chance, keys):
     never holds, so the skipped draws change no result. A lane at a node
     of depth k uses draw k of its stream."""
 
+    @np.errstate(over="ignore")  # see _flip_chance
     def flip(lane, node, feat, x, threshold, go_left):
         p = chance(node, feat, x, threshold, go_left)
-        hit = (p > 0.0).nonzero()[0]
+        hit = (p > _ZERO).nonzero()[0]
         if hit.size:
             go_left[hit] ^= _rng.below_array(keys[lane[hit]], forest.depth[node[hit]], p[hit])
 
@@ -171,6 +173,7 @@ def _add_leaves(q, leaves, slots):
     return q
 
 
+@np.errstate(over="ignore")  # see _flip_chance
 def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     """(q, past, peak) for rows: q the (q0, q1) of their (row, tree)
     pairs, shaped (rows, T, 2); past None, or a mask of the rows whose own
@@ -181,71 +184,67 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
 
     Only live branches count against limit. Reached leaves are held in
     arrival order and added into q whenever more than limit are held.
-    Rows are counted one by one only at levels where the chunk's reached
-    leaves and live branches outnumber limit."""
+    Rows are counted one by one only at levels where a row's reached
+    leaves and the chunk's live branches may outnumber limit."""
     T = forest.n_trees
-    slots = 2 * rows.size * T
-    values, child = X.ravel(), forest.child.ravel()
-    x_pos = np.repeat(rows * X.shape[1], T)
+    slots, row_slots = 2 * rows.size * T, np.int64(2 * T)
+    values, child, feature = X.ravel(), forest.child.ravel(), forest.feature
+    x_pos = np.repeat(rows * X.shape[1], 2 * T)
     node = np.tile(forest.root, rows.size)
     if node.size > limit:
         return None
-    pair = np.arange(node.size)
+    slot = np.arange(0, slots, 2)  # a branch's pair's q0 slot, 2 * pair; q1's is slot + 1
     mass = np.ones(node.size)
     leaves, held, reached, peak = [], 0, 0, node.size
-    # per_row: each row's reached leaves, counted from the first flush or
-    # the first level past limit on
     q = per_row = past = None
 
-    def held_rows():
-        return np.bincount(np.concatenate([s for s, _ in leaves]) // (2 * T), minlength=rows.size)
+    def counted():  # per_row, each row's reached leaves: at first the held ones
+        return per_row if per_row is not None else np.bincount(
+            np.concatenate([s for s, _ in leaves]) // row_slots, minlength=rows.size)
 
     while node.size:
-        feat = forest.feature[node]
-        done = feat < 0
+        feat = feature[node]
+        done = feat < _INT32_0
         if np.count_nonzero(done):
             at = done.nonzero()[0]
-            leaves.append((2 * pair[at] + forest.leaf_class[node[at]], mass[at]))
-            held += at.size
-            reached += at.size
+            leaves.append((slot[at] + forest.leaf_class[node[at]], mass[at]))
+            held, reached = held + at.size, reached + at.size
             if per_row is not None:
-                per_row += np.bincount(pair[at] // T, minlength=rows.size)
+                per_row += np.bincount(slot[at] // row_slots, minlength=rows.size)
             if held > limit:
-                if per_row is None:
-                    per_row = held_rows()
+                per_row = counted()
                 q, leaves, held = _add_leaves(q, leaves, slots), [], 0
             at = (~done).nonzero()[0]
-            node, feat, pair, mass = node[at], feat[at], pair[at], mass[at]
+            node, feat, slot, mass = node[at], feat[at], slot[at], mass[at]
             if not node.size:
                 break
-        x = values[x_pos[pair] + feat]
+        x = values[x_pos[slot] + feat]
         threshold = forest.threshold[node]
         go_left = x <= threshold
         p = chance(node, feat, x, threshold, go_left)
         # masses are >= 0, so the branches above 0 are the nonzero ones
-        stay, flip = mass * (1.0 - p), mass * p
-        n_stay, n_flip = np.count_nonzero(stay), np.count_nonzero(flip)
+        stay, flip = mass * (_ONE - p), mass * p
+        flips = flip > _ZERO
+        n_stay, n_flip = np.count_nonzero(stay), np.count_nonzero(flips)
         if n_stay + n_flip > limit:
             return None
         peak = max(peak, n_stay + n_flip)
-        if n_stay < node.size:
-            s = stay.nonzero()[0]
-            node_s, left_s, pair_s, stay = node[s], go_left[s], pair[s], stay[s]
+        # the deterministic children, then the flip ones (flat index ^ 1), in parent order
+        s = stay.nonzero()[0] if n_stay < node.size else slice(None)
+        to = (node << _INT64_1) + ~go_left
+        if n_flip:
+            f = flips.nonzero()[0]
+            to = np.concatenate([to[s], to[f] ^ _INT64_1])
+            slot, mass = np.concatenate([slot[s], slot[f]]), np.concatenate([stay[s], flip[f]])
         else:
-            node_s, left_s, pair_s = node, go_left, pair
-        det = child[2 * node_s + ~left_s]
-        if n_flip:  # the flip children follow the deterministic ones
-            f = flip.nonzero()[0]
-            det = np.concatenate([det, child[2 * node[f] + go_left[f]]])
-            pair_s, stay = np.concatenate([pair_s, pair[f]]), np.concatenate([stay, flip[f]])
-        node, pair, mass = det, pair_s, stay
-        if reached + node.size > limit:  # drop the rows past limit
-            if per_row is None:
-                per_row = held_rows()
-            over = per_row + np.bincount(pair // T, minlength=rows.size) > limit
+            to, slot, mass = to[s], slot[s], stay[s]
+        node = child[to]
+        if (reached if per_row is None else per_row.max()) + node.size > limit:
+            per_row = counted()  # and drop the rows past limit
+            over = per_row + np.bincount(slot // row_slots, minlength=rows.size) > limit
             if np.count_nonzero(over):
-                at = (~over[pair // T]).nonzero()[0]
-                node, pair, mass = node[at], pair[at], mass[at]
+                at = (~over[slot // row_slots]).nonzero()[0]
+                node, slot, mass = node[at], slot[at], mass[at]
                 reached -= int(per_row[over].sum())
                 per_row[over] = 0
                 past = over if past is None else past | over
@@ -265,7 +264,7 @@ def _mass_chunks(forest: Forest, X, chance, limit: int):
     limit at the chunk's live peak per row, if that is more, but at most
     limit // T. A row's q does not depend on its chunk."""
     n, T = X.shape[0], forest.n_trees
-    r0, size = 0, max(1, limit // int((forest.feature < 0).sum()))
+    r0, size = 0, max(1, limit // forest.n_leaves)
     while r0 < n:
         rows = np.arange(r0, min(n, r0 + size))
         got = _pair_masses(forest, X, chance, rows, limit)
@@ -378,6 +377,7 @@ def predict_fair_batch(
     return preds, probs
 
 
+@np.errstate(over="ignore")  # see _flip_chance
 def exact_path_distribution(
     tree: DecisionTree,
     sample,

@@ -117,9 +117,9 @@ class DecisionTree:
     classes. A leaf has feature -1 and its training class counts in
     class_counts; leaf_class is its majority class, ties to 0. depth[i] is
     node i's distance from the root in edges and max_depth the longest
-    root-to-leaf path. The flip rule reads safe_scale (scale, or 1 where it
-    is 0) and fixed_chance (unscaled and uniform-distance nodes, whose flip
-    chance does not decay). The arrays are read-only. Building a tree
+    root-to-leaf path. The flip rule divides distances by flip_divisor:
+    scale, +inf at uniform-distance nodes and the smallest subnormal where
+    scale is 0. The arrays are read-only. Building a tree
     (trained, loaded or by hand; a forest's trees all at once, with the
     same rules) checks that n_features is an integer >= 1;
     each node array casts to its dtype with no value changed; feature is in
@@ -141,8 +141,7 @@ class DecisionTree:
     leaf_class: np.ndarray = field(init=False, repr=False)
     depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
-    safe_scale: np.ndarray = field(init=False, repr=False)
-    fixed_chance: np.ndarray = field(init=False, repr=False)
+    flip_divisor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arrays = {name: getattr(self, name) for name, _, _ in _NODE_ARRAYS}
@@ -237,9 +236,9 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
     check("child", parents == 0, "node is no internal node's child")
     del parents  # before the derived arrays: it would raise a forest build's peak
     nodes["leaf_class"] = _read_only((counts[:, 1] > counts[:, 0]).astype(np.int8))
-    scaled = scale > 0.0
-    nodes["safe_scale"] = _read_only(np.where(scaled, scale, 1.0))
-    nodes["fixed_chance"] = _read_only(~scaled | nodes["uniform_distance"])
+    divisor = np.where(scale > 0.0, scale, np.nextafter(0.0, 1.0))
+    divisor[nodes["uniform_distance"]] = np.inf
+    nodes["flip_divisor"] = _read_only(divisor)
     depth, level, d = np.zeros(n, dtype=np.int32), root, 0
     while (level := level[feature[level] >= 0]).size:
         level = node_child[level].ravel()
@@ -259,13 +258,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Forest:
     """Bagged trees. A forest holds its trees' node arrays once, joined
     tree-major and read-only, under the DecisionTree names (feature,
-    threshold, child, depth, safe_scale and the others), and its trees are
-    read-only views of them. Building it checks every tree rule once over
-    the joined arrays. Node ids are global (tree t's root is root[t])
+    threshold, child, depth, flip_divisor and the others), and its trees
+    are read-only views of them. Building it checks every tree rule once
+    over the joined arrays. Node ids are global (tree t's root is root[t])
     except in a tree's own child, which stays local; depth is a node's depth
-    within its tree. n_features is every tree's, max_depth the deepest's.
-    Forest(trees=...) joins copies of the given trees' arrays and leaves the
-    trees as they were; Forest.from_arrays takes arrays already joined."""
+    within its tree. n_features is every tree's, max_depth the deepest's,
+    n_leaves the leaf count. Forest(trees=...) joins copies of the given
+    trees' arrays, leaving them as they were; from_arrays takes joined ones."""
 
     trees: list
     n_trees: int
@@ -302,7 +301,8 @@ class Forest:
                               max_depth=max_depth)
         del nodes["child"]  # the trees' own, with local ids
         vars(forest).update(nodes, n_trees=len(depths), bagging_meta=bagging_meta,
-                            n_features=n_features, max_depth=max(depths))
+                            n_features=n_features, max_depth=max(depths),
+                            n_leaves=int(np.count_nonzero(nodes["feature"] < 0)))
         return forest
 
 

@@ -25,6 +25,21 @@ def test_accuracy_rejects_empty_and_mismatched():
         accuracy([1, 0], [1])
 
 
+def test_values_other_than_0_and_1_are_rejected_not_truncated():
+    # a cast to int64 before the check would read 0.9 as 0 and 1.7 as 1
+    for bad in ([0.9, 0.2], [1.7, 0.0], [np.nan, 1.0], [2, 0], [-1, 1]):
+        with pytest.raises(ValueError, match="^y_pred must contain only 0 and 1$"):
+            accuracy([1, 0], bad)
+    with pytest.raises(ValueError, match="^group must contain only 0 and 1$"):
+        full_report([1, 0, 1], [1, 0, 0], [1.0, 0.0, 1.7])
+    with pytest.raises(ValueError, match="^y_true must be one-dimensional$"):
+        accuracy([[1, 0]], [1, 0])
+    # float 0.0 / 1.0 and bool columns pass as the integers they are
+    report = full_report(np.array([1.0, 0.0, 1.0, 0.0]), [True, False, False, False],
+                         np.array([1.0, 1.0, 0.0, 0.0]))
+    assert report.to_dict() == full_report([1, 0, 1, 0], [1, 0, 0, 0], [1, 1, 0, 0]).to_dict()
+
+
 def test_eod_zero_for_identical_rates():
     y_true = [1, 0, 1, 0, 1, 0, 1, 0]
     y_pred = [1, 0, 0, 0, 1, 0, 0, 0]

@@ -1003,3 +1003,63 @@ def test_zero_scale_nodes_agree_between_scalar_and_batch_paths():
     away = simulate_tree(tree, [2.5], SPEC, cfg, stream_id=3)
     assert 0.0 < at_threshold.probs[1] < 1.0  # flips happen at the threshold
     assert away.probs == (0.0, 1.0)           # and nowhere else
+
+
+def divisor_rule_forest():
+    """Trees of one split on feature 0 (protected) or 1, at threshold 0 or
+    -1.5e308, scaled (by 2 or by 1e-300, whose quotients overflow),
+    unscaled or uniform-distance, whose left child is a uniform-distance
+    protected split that boosts unprivileged rows."""
+    below = internal(0, 0.5, 1.0, leaf(3, 0), leaf(0, 3), lmaj=0, rmaj=1, uniform=True)
+    kinds = ((2.0, False), (1e-300, False), (0.0, False), (1.0, True), (0.0, True))
+    trees = [make_tree(internal(feature, threshold, scale, below, leaf(1, 2), uniform=uniform),
+                       n_features=2)
+             for feature in (0, 1) for threshold in (0.0, -1.5e308) for scale, uniform in kinds]
+    return Forest(trees=trees, n_trees=len(trees))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divisor_rule_equals_the_scalar_reference_bit_for_bit(monkeypatch):
+    # distances to the threshold of 0, subnormal (5e-324 from 0), ordinary
+    # and overflowing (1.5e308 against -1.5e308), at p_max 0, 0.1 and 0.5
+    # and alpha 0, 1 and 9: the flip chances, both exact paths and Monte
+    # Carlo's votes equal the scalar rule's, also where every row walks its
+    # lanes, and no overflow warns in the public calls
+    forest = divisor_rule_forest()
+    edges = (0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5e308)
+    X = np.array([[g, x] for g in (0.0, 1.0, 5e-324, 1.5e308) for x in edges])
+    ids = np.arange(len(X))
+    internal_nodes = [(t, n) for t, tree in enumerate(forest.trees)
+                      for n in np.flatnonzero(tree.feature >= 0).tolist()]
+    node = np.array([forest.root[t] + n for t, n in internal_nodes for _ in X])
+    rows = np.tile(X, (len(internal_nodes), 1))
+    feat = forest.feature[node]
+    x, threshold = rows[np.arange(len(rows)), feat], forest.threshold[node]
+    for p_max in (0.0, 0.1, 0.5):
+        for alpha in (0.0, 1.0, 9.0):
+            cfg = config(n_simulations=20, p_max=p_max, alpha=alpha)
+            with np.errstate(over="ignore"):  # the chance function's contract
+                got = traversal._flip_chance(forest, SPEC, cfg)(node, feat, x, threshold,
+                                                                x <= threshold)
+            want = [adjusted_flip_probability(flip_probability(forest.trees[t], n, row, cfg),
+                                              forest.trees[t], n, row, SPEC, cfg)
+                    for (t, n), row in zip(np.repeat(internal_nodes, len(X), axis=0), rows)]
+            assert got.tolist() == want, (p_max, alpha)
+            for tree in forest.trees:
+                want = [reference_exact(tree, row, SPEC, cfg).probs for row in X]
+                assert [exact_path_distribution(tree, row, SPEC, cfg).probs
+                        for row in X] == want, (p_max, alpha)
+                probs = exact_forest_batch(Forest(trees=[tree], n_trees=1), X, SPEC, cfg)[1]
+                assert [tuple(p) for p in probs] == want, (p_max, alpha)
+            _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+            for row, i, p1 in zip(X, ids, probs[:, 1]):
+                votes = reference_monte_carlo(forest.trees, row, SPEC, cfg, int(i))
+                assert p1 == sum(2 * sum(v) > forest.n_trees for v in votes) / 20, (p_max, alpha)
+            with monkeypatch.context() as patch:  # a budget below one row's roots
+                patch.setattr(traversal, "MAX_LANES", forest.n_trees - 1)
+                _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+            for row, i, p1 in zip(X, ids, probs[:, 1]):
+                votes = [[traverse_once(tree, row, SPEC, cfg,
+                                        TraversalStream.derive(cfg.seed, int(i), s, t))
+                          for t, tree in enumerate(forest.trees)] for s in range(20)]
+                assert p1 == sum(2 * sum(v) > forest.n_trees for v in votes) / 20, (p_max, alpha)

@@ -435,16 +435,17 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
         assert all(g.feature.base is not built.feature for g in given)
     for tree, one in zip(built.trees, alone):
         assert tree.max_depth == one.max_depth
-        for name in ("leaf_class", "depth", "safe_scale", "fixed_chance"):
+        for name in ("leaf_class", "depth", "flip_divisor"):
             np.testing.assert_array_equal(getattr(tree, name), getattr(one, name), err_msg=name)
             assert getattr(tree, name).dtype == getattr(one, name).dtype, name
     assert built.max_depth == max(t.max_depth for t in alone)
+    assert built.n_leaves == sum(int(np.count_nonzero(t.feature < 0)) for t in alone)
     assert [dumps(t) for t in built.trees] == [dumps(t) for t in alone]
     if kind in ("trained", "loaded"):
         assert dumps(built) == text
     joined = [name for name, value in vars(built).items()
               if isinstance(value, np.ndarray) and name not in ("child", "root")]
-    assert len(joined) == 10
+    assert len(joined) == 9
     for tree, root in zip(built.trees, built.root):
         for name in joined:
             array = getattr(tree, name)
