@@ -14,20 +14,24 @@ a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
 lane, and, from a third, how many levels the frontier walks in that call
-and its mean microseconds a level (the per-level cost). During the 5-fold
-run it prints each fold's forest fit in seconds and seconds per tree, and
-beside fold 0's the seconds to write its model text (model_io.dumps) and
-to load it back (model_io.loads). It ends with the number of column
-rankings the probe made (the table ranks its columns once; each fold's
-train split gathers those ranks) and the process's peak RSS, which
-includes fold 0's model text and its reload, and exits 1 when fairttts
-does not lower EOD or drops accuracy by more than 0.005. Not a test; a
-dry run for budgeting.
+and its mean microseconds a level (the per-level cost), and the median
+latency of 200 one-row predict_fair calls on each side of the one-row
+route: fold 0's first tree (scored by the row walk) and its whole forest
+(more nodes than traversal.MAX_LANES, scored by the frontier). During the
+5-fold run it prints each fold's forest fit in seconds and seconds per
+tree, and beside fold 0's the seconds to write its model text
+(model_io.dumps) and to load it back (model_io.loads). It ends with the
+number of column rankings the probe made (the table ranks its columns
+once; each fold's train split gathers those ranks) and the process's peak
+RSS, which includes fold 0's model text and its reload, and exits 1 when
+fairttts does not lower EOD or drops accuracy by more than 0.005. Not a
+test; a dry run for budgeting.
 """
 
 import itertools
 import os
 import resource
+import statistics
 import sys
 import time
 import tracemalloc
@@ -55,8 +59,8 @@ from fairtree.bench import (  # noqa: E402
 )
 from fairtree.data import make_folds  # noqa: E402
 from fairtree.rng import stream_key  # noqa: E402
-from fairtree.traversal import FairnessSpec  # noqa: E402
-from fairtree.tree import Dataset  # noqa: E402
+from fairtree.traversal import FairnessSpec, predict_fair  # noqa: E402
+from fairtree.tree import Dataset, Forest  # noqa: E402
 
 
 def census_table(seed=1):
@@ -132,6 +136,17 @@ def frontier_levels(forest, X, spec, config, seed, stream_ids):
         traversal._pair_masses = pair_masses
 
 
+def one_row_latency(forest, X, spec, config, stream_ids, calls=200):
+    """The median seconds of calls one-row predict_fair calls, on X's rows
+    in turn."""
+    times = []
+    for i in range(calls):
+        t0 = time.perf_counter()
+        predict_fair(forest, X[i % len(X)], spec, config, stream_id=int(stream_ids[i % len(X)]))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def count_rankings() -> list:
     """A list that gets the shape of each table whose columns are ranked
     from now on."""
@@ -192,6 +207,12 @@ def exact_vs_monte_carlo(dataset, protected, config):
     levels, spent = frontier_levels(forest, X, spec, config, seed, test)
     print(f"fold 0 monte carlo   {levels} frontier levels, {spent:.2f}s in the frontier, "
           f"{spent / levels * 1e6:.0f} us a level")
+    for name, model in (("first tree", Forest(trees=forest.trees[:1], n_trees=1)),
+                        ("forest", forest)):
+        route = "row walk" if model.feature.size <= traversal.MAX_LANES else "frontier"
+        latency = one_row_latency(model, X, spec, config.traversal_config(seed), test)
+        print(f"fold 0 one-row predict_fair on the {name} ({model.feature.size:,} nodes, "
+              f"{route}): median {latency * 1e3:.3f} ms of 200 calls")
     q, S = out["exact"][1], config.n_simulations
     agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))

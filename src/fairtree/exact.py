@@ -1,14 +1,14 @@
 """Exact fairness-adjusted inference over whole forests.
 
-The pair masses (q0, q1) of every (row, tree) pair come from the frontier
-of ``traversal._pair_masses``, the kernel Monte Carlo draws from: a pair's
-branches go down the forest one level per step and split into mass * (1 -
-p) at the deterministic child and mass * p at the flip child. The summation
-order: a level holds the deterministic children of the level above, then
-its flip children, each in parent order, and a pair's class masses are its
-leaves' masses added one at a time, level by level and in that order
-within a level (``np.bincount``, or ``np.add.at`` in parts, which adds in
-the same order), as ``traversal.exact_path_distribution`` adds them.
+The pair masses (q0, q1) of every (row, tree) pair come from the walks
+Monte Carlo draws from (``traversal._mass_chunks``): the frontier of
+``traversal._pair_masses``, or for one row of a small forest the row walk of
+``traversal._row_masses``. A pair's branches go down the forest one level
+per step and split into mass * (1 - p) at the deterministic child and mass
+* p at the flip child. The summation order: a level holds the
+deterministic children of the level above, then its flip children, each
+in parent order, and a pair's class masses are its leaves' masses added
+one at a time, level by level and in that order within a level.
 Simulations draw from independent streams per tree, so a simulation's
 majority vote is Bernoulli(Q), Q the Poisson-binomial chance that more
 than half of the trees vote 1.

@@ -195,7 +195,7 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
             raise ValueError(f"{where}[{j - root[t]}]: {rule.format(n=size[t])}")
 
     check_n_features(n_features)
-    end = np.cumsum(size)
+    end = size if size.size == 1 else np.cumsum(size)  # one tree needs no offsets
     n, root, empty = int(end[-1]), end - size, size.min() < 1
     nodes = {}
     for name, dtype, shape in _NODE_ARRAYS:
@@ -225,11 +225,12 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
     check("class_counts", ~leaf & (counts != 0), "must be [0, 0] at an internal node")
     # children after their parent and one parent for each node but a root
     # make a tree from each root: the depth walk meets each node once
-    node_child = np.repeat(root, size)[:, None]  # each node's tree's root, for now
-    check("child", ~leaf & ((child <= np.arange(n)[:, None] - node_child)
-                            | (child >= np.repeat(size, size)[:, None])),
+    # each node's tree's first node and node count
+    offset, bound = (0, n) if size.size == 1 else (np.repeat(root, size)[:, None],
+                                                   np.repeat(size, size)[:, None])
+    check("child", ~leaf & ((child <= np.arange(n)[:, None] - offset) | (child >= bound)),
           "an internal node's children must be in (its id, {n})")
-    node_child = node_child + child
+    node_child = offset + child
     # leaves' [0, 0] rows count toward their root: a root is never an orphan
     parents = np.bincount(node_child.ravel(), minlength=n)
     check("child", ~leaf & (parents > 1)[node_child], "names a child that is named more than once")
@@ -245,7 +246,7 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
         d += 1
         depth[level] = d
     nodes["depth"] = _read_only(depth)
-    max_depth = np.maximum.reduceat(depth, root).tolist()
+    max_depth = [int(depth.max())] if size.size == 1 else np.maximum.reduceat(depth, root).tolist()
     return nodes, _read_only(root), _read_only(node_child), max_depth
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from fairtree.tree import (
     train_tree,
 )
 
-from conftest import internal, leaf, make_tree
+from conftest import full_uniform_tree, internal, leaf, make_tree
 
 SYNTHETIC = str(Path(__file__).parent.parent / "fixtures" / "synthetic.json")
 
@@ -290,6 +291,23 @@ def test_dumps_is_valid_sorted_json():
     doc = json.loads(text)
     assert doc["schema"] == SCHEMA
     assert text == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_dumps_writes_the_whole_documents_text_one_field_at_a_time():
+    # a node array field as Python lists takes about ten times its text,
+    # so the whole document as lists peaked at about 13 times the text
+    rng = np.random.default_rng(5)
+    forest = Forest(trees=[full_uniform_tree(rng, 8) for _ in range(16)], n_trees=16)
+    for model in (trained_tree(), trained_forest(), forest):
+        assert dumps(model) == json.dumps(serialize(model), sort_keys=True) + "\n"
+    text = dumps(forest)
+    tracemalloc.start()
+    try:
+        dumps(forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text), peak / len(text)
 
 
 def test_deep_chain_tree_round_trips(tmp_path):

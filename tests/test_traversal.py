@@ -26,7 +26,8 @@ from fairtree.tree import (
     predict_forest_batch,
 )
 
-from conftest import depth1_tree, full_uniform_tree, internal, leaf, make_tree, random_tree
+from conftest import (chain_tree, depth1_tree, full_uniform_tree, internal, leaf, make_tree,
+                      random_tree)
 from reference import (
     TraversalStream,
     adjusted_flip_probability,
@@ -803,6 +804,83 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
                                        aggregation=aggregation)
             np.testing.assert_array_equal(alone[1], probs[i:i + 1])
             assert alone[0][0] == preds[i]
+
+
+def row_walk(forest, x, chance, limit):
+    return traversal._row_masses(forest, forest.root.tolist(), x, chance, limit)
+
+
+def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):
+    # every row of edge-case and random forests, and of a forest holding a
+    # chain of 1,100 uniform-distance levels, whose deepest branches
+    # underflow to 0 at p_max 0.5 and drop out, under every edge config
+    forests = [edge_case_forest(rng, T) for T in (1, 2, 5)]
+    forests += [Forest(trees=[random_tree(rng, n_features=3, max_depth=6, p_zero_scale=0.1)
+                              for _ in range(T)], n_trees=T) for T in (1, 3, 7)]
+    forests.append(Forest(trees=[chain_tree(1100, n_features=3), *edge_case_forest(rng, 2).trees],
+                          n_trees=3))
+    for forest in forests:
+        X = edge_case_samples(rng, forest, 25)
+        X[::3, 1] = -1.0  # down the chain
+        for p_max, alpha in EDGE_CONFIGS:
+            chance = traversal._flip_chance(forest, SPEC, config(p_max=p_max, alpha=alpha))
+            q, past, _ = traversal._pair_masses(forest, X, chance, np.arange(len(X)), MAX_LANES)
+            assert past is None
+            for x, want in zip(X, q):
+                assert row_walk(forest, x, chance, MAX_LANES).tobytes() == want.tobytes()
+            if forest is forests[-1] and p_max == 0.5:  # the chain's end got 0.5**1100: none
+                assert q[0, 0, 0] == 0.0 < q[0, 0, 1]
+
+
+def test_rows_past_a_budget_give_none_on_both_paths(rng, monkeypatch):
+    # a complete uniform-distance tree of depth 6 (64 leaves a row) and a
+    # random one: at each budget, a row is past it on the row walk exactly
+    # where it is past it on the frontier alone, and exact raises for it
+    forest = Forest(trees=[full_uniform_tree(rng, 6),
+                           random_tree(rng, n_features=3, max_depth=5, p_uniform=0.5)], n_trees=2)
+    X = edge_case_samples(rng, forest, 6)
+    chance = traversal._flip_chance(forest, SPEC, config(p_max=0.3))
+    for limit in range(1, 100):
+        monkeypatch.setattr("fairtree.exact.MAX_LANES", limit)
+        for i, x in enumerate(X):
+            walked = row_walk(forest, x, chance, limit)
+            got = traversal._pair_masses(forest, X, chance, np.array([i]), limit)
+            if got is None or got[1] is not None:
+                assert walked is None, (limit, i)
+                with pytest.raises(EnumerationLimitError, match=f"row 0 needs more than {limit} "):
+                    exact_forest_batch(forest, X[i:i + 1], SPEC, config(p_max=0.3))
+            else:
+                assert walked.tobytes() == got[0][0].tobytes(), (limit, i)
+    assert walked is not None  # the last budget fits every row
+
+
+def test_one_row_calls_on_small_forests_take_the_row_walk(rng, monkeypatch):
+    # a one-row call on a forest of at most MAX_LANES nodes never starts
+    # the frontier; on one of more nodes it does, with the same results
+    forest = edge_case_forest(rng, 3)
+    X = edge_case_samples(rng, forest, 6)
+    cfg = config(p_max=0.35, alpha=5.0)
+    calls, pair_masses = [], traversal._pair_masses
+
+    def counted(*args):
+        calls.append(args[3].size)
+        return pair_masses(*args)
+
+    def one_row_calls():
+        calls.clear()
+        return [(exact_forest_batch(forest, x[None], SPEC, cfg)[1].tolist(),
+                 predict_fair_batch(forest, x[None], SPEC, cfg, stream_ids=[i])[1].tolist(),
+                 predict_fair(forest, x, SPEC, cfg, stream_id=i)[1].probs)
+                for i, x in enumerate(X)]
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    want = one_row_calls()
+    assert calls == []
+    monkeypatch.setattr(traversal, "MAX_LANES", forest.feature.size)
+    assert one_row_calls() == want and calls == []
+    # a budget of nodes - 1 still holds every row: a row's branches are distinct leaves and nodes
+    monkeypatch.setattr(traversal, "MAX_LANES", forest.feature.size - 1)
+    assert one_row_calls() == want and calls == [1] * (3 * len(X))
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
