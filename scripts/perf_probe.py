@@ -7,9 +7,12 @@ probe takes the census-shaped table that benchmark/census.py generates
 suppressed for the unprivileged group) as numeric codes and runs the full
 25-tree, 5-fold pipeline on it. It reports wall time per stage plus the
 direction checks the real benchmark asserts. Before that, on fold 0, it
-times exact inference over the forest against Monte Carlo and reports how
-far their predictions agree and how many rows lie within Monte Carlo noise
-of the 0.5 boundary, how many MB of node arrays its forest holds, and, from
+reports its deterministic vote throughput (predict_forest_batch rows/s on
+the test split, and the seconds of the threshold policy fit's vote walk
+over the train split), times exact inference over the forest against
+Monte Carlo and reports how far their predictions agree and how many rows
+lie within Monte Carlo noise of the 0.5 boundary, how many MB of node
+arrays its forest holds, and, from
 a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
@@ -83,6 +86,36 @@ def node_array_mb(forest):
                     array = array.base
                 size[id(array)] = array.nbytes
     return sum(size.values()) / 1e6
+
+
+def fit_fold_timing_votes(dataset, plan, config, protected):
+    """Fold 0's forest, from fit_fold, and the seconds of the vote walk
+    over its train split that fits the threshold policy."""
+    spent, votes = [], bench.forest_votes_batch
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return votes(*args)
+        finally:
+            spent.append(time.perf_counter() - t0)
+
+    bench.forest_votes_batch = timed
+    try:
+        forest, _ = fit_fold(dataset, plan, 0, config, protected)
+        return forest, sum(spent)
+    finally:
+        bench.forest_votes_batch = votes
+
+
+def vote_rate(forest, X, calls=5):
+    """predict_forest_batch's rows/s on X: the median of calls calls."""
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        tree.predict_forest_batch(forest, X)
+        times.append(time.perf_counter() - t0)
+    return len(X) / statistics.median(times)
 
 
 def chunk_memory(forest, X, spec, config, seed, stream_ids):
@@ -186,11 +219,14 @@ def exact_vs_monte_carlo(dataset, protected, config):
     2 * sqrt(Q * (1 - Q) / S) of 0.5, where S simulations cannot tell the
     side."""
     plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS))
-    forest, _ = fit_fold(dataset, plan, 0, config, protected)
+    forest, fit_walk = fit_fold_timing_votes(dataset, plan, config, protected)
     print(f"fold 0 forest holds {node_array_mb(forest):.1f} MB of node arrays "
           f"({forest.feature.size:,} nodes)")
     test = plan.test_indices(0)
     X, spec = dataset.rows[test], FairnessSpec(protected_feature=protected)
+    print(f"fold 0 votes         predict_forest_batch {vote_rate(forest, X):,.0f} rows/s "
+          f"on {len(X):,} test rows; the threshold fit's vote walk {fit_walk:.3f}s "
+          f"on {plan.train_indices(0).size:,} train rows")
     seed = stream_key(config.seed, _TAG_ENGINE, 0)
     out = {}
     for name, cfg in (("exact", replace(config, exact=True)), ("monte carlo", config)):

@@ -29,8 +29,9 @@ counts a level's live branches; reached leaves are held apart and added
 in as they pile up. A row whose own reached leaves and live branches
 outnumber it at some level walks its lanes instead (``tree.walk_lanes``
 with ``_flip_step``), drawing at a node of depth k draw k of the same
-streams. Which way a row goes depends on the row alone, so results do
-not depend on evaluation order, batching or chunks.
+streams (a lane waiting at its leaf may draw too, and stays). Which way a
+row goes depends on the row alone, so results do not depend on evaluation
+order, batching or chunks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .tree import (
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
 # the kernels' operands: a Python number costs a ufunc call more than these
-_INT32_0, _INT64_1, _DBL_MAX = np.int32(0), np.int64(1), np.finfo(np.float64).max
+_INT64_0, _INT64_1, _DBL_MAX = np.int64(0), np.int64(1), np.finfo(np.float64).max
 _ZERO, _HALF, _ONE = np.float64(0.0), np.float64(0.5), np.float64(1.0)
 
 
@@ -131,7 +132,7 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
     if protected >= model.n_features:
         raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
     p_max, alpha, divisor = np.float64(config.p_max), np.float64(config.alpha), model.flip_divisor
-    protected, majority = np.int32(protected), model.majority.ravel()
+    protected, majority = np.int64(protected), model.majority.ravel()
 
     def chance(node, feat, x, threshold, go_left):
         d = np.minimum(np.abs(x - threshold), _DBL_MAX)
@@ -191,7 +192,7 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     leaves and the chunk's live branches may outnumber limit."""
     T = forest.n_trees
     slots, row_slots = 2 * rows.size * T, np.int64(2 * T)
-    values, child, feature = X.ravel(), forest.child.ravel(), forest.feature
+    values, child, column = X.ravel(), forest.child.ravel(), forest.column
     x_pos = np.repeat(rows * X.shape[1], 2 * T)
     node = np.tile(forest.root, rows.size)
     if node.size > limit:
@@ -206,8 +207,8 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
             np.concatenate([s for s, _ in leaves]) // row_slots, minlength=rows.size)
 
     while node.size:
-        feat = feature[node]
-        done = feat < _INT32_0
+        feat = column.take(node)
+        done = feat < _INT64_0
         if np.count_nonzero(done):
             at = done.nonzero()[0]
             leaves.append((slot[at] + forest.leaf_class[node[at]], mass[at]))
@@ -221,8 +222,8 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
             node, feat, slot, mass = node[at], feat[at], slot[at], mass[at]
             if not node.size:
                 break
-        x = values[x_pos[slot] + feat]
-        threshold = forest.threshold[node]
+        x = values.take(x_pos.take(slot) + feat)
+        threshold = forest.threshold.take(node)
         go_left = x <= threshold
         p = chance(node, feat, x, threshold, go_left)
         # masses are >= 0, so the branches above 0 are the nonzero ones

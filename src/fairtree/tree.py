@@ -183,9 +183,9 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
     local to it: (nodes, root, child, max_depth), nodes holding each node
     array cast to its dtype (a copy if copy or the dtype differs) and each
     derived one, all read-only; root[t] is tree t's first node, child the
-    global ids and max_depth a list of each tree's. The first broken rule
-    raises ValueError("<field>[<j>]: <rule>"), j local to its tree t, with
-    "trees[<t>]." in front in_forest."""
+    global ids, each leaf its own two children, and max_depth a list of
+    each tree's. The first broken rule raises ValueError("<field>[<j>]:
+    <rule>"), j local to its tree t, with "trees[<t>]." in front in_forest."""
 
     def check(name, bad, rule):  # {n} in a rule: the node count of its tree
         if np.count_nonzero(bad):
@@ -247,6 +247,8 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
         depth[level] = d
     nodes["depth"] = _read_only(depth)
     max_depth = [int(depth.max())] if size.size == 1 else np.maximum.reduceat(depth, root).tolist()
+    leaves = leaf[:, 0].nonzero()[0]
+    node_child[leaves] = leaves[:, None]  # a walk that reaches a leaf stays there
     return nodes, _read_only(root), _read_only(node_child), max_depth
 
 
@@ -262,10 +264,12 @@ class Forest:
     threshold, child, depth, flip_divisor and the others), and its trees
     are read-only views of them. Building it checks every tree rule once
     over the joined arrays. Node ids are global (tree t's root is root[t])
-    except in a tree's own child, which stays local; depth is a node's depth
-    within its tree. n_features is every tree's, max_depth the deepest's,
-    n_leaves the leaf count. Forest(trees=...) joins copies of the given
-    trees' arrays, leaving them as they were; from_arrays takes joined ones."""
+    except in a tree's own child, which stays local; in the forest's, a
+    leaf is its own two children. column is feature as int64. depth is a
+    node's depth within its tree. n_features is every tree's, max_depth the
+    deepest's, n_leaves the leaf count. Forest(trees=...) joins copies of
+    the given trees' arrays, leaving them as they were; from_arrays takes
+    joined ones."""
 
     trees: list
     n_trees: int
@@ -301,7 +305,8 @@ class Forest:
                               n_features=n_features, training_meta=dict(meta),
                               max_depth=max_depth)
         del nodes["child"]  # the trees' own, with local ids
-        vars(forest).update(nodes, n_trees=len(depths), bagging_meta=bagging_meta,
+        vars(forest).update(nodes, column=_read_only(nodes["feature"].astype(np.int64)),
+                            n_trees=len(depths), bagging_meta=bagging_meta,
                             n_features=n_features, max_depth=max(depths),
                             n_leaves=int(np.count_nonzero(nodes["feature"] < 0)))
         return forest
@@ -725,33 +730,36 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
 
     Lane j starts at global node node[j] and reads its feature values from
     the row of X (a C-contiguous float64 matrix) that starts at flat offset
-    x_pos[j]. Each step moves every working lane one level down; a lane
-    that reaches a leaf is written out and dropped from the working set.
-    Before the lanes move, ``flip(lane, node, feature, x, threshold,
-    go_left)`` may reverse go_left in place; ``lane`` holds the working
-    lanes' positions j, ``x`` their feature values."""
+    x_pos[j]. Each step moves every working lane one level down. A leaf is
+    its own child, so a lane that reaches one stays, and has finished when
+    its next node is its node. Finished lanes are written out and dropped
+    once they are at least a quarter of the working lanes; the walk ends
+    when all have finished. Before the lanes move, ``flip(lane, node,
+    feature, x, threshold, go_left)`` may reverse go_left in place; ``lane``
+    holds the working lanes' positions j, ``feature`` their nodes' int64
+    features and ``x`` their values. Finished lanes reach it too: a flip at
+    a leaf changes nothing, and draws keyed by counter move no other lane."""
     lane = np.arange(node.size)
-    values = X.ravel()
-    child = forest.child.ravel()
+    values, child, column = X.ravel(), forest.child.ravel(), forest.column
     out = np.empty(node.size, dtype=np.int8)
-    feat = forest.feature[node]
-    while True:
-        done = feat < 0
-        # np.count_nonzero and ndarray.nonzero, not ndarray.any and
-        # np.flatnonzero: their wrappers cost more than a small step's arithmetic
-        if np.count_nonzero(done):
-            out[lane[done]] = forest.leaf_class[node[done]]
-            keep = (~done).nonzero()[0]
-            lane, node, feat, x_pos = lane[keep], node[keep], feat[keep], x_pos[keep]
-        if lane.size == 0:
-            return out
-        x = values[x_pos + feat]
-        threshold = forest.threshold[node]
+    # ndarray.take, np.count_nonzero and ndarray.nonzero, not an index, a
+    # mask, ndarray.any and np.flatnonzero: those cost more per call
+    while lane.size:
+        feat = column.take(node)
+        x = values.take(x_pos + feat)
+        threshold = forest.threshold.take(node)
         go_left = x <= threshold
         if flip is not None:
             flip(lane, node, feat, x, threshold, go_left)
-        node = child[2 * node + ~go_left]
-        feat = forest.feature[node]
+        to = child.take(2 * node + ~go_left)
+        done = to == node
+        if 4 * np.count_nonzero(done) >= lane.size:
+            at = done.nonzero()[0]
+            out[lane.take(at)] = forest.leaf_class.take(node.take(at))
+            keep = (~done).nonzero()[0]
+            lane, to, x_pos = lane.take(keep), to.take(keep), x_pos.take(keep)
+        node = to
+    return out
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:

@@ -4,8 +4,8 @@ fairtree computes flip chances and draws in batches (traversal._flip_chance,
 rng.uniforms_at_array). This module keeps a plain, node-by-node copy of the
 same rule for tests to compare against: the distance-based flip chance, its
 fairness boost, one stream's sequential draws, one probabilistic walk, the
-exact path enumeration on those helpers, and Monte Carlo's votes drawn from
-the exact chances.
+exact path enumeration on those helpers, Monte Carlo's votes drawn from
+the exact chances, and the forest's deterministic votes.
 """
 
 from fairtree.rng import GAMMA, finalize, stream_key
@@ -151,3 +151,18 @@ def reference_monte_carlo(trees, sample, spec: FairnessSpec, config: TraversalCo
     qs = [exact(tree, sample, spec, config).probs[1] for tree in trees]
     return [[int(uniform_at(stream_key(config.seed, stream_id, s, t), 0) < q)
              for t, q in enumerate(qs)] for s in range(config.n_simulations)]
+
+
+def reference_votes(trees, X) -> list:
+    """Each row's count of trees voting 1: every tree walked node by node
+    from its root, values <= threshold to the left, to a leaf of class 1."""
+    votes = []
+    for sample in X:
+        count = 0
+        for tree in trees:
+            node = 0
+            while tree.feature[node] >= 0:
+                node = tree.child[node, 0 if _goes_left(tree, node, sample) else 1]
+            count += int(tree.leaf_class[node])
+        votes.append(count)
+    return votes

@@ -26,10 +26,11 @@ from fairtree.tree import (
     predict_forest_batch,
     train_forest,
     train_tree,
+    walk_lanes,
 )
 
-from conftest import depth1_tree, internal, leaf, make_tree, random_tree
-from reference import uniform_at
+from conftest import chain_tree, depth1_tree, internal, leaf, make_tree, random_tree
+from reference import reference_votes, uniform_at
 
 
 def make_dataset(rows, labels, n_features=None):
@@ -325,6 +326,102 @@ def test_batch_predictions_match_scalar():
     np.testing.assert_array_equal(batch, scalar)
 
 
+def bounded_walks(patch, walks: list):
+    """Make forest_votes_batch's lane walks run with a flip step that
+    changes no direction, appends to walks a list of each walk's steps,
+    (working lanes, lanes at a leaf), and fails a walk past max_depth + 1
+    steps: a lane at a leaf that did not stay there would walk on forever."""
+    walk = tree_module.walk_lanes
+
+    def bounded(forest, X, node, x_pos, flip=None):
+        steps = []
+        walks.append(steps)
+
+        def step(lane, node, feat, x, threshold, go_left):
+            steps.append((lane.size, int(np.count_nonzero(forest.feature[node] < 0))))
+            assert len(steps) <= forest.max_depth + 1, "a lane walked past its leaf"
+
+        return walk(forest, X, node, x_pos, step)
+
+    patch.setattr(tree_module, "walk_lanes", bounded)
+
+
+def random_votes_forest(rng):
+    """A forest of 1 to 6 trees on 3 features, each a single leaf or a
+    random tree of depth 1 to 8."""
+    trees = [make_tree(leaf(*rng.integers(0, 4, 2)), n_features=3) if rng.random() < 0.2
+             else random_tree(rng, n_features=3, max_depth=int(rng.integers(1, 9)),
+                              p_leaf=rng.uniform(0.0, 0.5))
+             for _ in range(rng.integers(1, 7))]
+    return Forest(trees=trees, n_trees=len(trees))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 16, tree_module.MAX_LANES]))
+@settings(max_examples=150, deadline=None)
+def test_forest_votes_equal_a_scalar_walk_of_each_tree(seed, max_lanes):
+    # random forests and rows, some of whose values sit exactly on a
+    # threshold, in chunks of max(1, max_lanes // T) rows
+    rng = np.random.default_rng(seed)
+    forest = random_votes_forest(rng)
+    X = rng.uniform(-6, 6, size=(int(rng.integers(0, 30)), 3))
+    on = rng.random(X.shape) < 0.2
+    X[on] = rng.choice(forest.threshold, size=int(on.sum()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "MAX_LANES", max_lanes)
+        bounded_walks(patch, [])
+        votes = forest_votes_batch(forest, X)
+    assert votes.dtype == np.int64
+    assert votes.tolist() == reference_votes(forest.trees, X)
+
+
+def chain_forest(chains, leaves=0):
+    """Chain trees (conftest.chain_tree) of the given lengths, then leaves
+    single-leaf trees of class 1: a row with x[1] <= 0 reaches a chain's
+    last leaf at the chain's length, one with x[1] > 0 a leaf at depth 1."""
+    trees = [chain_tree(d) for d in chains] + [make_tree(leaf(0, 1), n_features=2)] * leaves
+    return Forest(trees=trees, n_trees=len(trees))
+
+
+@pytest.mark.parametrize("case", ["spread depths", "1,500-level chain", "single leaves",
+                                  "zero rows"])
+def test_forest_votes_equal_a_scalar_walk_at_the_edges(case, monkeypatch):
+    # a lane stays at its leaf, which is its own child. Finished lanes are
+    # written out and dropped at each step where they are at least a
+    # quarter of the working lanes, and at no other; chunks of 3 rows, the
+    # last of 2
+    forest, x1 = {
+        # at step 1, 1 of a row's 7 lanes with x[1] <= 0 is at a leaf, too
+        # few to drop; at step 2, 2 of 7 are
+        "spread depths": (chain_forest([1, 2, 3, 5, 8, 13], leaves=1), [-1.0, 0.0, 0.5]),
+        "1,500-level chain": (chain_forest([1500, 2]), [-1.0, 0.0, 2.0]),
+        "single leaves": (chain_forest([], leaves=3), [-1.0, 1.0]),
+        "zero rows": (chain_forest([4, 1], leaves=1), []),
+    }[case]
+    n_rows = max(0, 3 * len(x1) - 1)
+    X = np.column_stack([np.zeros(n_rows), np.resize(x1, n_rows)])
+    monkeypatch.setattr(tree_module, "MAX_LANES", 3 * forest.n_trees)
+    walks = []
+    bounded_walks(monkeypatch, walks)
+    assert forest_votes_batch(forest, X).tolist() == reference_votes(forest.trees, X)
+    assert [steps[0][0] for steps in walks] == [3 * forest.n_trees] * (n_rows // 3) + (
+        [(n_rows % 3) * forest.n_trees] if n_rows % 3 else [])
+    fired = held = False
+    for steps in walks:
+        assert steps[-1][0] == steps[-1][1], "the walk ended with lanes still walking"
+        for (lanes, at_leaf), (next_lanes, _) in zip(steps, steps[1:]):
+            if 4 * at_leaf >= lanes:
+                fired = True
+                assert next_lanes == lanes - at_leaf
+            else:
+                held |= at_leaf > 0
+                assert next_lanes == lanes
+    if case == "spread depths":
+        assert fired and held
+    if case == "zero rows":  # forest_votes_batch walks no chunk; a walk of no lanes ends
+        no_lanes = np.empty(0, dtype=np.int64)
+        assert walk_lanes(forest, X, no_lanes, no_lanes).shape == (0,)
+
+
 def test_split_on_a_feature_beyond_n_features_is_rejected():
     tree = make_tree(internal(1, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=2)
     with pytest.raises(ValueError, match=r"^feature\[0\]: must be -1 .* = \[0, 1\)$"):
@@ -444,15 +541,23 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
     if kind in ("trained", "loaded"):
         assert dumps(built) == text
     joined = [name for name, value in vars(built).items()
-              if isinstance(value, np.ndarray) and name not in ("child", "root")]
+              if isinstance(value, np.ndarray) and name not in ("child", "root", "column")]
     assert len(joined) == 9
+    # the forest-only column is feature as int64
+    assert not built.column.flags.writeable and built.column.dtype == np.int64
+    np.testing.assert_array_equal(built.column, built.feature)
     for tree, root in zip(built.trees, built.root):
         for name in joined:
             array = getattr(tree, name)
             assert not array.flags.writeable and array.base is getattr(built, name), name
-        # a tree's child keeps local ids; the forest's holds global ones
+        # a tree's child keeps local ids, [0, 0] at a leaf; the forest's holds
+        # global ones, and each leaf's row holds the leaf's own id twice
         assert not tree.child.flags.writeable and tree.child.base is not built.child
-        np.testing.assert_array_equal(built.child[root:root + tree.feature.size], tree.child + root)
+        ids = root + np.arange(tree.feature.size)
+        leaf, rows = tree.feature < 0, built.child[ids]
+        np.testing.assert_array_equal(rows[~leaf], tree.child[~leaf] + root)
+        np.testing.assert_array_equal(rows[leaf], np.repeat(ids[leaf, None], 2, axis=1))
+        assert not tree.child[leaf].any()
 
 
 def test_a_child_in_the_next_trees_ids_is_rejected_naming_its_tree():
