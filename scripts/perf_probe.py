@@ -127,7 +127,7 @@ def chunk_memory(forest, X, spec, config, seed, stream_ids):
 
     def counted(forest, X, chance, rows, limit):
         got = pair_masses(forest, X, chance, rows, limit)
-        if got is None and rows.size > 1:  # halved and run again
+        if got is None:  # halved and run again
             failed.append(rows.size)
         else:
             chunks.append(rows.size)

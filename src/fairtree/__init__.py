@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DataError,
-    EnumerationLimitError,
     FairtreeError,
     ModelFormatError,
 )

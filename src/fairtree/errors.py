@@ -27,8 +27,3 @@ class ModelFormatError(DataError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-class EnumerationLimitError(ConfigError):
-    """Exact inference was asked past its one limit: a row whose live branches
-    and reached leaves outnumber tree.MAX_LANES."""

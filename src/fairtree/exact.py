@@ -3,9 +3,10 @@
 The pair masses (q0, q1) of every (row, tree) pair come from the walks
 Monte Carlo draws from (``traversal._mass_chunks``): the frontier of
 ``traversal._pair_masses``, or for one row of a small forest the row walk of
-``traversal._row_masses``. A pair's branches go down the forest one level
-per step and split into mass * (1 - p) at the deterministic child and mass
-* p at the flip child. The summation order: a level holds the
+``traversal._row_masses``. Every row gets its masses: a row alone fits a
+budget of the forest's leaf count. A pair's branches go down the forest one
+level per step and split into mass * (1 - p) at the deterministic child and
+mass * p at the flip child. The summation order: a level holds the
 deterministic children of the level above, then its flip children, each
 in parent order, and a pair's class masses are its leaves' masses added
 one at a time, level by level and in that order within a level.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError
 from .traversal import (VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig, _flip_chance,
                         _mass_chunks)
 from .tree import MAX_LANES, Forest, _check_matrix
@@ -45,18 +46,13 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     q1), mean_distribution the trees' mean and majority_vote (P0, P1).
 
     Rows go in the chunks of traversal._mass_chunks with a budget of
-    MAX_LANES live branches a level. A row whose own reached leaves and
-    live branches outnumber MAX_LANES at some level raises
-    EnumerationLimitError naming it. Results do not depend on the
-    chunks."""
+    MAX_LANES live branches a level, or the forest's leaf count for a row
+    alone if that is more. Results do not depend on the chunks."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)
     q = np.empty((X.shape[0], forest.n_trees, 2))
     for rows, masses in _mass_chunks(forest, X, _flip_chance(forest, spec, config), MAX_LANES):
-        if masses is None:
-            raise EnumerationLimitError(
-                f"enumeration limit exceeded: row {rows[0]} needs more than {MAX_LANES} branches")
         q[rows[0]:rows[0] + rows.size] = masses
     probs = np.clip(q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q), 0.0, 1.0)
     return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs

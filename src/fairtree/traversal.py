@@ -26,12 +26,10 @@ simulation is Bernoulli(q1): Monte Carlo (``predict_fair_batch``) lets
 tree t vote 1 in simulation s when draw 0 of the stream keyed (seed,
 stream_id, s, t) is below q1. The frontier's budget, ``tree.MAX_LANES``,
 counts a level's live branches; reached leaves are held apart and added
-in as they pile up. A row whose own reached leaves and live branches
-outnumber it at some level walks its lanes instead (``tree.walk_lanes``
-with ``_flip_step``), drawing at a node of depth k draw k of the same
-streams (a lane waiting at its leaf may draw too, and stays). Which way a
-row goes depends on the row alone, so results do not depend on evaluation
-order, batching or chunks.
+in as they pile up. A pair's branches never merge, since a node has one
+path from its root, so a row alone never has more live branches than the
+forest has leaves, and a one-row chunk takes that as its budget: every
+row fits. Results do not depend on evaluation order, batching or chunks.
 """
 
 from __future__ import annotations
@@ -42,14 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError
 from .tree import (
     MAX_LANES,
     DecisionTree,
     Forest,
     _check_matrix,
     _check_sample,
-    walk_lanes,
 )
 
 VOTE_MAJORITY = "majority_vote"
@@ -149,22 +146,6 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
     return chance
 
 
-def _flip_step(forest: Forest, chance, keys):
-    """The Monte Carlo step of walk_lanes for lanes drawing from streams
-    keys. A uniform is drawn only for lanes whose chance is above 0: u < 0
-    never holds, so the skipped draws change no result. A lane at a node
-    of depth k uses draw k of its stream."""
-
-    @np.errstate(over="ignore")  # see _flip_chance
-    def flip(lane, node, feat, x, threshold, go_left):
-        p = chance(node, feat, x, threshold, go_left)
-        hit = (p > _ZERO).nonzero()[0]
-        if hit.size:
-            go_left[hit] ^= _rng.below_array(keys[lane[hit]], forest.depth[node[hit]], p[hit])
-
-    return flip
-
-
 def _add_leaves(q, leaves, slots):
     """q plus the masses of leaves, a list of (slot, mass) arrays, each
     added at its slot one at a time in list order: np.bincount into a new
@@ -179,19 +160,14 @@ def _add_leaves(q, leaves, slots):
 
 @np.errstate(over="ignore")  # see _flip_chance
 def _pair_masses(forest: Forest, X, chance, rows, limit: int):
-    """(q, past, peak) for rows: q the (q0, q1) of their (row, tree)
-    pairs, shaped (rows, T, 2); past None, or a mask of the rows whose own
-    reached leaves and live branches outnumber limit at some level, whose
-    branches are dropped there and whose q is not valid; peak the most
-    live branches of a level. None once one level's live branches
-    outnumber limit.
+    """(q, peak) for rows: q the (q0, q1) of their (row, tree) pairs,
+    shaped (rows, T, 2), and peak the most live branches of a level. None
+    once one level's live branches outnumber limit.
 
     Only live branches count against limit. Reached leaves are held in
-    arrival order and added into q whenever more than limit are held.
-    Rows are counted one by one only at levels where a row's reached
-    leaves and the chunk's live branches may outnumber limit."""
+    arrival order and added into q whenever more than limit are held."""
     T = forest.n_trees
-    slots, row_slots = 2 * rows.size * T, np.int64(2 * T)
+    slots = 2 * rows.size * T
     values, child, column = X.ravel(), forest.child.ravel(), forest.column
     x_pos = np.repeat(rows * X.shape[1], 2 * T)
     node = np.tile(forest.root, rows.size)
@@ -199,24 +175,15 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
         return None
     slot = np.arange(0, slots, 2)  # a branch's pair's q0 slot, 2 * pair; q1's is slot + 1
     mass = np.ones(node.size)
-    leaves, held, reached, peak = [], 0, 0, node.size
-    q = per_row = past = None
-
-    def counted():  # per_row, each row's reached leaves: at first the held ones
-        return per_row if per_row is not None else np.bincount(
-            np.concatenate([s for s, _ in leaves]) // row_slots, minlength=rows.size)
-
+    leaves, held, peak, q = [], 0, node.size, None
     while node.size:
         feat = column.take(node)
         done = feat < _INT64_0
         if np.count_nonzero(done):
             at = done.nonzero()[0]
             leaves.append((slot[at] + forest.leaf_class[node[at]], mass[at]))
-            held, reached = held + at.size, reached + at.size
-            if per_row is not None:
-                per_row += np.bincount(slot[at] // row_slots, minlength=rows.size)
+            held += at.size
             if held > limit:
-                per_row = counted()
                 q, leaves, held = _add_leaves(q, leaves, slots), [], 0
             at = (~done).nonzero()[0]
             node, feat, slot, mass = node[at], feat[at], slot[at], mass[at]
@@ -243,25 +210,16 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
         else:
             to, slot, mass = to[s], slot[s], stay[s]
         node = child[to]
-        if (reached if per_row is None else per_row.max()) + node.size > limit:
-            per_row = counted()  # and drop the rows past limit
-            over = per_row + np.bincount(slot // row_slots, minlength=rows.size) > limit
-            if np.count_nonzero(over):
-                at = (~over[slot // row_slots]).nonzero()[0]
-                node, slot, mass = node[at], slot[at], mass[at]
-                reached -= int(per_row[over].sum())
-                per_row[over] = 0
-                past = over if past is None else past | over
-    if leaves:  # a row is dropped only after it reached a leaf, so q is set
+    if leaves:  # q is set after this: each pair reaches a leaf
         q = _add_leaves(q, leaves, slots)
-    return q.reshape(rows.size, T, 2), past, peak
+    return q.reshape(rows.size, T, 2), peak
 
 
 @np.errstate(over="ignore")  # see _flip_chance
-def _row_masses(model: Forest | DecisionTree, roots, x, chance, limit: int):
+def _row_masses(model: Forest | DecisionTree, roots, x, chance):
     """_pair_masses's q, bit for bit, for one row x down model's trees from
-    roots, shaped (T, 2), or None past limit: a scalar walk in the frontier's
-    order, over the flip chances of one call of chance over internal nodes."""
+    roots, shaped (T, 2): a scalar walk in the frontier's order, over the
+    flip chances of one call of chance over internal nodes."""
     internal = (model.feature >= 0).nonzero()[0]
     feat, threshold = model.feature[internal], model.threshold[internal]
     go_left = (value := x[feat]) <= threshold
@@ -271,15 +229,12 @@ def _row_masses(model: Forest | DecisionTree, roots, x, chance, limit: int):
     p_flip[internal] = chance(internal, feat, value, threshold, go_left)
     to[internal] = (internal << _INT64_1) + ~go_left
     p_flip, to, child, leaf = map(memoryview, (p_flip, to, model.child.ravel(), model.leaf_class))
-    q, level, held = [0.0] * (2 * len(roots)), [(2 * t, r, 1.0) for t, r in enumerate(roots)], 0
+    q, level = [0.0] * (2 * len(roots)), [(2 * t, r, 1.0) for t, r in enumerate(roots)]
     while level:
-        if held + len(level) > limit:
-            return None
         stay, flip = [], []
         for slot, node, mass in level:
             if (d := to[node]) < 0:
                 q[slot + leaf[node]] += mass
-                held += 1
                 continue
             if (m := mass * (1.0 - (p := p_flip[node]))) > 0.0:
                 stay.append((slot, child[d], m))
@@ -292,40 +247,30 @@ def _row_masses(model: Forest | DecisionTree, roots, x, chance, limit: int):
 def _mass_chunks(forest: Forest, X, chance, limit: int):
     """(rows, q) for X's rows in consecutive runs, in row order: q the
     rows' pair masses (_row_masses for X of one row and MAX_LANES nodes at
-    most, else _pair_masses), or None for a row alone whose own reached
-    leaves and live branches outnumber limit at some level. A chunk first
-    holds limit // (the forest's leaf count) rows, which fits: a pair has at
-    most one live branch per leaf of its tree. A chunk whose live branches
-    outnumber limit at some level is halved and redone. After one that
-    fits, the next holds as many rows as would fill 2/3 of limit at the
-    chunk's live peak per row, if that is more, but at most limit // T. A
-    row's q does not depend on its chunk."""
+    most, else _pair_masses). A chunk first holds limit // (the forest's
+    leaf count) rows, which fits: a pair has at most one live branch per
+    leaf of its tree. A chunk of rows whose live branches outnumber limit
+    at some level is halved and redone; a row alone has the forest's leaf
+    count as its budget if that is more, so it always fits. After a chunk,
+    the next holds as many rows as would fill 2/3 of limit at the chunk's
+    live peak per row, if that is more, but at most limit // T. A row's q
+    does not depend on its chunk."""
     n, T = X.shape[0], forest.n_trees
     if n == 1 and forest.feature.size <= MAX_LANES:
-        q = _row_masses(forest, forest.root.tolist(), X[0], chance, limit)
-        yield np.arange(1), q if q is None else q[None]
+        yield np.arange(1), _row_masses(forest, forest.root.tolist(), X[0], chance)[None]
         return
     r0, size = 0, max(1, limit // forest.n_leaves)
     while r0 < n:
         rows = np.arange(r0, min(n, r0 + size))
-        got = _pair_masses(forest, X, chance, rows, limit)
-        if got is None and rows.size > 1:
+        got = _pair_masses(forest, X, chance, rows,
+                           limit if rows.size > 1 else max(limit, forest.n_leaves))
+        if got is None:
             while size >= rows.size:  # sizes that do not depend on n
                 size //= 2
             continue
         r0 += rows.size
-        if got is None:
-            yield rows, None
-            continue
-        q, past, peak = got
-        start = 0
-        for i in () if past is None else past.nonzero()[0]:
-            if i > start:
-                yield rows[start:i], q[start:i]
-            yield rows[i:i + 1], None
-            start = i + 1
-        if start < rows.size:
-            yield rows[start:], q[start:]
+        q, peak = got
+        yield rows, q
         size = min(max(1, limit // T), max(size, 2 * rows.size * limit // (3 * peak)))
 
 
@@ -371,12 +316,10 @@ def predict_fair_batch(
 
     Rows go in the chunks of exact_forest_batch, whose pair masses q give
     each (row, tree) pair's vote chance q1. Tree t votes 1 in simulation s
-    of a row when draw 0 of stream (seed, stream id, s, t) is below q1. A
-    row whose own reached leaves and live branches outnumber MAX_LANES at
-    some level walks its lanes instead, drawing at a node of depth k draw
-    k of the same stream. The (row, simulation, tree) lanes go
-    in blocks of whole simulations, at most max_lanes lanes but never less
-    than one simulation of one row. Results do not depend on max_lanes."""
+    of a row when draw 0 of stream (seed, stream id, s, t) is below q1. The
+    (row, simulation, tree) lanes go in blocks of whole simulations, at
+    most max_lanes lanes but never less than one simulation of one row.
+    Results do not depend on max_lanes."""
     if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)
@@ -402,12 +345,7 @@ def predict_fair_batch(
                 # keys[row, tree, simulation]: stream (seed, stream id, simulation, tree)
                 keys = _rng.stream_key_array(config.seed, stream_ids[at, None, None],
                                              sims[s0:s0 + block_sims], trees[:, None])
-                if q is None:  # one row, past the budget
-                    votes = walk_lanes(forest, X, np.repeat(forest.root, keys.shape[2]),
-                                       np.full(keys.size, at[0] * X.shape[1]),
-                                       _flip_step(forest, chance, keys.ravel())).reshape(keys.shape)
-                else:
-                    votes = _rng.below_array(keys, 0, q[r0:r0 + at.size, :, 1, None])
+                votes = _rng.below_array(keys, 0, q[r0:r0 + at.size, :, 1, None])
                 votes = votes.sum(axis=1)  # each simulation's votes for 1
                 if aggregation == VOTE_MAJORITY:
                     votes = 2 * votes > T
@@ -422,11 +360,8 @@ def exact_path_distribution(tree: DecisionTree, sample, spec: FairnessSpec,
                             config: TraversalConfig) -> PredictionDistribution:
     """Closed-form traversal distribution, the verification oracle for the
     Monte Carlo estimate: the row walk (_row_masses) down one tree, so it
-    equals exact_forest_batch on one tree bit for bit, and under its limit."""
+    equals exact_forest_batch on one tree bit for bit."""
     sample = _check_sample(sample, tree.n_features)
-    q = _row_masses(tree, [0], sample, _flip_chance(tree, spec, config), MAX_LANES)
-    if q is None:
-        raise EnumerationLimitError(
-            f"enumeration limit exceeded: the sample needs more than {MAX_LANES} branches")
+    q = _row_masses(tree, [0], sample, _flip_chance(tree, spec, config))
     return PredictionDistribution(probs=tuple(min(p, 1.0) for p in q[0].tolist()),
                                   n_simulations_used=0)

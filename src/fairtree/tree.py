@@ -115,11 +115,11 @@ class DecisionTree:
     threshold[i] of feature[i] left; row i of child holds its (left,
     right) children and row i of majority their subtrees' majority
     classes. A leaf has feature -1 and its training class counts in
-    class_counts; leaf_class is its majority class, ties to 0. depth[i] is
-    node i's distance from the root in edges and max_depth the longest
-    root-to-leaf path. The flip rule divides distances by flip_divisor:
-    scale, +inf at uniform-distance nodes and the smallest subnormal where
-    scale is 0. The arrays are read-only. Building a tree
+    class_counts; leaf_class is its majority class, ties to 0. max_depth
+    is the longest root-to-leaf path, in edges. The flip rule divides
+    distances by flip_divisor: scale, +inf at uniform-distance nodes and
+    the smallest subnormal where scale is 0. The arrays are read-only.
+    Building a tree
     (trained, loaded or by hand; a forest's trees all at once, with the
     same rules) checks that n_features is an integer >= 1;
     each node array casts to its dtype with no value changed; feature is in
@@ -139,7 +139,6 @@ class DecisionTree:
     n_features: int
     training_meta: dict = field(default_factory=dict)
     leaf_class: np.ndarray = field(init=False, repr=False)
-    depth: np.ndarray = field(init=False, repr=False)
     max_depth: int = field(init=False)
     flip_divisor: np.ndarray = field(init=False, repr=False)
 
@@ -245,7 +244,6 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
         level = node_child[level].ravel()
         d += 1
         depth[level] = d
-    nodes["depth"] = _read_only(depth)
     max_depth = [int(depth.max())] if size.size == 1 else np.maximum.reduceat(depth, root).tolist()
     leaves = leaf[:, 0].nonzero()[0]
     node_child[leaves] = leaves[:, None]  # a walk that reaches a leaf stays there
@@ -261,15 +259,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class Forest:
     """Bagged trees. A forest holds its trees' node arrays once, joined
     tree-major and read-only, under the DecisionTree names (feature,
-    threshold, child, depth, flip_divisor and the others), and its trees
-    are read-only views of them. Building it checks every tree rule once
-    over the joined arrays. Node ids are global (tree t's root is root[t])
+    threshold, child, flip_divisor and the others), and its trees are
+    read-only views of them. Building it checks every tree rule once over
+    the joined arrays. Node ids are global (tree t's root is root[t])
     except in a tree's own child, which stays local; in the forest's, a
-    leaf is its own two children. column is feature as int64. depth is a
-    node's depth within its tree. n_features is every tree's, max_depth the
-    deepest's, n_leaves the leaf count. Forest(trees=...) joins copies of
-    the given trees' arrays, leaving them as they were; from_arrays takes
-    joined ones."""
+    leaf is its own two children. column is feature as int64. n_features
+    is every tree's, max_depth the deepest's, n_leaves the leaf count.
+    Forest(trees=...) joins copies of the given trees' arrays, leaving them
+    as they were; from_arrays takes joined ones."""
 
     trees: list
     n_trees: int
@@ -710,12 +707,12 @@ def predict_deterministic(model, sample):
     return int(model.leaf_class[node])
 
 
-# Lanes per chunk of a batch walk; live branches per level, and unflushed
-# reached leaves, per chunk of the exact frontier; and each row's own
-# reached leaves plus live branches, past which the exact engine raises and
-# Monte Carlo walks the row. A lane is one root-to-leaf walk of one tree for
-# one row (and, in Monte Carlo, one simulation); a chunk's transient arrays
-# take a few MB at this size.
+# Lanes per chunk of a deterministic batch walk (a lane is one
+# root-to-leaf walk of one tree for one row); Monte Carlo's default draws
+# per block, one per (row, tree, simulation); and live branches per level,
+# and unflushed reached leaves, per chunk of rows of the exact frontier. A
+# row alone takes the forest's leaf count there if that is more, which
+# always fits it. A chunk's transient arrays take a few MB at this size.
 MAX_LANES = 2**15
 
 
@@ -724,9 +721,8 @@ def flatten_tree(tree: DecisionTree) -> DecisionTree:
     return tree
 
 
-def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarray,
-               flip=None) -> np.ndarray:
-    """Leaf classes of a batch of lanes walked over a forest.
+def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarray) -> np.ndarray:
+    """Leaf classes of a batch of lanes walked deterministically over a forest.
 
     Lane j starts at global node node[j] and reads its feature values from
     the row of X (a C-contiguous float64 matrix) that starts at flat offset
@@ -734,11 +730,7 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
     its own child, so a lane that reaches one stays, and has finished when
     its next node is its node. Finished lanes are written out and dropped
     once they are at least a quarter of the working lanes; the walk ends
-    when all have finished. Before the lanes move, ``flip(lane, node,
-    feature, x, threshold, go_left)`` may reverse go_left in place; ``lane``
-    holds the working lanes' positions j, ``feature`` their nodes' int64
-    features and ``x`` their values. Finished lanes reach it too: a flip at
-    a leaf changes nothing, and draws keyed by counter move no other lane."""
+    when all have finished."""
     lane = np.arange(node.size)
     values, child, column = X.ravel(), forest.child.ravel(), forest.column
     out = np.empty(node.size, dtype=np.int8)
@@ -746,11 +738,7 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
     # mask, ndarray.any and np.flatnonzero: those cost more per call
     while lane.size:
         feat = column.take(node)
-        x = values.take(x_pos + feat)
-        threshold = forest.threshold.take(node)
-        go_left = x <= threshold
-        if flip is not None:
-            flip(lane, node, feat, x, threshold, go_left)
+        go_left = values.take(x_pos + feat) <= forest.threshold.take(node)
         to = child.take(2 * node + ~go_left)
         done = to == node
         if 4 * np.count_nonzero(done) >= lane.size:
@@ -771,8 +759,8 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 
 
 def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
-    """Per-sample count of trees voting for class 1: the lane walk with no
-    flip step, one lane per (row, tree)."""
+    """Per-sample count of trees voting for class 1: the lane walk, one
+    lane per (row, tree)."""
     X = _check_matrix(X, forest.n_features)
     n_trees = forest.n_trees
     rows_per_chunk = max(1, MAX_LANES // n_trees)

@@ -37,7 +37,7 @@ from fairtree.exact import exact_forest_batch
 from fairtree.model_io import dumps, load_model
 from fairtree.rng import stream_key
 from fairtree.traversal import FairnessSpec
-from fairtree.tree import MAX_LANES, Forest
+from fairtree.tree import Forest
 
 from conftest import chain_tree, full_uniform_tree, leaf, make_tree
 
@@ -220,9 +220,9 @@ def test_each_fold_walks_its_test_votes_once(monkeypatch):
     # test rows; fitting the threshold policy walks its train rows
     walks, walk = [], tree.walk_lanes
 
-    def counting_walk(forest, X, node, x_pos, flip=None):
+    def counting_walk(forest, X, node, x_pos):
         walks.append(node.size // forest.n_trees)  # the rows walked
-        return walk(forest, X, node, x_pos, flip)
+        return walk(forest, X, node, x_pos)
 
     monkeypatch.setattr(tree, "walk_lanes", counting_walk)
     config = small_config(methods=(METHOD_BASELINE, METHOD_THRESHOLD))
@@ -599,22 +599,26 @@ def test_cli_predict_model_and_data_mismatches_exit_cleanly(tmp_path, capsys):
                      "--out", str(fixture_model)]) == 0
     n_features = load_dataset(load_dataset_config(SYNTHETIC)).n_features
     assert n_features != 2
-    # a complete uniform-distance tree of depth 15 and a one-leaf tree:
-    # every row has 2**15 + 1 paths, one more than the exact kernel's budget
-    wide_model = tmp_path / "wide_model.json"
-    wide_model.write_text(dumps(Forest(trees=[
-        full_uniform_tree(np.random.default_rng(0), 15, n_features=2),
-        make_tree(leaf(1, 0), n_features=2)], n_trees=2)))
     capsys.readouterr()
-    cases = (
-        (["--model", str(fixture_model)], 2,
-         f"data error: {fixture_model}: model has {n_features} features; dataset has 2"),
-        (["--model", str(wide_model), "--exact"], 1,
-         f"config error: enumeration limit exceeded: row 0 needs more than {MAX_LANES} "
-         f"branches"),
-    )
-    for flags, code, message in cases:
-        assert_clean_exit(capsys, ["predict", "--data", str(two), *flags], code, message)
+    assert_clean_exit(capsys, ["predict", "--data", str(two), "--model", str(fixture_model)], 2,
+                      f"data error: {fixture_model}: model has {n_features} features; "
+                      f"dataset has 2")
+    # a complete uniform-distance tree of depth 15 and a one-leaf tree:
+    # every row has 2**15 + 1 paths, one more than the exact kernel's
+    # budget, and gets its exact probabilities
+    wide = Forest(trees=[full_uniform_tree(np.random.default_rng(0), 15, n_features=2),
+                         make_tree(leaf(1, 0), n_features=2)], n_trees=2)
+    wide_model, out = tmp_path / "wide_model.json", tmp_path / "wide.csv"
+    wide_model.write_text(dumps(wide))
+    assert cli.main(["predict", "--data", str(two), "--model", str(wide_model), "--exact",
+                     "--out", str(out)]) == 0
+    dataset, protected, _ = bench.load(str(two))
+    config = ExperimentConfig().traversal_config(0)
+    preds, probs = exact_forest_batch(wide, dataset.rows,
+                                      FairnessSpec(protected_feature=protected), config)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3 and [line.split(",")[3:] for line in lines[1:]] == [
+        [str(pred), repr(float(p))] for pred, p in zip(preds, probs[:, 1])]
 
 
 def test_cli_invalid_options_exit_before_reading_data(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairtree import exact, traversal
-from fairtree.errors import ConfigError, EnumerationLimitError
+from fairtree.errors import ConfigError
 from fairtree.exact import exact_forest_batch
 from fairtree.traversal import VOTE_MAJORITY, VOTE_MEAN, exact_path_distribution, predict_fair_batch
 from fairtree.tree import MAX_LANES, Forest
@@ -175,55 +175,51 @@ def test_transient_memory_does_not_grow_with_rows():
     assert peaks[1] <= 1.05 * peaks[0] + 64 * T * 1800
 
 
-def test_row_outgrowing_the_budget_raises(rng, monkeypatch):
-    # a complete uniform-distance tree of depth 12: 4,096 leaves a row
+def test_a_row_outgrowing_the_budget_gets_exact_masses(rng, monkeypatch):
+    # a complete uniform-distance tree of depth 12: 4,096 leaves a row, all
+    # live at once. Below that budget each row runs alone, on a budget of
+    # the forest's leaf count, and its probabilities keep their bits
     forest = Forest(trees=[full_uniform_tree(rng, 12)], n_trees=1)
     X = protected_rows(rng, 3)
-    monkeypatch.setattr(exact, "MAX_LANES", 100)
-    with pytest.raises(EnumerationLimitError,
-                       match=r"^enumeration limit exceeded: row 0 needs more than 100 branches$"):
-        exact_forest_batch(forest, X, SPEC, config())
-    monkeypatch.setattr(exact, "MAX_LANES", 4095)
-    with pytest.raises(EnumerationLimitError, match="row 0 needs more than 4095 branches"):
-        exact_forest_batch(forest, X, SPEC, config())
-    monkeypatch.setattr(exact, "MAX_LANES", 4096)
-    _, probs = exact_forest_batch(forest, X, SPEC, config())
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+    want = [reference_exact(forest.trees[0], x, SPEC, config()).probs for x in X]
+    calls, pair_masses = [], traversal._pair_masses
+
+    def counted(forest, X, chance, rows, limit):
+        calls.append((rows.size, limit))
+        return pair_masses(forest, X, chance, rows, limit)
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    for budget, chunks in ((100, [(1, 4096)] * 3), (4095, [(1, 4096)] * 3),
+                           (4096, [(1, 4096)] * 3), (MAX_LANES, [(3, MAX_LANES)])):
+        calls.clear()
+        monkeypatch.setattr(exact, "MAX_LANES", budget)
+        _, probs = exact_forest_batch(forest, X, SPEC, config())
+        assert [tuple(p) for p in probs] == want, budget
+        assert calls == chunks, budget
 
 
-def raises_at_budget(call):
-    try:
-        call()
-    except EnumerationLimitError:
-        return True
-    return False
-
-
-def test_both_exact_paths_share_one_budget(rng, monkeypatch):
+def test_both_exact_paths_agree_at_every_budget(rng, monkeypatch):
     # each row needs as many branches as its widest level holds alive
     # plus the leaves reached above it; a complete uniform-distance tree
-    # of depth d needs 2^d
+    # of depth d needs 2^d. At every budget, below and above that, the
+    # per-row API, the kernel on each row alone (the row walk, or the
+    # frontier once the budget is below the node count) and the kernel on
+    # all rows give the scalar enumeration's probabilities
     cfg = config(p_max=0.5, alpha=9.0)
-    cases = [(full_uniform_tree(rng, d), protected_rows(rng, 2), 2**d) for d in (0, 3, 6)]
+    cases = [(full_uniform_tree(rng, d), protected_rows(rng, 2)) for d in (0, 3, 6)]
     cases += [(random_tree(rng, n_features=3, max_depth=6, p_leaf=0.15, p_uniform=0.3),
-               protected_rows(rng, 4), None) for _ in range(6)]
-    for tree, X, need in cases:
+               protected_rows(rng, 4)) for _ in range(6)]
+    for tree, X in cases:
         forest = Forest(trees=[tree], n_trees=1)
-        for budget in range(2 ** tree.max_depth + 2):
+        want = [reference_exact(tree, x, SPEC, cfg).probs for x in X]
+        assert [exact_path_distribution(tree, x, SPEC, cfg).probs for x in X] == want
+        for budget in range(1, 2 ** tree.max_depth + 2):
             monkeypatch.setattr(exact, "MAX_LANES", budget)
             monkeypatch.setattr(traversal, "MAX_LANES", budget)
-            per_row = [raises_at_budget(lambda: exact_path_distribution(tree, x, SPEC, cfg))
-                       for x in X]
-            kernel = [raises_at_budget(lambda: exact_forest_batch(forest, X[i:i + 1], SPEC, cfg))
-                      for i in range(len(X))]
-            assert per_row == kernel, budget
-            if need is not None:
-                assert per_row == [budget < need] * len(X)
-            if any(per_row):
-                first = per_row.index(True)
-                with pytest.raises(EnumerationLimitError,
-                                   match=f"row {first} needs more than {budget} branches"):
-                    exact_forest_batch(forest, X, SPEC, cfg)
+            alone = [tuple(exact_forest_batch(forest, X[i:i + 1], SPEC, cfg)[1][0])
+                     for i in range(len(X))]
+            assert alone == want, budget
+            assert [tuple(p) for p in exact_forest_batch(forest, X, SPEC, cfg)[1]] == want, budget
 
 
 def test_exact_probabilities_never_exceed_one(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairtree import traversal
-from fairtree.errors import ConfigError, EnumerationLimitError
+from fairtree.errors import ConfigError
 from fairtree.exact import exact_forest_batch
 from fairtree.traversal import (
     VOTE_MAJORITY,
@@ -21,7 +21,6 @@ from fairtree.tree import (
     Forest,
     flatten_tree,
     forest_votes_batch,
-    walk_lanes,
     predict_deterministic,
     predict_forest_batch,
 )
@@ -286,9 +285,11 @@ def test_exact_applies_fairness_boost():
 
 
 def test_enumeration_limit_is_enforced(monkeypatch):
-    # no depth limit: a chain of 1,000 levels enumerates, and a row that
-    # needs more branches than MAX_LANES raises; a complete
-    # uniform-distance tree of depth 12 holds 4,096 leaves a row
+    # the limit bounds memory, not depth or width: a chain of 1,000 levels
+    # enumerates, and so does a complete uniform-distance tree of depth 12
+    # (4,096 leaves a row) under a budget of 4,095. A chunk of rows holds at
+    # most MAX_LANES live branches a level and a row alone at most the
+    # forest's leaf count, with the same probabilities as the default budget
     node = leaf(1, 0)
     for _ in range(1000):
         node = internal(0, 0.0, 1.0, node, leaf(0, 1))
@@ -296,15 +297,22 @@ def test_enumeration_limit_is_enforced(monkeypatch):
     assert tree.max_depth == 1000
     dist = exact_path_distribution(tree, [0.0], SPEC, config())
     assert dist.probs[0] == pytest.approx(0.9**1000, rel=1e-12)
-    tree = full_uniform_tree(np.random.default_rng(3), 12)
-    monkeypatch.setattr(traversal, "MAX_LANES", 4095)
-    with pytest.raises(EnumerationLimitError,
-                       match=r"^enumeration limit exceeded: the sample needs more than 4095 "
-                             r"branches$"):
-        exact_path_distribution(tree, [0.0, 1.0, 2.0], SPEC, config())
-    monkeypatch.setattr(traversal, "MAX_LANES", 4096)
-    dist = exact_path_distribution(tree, [0.0, 1.0, 2.0], SPEC, config())
-    assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
+    forest = Forest(trees=[full_uniform_tree(np.random.default_rng(3), 12)], n_trees=1)
+    X = np.array([[0.0, 1.0, 2.0], [1.0, -1.0, 0.5], [0.0, 0.0, 0.0]])
+    want = exact_forest_batch(forest, X, SPEC, config())[1]
+    assert [tuple(p) for p in want] == [exact_path_distribution(forest.trees[0], x, SPEC,
+                                                                config()).probs for x in X]
+    chunks, pair_masses = [], traversal._pair_masses
+
+    def counted(forest, X, chance, rows, limit):
+        got = pair_masses(forest, X, chance, rows, limit)
+        chunks.append((rows.size, limit, None if got is None else got[1]))
+        return got
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    monkeypatch.setattr("fairtree.exact.MAX_LANES", 4095)
+    np.testing.assert_array_equal(exact_forest_batch(forest, X, SPEC, config())[1], want)
+    assert chunks == [(1, 4096, 4096)] * 3
 
 
 def test_exact_equals_scalar_reference_bit_for_bit(rng):
@@ -496,7 +504,7 @@ def test_wide_frontiers_run_in_many_chunks_and_match_manual_vote_recount(rng, mo
         return pair_masses(forest, X, chance, rows, limit)
 
     monkeypatch.setattr(traversal, "_pair_masses", counted)
-    monkeypatch.setattr(traversal, "walk_lanes", None)
+    monkeypatch.setattr("fairtree.tree.walk_lanes", None)
     for aggregation, count1, denom in ((VOTE_MAJORITY, majority, S), (VOTE_MEAN, mean, S * T)):
         expected = np.c_[(denom - count1) / denom, count1 / denom]
         for max_lanes, rows in ((1, 3), (250, n_rows), (MAX_LANES, n_rows)):
@@ -645,7 +653,7 @@ def test_a_census_sized_call_draws_in_the_exact_chunks_and_walks_no_lane(monkeyp
     exact_forest_batch(forest, X, SPEC, cfg)
     exact_chunks = chunks[:]
     chunks.clear()
-    monkeypatch.setattr(traversal, "walk_lanes", None)
+    monkeypatch.setattr("fairtree.tree.walk_lanes", None)
     monkeypatch.setattr(traversal._rng, "below_array", counted_draws)
     preds, probs = predict_fair_batch(forest, X, SPEC, cfg)
     assert chunks == exact_chunks and sum(chunks) == 300
@@ -695,13 +703,24 @@ def test_a_census_sized_call_peaks_within_12_bytes_a_lane():
     assert peak < 12 * lanes, peak / lanes
 
 
-def test_rows_past_the_budget_walk_their_lanes(rng, monkeypatch):
+def recounted_probs(forest, X, cfg, ids, aggregation):
+    """predict_fair_batch's probs recounted from reference_monte_carlo's
+    votes, row by row."""
+    votes = np.array([reference_monte_carlo(forest.trees, x, SPEC, cfg, int(i))
+                      for x, i in zip(X, ids)])
+    if aggregation == VOTE_MAJORITY:
+        count1, denom = (2 * votes.sum(axis=2) > forest.n_trees).sum(axis=1), cfg.n_simulations
+    else:
+        count1, denom = votes.sum(axis=(1, 2)), cfg.n_simulations * forest.n_trees
+    return np.c_[(denom - count1) / denom, count1 / denom]
+
+
+def test_rows_past_the_budget_draw_from_their_exact_masses(rng, monkeypatch):
     # a budget of 64 branches. The first tree is complete, of depth 6, and
-    # splits on feature 1 at 0 with scale 1: an odd row, near 0, reaches all
-    # 64 leaves and is past the budget, so it walks its lanes, drawing at a
-    # node of depth k draw k of its streams; an even row, at 100, reaches
-    # one and fits. Each row's results equal the row's alone, and stay
-    # within the binomial bound of exact
+    # splits on feature 1 at 0 with scale 1: an odd row, near 0, reaches
+    # all 64 leaves and is past the budget; an even row, at 100, reaches
+    # one. Every row draws its votes from its exact masses and walks no
+    # lane; each row's results equal the scalar recount and the row's alone
     def grow(depth):
         if depth == 0:
             return leaf(*rng.integers(0, 5, 2))
@@ -715,35 +734,17 @@ def test_rows_past_the_budget_walk_their_lanes(rng, monkeypatch):
     X[:, 1] = np.where(np.arange(n_rows) % 2, rng.uniform(-0.05, 0.05, n_rows), 100.0)
     ids = np.arange(n_rows) * 3 + 1
     cfg = config(n_simulations=S, p_max=0.3, alpha=4.0, seed=23)
-    q = [[exact_path_distribution(t, x, SPEC, cfg).probs[1] for t in forest.trees] for x in X]
-    # row 1's walks, node by node
-    walks = np.array([[traverse_once(tree, X[1], SPEC, cfg,
-                                     TraversalStream.derive(cfg.seed, int(ids[1]), s, t))
-                       for t, tree in enumerate(forest.trees)] for s in range(S)])
     monkeypatch.setattr(traversal, "MAX_LANES", 64)
-    walked = []
-
-    def counting_walk(forest, X, node, x_pos, flip=None):
-        walked.append(int(x_pos[0]) // X.shape[1])
-        return walk_lanes(forest, X, node, x_pos, flip)
-
-    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
-    for aggregation, count1, denom in ((VOTE_MAJORITY, (2 * walks.sum(axis=1) > T).sum(), S),
-                                       (VOTE_MEAN, walks.sum(), S * T)):
-        walked.clear()
+    monkeypatch.setattr("fairtree.tree.walk_lanes", None)
+    for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
         preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
                                           aggregation=aggregation, max_lanes=150)
-        assert sorted(set(walked)) == list(range(1, n_rows, 2))
-        assert probs[1, 1] == count1 / denom
+        np.testing.assert_array_equal(probs, recounted_probs(forest, X, cfg, ids, aggregation))
         for i in range(n_rows):
             alone = predict_fair_batch(forest, X[i:i + 1], SPEC, cfg, stream_ids=ids[i:i + 1],
                                        aggregation=aggregation)
             np.testing.assert_array_equal(alone[1], probs[i:i + 1])
             assert alone[0][0] == preds[i]
-        if aggregation == VOTE_MAJORITY:
-            for i in range(n_rows):
-                Q = majority_probability(q[i])
-                assert binomial_tail(round(probs[i, 1] * S), S, Q) > 1e-6, (i, Q, probs[i, 1])
 
 
 def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
@@ -752,7 +753,8 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
     # uniform-distance. Row 5, near 0, has 64 live branches at depth 6
     # after reaching 16 leaves at depth 4: 80, past the limit. The other
     # rows, at 100, reach 16 + 1 leaves. A 3-row chunk holding row 5 has
-    # at most 64 + 2 live branches, so it fits, and row 5 alone is past
+    # at most 64 + 2 live branches, so it fits, and row 5 gets its masses
+    # there: only live branches count against the budget
     def grow(depth):
         if depth == 0:
             return leaf(*rng.integers(0, 5, 2))
@@ -767,37 +769,28 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
     X[wide, 1] = 0.01
     ids = np.arange(n_rows) * 5 + 2
     cfg = config(n_simulations=S, p_max=0.3, alpha=4.0, seed=29)
+    want = exact_forest_batch(forest, X, SPEC, cfg)[1]
     monkeypatch.setattr("fairtree.exact.MAX_LANES", budget)
     monkeypatch.setattr(traversal, "MAX_LANES", budget)
-    attempts, walked, pair_masses = [], [], traversal._pair_masses
+    attempts, pair_masses = [], traversal._pair_masses
 
     def counted(forest, X, chance, rows, limit):
         got = pair_masses(forest, X, chance, rows, limit)
         attempts.append((rows.tolist(), got is not None))
         return got
 
-    def counting_walk(forest, X, node, x_pos, flip=None):
-        walked.append(int(x_pos[0]) // X.shape[1])
-        return walk_lanes(forest, X, node, x_pos, flip)
-
     monkeypatch.setattr(traversal, "_pair_masses", counted)
-    monkeypatch.setattr(traversal, "walk_lanes", counting_walk)
-    with pytest.raises(EnumerationLimitError,
-                       match=rf"^enumeration limit exceeded: row {wide} needs more than "
-                             rf"{budget} branches$"):
-        exact_forest_batch(forest, X, SPEC, cfg)
+    _, probs = exact_forest_batch(forest, X, SPEC, cfg)
+    np.testing.assert_array_equal(probs, want)
     assert any(wide in rows and len(rows) > 1 and fits for rows, fits in attempts), attempts
-    narrow = np.delete(np.arange(n_rows), wide)
-    _, probs = exact_forest_batch(forest, X[narrow], SPEC, cfg)
-    for i, row in enumerate(narrow):
-        np.testing.assert_array_equal(exact_forest_batch(forest, X[row:row + 1], SPEC, cfg)[1],
+    for i in range(n_rows):
+        np.testing.assert_array_equal(exact_forest_batch(forest, X[i:i + 1], SPEC, cfg)[1],
                                       probs[i:i + 1])
     for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
         attempts.clear()
-        walked.clear()
         preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
                                           aggregation=aggregation)
-        assert set(walked) == {wide}
+        np.testing.assert_array_equal(probs, recounted_probs(forest, X, cfg, ids, aggregation))
         assert any(wide in rows and len(rows) > 1 and fits for rows, fits in attempts), attempts
         for i in range(n_rows):
             alone = predict_fair_batch(forest, X[i:i + 1], SPEC, cfg, stream_ids=ids[i:i + 1],
@@ -806,8 +799,8 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
             assert alone[0][0] == preds[i]
 
 
-def row_walk(forest, x, chance, limit):
-    return traversal._row_masses(forest, forest.root.tolist(), x, chance, limit)
+def row_walk(forest, x, chance):
+    return traversal._row_masses(forest, forest.root.tolist(), x, chance)
 
 
 def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):
@@ -824,34 +817,80 @@ def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):
         X[::3, 1] = -1.0  # down the chain
         for p_max, alpha in EDGE_CONFIGS:
             chance = traversal._flip_chance(forest, SPEC, config(p_max=p_max, alpha=alpha))
-            q, past, _ = traversal._pair_masses(forest, X, chance, np.arange(len(X)), MAX_LANES)
-            assert past is None
+            q, _ = traversal._pair_masses(forest, X, chance, np.arange(len(X)), MAX_LANES)
             for x, want in zip(X, q):
-                assert row_walk(forest, x, chance, MAX_LANES).tobytes() == want.tobytes()
+                assert row_walk(forest, x, chance).tobytes() == want.tobytes()
             if forest is forests[-1] and p_max == 0.5:  # the chain's end got 0.5**1100: none
                 assert q[0, 0, 0] == 0.0 < q[0, 0, 1]
 
 
-def test_rows_past_a_budget_give_none_on_both_paths(rng, monkeypatch):
+def test_a_row_alone_fits_every_budget_on_both_paths(rng, monkeypatch):
     # a complete uniform-distance tree of depth 6 (64 leaves a row) and a
-    # random one: at each budget, a row is past it on the row walk exactly
-    # where it is past it on the frontier alone, and exact raises for it
+    # random one. A pair's branches never merge, so a row's live branches
+    # never outnumber the forest's leaves: on that budget the frontier
+    # fits every row, with the row walk's masses, and on a budget below a
+    # row's peak it gives None. At every budget the chunks give each row
+    # those masses
     forest = Forest(trees=[full_uniform_tree(rng, 6),
                            random_tree(rng, n_features=3, max_depth=5, p_uniform=0.5)], n_trees=2)
     X = edge_case_samples(rng, forest, 6)
     chance = traversal._flip_chance(forest, SPEC, config(p_max=0.3))
-    for limit in range(1, 100):
-        monkeypatch.setattr("fairtree.exact.MAX_LANES", limit)
-        for i, x in enumerate(X):
-            walked = row_walk(forest, x, chance, limit)
+    for i, x in enumerate(X):
+        walked = row_walk(forest, x, chance)
+        q, peak = traversal._pair_masses(forest, X, chance, np.array([i]), forest.n_leaves)
+        assert q[0].tobytes() == walked.tobytes() and peak <= forest.n_leaves
+        for limit in range(1, 100):
             got = traversal._pair_masses(forest, X, chance, np.array([i]), limit)
-            if got is None or got[1] is not None:
-                assert walked is None, (limit, i)
-                with pytest.raises(EnumerationLimitError, match=f"row 0 needs more than {limit} "):
-                    exact_forest_batch(forest, X[i:i + 1], SPEC, config(p_max=0.3))
-            else:
-                assert walked.tobytes() == got[0][0].tobytes(), (limit, i)
-    assert walked is not None  # the last budget fits every row
+            assert (got is None) == (peak > limit), (limit, i)
+            monkeypatch.setattr(traversal, "MAX_LANES", limit)
+            chunks = list(traversal._mass_chunks(forest, X[i:i + 1], chance, limit))
+            assert len(chunks) == 1 and chunks[0][1][0].tobytes() == walked.tobytes(), (limit, i)
+
+
+def test_results_are_byte_equal_across_budgets_on_rows_past_them(rng, monkeypatch):
+    # a complete uniform-distance tree of depth 10 (1,024 leaves a row,
+    # past every budget below) beside a random tree. At each budget exact
+    # and Monte Carlo give the same bytes, the masses are the scalar
+    # enumeration's and the votes its recount; a row alone never gets None
+    # from the frontier and peaks within the forest's leaf count
+    forest = Forest(trees=[full_uniform_tree(rng, 10),
+                           random_tree(rng, n_features=3, max_depth=6, p_uniform=0.3)], n_trees=2)
+    X = edge_case_samples(rng, forest, 5)
+    ids = np.arange(len(X)) * 11 + 4
+    cfg = config(n_simulations=30, p_max=0.3, alpha=4.0, seed=37)
+    chance = traversal._flip_chance(forest, SPEC, cfg)
+    want_q = np.array([[np.minimum(reference_exact(t, x, SPEC, cfg).probs, 1.0)
+                        for t in forest.trees] for x in X])
+    want_mc = {a: recounted_probs(forest, X, cfg, ids, a) for a in (VOTE_MAJORITY, VOTE_MEAN)}
+    one_row, pair_masses = [], traversal._pair_masses
+
+    def counted(forest, X, chance, rows, limit):
+        got = pair_masses(forest, X, chance, rows, limit)
+        if rows.size == 1:
+            one_row.append(None if got is None else got[1])
+        return got
+
+    monkeypatch.setattr(traversal, "_pair_masses", counted)
+    seen = {}
+    for budget in (1, 7, 64, 100, 2**15):
+        monkeypatch.setattr(traversal, "MAX_LANES", budget)
+        monkeypatch.setattr("fairtree.exact.MAX_LANES", budget)
+        got = []
+        for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+            exact_probs = exact_forest_batch(forest, X, SPEC, cfg, aggregation)[1]
+            _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
+                                          aggregation=aggregation, max_lanes=budget)
+            np.testing.assert_array_equal(probs, want_mc[aggregation])
+            alone = [predict_fair(forest, x, SPEC, cfg, stream_id=int(i),
+                                  aggregation=aggregation)[1].probs for x, i in zip(X, ids)]
+            assert alone == [tuple(p) for p in probs], budget
+            got += [exact_probs.tobytes(), probs.tobytes()]
+        seen[budget] = got
+        q = np.concatenate([q for _, q in traversal._mass_chunks(forest, X, chance, budget)])
+        assert np.array_equal(np.minimum(q, 1.0), want_q), budget
+    assert all(got == seen[2**15] for got in seen.values())
+    assert one_row and None not in one_row and max(one_row) <= forest.n_leaves
+    assert max(one_row) > 100  # some row is past every budget below the default
 
 
 def test_one_row_calls_on_small_forests_take_the_row_walk(rng, monkeypatch):
@@ -1101,8 +1140,8 @@ def test_divisor_rule_equals_the_scalar_reference_bit_for_bit(monkeypatch):
     # distances to the threshold of 0, subnormal (5e-324 from 0), ordinary
     # and overflowing (1.5e308 against -1.5e308), at p_max 0, 0.1 and 0.5
     # and alpha 0, 1 and 9: the flip chances, both exact paths and Monte
-    # Carlo's votes equal the scalar rule's, also where every row walks its
-    # lanes, and no overflow warns in the public calls
+    # Carlo's votes equal the scalar rule's, also where every row runs
+    # alone past the budget, and no overflow warns in the public calls
     forest = divisor_rule_forest()
     edges = (0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5e308)
     X = np.array([[g, x] for g in (0.0, 1.0, 5e-324, 1.5e308) for x in edges])
@@ -1129,15 +1168,10 @@ def test_divisor_rule_equals_the_scalar_reference_bit_for_bit(monkeypatch):
                         for row in X] == want, (p_max, alpha)
                 probs = exact_forest_batch(Forest(trees=[tree], n_trees=1), X, SPEC, cfg)[1]
                 assert [tuple(p) for p in probs] == want, (p_max, alpha)
+            want = recounted_probs(forest, X, cfg, ids, VOTE_MAJORITY)
             _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
-            for row, i, p1 in zip(X, ids, probs[:, 1]):
-                votes = reference_monte_carlo(forest.trees, row, SPEC, cfg, int(i))
-                assert p1 == sum(2 * sum(v) > forest.n_trees for v in votes) / 20, (p_max, alpha)
+            np.testing.assert_array_equal(probs, want, err_msg=f"{p_max}, {alpha}")
             with monkeypatch.context() as patch:  # a budget below one row's roots
                 patch.setattr(traversal, "MAX_LANES", forest.n_trees - 1)
                 _, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
-            for row, i, p1 in zip(X, ids, probs[:, 1]):
-                votes = [[traverse_once(tree, row, SPEC, cfg,
-                                        TraversalStream.derive(cfg.seed, int(i), s, t))
-                          for t, tree in enumerate(forest.trees)] for s in range(20)]
-                assert p1 == sum(2 * sum(v) > forest.n_trees for v in votes) / 20, (p_max, alpha)
+            np.testing.assert_array_equal(probs, want, err_msg=f"{p_max}, {alpha}")

@@ -326,22 +326,35 @@ def test_batch_predictions_match_scalar():
     np.testing.assert_array_equal(batch, scalar)
 
 
+class RecordedTakes(np.ndarray):
+    """An array that hands each take's indices to its on_take first."""
+
+    def take(self, indices, *args, **kwargs):
+        self.on_take(indices)
+        return self.view(np.ndarray).take(indices, *args, **kwargs)
+
+
 def bounded_walks(patch, walks: list):
-    """Make forest_votes_batch's lane walks run with a flip step that
-    changes no direction, appends to walks a list of each walk's steps,
-    (working lanes, lanes at a leaf), and fails a walk past max_depth + 1
-    steps: a lane at a leaf that did not stay there would walk on forever."""
+    """Make forest_votes_batch's lane walks append to walks a list of each
+    walk's steps, (working lanes, lanes at a leaf), and fail a walk past
+    max_depth + 1 steps: a lane at a leaf that did not stay there would
+    walk on forever. A walk takes the forest's column at its working
+    lanes' nodes once a step, so it gets a copy of the forest whose column
+    records them."""
     walk = tree_module.walk_lanes
 
-    def bounded(forest, X, node, x_pos, flip=None):
+    def bounded(forest, X, node, x_pos):
         steps = []
         walks.append(steps)
 
-        def step(lane, node, feat, x, threshold, go_left):
-            steps.append((lane.size, int(np.count_nonzero(forest.feature[node] < 0))))
+        def step(node):
+            steps.append((node.size, int(np.count_nonzero(forest.feature[node] < 0))))
             assert len(steps) <= forest.max_depth + 1, "a lane walked past its leaf"
 
-        return walk(forest, X, node, x_pos, step)
+        watched = copy.copy(forest)
+        watched.column = forest.column.view(RecordedTakes)
+        watched.column.on_take = step
+        return walk(watched, X, node, x_pos)
 
     patch.setattr(tree_module, "walk_lanes", bounded)
 
@@ -532,7 +545,7 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
         assert all(g.feature.base is not built.feature for g in given)
     for tree, one in zip(built.trees, alone):
         assert tree.max_depth == one.max_depth
-        for name in ("leaf_class", "depth", "flip_divisor"):
+        for name in ("leaf_class", "flip_divisor"):
             np.testing.assert_array_equal(getattr(tree, name), getattr(one, name), err_msg=name)
             assert getattr(tree, name).dtype == getattr(one, name).dtype, name
     assert built.max_depth == max(t.max_depth for t in alone)
@@ -542,7 +555,7 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
         assert dumps(built) == text
     joined = [name for name, value in vars(built).items()
               if isinstance(value, np.ndarray) and name not in ("child", "root", "column")]
-    assert len(joined) == 9
+    assert len(joined) == 8  # the node arrays but child, leaf_class and flip_divisor
     # the forest-only column is feature as int64
     assert not built.column.flags.writeable and built.column.dtype == np.int64
     np.testing.assert_array_equal(built.column, built.feature)
