@@ -17,10 +17,12 @@ a second, untimed Monte Carlo call, how many chunks of the exact frontier
 that call draws from, how many attempts outgrew the frontier's budget and
 were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
 lane, and, from a third, how many levels the frontier walks in that call
-and its mean microseconds a level (the per-level cost), and the median
+and its mean microseconds a level (the per-level cost), the median
 latency of 200 one-row predict_fair calls on each side of the one-row
 route: fold 0's first tree (scored by the row walk) and its whole forest
-(more nodes than traversal.MAX_LANES, scored by the frontier). During the
+(more nodes than traversal.MAX_LANES, scored by the frontier), and the
+median microseconds a row of exact_path_distribution (the row walk) on
+that first tree over fold 0's test rows. During the
 5-fold run it prints each fold's forest fit in seconds and seconds per
 tree, and beside fold 0's the seconds to write its model text
 (model_io.dumps) and to load it back (model_io.loads). It ends with the
@@ -180,6 +182,17 @@ def one_row_latency(forest, X, spec, config, stream_ids, calls=200):
     return statistics.median(times)
 
 
+def exact_path_latency(model, X, spec, config):
+    """The median seconds of exact_path_distribution on model, one call for
+    each row of X."""
+    times = []
+    for x in X:
+        t0 = time.perf_counter()
+        traversal.exact_path_distribution(model, x, spec, config)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def count_rankings() -> list:
     """A list that gets the shape of each table whose columns are ranked
     from now on."""
@@ -249,6 +262,9 @@ def exact_vs_monte_carlo(dataset, protected, config):
         latency = one_row_latency(model, X, spec, config.traversal_config(seed), test)
         print(f"fold 0 one-row predict_fair on the {name} ({model.feature.size:,} nodes, "
               f"{route}): median {latency * 1e3:.3f} ms of 200 calls")
+    latency = exact_path_latency(forest.trees[0], X, spec, config.traversal_config(seed))
+    print(f"fold 0 exact_path_distribution on the first tree: median {latency * 1e6:.1f} us "
+          f"a row over {len(X):,} test rows")
     q, S = out["exact"][1], config.n_simulations
     agree = float(np.mean(out["exact"][0] == out["monte carlo"][0]))
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))

@@ -1,18 +1,18 @@
 """Exact fairness-adjusted inference over whole forests.
 
-The pair masses (q0, q1) of every (row, tree) pair come from the walks
-Monte Carlo draws from (``traversal._mass_chunks``): the frontier of
-``traversal._pair_masses``, or for one row of a small forest the row walk of
-``traversal._row_masses``. Every row gets its masses: a row alone fits a
-budget of the forest's leaf count. A pair's branches go down the forest one
-level per step and split into mass * (1 - p) at the deterministic child and
-mass * p at the flip child. The summation order: a level holds the
-deterministic children of the level above, then its flip children, each
-in parent order, and a pair's class masses are its leaves' masses added
-one at a time, level by level and in that order within a level.
-Simulations draw from independent streams per tree, so a simulation's
-majority vote is Bernoulli(Q), Q the Poisson-binomial chance that more
-than half of the trees vote 1.
+The pair masses (q0, q1) of every (row, tree) pair come from the walks Monte
+Carlo draws from (``traversal._mass_chunks``): the frontier of
+``traversal._pair_masses`` (a flip-chance call a level) or for one row of a
+small forest the row walk of ``traversal._row_masses`` (a node's chance when it
+visits the node). Every row gets its masses: a row alone fits a budget of the
+forest's leaf count. A pair's branches go down the forest one level per step
+and split into mass * (1 - p) at the deterministic child and mass * p at the
+flip child. The summation order: a level holds the deterministic children of
+the level above, then its flip children, each in parent order, and a pair's
+class masses are its leaves' masses added one at a time, level by level and in
+that order within a level. Simulations draw from independent streams per tree,
+so a simulation's majority vote is Bernoulli(Q), Q the Poisson-binomial chance
+that more than half of the trees vote 1.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .traversal import (VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig, _flip_chance,
-                        _mass_chunks)
+from .traversal import VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig, _mass_chunks
 from .tree import MAX_LANES, Forest, _check_matrix
 
 
@@ -52,7 +51,7 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
         raise ConfigError(f"unknown aggregation {aggregation!r}")
     X = _check_matrix(X, forest.n_features)
     q = np.empty((X.shape[0], forest.n_trees, 2))
-    for rows, masses in _mass_chunks(forest, X, _flip_chance(forest, spec, config), MAX_LANES):
+    for rows, masses in _mass_chunks(forest, X, spec, config, MAX_LANES):
         q[rows[0]:rows[0] + rows.size] = masses
     probs = np.clip(q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q), 0.0, 1.0)
     return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs

@@ -7,29 +7,27 @@ boosted by ``alpha`` (capped at 0.5) at protected-attribute nodes whose
 deterministic child routes an unprivileged sample toward the unfavorable
 class. Monte Carlo aggregation over ``n_simulations`` traversals yields a
 class distribution; ``exact_path_distribution`` computes the same
-distribution in closed form for verification. Both read their flip
-chances from one function, ``_flip_chance``; ``tests/reference.py`` keeps
-a scalar, node-by-node copy of the rule as the tests' oracle.
+distribution in closed form for verification. The flip rule has a vector
+form, ``_flip_chance``, and the row walk's scalar one, with the same bits;
+``tests/reference.py`` keeps a node-by-node copy as the tests' oracle.
 
-Both engines take the class masses (q0, q1) of each (row, tree) pair,
-which ``fairtree.exact`` aggregates, from one of two walks with the same
-bits. A pair's branches, (pair, node, mass) entries, go down the trees one
-level per step; a branch splits into mass * (1 - p) at the deterministic
-child and mass * p at the flip child, and one whose mass is not above 0 is
-dropped. The frontier (``_pair_masses``) takes chunks of rows with one
-``_flip_chance`` call a level, the row walk (``_row_masses``) one row in
-Python with one call over all internal nodes: one-row calls on at most
-``tree.MAX_LANES`` nodes (a census row on a depth-12 tree: 75 against 300
-µs; 1.3 against 0.85 ms on 10 trees, 80k nodes; 2-core VM). Each
-simulation walks each tree on its own stream, so a tree's vote in a
-simulation is Bernoulli(q1): Monte Carlo (``predict_fair_batch``) lets
-tree t vote 1 in simulation s when draw 0 of the stream keyed (seed,
-stream_id, s, t) is below q1. The frontier's budget, ``tree.MAX_LANES``,
-counts a level's live branches; reached leaves are held apart and added
-in as they pile up. A pair's branches never merge, since a node has one
-path from its root, so a row alone never has more live branches than the
-forest has leaves, and a one-row chunk takes that as its budget: every
-row fits. Results do not depend on evaluation order, batching or chunks.
+Both engines take the class masses (q0, q1) of each (row, tree) pair, which
+``fairtree.exact`` aggregates, from one of two walks with the same bits. A
+pair's branches, (pair, node, mass) entries, go down the trees one level per
+step; a branch splits into mass * (1 - p) at the deterministic child and
+mass * p at the flip child, and one whose mass is not above 0 is dropped. The
+frontier (``_pair_masses``) takes chunks of rows with one ``_flip_chance``
+call a level, the row walk (``_row_masses``) one row in Python: one-row calls
+on at most ``tree.MAX_LANES`` nodes (README, "Exact kernel", times both).
+Each simulation walks each tree on its own stream, so a tree's vote in a
+simulation is Bernoulli(q1): Monte Carlo (``predict_fair_batch``) lets tree t
+vote 1 in simulation s when draw 0 of the stream keyed (seed, stream_id, s,
+t) is below q1. The frontier's budget, ``tree.MAX_LANES``, counts a level's
+live branches; reached leaves are held apart and added in as they pile up. A
+pair's branches never merge, since a node has one path from its root, so a
+row alone never has more live branches than the forest has leaves, and a
+one-row chunk takes that as its budget: every row fits. Results do not depend
+on evaluation order, batching or chunks.
 """
 
 from __future__ import annotations
@@ -110,6 +108,13 @@ class PredictionDistribution:
         return 1 if self.probs[1] > self.probs[0] else 0
 
 
+def _protected(model: Forest | DecisionTree, spec: FairnessSpec) -> int:
+    """spec's protected feature index, checked against model's features."""
+    if (protected := spec.protected_feature) >= model.n_features:
+        raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
+    return protected
+
+
 def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: TraversalConfig):
     """The flip chances of a batch of (node, sample) pairs of a forest's or
     a tree's node arrays, called as chance(node, feat, x, threshold,
@@ -119,17 +124,14 @@ def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: Trave
 
     The base chance is max(p_max - min(|x - threshold|, DBL_MAX) /
     flip_divisor, 0): p_max at uniform-distance nodes, and at unscaled ones
-    p_max exactly at the threshold and 0 elsewhere; callers run it under
-    np.errstate(over="ignore"), as its overflows to inf give the right
-    chance. The fairness boost replaces it with min(alpha * base, 0.5)
-    where the node splits on the protected feature, the sample is
-    unprivileged and the deterministic child's majority is the
+    p_max exactly at the threshold and 0 elsewhere. Callers (_pair_masses,
+    tests) run it under np.errstate(over="ignore"), as its overflows to inf
+    give the right chance. The fairness boost replaces it with min(alpha *
+    base, 0.5) where the node splits on the protected feature, the sample
+    is unprivileged and the deterministic child's majority is the
     unfavorable class; alpha = 0 suppresses flips there."""
-    protected = spec.protected_feature
-    if protected >= model.n_features:
-        raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
     p_max, alpha, divisor = np.float64(config.p_max), np.float64(config.alpha), model.flip_divisor
-    protected, majority = np.int64(protected), model.majority.ravel()
+    protected, majority = np.int64(_protected(model, spec)), model.majority.ravel()
 
     def chance(node, feat, x, threshold, go_left):
         d = np.minimum(np.abs(x - threshold), _DBL_MAX)
@@ -215,50 +217,57 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     return q.reshape(rows.size, T, 2), peak
 
 
-@np.errstate(over="ignore")  # see _flip_chance
-def _row_masses(model: Forest | DecisionTree, roots, x, chance):
+def _row_masses(model: Forest | DecisionTree, roots, x, spec, config):
     """_pair_masses's q, bit for bit, for one row x down model's trees from
-    roots, shaped (T, 2): a scalar walk in the frontier's order, over the
-    flip chances of one call of chance over internal nodes."""
-    internal = (model.feature >= 0).nonzero()[0]
-    feat, threshold = model.feature[internal], model.threshold[internal]
-    go_left = (value := x[feat]) <= threshold
-    # by node, as memoryviews (an index gives a Python number): flip chance, and
-    # deterministic child as a flat index into child, -1 at a leaf
-    p_flip, to = np.zeros(model.feature.size), np.full(model.feature.size, -1)
-    p_flip[internal] = chance(internal, feat, value, threshold, go_left)
-    to[internal] = (internal << _INT64_1) + ~go_left
-    p_flip, to, child, leaf = map(memoryview, (p_flip, to, model.child.ravel(), model.leaf_class))
+    roots, shaped (T, 2): a scalar walk in the frontier's order that takes
+    each visited node's flip chance with _flip_chance's float operations in
+    its order (Python floats overflow to inf as numpy's do, unwarned)."""
+    protected, p_max, alpha = _protected(model, spec), float(config.p_max), float(config.alpha)
+    # by node, as memoryviews (an index gives a Python number)
+    feature, threshold, divisor, child, majority, leaf = map(memoryview, (
+        model.feature, model.threshold, model.flip_divisor, model.child.ravel(),
+        model.majority.ravel(), model.leaf_class))
+    x, dbl_max = x.tolist(), float(_DBL_MAX)
     q, level = [0.0] * (2 * len(roots)), [(2 * t, r, 1.0) for t, r in enumerate(roots)]
     while level:
         stay, flip = [], []
         for slot, node, mass in level:
-            if (d := to[node]) < 0:
+            if (f := feature[node]) < 0:
                 q[slot + leaf[node]] += mass
                 continue
-            if (m := mass * (1.0 - (p := p_flip[node]))) > 0.0:
-                stay.append((slot, child[d], m))
+            # d = |v - t| on the side the row goes; to the deterministic child's flat index
+            if (v := x[f]) <= (t := threshold[node]):
+                d, to = t - v, 2 * node
+            else:
+                d, to = v - t, 2 * node + 1
+            if (p := p_max - (d if d <= dbl_max else dbl_max) / divisor[node]) < 0.0:
+                p = 0.0
+            if f == protected and v == 0.0 and majority[to] == 0:  # the fairness boost
+                p = min(alpha * p, 0.5)
+            if (m := mass * (1.0 - p)) > 0.0:
+                stay.append((slot, child[to], m))
             if (m := mass * p) > 0.0:
-                flip.append((slot, child[d ^ 1], m))
+                flip.append((slot, child[to ^ 1], m))
         level = stay + flip
     return np.array(q).reshape(-1, 2)
 
 
-def _mass_chunks(forest: Forest, X, chance, limit: int):
-    """(rows, q) for X's rows in consecutive runs, in row order: q the
-    rows' pair masses (_row_masses for X of one row and MAX_LANES nodes at
-    most, else _pair_masses). A chunk first holds limit // (the forest's
-    leaf count) rows, which fits: a pair has at most one live branch per
-    leaf of its tree. A chunk of rows whose live branches outnumber limit
-    at some level is halved and redone; a row alone has the forest's leaf
-    count as its budget if that is more, so it always fits. After a chunk,
-    the next holds as many rows as would fill 2/3 of limit at the chunk's
-    live peak per row, if that is more, but at most limit // T. A row's q
-    does not depend on its chunk."""
+def _mass_chunks(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig, limit: int):
+    """(rows, q) for X's rows in consecutive runs, in row order: q the rows'
+    pair masses (_row_masses for X of one row and MAX_LANES nodes at most,
+    else _pair_masses over _flip_chance). A chunk first holds limit // (the
+    forest's leaf count) rows, which fits: a pair has at most one live
+    branch per leaf of its tree. A chunk of rows whose live branches
+    outnumber limit at some level is halved and redone; a row alone has the
+    forest's leaf count as its budget if that is more, so it always fits.
+    After a chunk, the next holds as many rows as would fill 2/3 of limit at
+    the chunk's live peak per row, if that is more, but at most limit // T.
+    A row's q does not depend on its chunk."""
     n, T = X.shape[0], forest.n_trees
     if n == 1 and forest.feature.size <= MAX_LANES:
-        yield np.arange(1), _row_masses(forest, forest.root.tolist(), X[0], chance)[None]
+        yield np.arange(1), _row_masses(forest, forest.root.tolist(), X[0], spec, config)[None]
         return
+    chance = _flip_chance(forest, spec, config)
     r0, size = 0, max(1, limit // forest.n_leaves)
     while r0 < n:
         rows = np.arange(r0, min(n, r0 + size))
@@ -333,12 +342,11 @@ def predict_fair_batch(
         raise ValueError("stream_ids must be non-negative integers")
     stream_ids = stream_ids.astype(np.uint64)
     S, T = config.n_simulations, forest.n_trees
-    chance = _flip_chance(forest, spec, config)
     sims, trees = np.arange(S, dtype=np.uint64), np.arange(T, dtype=np.uint64)
     block_sims = min(S, max(1, max_lanes // T))
     block_rows = max(1, max_lanes // (T * block_sims))
     counts = np.zeros(n, dtype=np.int64)
-    for rows, q in _mass_chunks(forest, X, chance, MAX_LANES):
+    for rows, q in _mass_chunks(forest, X, spec, config, MAX_LANES):
         for r0 in range(0, rows.size, block_rows):
             at = rows[r0:r0 + block_rows]
             for s0 in range(0, S, block_sims):
@@ -359,9 +367,12 @@ def predict_fair_batch(
 def exact_path_distribution(tree: DecisionTree, sample, spec: FairnessSpec,
                             config: TraversalConfig) -> PredictionDistribution:
     """Closed-form traversal distribution, the verification oracle for the
-    Monte Carlo estimate: the row walk (_row_masses) down one tree, so it
-    equals exact_forest_batch on one tree bit for bit."""
+    Monte Carlo estimate: the row walk (_row_masses) down one tree (not a
+    Forest: TypeError), so it equals exact_forest_batch on it bit for bit."""
+    if not isinstance(tree, DecisionTree):
+        raise TypeError(f"exact_path_distribution takes a DecisionTree, not "
+                        f"{type(tree).__name__}; use exact.exact_forest_batch for a forest")
     sample = _check_sample(sample, tree.n_features)
-    q = _row_masses(tree, [0], sample, _flip_chance(tree, spec, config))
+    q = _row_masses(tree, [0], sample, spec, config)
     return PredictionDistribution(probs=tuple(min(p, 1.0) for p in q[0].tolist()),
                                   n_simulations_used=0)

@@ -1,7 +1,8 @@
 """Scalar reference implementations of the traversal mechanism.
 
-fairtree computes flip chances and draws in batches (traversal._flip_chance,
-rng.uniforms_at_array). This module keeps a plain, node-by-node copy of the
+fairtree computes flip chances in batches (traversal._flip_chance) and in
+its row walk (traversal._row_masses), and draws in batches
+(rng.uniforms_at_array). This module keeps a plain, node-by-node copy of the
 same rule for tests to compare against: the distance-based flip chance, its
 fairness boost, one stream's sequential draws, one probabilistic walk, the
 exact path enumeration on those helpers, Monte Carlo's votes drawn from

@@ -568,6 +568,17 @@ def test_a_protected_feature_beyond_the_model_is_rejected():
     predict_fair_batch(forest, X, FairnessSpec(2), cfg)
 
 
+def test_exact_path_distribution_rejects_a_forest(rng):
+    # it walks one root: given a forest it would return tree 0's
+    # distribution as the forest's
+    forest = edge_case_forest(rng, 3)
+    cfg = config()
+    for model in (forest, None, [forest.trees[0]]):
+        with pytest.raises(TypeError, match=r"^exact_path_distribution takes a DecisionTree, "
+                                            r"not \w+; use exact.exact_forest_batch for a forest$"):
+            exact_path_distribution(model, np.zeros(3), SPEC, cfg)
+
+
 def test_zero_rows_give_empty_results():
     forest = edge_case_forest(np.random.default_rng(0), 3)
     X = np.empty((0, 3))
@@ -799,8 +810,8 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
             assert alone[0][0] == preds[i]
 
 
-def row_walk(forest, x, chance):
-    return traversal._row_masses(forest, forest.root.tolist(), x, chance)
+def row_walk(forest, x, cfg):
+    return traversal._row_masses(forest, forest.root.tolist(), x, SPEC, cfg)
 
 
 def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):
@@ -816,10 +827,11 @@ def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):
         X = edge_case_samples(rng, forest, 25)
         X[::3, 1] = -1.0  # down the chain
         for p_max, alpha in EDGE_CONFIGS:
-            chance = traversal._flip_chance(forest, SPEC, config(p_max=p_max, alpha=alpha))
+            cfg = config(p_max=p_max, alpha=alpha)
+            chance = traversal._flip_chance(forest, SPEC, cfg)
             q, _ = traversal._pair_masses(forest, X, chance, np.arange(len(X)), MAX_LANES)
             for x, want in zip(X, q):
-                assert row_walk(forest, x, chance).tobytes() == want.tobytes()
+                assert row_walk(forest, x, cfg).tobytes() == want.tobytes()
             if forest is forests[-1] and p_max == 0.5:  # the chain's end got 0.5**1100: none
                 assert q[0, 0, 0] == 0.0 < q[0, 0, 1]
 
@@ -834,16 +846,17 @@ def test_a_row_alone_fits_every_budget_on_both_paths(rng, monkeypatch):
     forest = Forest(trees=[full_uniform_tree(rng, 6),
                            random_tree(rng, n_features=3, max_depth=5, p_uniform=0.5)], n_trees=2)
     X = edge_case_samples(rng, forest, 6)
-    chance = traversal._flip_chance(forest, SPEC, config(p_max=0.3))
+    cfg = config(p_max=0.3)
+    chance = traversal._flip_chance(forest, SPEC, cfg)
     for i, x in enumerate(X):
-        walked = row_walk(forest, x, chance)
+        walked = row_walk(forest, x, cfg)
         q, peak = traversal._pair_masses(forest, X, chance, np.array([i]), forest.n_leaves)
         assert q[0].tobytes() == walked.tobytes() and peak <= forest.n_leaves
         for limit in range(1, 100):
             got = traversal._pair_masses(forest, X, chance, np.array([i]), limit)
             assert (got is None) == (peak > limit), (limit, i)
             monkeypatch.setattr(traversal, "MAX_LANES", limit)
-            chunks = list(traversal._mass_chunks(forest, X[i:i + 1], chance, limit))
+            chunks = list(traversal._mass_chunks(forest, X[i:i + 1], SPEC, cfg, limit))
             assert len(chunks) == 1 and chunks[0][1][0].tobytes() == walked.tobytes(), (limit, i)
 
 
@@ -858,7 +871,6 @@ def test_results_are_byte_equal_across_budgets_on_rows_past_them(rng, monkeypatc
     X = edge_case_samples(rng, forest, 5)
     ids = np.arange(len(X)) * 11 + 4
     cfg = config(n_simulations=30, p_max=0.3, alpha=4.0, seed=37)
-    chance = traversal._flip_chance(forest, SPEC, cfg)
     want_q = np.array([[np.minimum(reference_exact(t, x, SPEC, cfg).probs, 1.0)
                         for t in forest.trees] for x in X])
     want_mc = {a: recounted_probs(forest, X, cfg, ids, a) for a in (VOTE_MAJORITY, VOTE_MEAN)}
@@ -886,7 +898,7 @@ def test_results_are_byte_equal_across_budgets_on_rows_past_them(rng, monkeypatc
             assert alone == [tuple(p) for p in probs], budget
             got += [exact_probs.tobytes(), probs.tobytes()]
         seen[budget] = got
-        q = np.concatenate([q for _, q in traversal._mass_chunks(forest, X, chance, budget)])
+        q = np.concatenate([q for _, q in traversal._mass_chunks(forest, X, SPEC, cfg, budget)])
         assert np.array_equal(np.minimum(q, 1.0), want_q), budget
     assert all(got == seen[2**15] for got in seen.values())
     assert one_row and None not in one_row and max(one_row) <= forest.n_leaves
@@ -920,6 +932,40 @@ def test_one_row_calls_on_small_forests_take_the_row_walk(rng, monkeypatch):
     # a budget of nodes - 1 still holds every row: a row's branches are distinct leaves and nodes
     monkeypatch.setattr(traversal, "MAX_LANES", forest.feature.size - 1)
     assert one_row_calls() == want and calls == [1] * (3 * len(X))
+
+
+def test_the_row_walk_takes_its_flip_chances_without_the_vector_rule(rng, monkeypatch):
+    # one-row calls on a small forest and exact_path_distribution compute
+    # each visited node's chance in the walk: with the vector rule made to
+    # raise they still give the scalar reference's results (exact majority
+    # votes: the unpatched call's), and still reject a protected feature
+    # beyond the model
+    forest = edge_case_forest(rng, 3)
+    X = edge_case_samples(rng, forest, 6)
+    cfg = config(n_simulations=20, p_max=0.35, alpha=5.0)
+    want = [(recounted_probs(forest, x[None], cfg, [i], VOTE_MAJORITY)[0].tolist(),
+             [reference_exact(tree, x, SPEC, cfg).probs for tree in forest.trees])
+            for i, x in enumerate(X)]
+    majority = [exact_forest_batch(forest, x[None], SPEC, cfg)[1][0].tolist() for x in X]
+
+    def vector_rule(*args):
+        raise AssertionError("the vector flip rule ran")
+
+    monkeypatch.setattr(traversal, "_flip_chance", vector_rule)
+    for i, x in enumerate(X):
+        mc, exact = want[i]
+        assert list(predict_fair(forest, x, SPEC, cfg, stream_id=i)[1].probs) == mc
+        assert predict_fair_batch(forest, x[None], SPEC, cfg, stream_ids=[i])[1][0].tolist() == mc
+        assert exact_forest_batch(forest, x[None], SPEC, cfg)[1][0].tolist() == majority[i]
+        assert [exact_path_distribution(tree, x, SPEC, cfg).probs
+                for tree in forest.trees] == exact
+    spec = FairnessSpec(3)
+    for predict in (lambda: predict_fair(forest, X[0], spec, cfg),
+                    lambda: predict_fair_batch(forest, X[:1], spec, cfg),
+                    lambda: exact_forest_batch(forest, X[:1], spec, cfg),
+                    lambda: exact_path_distribution(forest.trees[0], X[0], spec, cfg)):
+        with pytest.raises(ValueError, match=r"^protected_feature 3: model has 3 features$"):
+            predict()
 
 
 def test_two_tree_forest_matches_joint_path_enumeration():
@@ -1139,12 +1185,14 @@ def divisor_rule_forest():
 def test_divisor_rule_equals_the_scalar_reference_bit_for_bit(monkeypatch):
     # distances to the threshold of 0, subnormal (5e-324 from 0), ordinary
     # and overflowing (1.5e308 against -1.5e308), at p_max 0, 0.1 and 0.5
-    # and alpha 0, 1 and 9: the flip chances, both exact paths and Monte
-    # Carlo's votes equal the scalar rule's, also where every row runs
-    # alone past the budget, and no overflow warns in the public calls
+    # and alpha 0, 1 and 9, with protected values 0 and -0 (both
+    # unprivileged: the row walk's == 0.0 and numpy's agree): the flip
+    # chances, both exact paths and Monte Carlo's votes equal the scalar
+    # rule's, also where every row runs alone past the budget, and no
+    # overflow warns in the public calls
     forest = divisor_rule_forest()
     edges = (0.0, 5e-324, -5e-324, 1.0, -1.0, 1.5e308)
-    X = np.array([[g, x] for g in (0.0, 1.0, 5e-324, 1.5e308) for x in edges])
+    X = np.array([[g, x] for g in (0.0, -0.0, 1.0, 5e-324, 1.5e308) for x in edges])
     ids = np.arange(len(X))
     internal_nodes = [(t, n) for t, tree in enumerate(forest.trees)
                       for n in np.flatnonzero(tree.feature >= 0).tolist()]
