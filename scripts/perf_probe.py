@@ -20,7 +20,10 @@ lane, and, from a third, how many levels the frontier walks in that call
 and its mean microseconds a level (the per-level cost), the median
 latency of 200 one-row predict_fair calls on each side of the one-row
 route: fold 0's first tree (scored by the row walk) and its whole forest
-(more nodes than traversal.MAX_LANES, scored by the frontier), and the
+(more nodes than traversal.MAX_LANES, scored by the frontier), the
+median split of a one-row call on that first tree into its masses (the
+row walk), its draws (stream-key folds and draw tests) and the rest (input
+checks, vote counts, the result), and the
 median microseconds a row of exact_path_distribution (the row walk) on
 that first tree over fold 0's test rows. During the
 5-fold run it prints each fold's forest fit in seconds and seconds per
@@ -182,6 +185,50 @@ def one_row_latency(forest, X, spec, config, stream_ids, calls=200):
     return statistics.median(times)
 
 
+def one_row_split(forest, X, spec, config, stream_ids, calls=200):
+    """The median microseconds of a one-row predict_fair call's masses
+    (traversal._mass_chunks), its draws (rng.fold_array and
+    rng.below_array) and the rest of the call, over calls calls on X's rows
+    in turn, each part timed by wrapping it."""
+    rng, chunks = traversal._rng, traversal._mass_chunks
+    fold, below = rng.fold_array, rng.below_array
+    spent = {"masses": 0.0, "draws": 0.0}
+
+    def timed(part, f):
+        def call(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return f(*args, **kwargs)
+            finally:
+                spent[part] += time.perf_counter() - t0
+        return call
+
+    def timed_chunks(*args):  # the time to produce each chunk
+        t0 = time.perf_counter()
+        for item in chunks(*args):
+            spent["masses"] += time.perf_counter() - t0
+            yield item
+            t0 = time.perf_counter()
+        spent["masses"] += time.perf_counter() - t0
+
+    split = {"masses": [], "draws": [], "the rest": []}
+    traversal._mass_chunks = timed_chunks
+    rng.fold_array, rng.below_array = timed("draws", fold), timed("draws", below)
+    try:
+        for i in range(calls):
+            spent.update(masses=0.0, draws=0.0)
+            t0 = time.perf_counter()
+            predict_fair(forest, X[i % len(X)], spec, config,
+                         stream_id=int(stream_ids[i % len(X)]))
+            total = time.perf_counter() - t0
+            split["masses"].append(spent["masses"])
+            split["draws"].append(spent["draws"])
+            split["the rest"].append(total - spent["masses"] - spent["draws"])
+    finally:
+        traversal._mass_chunks, rng.fold_array, rng.below_array = chunks, fold, below
+    return {part: statistics.median(times) * 1e6 for part, times in split.items()}
+
+
 def exact_path_latency(model, X, spec, config):
     """The median seconds of exact_path_distribution on model, one call for
     each row of X."""
@@ -262,6 +309,10 @@ def exact_vs_monte_carlo(dataset, protected, config):
         latency = one_row_latency(model, X, spec, config.traversal_config(seed), test)
         print(f"fold 0 one-row predict_fair on the {name} ({model.feature.size:,} nodes, "
               f"{route}): median {latency * 1e3:.3f} ms of 200 calls")
+        if name == "first tree":
+            split = one_row_split(model, X, spec, config.traversal_config(seed), test)
+            print("fold 0 one-row predict_fair on the first tree, median split of 200 calls: "
+                  + ", ".join(f"{part} {us:.1f} us" for part, us in split.items()))
     latency = exact_path_latency(forest.trees[0], X, spec, config.traversal_config(seed))
     print(f"fold 0 exact_path_distribution on the first tree: median {latency * 1e6:.1f} us "
           f"a row over {len(X):,} test rows")

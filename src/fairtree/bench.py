@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import platform
 import time
@@ -107,9 +108,10 @@ class ExperimentConfig:
                          None if self.features_per_split == "sqrt" else self.features_per_split)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.traversal_config(self.seed)
-        if self.seed < 0:  # training seeds numpy, which takes no negative seed
+        if isinstance(self.seed, numbers.Integral) and self.seed < 0:
+            # training seeds numpy, which takes no negative seed
             raise ConfigError("seed must be a non-negative integer")
+        self.traversal_config(self.seed)
 
     def traversal_config(self, seed: int) -> TraversalConfig:
         return TraversalConfig(

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .traversal import VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig, _mass_chunks
-from .tree import MAX_LANES, Forest, _check_matrix
+from .traversal import (VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig,
+                        _check_aggregation, _mass_chunks)
+from .tree import MAX_LANES, Forest, _check_forest, _check_matrix
 
 
 def _majority(q):
@@ -47,11 +47,11 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     Rows go in the chunks of traversal._mass_chunks with a budget of
     MAX_LANES live branches a level, or the forest's leaf count for a row
     alone if that is more. Results do not depend on the chunks."""
-    if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
+    _check_forest(forest, "exact_forest_batch")
+    _check_aggregation(aggregation)
     X = _check_matrix(X, forest.n_features)
     q = np.empty((X.shape[0], forest.n_trees, 2))
-    for rows, masses in _mass_chunks(forest, X, spec, config, MAX_LANES):
-        q[rows[0]:rows[0] + rows.size] = masses
+    for r0, masses in _mass_chunks(forest, X, spec, config, MAX_LANES):
+        q[r0:r0 + len(masses)] = masses
     probs = np.clip(q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q), 0.0, 1.0)
     return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs

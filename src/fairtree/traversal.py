@@ -33,6 +33,7 @@ on evaluation order, batching or chunks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .tree import (
     MAX_LANES,
     DecisionTree,
     Forest,
+    _check_forest,
     _check_matrix,
     _check_sample,
 )
@@ -54,6 +56,14 @@ _INT64_0, _INT64_1, _DBL_MAX = np.int64(0), np.int64(1), np.finfo(np.float64).ma
 _ZERO, _HALF, _ONE = np.float64(0.0), np.float64(0.5), np.float64(1.0)
 
 
+def _integer(value, low, high, message: str) -> int:
+    """value as an int if it is an integer (not a bool) in [low, high), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not low <= value < high:
+        raise ConfigError(message)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FairnessSpec:
     """Which feature is protected. Its value 1 marks the privileged group
@@ -63,13 +73,14 @@ class FairnessSpec:
     protected_feature: int
 
     def __post_init__(self):
-        if self.protected_feature < 0:
-            raise ConfigError("protected_feature must be a feature index")
+        object.__setattr__(self, "protected_feature", _integer(
+            self.protected_feature, 0, math.inf, "protected_feature must be a feature index"))
 
 
 @dataclass(frozen=True)
 class TraversalConfig:
-    """Monte Carlo traversal hyperparameters."""
+    """Monte Carlo traversal hyperparameters. The integers are stored as
+    int; seed is a stream-key word, so it lies in [0, 2**64)."""
 
     n_simulations: int = 100
     p_max: float = 0.1
@@ -77,14 +88,14 @@ class TraversalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_simulations, int) or self.n_simulations < 1:
-            raise ConfigError("n_simulations must be a positive integer")
+        object.__setattr__(self, "n_simulations", _integer(
+            self.n_simulations, 1, math.inf, "n_simulations must be a positive integer"))
         if not 0.0 <= self.p_max <= 0.5:
             raise ConfigError("p_max must lie in [0, 0.5]")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ConfigError("alpha must be finite and >= 0")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        object.__setattr__(self, "seed", _integer(
+            self.seed, 0, 2**64, "seed must be an integer in [0, 2**64)"))
 
 
 @dataclass(frozen=True)
@@ -253,8 +264,8 @@ def _row_masses(model: Forest | DecisionTree, roots, x, spec, config):
 
 
 def _mass_chunks(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig, limit: int):
-    """(rows, q) for X's rows in consecutive runs, in row order: q the rows'
-    pair masses (_row_masses for X of one row and MAX_LANES nodes at most,
+    """(r0, q) for X's rows in consecutive runs from row r0, in row order: q
+    the run's pair masses (_row_masses for X of one row and MAX_LANES nodes at most,
     else _pair_masses over _flip_chance). A chunk first holds limit // (the
     forest's leaf count) rows, which fits: a pair has at most one live
     branch per leaf of its tree. A chunk of rows whose live branches
@@ -265,7 +276,7 @@ def _mass_chunks(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig,
     A row's q does not depend on its chunk."""
     n, T = X.shape[0], forest.n_trees
     if n == 1 and forest.feature.size <= MAX_LANES:
-        yield np.arange(1), _row_masses(forest, forest.root.tolist(), X[0], spec, config)[None]
+        yield 0, _row_masses(forest, forest.root.tolist(), X[0], spec, config)[None]
         return
     chance = _flip_chance(forest, spec, config)
     r0, size = 0, max(1, limit // forest.n_leaves)
@@ -277,10 +288,59 @@ def _mass_chunks(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig,
             while size >= rows.size:  # sizes that do not depend on n
                 size //= 2
             continue
-        r0 += rows.size
         q, peak = got
-        yield rows, q
+        yield r0, q
+        r0 += rows.size
         size = min(max(1, limit // T), max(size, 2 * rows.size * limit // (3 * peak)))
+
+
+def _check_aggregation(aggregation: str) -> None:
+    if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
+        raise ConfigError(f"unknown aggregation {aggregation!r}")
+
+
+def _stream_ids(stream_ids, n: int) -> np.ndarray:
+    """stream_ids as n uint64 stream words, once they are checked."""
+    stream_ids = np.asarray(stream_ids)
+    if stream_ids.shape != (n,):
+        raise ValueError("stream_ids must have one entry per sample")
+    if n and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
+        raise ValueError("stream_ids must be non-negative integers")
+    return stream_ids.astype(np.uint64)
+
+
+def _vote_counts(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig, keys,
+                 aggregation: str, max_lanes: int):
+    """(counts, denom) for X's checked rows, keys[i] row i's (seed, stream
+    id) key: counts[i] the simulations (majority_vote) or the trees'
+    simulation votes (mean_distribution) for class 1 out of denom."""
+    S, T = config.n_simulations, forest.n_trees
+    sims, trees = np.arange(S, dtype=np.uint64), np.arange(T, dtype=np.uint64)[:, None]
+    block_sims = min(S, max(1, max_lanes // T))
+    block_rows = max(1, max_lanes // (T * block_sims))
+    counts = np.zeros(X.shape[0], dtype=np.int64)
+    # a block's keys, then its draw words, in one buffer for the call: arrays
+    # freed block by block can let malloc return the heap top to the system,
+    # and every block then faults its pages in again (about 8x the faults of
+    # a 100-row call on a 25-tree forest, in 260 kB blocks)
+    block = np.empty((min(block_rows, len(X)), T, block_sims), dtype=np.uint64)
+    for r0, q in _mass_chunks(forest, X, spec, config, MAX_LANES):
+        for a in range(0, len(q), block_rows):
+            b = min(len(q), a + block_rows)
+            at, q1 = slice(r0 + a, r0 + b), q[a:b, :, 1, None]
+            for s0 in range(0, S, block_sims):
+                s1 = min(S, s0 + block_sims)
+                # votes[row, tree, simulation]: draw 0 of stream (seed, stream id,
+                # simulation, tree) below q1
+                words = _rng.fold_array(keys[at, None, None], sims[s0:s1], trees,
+                                        out=block[:b - a, :, :s1 - s0])
+                votes = _rng.below_array(words, 0, q1, out=words)
+                if aggregation == VOTE_MAJORITY:  # the simulations class 1 wins
+                    votes = votes.sum(axis=1) > T // 2
+                # one row's count by the cheaper call, without an axis
+                counts[at] += (np.count_nonzero(votes) if b - a == 1 else
+                               np.count_nonzero(votes.reshape(b - a, -1), axis=1))
+    return counts, S * (1 if aggregation == VOTE_MAJORITY else T)
 
 
 def predict_fair(
@@ -291,21 +351,23 @@ def predict_fair(
     stream_id: int = 0,
     aggregation: str = VOTE_MAJORITY,
 ):
-    """Fairness-adjusted forest prediction for one sample.
+    """Fairness-adjusted forest prediction for one sample: predict_fair_batch
+    on it alone with stream_id, the same checks and bits.
 
     Each simulation traverses every tree probabilistically and takes the
     majority vote (ties to class 0); the distribution aggregates the
-    simulation votes. Returns (predicted class, distribution)."""
+    simulation votes. Returns (predicted class, distribution). The row's
+    stream key is folded once, in Python, and the sample is checked once."""
+    _check_forest(forest, "predict_fair")
     sample = _check_sample(sample, forest.n_features)
-    preds, probs = predict_fair_batch(
-        forest, sample.reshape(1, -1), spec, config,
-        stream_ids=[stream_id], aggregation=aggregation,
-    )
-    dist = PredictionDistribution(
-        probs=(float(probs[0, 0]), float(probs[0, 1])),
-        n_simulations_used=config.n_simulations,
-    )
-    return int(preds[0]), dist
+    _check_aggregation(aggregation)
+    if type(stream_id) is not int or not 0 <= stream_id < 2**64:  # predict_fair_batch's check
+        stream_id = int(_stream_ids([stream_id], 1)[0])
+    key = np.array([_rng.stream_key(config.seed, stream_id)], dtype=np.uint64)
+    counts, denom = _vote_counts(forest, sample[None], spec, config, key, aggregation, MAX_LANES)
+    count = int(counts[0])
+    return int(2 * count > denom), PredictionDistribution(
+        probs=((denom - count) / denom, count / denom), n_simulations_used=config.n_simulations)
 
 
 def predict_fair_batch(
@@ -325,43 +387,22 @@ def predict_fair_batch(
 
     Rows go in the chunks of exact_forest_batch, whose pair masses q give
     each (row, tree) pair's vote chance q1. Tree t votes 1 in simulation s
-    of a row when draw 0 of stream (seed, stream id, s, t) is below q1. The
-    (row, simulation, tree) lanes go in blocks of whole simulations, at
-    most max_lanes lanes but never less than one simulation of one row.
+    of a row when draw 0 of stream (seed, stream id, s, t) is below q1. A
+    row's (seed, stream id) key is folded once a call. The (row,
+    simulation, tree) lanes go in blocks of whole simulations, at most
+    max_lanes lanes but never less than one simulation of one row.
     Results do not depend on max_lanes."""
-    if aggregation not in (VOTE_MAJORITY, VOTE_MEAN):
-        raise ConfigError(f"unknown aggregation {aggregation!r}")
+    _check_forest(forest, "predict_fair_batch")
+    _check_aggregation(aggregation)
     X = _check_matrix(X, forest.n_features)
     n = X.shape[0]
-    if stream_ids is None:
-        stream_ids = np.arange(n)
-    stream_ids = np.asarray(stream_ids)
-    if stream_ids.shape != (n,):
-        raise ValueError("stream_ids must have one entry per sample")
-    if n and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
-        raise ValueError("stream_ids must be non-negative integers")
-    stream_ids = stream_ids.astype(np.uint64)
-    S, T = config.n_simulations, forest.n_trees
-    sims, trees = np.arange(S, dtype=np.uint64), np.arange(T, dtype=np.uint64)
-    block_sims = min(S, max(1, max_lanes // T))
-    block_rows = max(1, max_lanes // (T * block_sims))
-    counts = np.zeros(n, dtype=np.int64)
-    for rows, q in _mass_chunks(forest, X, spec, config, MAX_LANES):
-        for r0 in range(0, rows.size, block_rows):
-            at = rows[r0:r0 + block_rows]
-            for s0 in range(0, S, block_sims):
-                # keys[row, tree, simulation]: stream (seed, stream id, simulation, tree)
-                keys = _rng.stream_key_array(config.seed, stream_ids[at, None, None],
-                                             sims[s0:s0 + block_sims], trees[:, None])
-                votes = _rng.below_array(keys, 0, q[r0:r0 + at.size, :, 1, None])
-                votes = votes.sum(axis=1)  # each simulation's votes for 1
-                if aggregation == VOTE_MAJORITY:
-                    votes = 2 * votes > T
-                counts[at] += votes.sum(axis=1)
-    denom = S * (1 if aggregation == VOTE_MAJORITY else T)
-    probs = np.stack([(denom - counts) / denom, counts / denom], axis=1)
-    preds = (2 * counts > denom).astype(np.int64)
-    return preds, probs
+    keys = _rng.stream_key_array(
+        config.seed, _stream_ids(np.arange(n) if stream_ids is None else stream_ids, n))
+    counts, denom = _vote_counts(forest, X, spec, config, keys, aggregation, max_lanes)
+    probs = np.empty((n, 2))
+    np.divide(denom - counts, denom, out=probs[:, 0])
+    np.divide(counts, denom, out=probs[:, 1])
+    return (2 * counts > denom).astype(np.int64), probs
 
 
 def exact_path_distribution(tree: DecisionTree, sample, spec: FairnessSpec,

@@ -750,6 +750,13 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
     return out
 
 
+def _check_forest(model, caller: str) -> None:
+    """A TypeError for a DecisionTree given to caller, a forest entry point."""
+    if isinstance(model, DecisionTree):
+        raise TypeError(f"{caller} takes a Forest, not a DecisionTree; "
+                        f"wrap a tree as Forest(trees=[tree], n_trees=1)")
+
+
 def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
@@ -761,6 +768,7 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Per-sample count of trees voting for class 1: the lane walk, one
     lane per (row, tree)."""
+    _check_forest(forest, "forest_votes_batch")
     X = _check_matrix(X, forest.n_features)
     n_trees = forest.n_trees
     rows_per_chunk = max(1, MAX_LANES // n_trees)
@@ -774,5 +782,6 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
 
 
 def predict_forest_batch(forest: Forest, X: np.ndarray, votes=None) -> np.ndarray:
+    _check_forest(forest, "predict_forest_batch")
     votes = forest_votes_batch(forest, X) if votes is None else votes
     return (2 * votes > forest.n_trees).astype(np.int64)

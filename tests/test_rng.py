@@ -6,6 +6,7 @@ from fairtree.rng import (
     below_array,
     finalize,
     finalize_array,
+    fold_array,
     stream_key,
     stream_key_array,
     uniforms_at_array,
@@ -28,6 +29,35 @@ def test_scalar_and_array_stream_keys_agree():
         [stream_key(123, int(i), 7, 3) for i in range(50)], dtype=np.uint64
     )
     np.testing.assert_array_equal(keys, expected)
+
+
+def test_folding_words_onto_keys_equals_the_scalar_stream_key():
+    # a row's (seed, stream id) key folded once, then (simulation, tree)
+    # words folded onto it, is the key of (seed, stream id, simulation, tree)
+    rng = np.random.default_rng(4)
+    seeds, ids, sims, trees = (rng.integers(0, 2**64, size=60, dtype=np.uint64) for _ in range(4))
+    keys = np.array([stream_key(int(s), int(i)) for s, i in zip(seeds, ids)], dtype=np.uint64)
+    before = keys.copy()
+    expected = [stream_key(int(s), int(i), int(m), int(t))
+                for s, i, m, t in zip(seeds, ids, sims, trees)]
+    np.testing.assert_array_equal(fold_array(keys, sims, trees), expected)
+    np.testing.assert_array_equal(keys, before)  # keys are not written
+    # broadcast: keys[row] by simulation by tree, as Monte Carlo folds a block
+    grid = fold_array(keys[:3, None, None], sims[:4], trees[:5, None])
+    assert grid.shape == (3, 5, 4)
+    assert grid[2, 4, 3] == stream_key(int(seeds[2]), int(ids[2]), int(sims[3]), int(trees[4]))
+    # into a buffer: the same keys, written only to that buffer
+    out = np.zeros((3, 5, 4), dtype=np.uint64)
+    assert fold_array(keys[:3, None, None], sims[:4], trees[:5, None], out=out) is out
+    np.testing.assert_array_equal(out, grid)
+    np.testing.assert_array_equal(keys, before)
+    # the draw words made in the keys' own buffer: the same draw tests
+    p = rng.random((3, 5, 1))
+    assert below_array(grid, 2, p).tolist() == below_array(out, 2, p, out=out).tolist()
+    # stream_key_array is the fold after finalize(seed)
+    for words in ((), (ids,), (ids, 7, sims)):
+        np.testing.assert_array_equal(stream_key_array(11, *words),
+                                      fold_array(np.array(finalize(11), dtype=np.uint64), *words))
 
 
 def test_scalar_and_array_uniforms_agree():

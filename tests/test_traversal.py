@@ -525,10 +525,36 @@ def test_stream_ids_must_be_non_negative_integers():
                 ["0", "1"], [0, 2**64]):
         with pytest.raises(ValueError, match="stream_ids"):
             predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
-    with pytest.raises(ValueError, match="stream_ids"):
-        predict_fair(forest, X[0], SPEC, cfg, stream_id=-1)
+    # predict_fair checks its one id by the same rule, with the same message
+    for sid in (True, 1.0, -1, 2**64, np.int64(-1), "0"):
+        with pytest.raises(ValueError, match="^stream_ids must be non-negative integers$"):
+            predict_fair(forest, X[0], SPEC, cfg, stream_id=sid)
     for ids in (np.array([0, 2**64 - 1], dtype=np.uint64), np.array([3, 4], dtype=np.uint8)):
         predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids)
+
+
+def test_predict_fair_equals_its_row_of_the_batch_bit_for_bit(rng):
+    # predict_fair folds its row's key in Python and counts its votes from
+    # one row's masses: the same bits as that row of a batch call, at
+    # stream ids on both sides of 2**63 (int64's end) and at uint64's end
+    ids = np.array([0, 17, 2**63, 2**64 - 1], dtype=np.uint64)
+    forests = [edge_case_forest(rng, 1), edge_case_forest(rng, 4),
+               Forest(trees=[random_tree(rng, n_features=3, max_depth=6, p_leaf=0.1,
+                                         p_uniform=0.3) for _ in range(3)], n_trees=3)]
+    for forest in forests:
+        X = np.vstack([edge_case_samples(rng, forest, 3), rng.uniform(-5, 5, (1, 3))])
+        for p_max, alpha in EDGE_CONFIGS:
+            cfg = config(n_simulations=30, p_max=p_max, alpha=alpha)
+            for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
+                preds, probs = predict_fair_batch(forest, X, SPEC, cfg, stream_ids=ids,
+                                                  aggregation=aggregation)
+                for i, x in enumerate(X):
+                    for sid in (int(ids[i]), ids[i]):
+                        pred, dist = predict_fair(forest, x, SPEC, cfg, stream_id=sid,
+                                                  aggregation=aggregation)
+                        assert pred == preds[i] and type(pred) is int
+                        assert np.array(dist.probs).tobytes() == probs[i].tobytes()
+                        assert dist.n_simulations_used == 30
 
 
 def test_non_finite_values_are_rejected_naming_the_cell():
@@ -566,6 +592,22 @@ def test_a_protected_feature_beyond_the_model_is_rejected():
                                match=rf"^protected_feature {protected}: model has 3 features$"):
                 predict()
     predict_fair_batch(forest, X, FairnessSpec(2), cfg)
+
+
+def test_forest_entry_points_reject_a_tree_naming_its_forest(rng):
+    # a DecisionTree has no n_trees or root: each entry point names the
+    # one-tree forest to pass instead
+    tree = edge_case_forest(rng, 1).trees[0]
+    X, cfg = np.zeros((2, 3)), config(n_simulations=5)
+    for name, predict in (
+            ("predict_fair", lambda: predict_fair(tree, X[0], SPEC, cfg)),
+            ("predict_fair_batch", lambda: predict_fair_batch(tree, X, SPEC, cfg)),
+            ("exact_forest_batch", lambda: exact_forest_batch(tree, X, SPEC, cfg)),
+            ("forest_votes_batch", lambda: forest_votes_batch(tree, X)),
+            ("predict_forest_batch", lambda: predict_forest_batch(tree, X))):
+        with pytest.raises(TypeError, match=rf"^{name} takes a Forest, not a DecisionTree; wrap a "
+                                            rf"tree as Forest\(trees=\[tree\], n_trees=1\)$"):
+            predict()
 
 
 def test_exact_path_distribution_rejects_a_forest(rng):
@@ -656,9 +698,9 @@ def test_a_census_sized_call_draws_in_the_exact_chunks_and_walks_no_lane(monkeyp
         chunks.append(rows.size)
         return pair_masses(forest, X, chance, rows, limit)
 
-    def counted_draws(keys, index, p):
+    def counted_draws(keys, index, p, out=None):
         draws.append(keys.shape)
-        return below(keys, index, p)
+        return below(keys, index, p, out)
 
     monkeypatch.setattr(traversal, "_pair_masses", counted)
     exact_forest_batch(forest, X, SPEC, cfg)
@@ -1136,6 +1178,43 @@ def test_favorable_probability_is_nondecreasing_in_alpha(rng):
 
 
 # --- config validation ----------------------------------------------------------
+
+def test_a_protected_feature_must_be_an_integer_index():
+    # FairnessSpec(1.5) used to be accepted: the frontier cast it to
+    # feature 1 and the row walk compared f == 1.5, so a row's exact
+    # probabilities depended on whether it was called alone
+    for protected in (1.5, 1.0, -1, True, "1", None):
+        with pytest.raises(ConfigError, match="^protected_feature must be a feature index$"):
+            FairnessSpec(protected)
+    spec = FairnessSpec(np.int64(1))
+    assert type(spec.protected_feature) is int and spec == FairnessSpec(1)
+    # a uniform-distance split on feature 1 that routes its unprivileged
+    # rows to the unfavorable side: boosted to min(9 * 0.1, 0.5) on both walks
+    forest = Forest(trees=[make_tree(internal(1, 0.5, 0.5, leaf(5, 0), leaf(0, 5), uniform=True),
+                                     n_features=2)], n_trees=1)
+    X, cfg = np.array([[1.0, 0.0], [0.0, 0.0]]), config(p_max=0.1, alpha=9.0)
+    assert exact_forest_batch(forest, X, spec, cfg)[1].tolist() == [[0.5, 0.5]] * 2
+    assert exact_forest_batch(forest, X[:1], spec, cfg)[1].tolist() == [[0.5, 0.5]]
+
+
+def test_traversal_config_integers():
+    # any integer but a bool, stored as int; seeds are stream-key words, so
+    # one outside [0, 2**64) would share its streams with the seed it wraps to
+    cfg = TraversalConfig(n_simulations=np.int64(5), seed=np.uint64(2**64 - 1))
+    assert (cfg.n_simulations, cfg.seed) == (5, 2**64 - 1)
+    assert type(cfg.n_simulations) is int and type(cfg.seed) is int
+    assert TraversalConfig(seed=np.int64(3)) == TraversalConfig(seed=3)
+    for n_simulations in (True, 0, -1, 5.0, np.float64(5)):
+        with pytest.raises(ConfigError, match="^n_simulations must be a positive integer$"):
+            TraversalConfig(n_simulations=n_simulations)
+    for seed in (True, -1, 2**64, 3.0, "3", np.int64(-1)):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*64\)$"):
+            TraversalConfig(seed=seed)
+    forest = edge_case_forest(np.random.default_rng(0), 3)
+    X = edge_case_samples(np.random.default_rng(1), forest, 3)
+    assert predict_fair_batch(forest, X, SPEC, config(seed=np.int64(3)))[1].tobytes() \
+        == predict_fair_batch(forest, X, SPEC, config(seed=3))[1].tobytes()
+
 
 def test_traversal_config_validation():
     with pytest.raises(ConfigError):
