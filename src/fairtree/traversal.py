@@ -234,10 +234,7 @@ def _row_masses(model: Forest | DecisionTree, roots, x, spec, config):
     each visited node's flip chance with _flip_chance's float operations in
     its order (Python floats overflow to inf as numpy's do, unwarned)."""
     protected, p_max, alpha = _protected(model, spec), float(config.p_max), float(config.alpha)
-    # by node, as memoryviews (an index gives a Python number)
-    feature, threshold, divisor, child, majority, leaf = map(memoryview, (
-        model.feature, model.threshold, model.flip_divisor, model.child.ravel(),
-        model.majority.ravel(), model.leaf_class))
+    feature, threshold, divisor, child, majority, leaf = model.row_views
     x, dbl_max = x.tolist(), float(_DBL_MAX)
     q, level = [0.0] * (2 * len(roots)), [(2 * t, r, 1.0) for t, r in enumerate(roots)]
     while level:

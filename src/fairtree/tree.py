@@ -108,8 +108,22 @@ _NODE_ARRAYS = (
 )
 
 
+class _RowViews:
+    """row_views: feature, threshold, flip_divisor, child and majority
+    (both flat) and leaf_class as memoryviews, by node (an index gives a
+    Python number), made on first use for the row walk and not pickled."""
+
+    @cached_property
+    def row_views(self) -> tuple:
+        return tuple(map(memoryview, (self.feature, self.threshold, self.flip_divisor,
+                                      self.child.ravel(), self.majority.ravel(), self.leaf_class)))
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "row_views"}
+
+
 @dataclass(eq=False)
-class DecisionTree:
+class DecisionTree(_RowViews):
     """A tree as parallel node arrays. Node 0 is the root, and the grower
     numbers nodes in level order. Internal node i sends values <=
     threshold[i] of feature[i] left; row i of child holds its (left,
@@ -256,7 +270,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Forest:
+class Forest(_RowViews):
     """Bagged trees. A forest holds its trees' node arrays once, joined
     tree-major and read-only, under the DecisionTree names (feature,
     threshold, child, flip_divisor and the others), and its trees are
@@ -337,16 +351,18 @@ def _split_score(c0l, c1l, nl, c0r, c1r, nr):
 @dataclass
 class _Level:
     """The training jobs of one level: its nodes across a group of trees.
-    Only the nodes that may still split (``active``) keep their samples,
-    grouped node by node in ``row`` and ``label``."""
+    Only the nodes that may still split (``active``) keep their samples (a
+    tree's distinct rows), grouped node by node in ``row``, ``label`` and
+    ``weight``."""
 
     depth: int
-    counts: np.ndarray  # (n, 2) class counts of every node of the level
+    counts: np.ndarray  # (n, 2) class counts of every node of the level, by weight
     key: np.ndarray  # (n,) stream key of each node's feature draw
     active: np.ndarray  # positions of the nodes that may split
     size: np.ndarray  # their sample counts
     row: np.ndarray  # their samples' rows of the data
     label: np.ndarray
+    weight: Optional[np.ndarray]  # the times each sample's tree holds its row; None: all 1
 
 
 def _rank_columns(rows: np.ndarray, labels: np.ndarray) -> tuple:
@@ -363,11 +379,13 @@ def _rank_columns(rows: np.ndarray, labels: np.ndarray) -> tuple:
 
 
 class _Grower:
-    """CART growth level by level, over _Level jobs. A node's split search
-    runs on its drawn features only. The samples of every (node, feature)
-    pair of a search block are ordered by value with one sort of packed
-    integer keys (pair, value rank, label). Features beyond the drawn ones
-    are searched only for nodes whose draw has no valid cut."""
+    """CART growth level by level, over _Level jobs, on each tree's
+    distinct rows weighted by their counts. A node's split search runs on
+    its drawn features only. The samples of every (node, feature) pair of a
+    search block are ordered by value with one sort of packed integer keys
+    (pair, value rank, label, count: count_bits bits, none when a group's
+    counts are all 1). Features beyond the drawn ones are searched only for
+    nodes whose draw has no valid cut."""
 
     def __init__(self, data: Dataset, max_depth, min_leaf, features_per_split):
         self.y = data.labels
@@ -380,14 +398,15 @@ class _Grower:
         rank_label, self.value, self.value_start, self.rank_bits = data.column_ranks
         self.rank_label = rank_label.ravel()  # feature f's from f * n_rows
 
-    def grow(self, samples, seeds) -> tuple:
+    def grow(self, counts, seeds) -> tuple:
         """(arrays, size): the node arrays (a dict by DecisionTree name) of
-        trees grown on the given rows of the data, one per (rows, seed),
-        all together level by level, joined tree-major; tree t holds size[t]
-        nodes. Each tree's nodes are numbered in level order: level by
-        level, and within a level left to right."""
+        trees grown on rows of the data, one per (counts, seed), counts[i]
+        the times the tree holds row i, all together level by level, joined
+        tree-major; tree t holds size[t] nodes. Each tree's nodes are
+        numbered in level order: level by level, and within a level left to
+        right."""
         tree = np.arange(len(seeds))
-        level = self.roots(samples, seeds)
+        level = self.roots(counts, seeds)
         levels, level_tree, level_child = [], [], []
         n_seen = 0  # nodes of the levels so far, all trees
         while tree.size:
@@ -415,24 +434,33 @@ class _Grower:
         columns = (feature, threshold, scale, uniform, child, majority, counts)
         return {name: column[order] for (name, _, _), column in zip(_NODE_ARRAYS, columns)}, size
 
-    def roots(self, samples, seeds) -> _Level:
-        """The root level of trees grown on the given rows of the data."""
-        node = np.repeat(np.arange(len(samples)), [s.size for s in samples])
-        row = np.concatenate(samples)
-        label = self.y[row]
-        counts = np.bincount(2 * node + label, minlength=2 * len(samples)).reshape(-1, 2)
+    def roots(self, counts, seeds) -> _Level:
+        """The root level of trees grown on rows of the data, tree t's row i
+        counts[t][i] times; sets count_bits and tally for their searches."""
+        rows = [c.nonzero()[0] for c in counts]
+        node = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        weight = np.concatenate([c[r] for c, r in zip(counts, rows)]).astype(np.int32)
+        row, most = np.concatenate(rows), int(weight.max())
+        self.count_bits = low = most.bit_length() if most > 1 else 0
+        # by the low 1 + count_bits bits of a key: its count + (class-1 count << 32). A
+        # search block's counts sum below 2**32: a pair's to n_rows at most, and a block
+        # of pairs holds GROW_BLOCK samples at most, bootstrap counts far below 2**17
+        self.tally = (np.array([[1], [2**32 + 1]]) * np.arange(1 << low)).ravel()
         key = np.array([stream_key(seed) for seed in seeds], dtype=np.uint64)
-        return self._level(0, counts, key, row, label, node)
+        return self._level(0, key, row, self.y[row], weight if low else None, node)
 
-    def _level(self, depth, counts, key, row, label, node) -> _Level:
-        n = counts.sum(axis=1)
+    def _level(self, depth, key, row, label, weight, node) -> _Level:
+        counts = np.bincount(2 * node + label, weight, 2 * key.size).astype(np.int64)
+        n = (counts := counts.reshape(-1, 2)).sum(axis=1)
         can = (counts.min(axis=1) > 0) & (n >= 2 * self.min_leaf)
         if self.max_depth is not None and depth >= self.max_depth:
             can[:] = False
         at = can[node].nonzero()[0]
         by_node = node[at].astype(_narrowest((can.size - 1).bit_length(), (np.uint16, np.int64)))
         at = at[np.argsort(by_node, kind="stable")]
-        return _Level(depth, counts, key, can.nonzero()[0], n[can], row[at], label[at])
+        size = n[can] if weight is None else np.bincount(node, minlength=can.size)[can]
+        return _Level(depth, counts, key, can.nonzero()[0], size, row[at], label[at],
+                      None if weight is None else weight[at])
 
     def expand(self, level: _Level):
         """(nodes, next level): nodes are (feature, threshold, scale,
@@ -460,15 +488,14 @@ class _Grower:
         rank = np.repeat(split_rank, level.size)
         moves = rank >= 0
         rank, row, label = rank[moves], level.row[moves], level.label[moves]
+        weight = None if level.weight is None else level.weight[moves]
         # value > threshold, by rank: no sample of the node lies between the cut's two values
         right = self.rank_label[row + f[rank] * self.y.size] > left_key.astype(np.int32)[rank]
-        child = 2 * rank + right
-        child_counts = np.bincount(2 * child + label, minlength=4 * split.size).reshape(-1, 2)
-        majority[split] = (child_counts[:, 1] > child_counts[:, 0]).reshape(-1, 2)
         key = finalize_array(np.repeat(level.key[split], 2)
                              ^ np.tile(np.array([0, 1], dtype=np.uint64), split.size))
-        nodes = (feature, threshold, scale, uniform, majority, counts)
-        return nodes, self._level(level.depth + 1, child_counts, key, row, label, child)
+        children = self._level(level.depth + 1, key, row, label, weight, 2 * rank + right)
+        majority[split] = (children.counts[:, 1] > children.counts[:, 0]).reshape(-1, 2)
+        return (feature, threshold, scale, uniform, majority, counts), children
 
     def _splits(self, level: _Level):
         """The split of each active node: (found mask, then feature,
@@ -527,30 +554,37 @@ class _Grower:
         sample += np.arange(sample.size)
         index = level.row[sample]
         index += (feature * self.y.size)[pair]
-        # sorted, the keys order each pair's samples by value rank, then label
-        bits = self.rank_bits + 1
+        # sorted, the keys order each pair's samples by value rank, label, then count
+        low = self.count_bits
+        bits = self.rank_bits + 1 + low
         width = bits + (feature.size - 1).bit_length()
         key = self.rank_label[index].astype(_narrowest(width, (np.int32, np.int64)), copy=False)
+        if low:
+            key <<= low
+            key |= level.weight[sample]
         del index, sample
         key |= pair.astype(key.dtype) << bits
         key.sort()
-        value_key = key >> 1
+        value_key = key >> (1 + low)
         cut = value_key[1:] != value_key[:-1]  # between positions i and i + 1
         cut[end[:-1] - 1] = False  # not across pairs
         cut = cut.nonzero()[0]
         p = pair[cut]
-        nl = cut + 1 - start[p]
+        # prefix sums of the class-1 count; with counts not all 1, of (class-1 count << 32) + count
+        tally = self.tally.take(key & ((2 << low) - 1)) if low else key & 1
+        # int32 if the keys are: an int32 -> int64 cast costs more than the sum
+        sums = np.cumsum(tally, dtype=tally.dtype)
+        before = sums[start] - tally[start]
+        left, whole = sums[cut] - before[p], (sums[end - 1] - before)[p]
+        nl, c1l, n, c1 = ((left & 0xFFFFFFFF, left >> 32, whole & 0xFFFFFFFF, whole >> 32) if low
+                          else (cut + 1 - start[p], left, size[p], whole))
         if self.min_leaf > 1:
-            ok = (nl >= self.min_leaf) & (size[p] - nl >= self.min_leaf)
-            cut, p, nl = cut[ok], p[ok], nl[ok]
+            ok = (nl >= self.min_leaf) & (n - nl >= self.min_leaf)
+            cut, p, nl, c1l, n, c1 = (a[ok] for a in (cut, p, nl, c1l, n, c1))
         if cut.size == 0:
             return
-        ones = np.cumsum(key & 1, dtype=key.dtype)  # an int32 -> int64 cast costs more than the sum
-        ones_before = ones[start] - (key[start] & 1)
-        c1l = ones[cut] - ones_before[p]
-        c1r = ones[end - 1][p] - ones_before[p] - c1l
         # counts are exact in float64, so differences of them are too
-        nl, c1l, nr, c1r = (a.astype(np.float64) for a in (nl, c1l, size[p] - nl, c1r))
+        nl, c1l, nr, c1r = (a.astype(np.float64) for a in (nl, c1l, n - nl, c1 - c1l))
         score = _split_score(nl - c1l, c1l, nl, nr - c1r, c1r, nr)
         # first max of each pair's cuts: the smallest threshold wins ties
         first = np.empty(p.size, dtype=bool)  # a cut of a new pair
@@ -603,15 +637,16 @@ def _check_training(data: Dataset, *growth) -> list:
 def _grow(data: Dataset, trees, max_depth, min_samples_leaf, features_per_split,
           bagging_meta=None) -> Forest:
     """The forest of trees grown on rows of the data: trees yields each
-    tree's (rows, seed), its rows (n_rows of them, repeated under
-    bootstrap) and the seed of its feature draws. Trees are drawn and grown
-    together in groups of about GROW_BLOCK samples."""
+    tree's (counts, seed), counts[i] the times it holds row i (bootstrap_counts)
+    and seed the seed of its feature draws. A tree grows on its distinct
+    rows, each weighted by its count, as it would on its rows repeated.
+    Trees are drawn and grown together in groups of about GROW_BLOCK rows."""
     grower = _Grower(data, max_depth, min_samples_leaf, features_per_split)
     per_group = max(1, GROW_BLOCK // data.n_rows)
     groups, size, meta, trees = [], [], [], iter(trees)
     while group := list(itertools.islice(trees, per_group)):
-        samples, seeds = zip(*group)
-        arrays, group_size = grower.grow(samples, seeds)
+        counts, seeds = zip(*group)
+        arrays, group_size = grower.grow(counts, seeds)
         groups.append(arrays)
         size.append(group_size)
         meta += [{"max_depth": max_depth, "min_samples_leaf": min_samples_leaf, "rng_seed": seed}
@@ -645,7 +680,22 @@ def train_tree(
     the root, so growth order does not matter.
     """
     _, *growth = _check_training(data, 1, max_depth, min_samples_leaf, features_per_split)
-    return _grow(data, [(np.arange(data.n_rows), operator.index(rng_seed))], *growth).trees[0]
+    return _grow(data, [(np.ones(data.n_rows, dtype=np.int64), operator.index(rng_seed))],
+                 *growth).trees[0]
+
+
+def bootstrap_counts(bagging_meta: dict, n_rows: int):
+    """Each tree's (counts, seed) of the forest trained with bagging_meta
+    on n_rows rows, tree 0 first and without end: counts[i] the times its
+    bootstrap drew row i (0: row i is out of bag; all 1 without
+    bootstrap), seed the seed of its feature draws. Tree t draws its rows,
+    then its seed, from child t of SeedSequence(bagging_meta["rng_seed"])."""
+    parent = np.random.SeedSequence(bagging_meta["rng_seed"])
+    while True:
+        rng = np.random.default_rng(parent.spawn(1)[0])
+        counts = (np.bincount(rng.integers(0, n_rows, n_rows), minlength=n_rows)
+                  if bagging_meta["bootstrap"] else np.ones(n_rows, dtype=np.int64))
+        yield counts, int(rng.integers(0, 2**63))
 
 
 def train_forest(
@@ -658,24 +708,15 @@ def train_forest(
     rng_seed: int = 0,
     bootstrap: bool = True,
 ) -> Forest:
-    """Train a bagged ensemble; per-tree bootstrap rows and seeds derive
-    from rng_seed. Each tree equals train_tree on its rows with its seed."""
+    """Train a bagged ensemble; per-tree bootstrap counts and seeds derive
+    from rng_seed (bootstrap_counts). Each tree equals train_tree on its
+    bootstrap rows, repeated as drawn, with its seed."""
     n_trees, *growth = _check_training(data, n_trees, max_depth, min_samples_leaf,
                                        features_per_split)
-    rng_seed = operator.index(rng_seed)
-
-    def draws():
-        for child in np.random.SeedSequence(rng_seed).spawn(n_trees):
-            rng = np.random.default_rng(child)
-            if bootstrap:
-                rows = rng.integers(0, data.n_rows, data.n_rows)
-            else:
-                rows = np.arange(data.n_rows)
-            yield rows, int(rng.integers(0, 2**63))
-
     bagging_meta = {"bootstrap": bool(bootstrap), "features_per_split": growth[-1],
-                    "rng_seed": rng_seed}
-    return _grow(data, draws(), *growth, bagging_meta)
+                    "rng_seed": operator.index(rng_seed)}
+    trees = itertools.islice(bootstrap_counts(bagging_meta, data.n_rows), n_trees)
+    return _grow(data, trees, *growth, bagging_meta)
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:

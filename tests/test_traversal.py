@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -854,6 +856,24 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
 
 def row_walk(forest, x, cfg):
     return traversal._row_masses(forest, forest.root.tolist(), x, SPEC, cfg)
+
+
+def test_a_model_makes_its_row_walk_views_once_and_pickles_without_them(rng):
+    # memoryviews do not pickle: a walked model and its trees pickle and
+    # copy without them, and make them again on their next walk
+    forest = edge_case_forest(rng, 3)
+    x, cfg = edge_case_samples(rng, forest, 1)[0], config(p_max=0.3)
+    q, views = row_walk(forest, x, cfg), forest.row_views
+    assert row_walk(forest, x, cfg).tobytes() == q.tobytes() and forest.row_views is views
+    tree = forest.trees[1]
+    p = exact_path_distribution(tree, x, SPEC, cfg)
+    for model in (forest, tree, copy.deepcopy(forest)):
+        again = pickle.loads(pickle.dumps(model))
+        assert "row_views" not in vars(again)
+        if model is tree:
+            assert exact_path_distribution(again, x, SPEC, cfg) == p
+        else:
+            assert row_walk(again, x, cfg).tobytes() == q.tobytes()
 
 
 def test_the_row_walk_equals_the_frontier_bit_for_bit(rng):

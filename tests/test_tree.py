@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -21,6 +22,7 @@ from fairtree.tree import (
     DecisionTree,
     Forest,
     _split_score,
+    bootstrap_counts,
     forest_votes_batch,
     predict_deterministic,
     predict_forest_batch,
@@ -794,6 +796,57 @@ def test_level_wise_growth_equals_the_depth_first_reference(grow_block, wide, mo
     assert set(widths) == ({"int64"} if wide else {"int32", "uint16"})
 
 
+@pytest.mark.parametrize("grow_block, wide", [(2**15, False), (1, False), (2**15, True)],
+                         ids=["one-group", "a-group-a-tree", "int64"])
+def test_growth_on_counted_rows_equals_the_reference_on_the_rows_repeated(
+        grow_block, wide, monkeypatch):
+    # each tree grows on its distinct rows weighted by counts of up to 8,
+    # the reference on each row repeated count times. Grown as one group,
+    # the trees share the widest count field; one tree a group, each has
+    # its own, none where its counts are all 1
+    monkeypatch.setattr(tree_module, "GROW_BLOCK", grow_block)
+    if wide:
+        monkeypatch.setattr(tree_module, "_narrowest", lambda bits, dtypes: np.dtype(np.int64))
+    rng = np.random.default_rng(20251021)
+    most = Counter()
+    for case in range(48):
+        data = random_training_data(rng)
+        growth = ([None, 2, 4][case % 3], [1, 3][case % 2], [None, 1, 2][int(rng.integers(0, 3))])
+        trees = []
+        for _ in range(int(rng.integers(1, 4))):
+            top = int(rng.integers(1, 9))
+            counts = rng.integers(0, top + 1, data.n_rows)  # 0: a row the tree leaves out
+            counts[rng.integers(0, data.n_rows)] = top
+            trees.append((counts, int(rng.integers(0, 2**63))))
+            most[top] += 1
+        forest = tree_module._grow(data, trees, *growth)
+        for trained, (counts, seed) in zip(forest.trees, trees):
+            rows = np.repeat(np.arange(data.n_rows), counts)
+            assert trained == reference_tree(data, rows, max_depth=growth[0],
+                                             min_samples_leaf=growth[1],
+                                             features_per_split=growth[2], rng_seed=seed), case
+    assert set(most) == set(range(1, 9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_rows=st.integers(1, 200), n_trees=st.integers(1, 6),
+       bootstrap=st.booleans())
+def test_bootstrap_counts_are_the_rows_and_seeds_each_tree_draws(seed, n_rows, n_trees,
+                                                                 bootstrap):
+    # tree t draws its rows, then its seed, from child t of the forest's seed sequence
+    meta = {"bootstrap": bootstrap, "features_per_split": None, "rng_seed": seed}
+    got = list(itertools.islice(bootstrap_counts(meta, n_rows), n_trees))
+    for (counts, tree_seed), child in zip(got, np.random.SeedSequence(seed).spawn(n_trees)):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, n_rows, n_rows) if bootstrap else np.arange(n_rows)
+        assert np.array_equal(counts, np.bincount(rows, minlength=n_rows))
+        assert tree_seed == int(rng.integers(0, 2**63))
+    data = make_dataset(np.arange(n_rows) % 7, np.arange(n_rows) % 2)
+    forest = train_forest(data, n_trees=n_trees, max_depth=1, bootstrap=bootstrap, rng_seed=seed)
+    assert forest.bagging_meta == meta
+    assert [t.training_meta["rng_seed"] for t in forest.trees] == [s for _, s in got]
+
+
 def test_midpoint_that_rounds_onto_the_upper_value_is_not_used():
     # (1 + 2**-52 + 1 + 2**-51) / 2 rounds half to even onto 1 + 2**-51:
     # as a threshold it would send both rows left, and the left child would
@@ -821,6 +874,27 @@ def test_all_features_models_are_unchanged():
         "ba42bfefd3489ef9a05dcfaac555fc17ddaca4af1d2778f59ba2361e2fe03eec")
     assert hashlib.sha256(dumps(forest).encode()).hexdigest() == (
         "858dddb2683d89c885ccea545881c75f85b60c0baa35eb3b552ed83e901d103f")
+
+
+def test_a_fit_without_bootstrap_is_unchanged_array_for_array():
+    # every count is 1, so the search keys hold no count field. Digests of
+    # each node array (trees joined), recorded when trees grew on their rows
+    # repeated as drawn
+    data = load_dataset(load_dataset_config(str(FIXTURE)))
+    forest = train_forest(data, n_trees=3, min_samples_leaf=3, features_per_split=2,
+                          bootstrap=False, rng_seed=11)
+    digests = {name: hashlib.sha256(np.concatenate([getattr(t, name) for t in forest.trees])
+                                    .tobytes()).hexdigest()[:16]
+               for name, _, _ in tree_module._NODE_ARRAYS}
+    assert digests == {
+        "feature": "b2ae1f5813cca957",
+        "threshold": "d86acc3a7103b09b",
+        "scale": "e29a124bc6ab74cd",
+        "uniform_distance": "1693471443b69efe",
+        "child": "00581fa4ec75f458",
+        "majority": "70cd3792208be348",
+        "class_counts": "0db23c5c421912bb",
+    }
 
 
 def test_transient_memory_of_a_forest_fit_is_bounded():
