@@ -8,33 +8,28 @@ probe takes the census-shaped table that benchmark/census.py generates
 (32,561 rows, 14 mixed-type features, ~24% positive rate, outcome
 suppressed for the unprivileged group) as numeric codes and runs the full
 25-tree, 5-fold pipeline on it. It reports wall time per stage plus the
-direction checks the real benchmark asserts. Before that, on fold 0, it
-reports its deterministic vote throughput (predict_forest_batch rows/s on
-the test split, and the seconds of the threshold policy fit's vote walk
-over the train split), times exact inference over the forest against
-Monte Carlo and reports how far their predictions agree and how many rows
-lie within Monte Carlo noise of the 0.5 boundary, how many MB of node
-arrays its forest holds, and, from
-a second, untimed Monte Carlo call, how many chunks of the exact frontier
-that call draws from, how many attempts outgrew the frontier's budget and
-were halved, and its tracemalloc peak in bytes per (row, simulation, tree)
-lane, and, from a third, how many levels the frontier walks in that call
-and its mean microseconds a level (the per-level cost), the median
-latency of 200 one-row predict_fair calls on each side of the one-row
-route: fold 0's first tree (scored by the row walk) and its whole forest
-(more nodes than traversal.MAX_LANES, scored by the frontier), the
-median split of a one-row call on that first tree into its masses (the
-row walk), its draws (stream-key folds and draw tests) and the rest (input
-checks, vote counts, the result), and the
-median microseconds a row of exact_path_distribution (the row walk) on
-that first tree over fold 0's test rows. During the
-5-fold run it prints each fold's forest fit in seconds and seconds per
-tree, and beside fold 0's the seconds to write its model text
-(model_io.dumps) and to load it back (model_io.loads). It ends with the
-seconds of each stage of the 5-fold run (Stages), the number of column
-rankings the probe made (the table ranks its columns once; each fold's
-train split gathers those ranks) and the process's peak RSS, which
-includes fold 0's model text and its reload, and exits 1 when fairttts
+direction checks the real benchmark asserts. Before that, on fold 0 (its
+forest trained by fit_fold), it reports the MB of node arrays the forest
+holds, the seconds of model_io.dumps of the forest and of model_io.loads
+of that text, its deterministic vote throughput (predict_forest_batch
+rows/s on the test split, and the seconds of the threshold policy fit's
+vote walk over the train split), exact inference against Monte Carlo on
+the test split (seconds, rows/s, how far their predictions agree and how
+many rows lie within Monte Carlo noise of 0.5), and, from untimed Monte
+Carlo calls, the chunks of the exact frontier a call draws from, the
+attempts that outgrew the frontier's budget and were halved, its
+tracemalloc peak in bytes per (row, simulation, tree) lane, and its
+frontier levels with their mean microseconds a level. Then it reports the
+median latency of 200 one-row predict_fair calls on fold 0's first tree
+(the row walk) and on its whole forest (more nodes than
+traversal.MAX_LANES: the frontier), the median split of a one-row call on
+that first tree into masses, draws (stream-key folds and draw tests) and
+the rest, and the median microseconds a row of exact_path_distribution on
+that first tree. After the 5-fold run it prints each fold's forest fit in
+seconds and seconds per tree, the seconds of each stage, the number of
+column rankings the probe made (the table ranks its columns once; each
+fold's train split gathers those ranks), the synthetic fixture's full CLI
+run with its stages, and the process's peak RSS. It exits 1 when fairttts
 does not lower EOD or drops accuracy by more than 0.005. Not a test; a
 dry run for budgeting.
 
@@ -42,31 +37,36 @@ Every time it reports is calibrated as benchmark/run.py calibrates its
 samples: benchmark/reference.py's Meter runs a fixed reference loop just
 before and just after the timed work, and the work's seconds are divided
 by the machine's slowdown around it, so that runs on a shared machine
-compare. A median of many one-row calls is divided by the slowdown around
-the whole loop of calls.
+compare. A run's stages (the per-fold seconds of its ExperimentResult's
+timings, or of the CLI's timing.json) share one slowdown, that around the
+whole run; a median of one-row calls takes that around the loop of calls.
 
 --out writes the stage record to a JSON file, BENCH_<label>.json by
 convention, <label> naming the code measured: "stages_s", the calibrated
-seconds of each stage summed over the 5 folds (load, fold_plan, train,
-policy_fit, votes, method.<name> for each method, metrics, model_dumps,
-model_loads; see Stages); "train_s_per_fold" and "train_s_per_tree", by
-fold; "rows_per_s" of each method over the 5 folds as its report timings
-count it (the test rows' vote walk, which baseline and
-threshold_optimizer share, in baseline's) and of fold 0's exact, Monte
-Carlo and vote runs ("fold0.<run>"); "peak_rss_mb"; and the slowdowns
-seen.
+seconds of each stage summed over the 5 folds (load; the run's fold_plan,
+train, policy_fit, votes, method.<name> for each method and metrics; fold
+0's model_dumps and model_loads); "train_s_per_fold" and
+"train_s_per_tree", by fold; "rows_per_s" of each method over the 5 folds
+(the test rows' vote walk, which baseline and threshold_optimizer share,
+in baseline's) and of fold 0's exact, Monte Carlo and vote runs
+("fold0.<run>"); "model_mb"; "peak_rss_mb"; the slowdowns seen; and
+"fixture", the second scale: the synthetic fixture's CLI run (25 trees,
+5 folds, S = 100) with its calibrated "wall_s", its "slowdown" and the
+calibrated "stages_s" of its timing.json.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import resource
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
-from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -78,22 +78,19 @@ sys.path.insert(0, os.path.join(ROOT, "benchmark"))
 import census  # noqa: E402
 from reference import REFERENCE_S, Meter  # noqa: E402
 
-from fairtree import bench, model_io, traversal, tree  # noqa: E402
-from fairtree.bench import (  # noqa: E402
-    _TAG_ENGINE,
-    _TAG_FOLDS,
-    METHOD_BASELINE,
-    METHOD_FAIRTTTS,
-    METHOD_THRESHOLD,
-    ExperimentConfig,
-    fit_fold,
-    predict_method,
-    run_experiment_on,
-)
+from fairtree import cli, model_io, traversal, tree  # noqa: E402
+from fairtree.bench import (_TAG_ENGINE, _TAG_FOLDS, METHOD_BASELINE,  # noqa: E402
+                            METHOD_FAIRTTTS, METHOD_THRESHOLD, ExperimentConfig, fit_fold,
+                            predict_method, run_experiment_on)
 from fairtree.data import make_folds  # noqa: E402
 from fairtree.rng import stream_key  # noqa: E402
 from fairtree.traversal import FairnessSpec, predict_fair  # noqa: E402
 from fairtree.tree import Dataset, Forest  # noqa: E402
+
+# the second scale: the synthetic fixture's full CLI run, at the synthetic_cli
+# benchmark's settings
+FIXTURE = os.path.join("fixtures", "synthetic.json")
+FIXTURE_FLAGS = ("--n-trees", "25", "--folds", "5", "--n-simulations", "100")
 
 
 def census_table(seed=1):
@@ -123,24 +120,6 @@ def calibrated(meter, fn):
     with meter.sample() as t:
         out = fn()
     return out, t.seconds
-
-
-def fit_fold_timing_votes(meter, dataset, plan, config, protected):
-    """Fold 0's forest, from fit_fold, and the calibrated seconds of the
-    vote walk over its train split that fits the threshold policy."""
-    spent, votes = [], bench.forest_votes_batch
-
-    def timed(*args):
-        out, seconds = calibrated(meter, lambda: votes(*args))
-        spent.append(seconds)
-        return out
-
-    bench.forest_votes_batch = timed
-    try:
-        forest, _ = fit_fold(dataset, plan, 0, config, protected)
-        return forest, sum(spent)
-    finally:
-        bench.forest_votes_batch = votes
 
 
 def vote_rate(meter, forest, X, calls=5):
@@ -279,118 +258,30 @@ def count_rankings() -> list:
     return rankings
 
 
-class Stages:
-    """Calibrated seconds of the stages of run_experiment_on's folds, taken
-    by wrapping, in fairtree.bench, the function each stage calls; each
-    call is one Meter sample, and a call inside another's sample is not
-    timed on its own:
-    - fold_plan: make_folds;
-    - train and policy_fit: fit_fold, split by the raw seconds of its
-      fit_forest call (policy_fit: the train split's vote walk and
-      fit_threshold_policy);
-    - votes: forest_votes_batch outside fit_fold, the test rows' vote walk;
-    - method.<name>: predict_method;
-    - metrics: full_report.
-    After fold 0's fit, model_dumps and model_loads time model_io.dumps of
-    its forest and model_io.loads of that text. Each fit is printed as it
-    ends."""
-
-    def __init__(self, meter, n_trees):
-        self.meter, self.n_trees = meter, n_trees
-        self.seconds, self.rows = defaultdict(list), defaultdict(int)
-        self.saved, self.busy, self.model_mb = {}, False, None
-
-    def __enter__(self):
-        wrappers = {"make_folds": self.fold_plan, "fit_fold": self.fit_fold,
-                    "forest_votes_batch": self.votes, "predict_method": self.method,
-                    "full_report": self.metrics}
-        for name, wrapper in wrappers.items():
-            self.saved[name] = getattr(bench, name)
-            setattr(bench, name, wrapper)
-        return self
-
-    def __exit__(self, *exc):
-        for name, f in self.saved.items():
-            setattr(bench, name, f)
-
-    def _sample(self, stage, f, *args):
-        if self.busy:  # inside another sample: timed as part of it
-            return f(*args)
-        self.busy = True
-        try:
-            out, seconds = calibrated(self.meter, lambda: f(*args))
-        finally:
-            self.busy = False
-        self.seconds[stage].append(seconds)
-        return out
-
-    def fold_plan(self, *args, **kwargs):
-        return self._sample("fold_plan", lambda: self.saved["make_folds"](*args, **kwargs))
-
-    def fit_fold(self, *args):
-        fit, raw = bench.fit_forest, []
-
-        def timed(*fit_args):
-            t0 = time.perf_counter()
-            try:
-                return fit(*fit_args)
-            finally:
-                raw.append(time.perf_counter() - t0)
-
-        bench.fit_forest, self.busy = timed, True
-        try:
-            with self.meter.sample() as t:
-                forest, policy = self.saved["fit_fold"](*args)
-        finally:
-            bench.fit_forest, self.busy = fit, False
-        train = raw[0] / t.slowdown
-        self.seconds["train"].append(train)
-        self.seconds["policy_fit"].append(t.seconds - train)
-        line = f"fold {args[2]} forest fit {train:.2f}s  {train / self.n_trees:.3f} s per tree"
-        if args[2] == 0:
-            text = self._sample("model_dumps", model_io.dumps, forest)
-            self._sample("model_loads", model_io.loads, text)
-            self.model_mb = len(text) / 1e6
-            line += (f"  dumps {self.seconds['model_dumps'][0]:.2f}s  loads "
-                     f"{self.seconds['model_loads'][0]:.2f}s  ({self.model_mb:.1f} MB)")
-            del text
-        print(line)
-        return forest, policy
-
-    def votes(self, *args):
-        return self._sample("votes", self.saved["forest_votes_batch"], *args)
-
-    def method(self, method, forest, X, *args):
-        self.rows[method] += len(X)
-        return self._sample(f"method.{method}", self.saved["predict_method"],
-                            method, forest, X, *args)
-
-    def metrics(self, *args):
-        return self._sample("metrics", self.saved["full_report"], *args)
-
-    def method_seconds(self, method) -> float:
-        """A method's seconds over all folds, as report timings count them:
-        baseline's include the test rows' vote walk."""
-        votes = sum(self.seconds["votes"]) if method == METHOD_BASELINE else 0.0
-        return sum(self.seconds[f"method.{method}"]) + votes
-
-
 def exact_vs_monte_carlo(meter, dataset, protected, config):
     """Fold 0 of config's plan: seconds and rows/s of exact inference and
     of Monte Carlo on its test rows, how often their predictions agree, and
     the share of rows whose exact favorable chance Q lies within
     2 * sqrt(Q * (1 - Q) / S) of 0.5, where S simulations cannot tell the
-    side. Returns the rows/s of fold 0's exact, Monte Carlo and vote runs."""
+    side. Returns the rows/s of fold 0's exact, Monte Carlo and vote runs,
+    the calibrated seconds of model_io.dumps of its forest and of
+    model_io.loads of that text (model_dumps, model_loads), and the text's MB."""
     plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS))
-    forest, fit_walk = fit_fold_timing_votes(meter, dataset, plan, config, protected)
+    forest, train = fit_fold(dataset, plan, 0, config), plan.train_indices(0)
+    _, fit_walk = calibrated(meter, lambda: tree.forest_votes_batch(forest, dataset.rows[train]))
+    text, dumps_s = calibrated(meter, lambda: model_io.dumps(forest))
+    _, loads_s = calibrated(meter, lambda: model_io.loads(text))
+    model_mb = len(text) / 1e6
+    del text
     print(f"fold 0 forest holds {node_array_mb(forest):.1f} MB of node arrays "
-          f"({forest.feature.size:,} nodes)")
+          f"({forest.feature.size:,} nodes); model_io.dumps {dumps_s:.2f}s, "
+          f"loads {loads_s:.2f}s ({model_mb:.1f} MB)")
     test = plan.test_indices(0)
     X, spec = dataset.rows[test], FairnessSpec(protected_feature=protected)
     rates = {"votes": vote_rate(meter, forest, X)}
     print(f"fold 0 votes         predict_forest_batch {rates['votes']:,.0f} rows/s "
           f"on {len(X):,} test rows; the threshold fit's vote walk {fit_walk:.3f}s "
-          f"on {plan.train_indices(0).size:,} train rows")
+          f"on {train.size:,} train rows")
     seed = stream_key(config.seed, _TAG_ENGINE, 0)
     out = {}
     for name, cfg in (("exact", replace(config, exact=True)), ("monte carlo", config)):
@@ -426,34 +317,34 @@ def exact_vs_monte_carlo(meter, dataset, protected, config):
     noise = float(np.mean(np.abs(q - 0.5) <= 2 * np.sqrt(q * (1 - q) / S)))
     print(f"fold 0 predictions agree on {agree:.2%} of {len(X)} rows; "
           f"{noise:.2%} lie within 2*sqrt(Q(1-Q)/{S}) of 0.5")
-    return rates
+    return rates, {"model_dumps": dumps_s, "model_loads": loads_s}, model_mb
 
 
-def write_record(path, stages, fold0, dataset, config, peak_rss_mb, slowdowns):
+def fixture_run(meter):
+    """The fixture block: the synthetic fixture's full CLI run as one Meter
+    sample around cli.main, its calibrated seconds (wall_s), and the stages
+    of its timing.json summed over its folds and divided by that sample's
+    slowdown."""
+    argv = ["run", "--data", os.path.join(ROOT, FIXTURE), *FIXTURE_FLAGS]
+    with tempfile.TemporaryDirectory() as out:
+        with meter.sample() as t, contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--out-dir", out])
+        if code:
+            raise SystemExit(f"the fixture run exited {code}")
+        with open(os.path.join(out, "timing.json"), encoding="utf-8") as fh:
+            timing = json.load(fh)["seconds"]
+    return {"command": " ".join(["fairtree run --data", FIXTURE, *FIXTURE_FLAGS]),
+            "wall_s": t.seconds, "slowdown": t.slowdown,
+            "stages_s": {stage: sum(folds) / t.slowdown for stage, folds in timing.items()}}
+
+
+def write_record(path, record):
     """The stage record (see the module docstring) as JSON at path."""
     name = os.path.basename(path)
     label = name[len("BENCH_"):-len(".json")] if name.startswith("BENCH_") else name
-    train = stages.seconds["train"]
-    record = {
-        "schema": "fairtree-bench/1",
-        "label": label,
-        "probe": {"rows": dataset.n_rows, "features": dataset.n_features,
-                  "n_trees": config.n_trees, "folds": config.folds,
-                  "n_simulations": config.n_simulations, "methods": list(config.methods)},
-        "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "nproc": len(os.sched_getaffinity(0)), "reference_s": REFERENCE_S},
-        "stages_s": {stage: sum(seconds) for stage, seconds in stages.seconds.items()},
-        "train_s_per_fold": train,
-        "train_s_per_tree": [seconds / config.n_trees for seconds in train],
-        "rows_per_s": {**{m: rows / stages.method_seconds(m) for m, rows in stages.rows.items()},
-                       **{f"fold0.{k}": v for k, v in fold0.items()}},
-        "model_mb": stages.model_mb,
-        "peak_rss_mb": peak_rss_mb,
-        "slowdown": {"samples": len(slowdowns), "min": min(slowdowns),
-                     "median": statistics.median(slowdowns), "max": max(slowdowns)},
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump({"schema": "fairtree-bench/1", "label": label, **record}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -472,28 +363,56 @@ def main(argv=None):
         n_simulations=100, p_max=0.1, alpha=9.0, folds=5, seed=20240601,
         methods=(METHOD_BASELINE, METHOD_THRESHOLD, METHOD_FAIRTTTS),
     )
-    fold0 = exact_vs_monte_carlo(meter, dataset, sex_index, config)
-    with Stages(meter, config.n_trees) as stages:
-        stages.seconds["load"].append(load_s)
+    fold0, model_io_s, model_mb = exact_vs_monte_carlo(meter, dataset, sex_index, config)
+    with meter.sample() as run:
         result = run_experiment_on(dataset, sex_index, "census_shaped", config)
+    seconds = {stage: [s / run.slowdown for s in folds] for stage, folds in result.timings.items()}
+    train = seconds["train"]
+    for fold, fit in enumerate(train):
+        print(f"fold {fold} forest fit {fit:.2f}s  {fit / config.n_trees:.3f} s per tree")
+    stages = {"load": load_s, **{stage: sum(folds) for stage, folds in seconds.items()},
+              **model_io_s}
+    # as the report timings once counted them: baseline's take the test rows' vote walk
+    inference = {m: stages[f"method.{m}"] + (stages["votes"] if m == METHOD_BASELINE else 0.0)
+                 for m in config.methods}
     for method in config.methods:
         agg = result.aggregates[method]
         print(f"{method:<20} acc {agg['accuracy']['mean']:.4f}±{agg['accuracy']['std']:.4f}"
               f"  eod {agg['eod']['mean']:.4f}±{agg['eod']['std']:.4f}"
               f"  di {agg['di']['mean']:.4f}"
-              f"  inference {stages.method_seconds(method):.2f}s")
+              f"  inference {inference[method]:.2f}s")
     print("stages (calibrated seconds over 5 folds): " + ", ".join(
-        f"{stage} {sum(seconds):.2f}" for stage, seconds in stages.seconds.items()))
-    print(f"total of the stages {sum(map(sum, stages.seconds.values())):.1f}s; "
-          f"machine slowdown median {statistics.median(meter.slowdowns):.2f} "
-          f"over {len(meter.slowdowns)} samples")
+        f"{stage} {total:.2f}" for stage, total in stages.items()))
+    print(f"total of the stages {sum(stages.values()):.1f}s; the 5-fold run {run.seconds:.1f}s "
+          f"at slowdown {run.slowdown:.2f}; machine slowdown median "
+          f"{statistics.median(meter.slowdowns):.2f} over {len(meter.slowdowns)} samples")
     tables = ", ".join(f"{rows:,} x {columns}" for rows, columns in rankings)
     print(f"column rankings {len(rankings)} (tables of rows x columns: {tables})")
+    fixture = fixture_run(meter)
+    print(f"fixture: {fixture['command']}: {fixture['wall_s']:.2f}s; stages: " + ", ".join(
+        f"{stage} {total:.3f}" for stage, total in fixture["stages_s"].items()))
     # ru_maxrss is in KiB on Linux
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_rss_mb:.0f} MiB")
     if args.out:
-        write_record(args.out, stages, fold0, dataset, config, peak_rss_mb, meter.slowdowns)
+        write_record(args.out, {
+            "probe": {"rows": dataset.n_rows, "features": dataset.n_features,
+                      "n_trees": config.n_trees, "folds": config.folds,
+                      "n_simulations": config.n_simulations, "methods": list(config.methods)},
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "nproc": len(os.sched_getaffinity(0)), "reference_s": REFERENCE_S},
+            "stages_s": stages,
+            "train_s_per_fold": train,
+            "train_s_per_tree": [fit / config.n_trees for fit in train],
+            "rows_per_s": {**{m: dataset.n_rows / inference[m] for m in config.methods},
+                           **{f"fold0.{k}": v for k, v in fold0.items()}},
+            "model_mb": model_mb,
+            "peak_rss_mb": peak_rss_mb,
+            "slowdown": {"samples": len(meter.slowdowns), "min": min(meter.slowdowns),
+                         "median": statistics.median(meter.slowdowns),
+                         "max": max(meter.slowdowns)},
+            "fixture": fixture,
+        })
         print(f"wrote {args.out}")
     eod_b = result.aggregates[METHOD_BASELINE]["eod"]["mean"]
     eod_f = result.aggregates[METHOD_FAIRTTTS]["eod"]["mean"]

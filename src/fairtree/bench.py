@@ -35,13 +35,9 @@ from .exact import exact_forest_batch
 from .metrics import MetricsReport, full_report
 from .rng import stream_key
 from .threshold import ThresholdPolicy, apply_threshold_policy, fit_threshold_policy
-from .traversal import (
-    VOTE_MAJORITY,
-    FairnessSpec,
-    TraversalConfig,
-    exact_path_distribution,  # noqa: F401
-    predict_fair_batch,
-)
+from .traversal import (VOTE_MAJORITY, FairnessSpec, TraversalConfig, _check_aggregation,
+                        _integer, predict_fair_batch)
+from .traversal import exact_path_distribution  # noqa: F401
 from .tree import (
     Dataset,
     Forest,
@@ -91,8 +87,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Check every setting, so that a bad one fails before any data is read."""
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
+        _integer(self.folds, 2, math.inf, "folds must be an integer >= 2")
+        _check_aggregation(self.aggregation)
         if not self.methods:
             raise ConfigError("at least one method must be selected")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -189,23 +185,22 @@ def fit_forest(dataset: Dataset, config: ExperimentConfig, rng_seed: int) -> For
     )
 
 
-def fit_fold(
-    dataset: Dataset,
-    plan: FoldPlan,
-    fold: int,
-    config: ExperimentConfig,
-    protected_index: int,
-):
-    """Train the fold's forest (and threshold policy if requested) using
-    only the fold's train split."""
+def fit_fold(dataset: Dataset, plan: FoldPlan, fold: int, config: ExperimentConfig) -> Forest:
+    """The fold's forest, trained on the fold's train split only."""
     train_data = dataset.subset(plan.train_indices(fold))
-    forest = fit_forest(train_data, config, stream_key(config.seed, _TAG_TRAIN, fold))
-    policy = None
-    if METHOD_THRESHOLD in config.methods:
-        scores_tr = forest_votes_batch(forest, train_data.rows) / forest.n_trees
-        group_tr = train_data.rows[:, protected_index].astype(np.int64)
-        policy = fit_threshold_policy(scores_tr, train_data.labels, group_tr)
-    return forest, policy
+    return fit_forest(train_data, config, stream_key(config.seed, _TAG_TRAIN, fold))
+
+
+def fit_policy(forest: Forest, dataset: Dataset, plan: FoldPlan, fold: int,
+               config: ExperimentConfig, protected_index: int) -> Optional[ThresholdPolicy]:
+    """The threshold policy of the fold's forest, fitted on the vote-fraction
+    scores of the fold's train split, or None without threshold_optimizer."""
+    if METHOD_THRESHOLD not in config.methods:
+        return None
+    train = plan.train_indices(fold)
+    scores = forest_votes_batch(forest, dataset.rows[train]) / forest.n_trees
+    return fit_threshold_policy(scores, dataset.labels[train],
+                                dataset.rows[train, protected_index].astype(np.int64))
 
 
 def predict_method(method, forest: Forest, X, spec: FairnessSpec, config: ExperimentConfig,
@@ -240,65 +235,81 @@ def load(path):
     return dataset, dataset.feature_index(ds_config.protected_column), ds_config.name
 
 
+class _Clock:
+    """Disjoint per-fold stage seconds of a run: each lap files the time
+    since the one before under its fold, its stage and its owner, the index
+    of the sweep config it was spent on (None: shared by every config)."""
+
+    def __init__(self):
+        self.laps, self.last = [], time.perf_counter()
+
+    def lap(self, fold: int, stage: str, owner: Optional[int] = None) -> None:
+        now = time.perf_counter()
+        self.laps.append((fold, stage, owner, now - self.last))
+        self.last = now
+
+    def seconds(self, folds: int, owner: int) -> dict:
+        """{stage: [seconds of each fold]} of the laps owner shares or owns."""
+        out = {}
+        for fold, stage, who, seconds in self.laps:
+            if who in (None, owner):
+                out.setdefault(stage, [0.0] * folds)[fold] += seconds
+        return out
+
+
 def _run_folds(dataset: Dataset, protected_index: int, dataset_name: str, configs) -> list:
     """One ExperimentResult per config of configs, which differ only in
     alpha. Each fold is fitted once and scored under every config (the
     alpha-independent methods once, shared by all configs), and its forest
-    released before the next fold is fitted."""
-    config = configs[0]
+    released before the next fold is fitted. A result's timings are the
+    per-fold seconds of the stages it shares or owns (fold 0's fold_plan
+    includes make_folds)."""
+    config, clock = configs[0], _Clock()
     try:
         plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, _TAG_FOLDS),
                           labels=dataset.labels if config.stratified else None)
     except ValueError as exc:
         raise DataError(f"folds: {exc}") from exc
     spec = FairnessSpec(protected_feature=protected_index)
-    scored = [{m: [] for m in config.methods} for _ in configs]  # per fold: (report, seconds)
+    reports = [{m: [] for m in config.methods} for _ in configs]
     for fold in range(config.folds):
         try:
-            forest, policy = fit_fold(dataset, plan, fold, config, protected_index)
             te = plan.test_indices(fold)
             X_te, y_te = dataset.rows[te], dataset.labels[te]
             g_te = X_te[:, protected_index].astype(np.int64)
+            clock.lap(fold, "fold_plan")
+            forest = fit_fold(dataset, plan, fold, config)
+            clock.lap(fold, "train")
+            policy = fit_policy(forest, dataset, plan, fold, config, protected_index)
+            clock.lap(fold, "policy_fit")
+            # walked once for the methods that read the test rows' votes
+            votes = (forest_votes_batch(forest, X_te)
+                     if set(config.methods) - {METHOD_FAIRTTTS} else None)
+            clock.lap(fold, "votes")
             engine_seed = stream_key(config.seed, _TAG_ENGINE, fold)
-            votes = None  # of the test rows: walked once, by the first method that reads them
             for i, c in enumerate(configs):
                 for method in config.methods:
                     if i and method != METHOD_FAIRTTTS:  # alpha-independent
-                        scored[i][method].append(scored[0][method][-1])
+                        reports[i][method].append(reports[0][method][-1])
                         continue
-                    start = time.perf_counter()
-                    if votes is None and method != METHOD_FAIRTTTS:
-                        votes = forest_votes_batch(forest, X_te)
+                    owner = i if method == METHOD_FAIRTTTS else None
                     preds, _ = predict_method(method, forest, X_te, spec, c, engine_seed, te,
                                               policy, g_te, votes)
-                    elapsed = time.perf_counter() - start
-                    scored[i][method].append((full_report(y_te, preds, g_te), elapsed))
+                    clock.lap(fold, f"method.{method}", owner)
+                    reports[i][method].append(full_report(y_te, preds, g_te))
+                    clock.lap(fold, "metrics", owner)
             del forest, policy, votes  # not held while the next fold's forest is fitted
         except (ValueError, DataError) as exc:
             raise DataError(f"fold {fold}: {exc}") from exc
-    results = []
-    for c, out in zip(configs, scored):
-        fold_reports = {m: [report for report, _ in out[m]] for m in c.methods}
-        results.append(ExperimentResult(
-            dataset=dataset_name,
-            seed=c.seed,
-            folds=c.folds,
-            methods=tuple(c.methods),
-            config=c.to_dict(),
-            fold_reports=fold_reports,
-            aggregates={m: _aggregate(fold_reports[m]) for m in c.methods},
-            environment=_environment(c.seed),
-            timings={m: [seconds for _, seconds in out[m]] for m in c.methods},
-        ))
-    return results
+    return [ExperimentResult(
+        dataset=dataset_name, seed=c.seed, folds=c.folds, methods=tuple(c.methods),
+        config=c.to_dict(), fold_reports=out, aggregates={m: _aggregate(out[m]) for m in c.methods},
+        environment=_environment(c.seed), timings=clock.seconds(c.folds, i),
+    ) for i, (c, out) in enumerate(zip(configs, reports))]
 
 
-def run_experiment_on(
-    dataset: Dataset,
-    protected_index: int,
-    dataset_name: str,
-    config: ExperimentConfig,
-) -> ExperimentResult:
+def run_experiment_on(dataset: Dataset, protected_index: int, dataset_name: str,
+                      config: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment on an already-loaded dataset."""
     return _run_folds(dataset, protected_index, dataset_name, [config])[0]
 
@@ -423,7 +434,7 @@ def emit_report(result: ExperimentResult, out_dir, formats=REPORT_FORMATS):
         paths["timing"] = os.path.join(out_dir, "timing.json")
         write_text(
             paths["timing"],
-            _dump_json({"schema": "fairtree-timing/1", "seconds": result.timings}),
+            _dump_json({"schema": "fairtree-timing/2", "seconds": result.timings}),
         )
     return paths
 

@@ -90,9 +90,9 @@ class TraversalConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_simulations", _integer(
             self.n_simulations, 1, math.inf, "n_simulations must be a positive integer"))
-        if not 0.0 <= self.p_max <= 0.5:
+        if not (isinstance(self.p_max, numbers.Real) and 0.0 <= self.p_max <= 0.5):
             raise ConfigError("p_max must lie in [0, 0.5]")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha < math.inf):
             raise ConfigError("alpha must be finite and >= 0")
         object.__setattr__(self, "seed", _integer(
             self.seed, 0, 2**64, "seed must be an integer in [0, 2**64)"))

@@ -158,6 +158,7 @@ class DecisionTree(_RowViews):
 
     def __post_init__(self):
         arrays = {name: getattr(self, name) for name, _, _ in _NODE_ARRAYS}
+        self.n_features = check_n_features(self.n_features)
         nodes, _, _, (self.max_depth,) = _checked_nodes(
             arrays, np.array([len(np.atleast_1d(self.feature))]), self.n_features, copy=True)
         vars(self).update(nodes)
@@ -181,21 +182,24 @@ class DecisionTree(_RowViews):
         return self.child[:, 1]
 
 
-def check_n_features(n_features) -> None:
-    """Raise ValueError("n_features: <rule>") unless n_features is an int >= 1."""
-    if isinstance(n_features, bool) or not isinstance(n_features, int):
+def check_n_features(n_features) -> int:
+    """n_features as an int; ValueError("n_features: <rule>") unless it is an
+    integer (not a bool) >= 1."""
+    if isinstance(n_features, bool) or not isinstance(n_features, numbers.Integral):
         raise ValueError("n_features: expected an integer")
     if n_features < 1:
         raise ValueError("n_features: must be >= 1")
+    return int(n_features)
 
 
 def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
                    in_forest: bool = False) -> tuple:
-    """Every DecisionTree rule checked at once over n_features and the node
-    arrays of trees joined tree-major, tree t's size[t] nodes with child ids
-    local to it: (nodes, root, child, max_depth), nodes holding each node
-    array cast to its dtype (a copy if copy or the dtype differs) and each
-    derived one, all read-only; root[t] is tree t's first node, child the
+    """Every node array rule of DecisionTree checked at once over the node
+    arrays of trees of n_features features (an int check_n_features gave),
+    joined tree-major, tree t's size[t] nodes with child ids local to it:
+    (nodes, root, child, max_depth), nodes holding each node array cast to
+    its dtype (a copy if copy or the dtype differs) and each derived one,
+    all read-only; root[t] is tree t's first node, child the
     global ids, each leaf its own two children, and max_depth a list of
     each tree's. The first broken rule raises ValueError("<field>[<j>]:
     <rule>"), j local to its tree t, with "trees[<t>]." in front in_forest."""
@@ -207,7 +211,6 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
             where = f"trees[{t}].{name}" if in_forest else name
             raise ValueError(f"{where}[{j - root[t]}]: {rule.format(n=size[t])}")
 
-    check_n_features(n_features)
     end = size if size.size == 1 else np.cumsum(size)  # one tree needs no offsets
     n, root, empty = int(end[-1]), end - size, size.min() < 1
     nodes = {}
@@ -307,6 +310,7 @@ class Forest(_RowViews):
         holding size[t] nodes with child ids local to it and training_meta[t].
         A broken rule raises ValueError("trees[<t>].<field>[<j>]: <rule>")."""
         size, forest = np.asarray(size, dtype=np.int64), cls.__new__(cls)
+        n_features = check_n_features(n_features)
         nodes, forest.root, forest.child, depths = _checked_nodes(
             arrays, size, n_features, copy=False, in_forest=True)
         forest.trees = [DecisionTree.__new__(DecisionTree) for _ in depths]

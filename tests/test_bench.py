@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import time
 import weakref
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -21,6 +22,7 @@ from fairtree.bench import (
     emit_report,
     emit_sweep,
     fit_fold,
+    fit_policy,
     parse_report,
     render_csv,
     render_table,
@@ -79,12 +81,46 @@ def test_aggregates_mean_and_sample_std():
     assert agg["folds_used"] == 3 and agg["folds_excluded"] == 0
 
 
+STAGES = ("fold_plan", "train", "policy_fit", "votes", "metrics")
+
+
 def test_timings_are_recorded_but_not_compared():
     a = run_experiment(small_config(methods=(METHOD_BASELINE,)))
     b = run_experiment(small_config(methods=(METHOD_BASELINE,)))
-    assert a.timings[METHOD_BASELINE] != b.timings[METHOD_BASELINE] or True
-    assert all(t >= 0 for t in a.timings[METHOD_BASELINE])
+    assert all(t >= 0 for t in a.timings[f"method.{METHOD_BASELINE}"])
     assert a == b  # equality ignores wall-clock noise
+    assert a == replace(b, timings={})
+
+
+def test_each_stage_has_one_entry_per_fold_and_none_is_negative():
+    config = small_config(methods=METHODS)
+    result = run_experiment(config)
+    assert set(result.timings) == {*STAGES, *(f"method.{m}" for m in METHODS)}
+    for stage, seconds in result.timings.items():
+        assert len(seconds) == config.folds and min(seconds) >= 0, stage
+    assert sum(result.timings["train"]) > 0
+
+
+@pytest.mark.parametrize("methods", [METHODS, (METHOD_FAIRTTTS,)])
+def test_a_runs_stages_sum_to_no_more_than_its_wall_time(methods):
+    dataset, protected, name = bench.load(SYNTHETIC)
+    start = time.perf_counter()
+    result = run_experiment_on(dataset, protected, name, small_config(methods=methods))
+    wall = time.perf_counter() - start
+    assert set(result.timings) == {*STAGES, *(f"method.{m}" for m in methods)}
+    assert sum(map(sum, result.timings.values())) <= wall
+
+
+def test_a_sweeps_results_share_their_fit_stages():
+    sweep = sweep_alpha(small_config(methods=METHODS), [1.0, 2.0, 4.0])
+    first, *rest = (result.timings for result in sweep.results)
+    shared = ("fold_plan", "train", "policy_fit", "votes",
+              f"method.{METHOD_BASELINE}", f"method.{METHOD_THRESHOLD}")
+    for timings in rest:
+        assert set(timings) == set(first)
+        assert all(timings[stage] == first[stage] for stage in shared)
+        # each alpha's fairttts inference is its own
+        assert timings[f"method.{METHOD_FAIRTTTS}"] != first[f"method.{METHOD_FAIRTTTS}"]
 
 
 def test_fairness_direction_on_synthetic_fixture():
@@ -110,7 +146,8 @@ def test_no_leakage_from_test_labels():
     protected = dataset.feature_index(ds_config.protected_column)
     plan = make_folds(dataset.n_rows, config.folds, stream_key(config.seed, 101))
     fold = 0
-    forest_a, policy_a = fit_fold(dataset, plan, fold, config, protected)
+    forest_a = fit_fold(dataset, plan, fold, config)
+    policy_a = fit_policy(forest_a, dataset, plan, fold, config, protected)
     # flipping every test label must not change anything fitted
     poisoned = dataset
     test_idx = plan.test_indices(fold)
@@ -122,9 +159,10 @@ def test_no_leakage_from_test_labels():
         rows=dataset.rows,
         labels=labels,
     )
-    forest_b, policy_b = fit_fold(poisoned, plan, fold, config, protected)
+    forest_b = fit_fold(poisoned, plan, fold, config)
+    policy_b = fit_policy(forest_b, poisoned, plan, fold, config, protected)
     assert dumps(forest_a) == dumps(forest_b)
-    assert policy_a == policy_b
+    assert policy_a is not None and policy_a == policy_b
 
 
 def test_experiment_is_end_to_end_deterministic(tmp_path):
@@ -192,9 +230,9 @@ def test_folds_are_fitted_one_forest_at_a_time(monkeypatch):
     def tracked(*args):
         gc.collect()
         assert all(ref() is None for ref in forests), f"a forest is alive at fit {len(forests)}"
-        forest, policy = fit(*args)
+        forest = fit(*args)
         forests.append(weakref.ref(forest))
-        return forest, policy
+        return forest
 
     monkeypatch.setattr(bench, "fit_fold", tracked)
     run_experiment(small_config())
@@ -365,6 +403,10 @@ def test_cli_run_writes_all_artifacts(tmp_path):
         assert (out / name).exists(), name
     doc = json.loads((out / "report.json").read_text())
     assert doc["schema"] == "fairtree-report/1"
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["schema"] == "fairtree-timing/2"
+    assert set(timing["seconds"]) == {*STAGES, *(f"method.{m}" for m in METHODS)}
+    assert all(len(seconds) == 3 for seconds in timing["seconds"].values())
 
 
 def test_cli_run_twice_is_byte_identical_excluding_timing(tmp_path):
@@ -553,6 +595,30 @@ def forbid(monkeypatch, name):
     def called(*args, **kwargs):
         raise AssertionError(f"bench.{name} was called")
     monkeypatch.setattr(bench, name, called)
+
+
+# settings that once got past ExperimentConfig: median until fold 0's first
+# fairttts call, the others as TypeErrors from the fold loop or the engine
+@pytest.mark.parametrize("setting, value, message", [
+    ("aggregation", "median", "unknown aggregation 'median'"),
+    ("folds", 2.5, r"folds must be an integer >= 2"),
+    ("folds", "5", r"folds must be an integer >= 2"),
+    ("folds", True, r"folds must be an integer >= 2"),
+    ("folds", 1, r"folds must be an integer >= 2"),
+    ("p_max", "0.1", r"p_max must lie in \[0, 0.5\]"),
+    ("alpha", None, r"alpha must be finite and >= 0"),
+])
+def test_a_bad_setting_fails_before_any_data_is_read(setting, value, message, monkeypatch):
+    forbid(monkeypatch, "load_dataset")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_experiment(small_config(**{setting: value}))
+
+
+def test_numpy_settings_are_taken():
+    result = run_experiment(small_config(folds=np.int64(2), p_max=np.float64(0.1),
+                                         alpha=np.float32(2.0), methods=(METHOD_FAIRTTTS,)))
+    assert result == run_experiment(small_config(folds=2, p_max=0.1, alpha=2.0,
+                                                 methods=(METHOD_FAIRTTTS,)))
 
 
 def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys, monkeypatch):

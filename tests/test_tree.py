@@ -499,6 +499,15 @@ def test_a_value_that_does_not_fit_its_field_is_rejected(change, message):
         replace(depth1_tree(), **change)
 
 
+def test_a_numpy_integer_n_features_is_taken_and_stored_as_an_int():
+    tree = depth1_tree(n_features=np.int64(2))
+    assert tree.n_features == 2 and type(tree.n_features) is int
+    arrays = {name: getattr(tree, name) for name, _, _ in tree_module._NODE_ARRAYS}
+    forest = Forest.from_arrays(arrays, [3], np.int32(2), [{}], {})
+    assert type(forest.n_features) is int and type(forest.trees[0].n_features) is int
+    assert dumps(forest) == dumps(Forest(trees=[tree], n_trees=1))
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(tree_module._NODE_ARRAYS), st.data())
 @settings(max_examples=300, deadline=None)
 def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array, data):
