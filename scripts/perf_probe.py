@@ -85,7 +85,7 @@ from fairtree.bench import (_TAG_ENGINE, _TAG_FOLDS, METHOD_BASELINE,  # noqa: E
 from fairtree.data import make_folds  # noqa: E402
 from fairtree.rng import stream_key  # noqa: E402
 from fairtree.traversal import FairnessSpec, predict_fair  # noqa: E402
-from fairtree.tree import Dataset, Forest  # noqa: E402
+from fairtree.tree import Dataset  # noqa: E402
 
 # the second scale: the synthetic fixture's full CLI run, at the synthetic_cli
 # benchmark's settings
@@ -103,15 +103,15 @@ def census_table(seed=1):
 
 
 def node_array_mb(forest):
-    """MB of node arrays a forest holds: each distinct numpy buffer
-    reachable from the forest and its trees, counted once."""
+    """MB of node arrays a forest holds: each distinct numpy buffer among
+    its own arrays, counted once. Its trees are not counted: they are
+    slices made on each read of forest.trees."""
     size = {}
-    for owner in [forest, *forest.trees]:
-        for array in vars(owner).values():
-            if isinstance(array, np.ndarray):
-                while isinstance(array.base, np.ndarray):
-                    array = array.base
-                size[id(array)] = array.nbytes
+    for array in vars(forest).values():
+        if isinstance(array, np.ndarray):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            size[id(array)] = array.nbytes
     return sum(size.values()) / 1e6
 
 
@@ -128,56 +128,57 @@ def vote_rate(meter, forest, X, calls=5):
         calibrated(meter, lambda: tree.predict_forest_batch(forest, X))[1] for _ in range(calls))
 
 
-def chunk_memory(forest, X, spec, config, seed, stream_ids):
-    """The rows of each chunk of the exact frontier that one Monte Carlo
-    call of predict_method draws from, the rows of each attempt that
-    outgrew the budget and was halved, and the call's tracemalloc peak in
-    bytes."""
-    chunks, failed, pair_masses = [], [], traversal._pair_masses
+@contextlib.contextmanager
+def pair_masses_calls():
+    """A list that gets, inside the block, one (rows, fits, levels,
+    seconds) entry for each traversal._pair_masses call: its chunk's row
+    count, whether the chunk fit the budget (else it is halved and run
+    again), the calls of the flip-chance callable it is given (one a level
+    of the exact frontier) and its seconds."""
+    calls, pair_masses = [], traversal._pair_masses
 
-    def counted(forest, X, chance, rows, limit):
-        got = pair_masses(forest, X, chance, rows, limit)
-        if got is None:  # halved and run again
-            failed.append(rows.size)
-        else:
-            chunks.append(rows.size)
-        return got
+    def recorded(forest, X, chance, rows, limit):
+        levels = [0]
 
-    traversal._pair_masses = counted
-    tracemalloc.start()
-    try:
-        predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
-        return chunks, failed, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        traversal._pair_masses = pair_masses
-
-
-def frontier_levels(meter, forest, X, spec, config, seed, stream_ids):
-    """The levels of the exact frontier in one Monte Carlo call of
-    predict_method, counted as calls of the flip-chance callable that
-    traversal._pair_masses is given (one a level), and the seconds spent
-    in _pair_masses, calibrated by the slowdown around the call."""
-    levels, spent, pair_masses = [0], [0.0], traversal._pair_masses
-
-    def timed(forest, X, chance, rows, limit):
         def counted(*args):
             levels[0] += 1
             return chance(*args)
 
         t0 = time.perf_counter()
-        try:
-            return pair_masses(forest, X, counted, rows, limit)
-        finally:
-            spent[0] += time.perf_counter() - t0
+        got = pair_masses(forest, X, counted, rows, limit)
+        calls.append((rows.size, got is not None, levels[0], time.perf_counter() - t0))
+        return got
 
-    traversal._pair_masses = timed
+    traversal._pair_masses = recorded
     try:
-        with meter.sample() as t:
-            predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
-        return levels[0], spent[0] / t.slowdown
+        yield calls
     finally:
         traversal._pair_masses = pair_masses
+
+
+def chunk_memory(forest, X, spec, config, seed, stream_ids):
+    """The rows of each chunk of the exact frontier that one Monte Carlo
+    call of predict_method draws from, the rows of each attempt that
+    outgrew the budget and was halved, and the call's tracemalloc peak in
+    bytes."""
+    with pair_masses_calls() as calls:
+        tracemalloc.start()
+        try:
+            predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return ([rows for rows, fits, _, _ in calls if fits],
+            [rows for rows, fits, _, _ in calls if not fits], peak)
+
+
+def frontier_levels(meter, forest, X, spec, config, seed, stream_ids):
+    """The levels of the exact frontier in one Monte Carlo call of
+    predict_method, and the seconds spent in traversal._pair_masses,
+    calibrated by the slowdown around the call."""
+    with pair_masses_calls() as calls, meter.sample() as t:
+        predict_method(METHOD_FAIRTTTS, forest, X, spec, config, seed, stream_ids)
+    return sum(call[2] for call in calls), sum(call[3] for call in calls) / t.slowdown
 
 
 def one_row_latency(meter, forest, X, spec, config, stream_ids, calls=200):
@@ -298,9 +299,8 @@ def exact_vs_monte_carlo(meter, dataset, protected, config):
     levels, spent = frontier_levels(meter, forest, X, spec, config, seed, test)
     print(f"fold 0 monte carlo   {levels} frontier levels, {spent:.2f}s in the frontier, "
           f"{spent / levels * 1e6:.0f} us a level")
-    engine = config.traversal_config(seed)
-    for name, model in (("first tree", Forest(trees=forest.trees[:1], n_trees=1)),
-                        ("forest", forest)):
+    engine, first = config.traversal_config(seed), forest.trees[0]
+    for name, model in (("first tree", first), ("forest", forest)):
         route = "row walk" if model.feature.size <= traversal.MAX_LANES else "frontier"
         latency = one_row_latency(meter, model, X, spec, engine, test)
         print(f"fold 0 one-row predict_fair on the {name} ({model.feature.size:,} nodes, "
@@ -309,7 +309,7 @@ def exact_vs_monte_carlo(meter, dataset, protected, config):
             split = one_row_split(meter, model, X, spec, engine, test)
             print("fold 0 one-row predict_fair on the first tree, median split of 200 calls: "
                   + ", ".join(f"{part} {us:.1f} us" for part, us in split.items()))
-    latency = exact_path_latency(meter, forest.trees[0], X, spec, engine)
+    latency = exact_path_latency(meter, first, X, spec, engine)
     print(f"fold 0 exact_path_distribution on the first tree: median {latency * 1e6:.1f} us "
           f"a row over {len(X):,} test rows")
     q, S = out["exact"][1], config.n_simulations

@@ -11,7 +11,6 @@ from .errors import (
 )
 from .tree import (
     Dataset,
-    DecisionTree,
     Forest,
     predict_deterministic,
     train_forest,

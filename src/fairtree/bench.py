@@ -86,8 +86,14 @@ class ExperimentConfig:
     stratified: bool = False
 
     def __post_init__(self):
-        """Check every setting, so that a bad one fails before any data is read."""
-        _integer(self.folds, 2, math.inf, "folds must be an integer >= 2")
+        """Check every setting, so that a bad one fails before any data is
+        read, and store each number as an int or a float and each flag as a
+        bool: report.json writes them as they are."""
+        flags = {name: getattr(self, name) for name in ("bootstrap", "exact", "stratified")}
+        for name, value in flags.items():
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, not {value!r}")
+        folds = _integer(self.folds, 2, math.inf, "folds must be an integer >= 2")
         _check_aggregation(self.aggregation)
         if not self.methods:
             raise ConfigError("at least one method must be selected")
@@ -107,7 +113,15 @@ class ExperimentConfig:
         if isinstance(self.seed, numbers.Integral) and self.seed < 0:
             # training seeds numpy, which takes no negative seed
             raise ConfigError("seed must be a non-negative integer")
-        self.traversal_config(self.seed)
+        engine = self.traversal_config(self.seed)
+        growth = {name: int(value) for name in ("n_trees", "max_depth", "min_samples_leaf",
+                                                "features_per_split")
+                  if isinstance(value := getattr(self, name), numbers.Integral)}
+        for name, value in {**growth, **{name: bool(value) for name, value in flags.items()},
+                            "folds": folds, "n_simulations": engine.n_simulations,
+                            "p_max": float(self.p_max), "alpha": float(self.alpha),
+                            "seed": engine.seed}.items():
+            object.__setattr__(self, name, value)
 
     def traversal_config(self, seed: int) -> TraversalConfig:
         return TraversalConfig(

@@ -20,7 +20,7 @@ from .data import load_dataset, make_dir, read_json, read_rows, write_text  # no
 from .errors import ConfigError, DataError
 from .metrics import full_report
 from .traversal import VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, predict_fair_batch  # noqa: F401
-from .tree import Forest, train_forest  # noqa: F401
+from .tree import train_forest  # noqa: F401
 
 # load_dataset, predict_fair_batch and train_forest are not called here:
 # benchmark/tracing.py patches them by name (--trace 1), so they stay
@@ -162,8 +162,7 @@ def _emit(text, out) -> None:
 
 
 def _cmd_predict(args) -> int:
-    model = model_io.load_model(args.model)
-    forest = model if isinstance(model, Forest) else Forest(trees=[model], n_trees=1)
+    forest = model_io.load_model(args.model)
     config = _experiment_config(args)
     dataset, protected, _ = bench.load(config.dataset_config)
     if dataset.n_features != forest.n_features:

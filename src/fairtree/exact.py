@@ -21,7 +21,7 @@ import numpy as np
 
 from .traversal import (VOTE_MAJORITY, VOTE_MEAN, FairnessSpec, TraversalConfig,
                         _check_aggregation, _mass_chunks)
-from .tree import MAX_LANES, Forest, _check_forest, _check_matrix
+from .tree import MAX_LANES, Forest, _check_matrix
 
 
 def _majority(q):
@@ -47,7 +47,6 @@ def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalC
     Rows go in the chunks of traversal._mass_chunks with a budget of
     MAX_LANES live branches a level, or the forest's leaf count for a row
     alone if that is more. Results do not depend on the chunks."""
-    _check_forest(forest, "exact_forest_batch")
     _check_aggregation(aggregation)
     X = _check_matrix(X, forest.n_features)
     q = np.empty((X.shape[0], forest.n_trees, 2))

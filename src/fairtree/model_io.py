@@ -1,16 +1,20 @@
 """Model documents: schema "fairtree-model/2".
 
-A tree document is a DecisionTree's node arrays (tree._NODE_ARRAYS), one
-JSON list entry per node, plus n_features, training_meta and class_labels,
-always [0, 1]; what the tree derives from them (leaf_class, depth) is not
-stored. A forest document lists tree documents. deserialize() parses
-fields, JSON types and list lengths, each node array field once over all of
-a forest's trees (a tree document is a forest of one), and hands the joined
-arrays to Forest.from_arrays, which checks the tree rules once per forest.
-Either names the offending entry (document.trees[i].<field>[j], j counted
-within tree i). dumps() writes sorted JSON with round-trip floats, one node
-array field at a time, so a tree and its reloaded copy are equal array for
-array and one model has one text.
+Every model is written as a forest document ("kind": "forest"), a tree as
+a forest of one. It lists tree documents: a tree's node arrays
+(tree._NODE_ARRAYS), one JSON list entry per node, child with ids local to
+the tree and [0, 0] at leaves (Forest.node_arrays), plus n_features,
+training_meta and class_labels, always [0, 1]; what the forest derives
+from them (leaf_class, depth, global child ids) is not stored. A "kind":
+"tree" document, one tree document at the top level, still loads, as a
+one-tree Forest. deserialize() parses fields, JSON types and list lengths,
+each node array field once over all of a forest's trees, and hands the
+joined arrays to Forest.from_arrays, which checks the tree rules once per
+forest. Either names the offending entry (document.trees[i].<field>[j], j
+counted within tree i; document.<field>[j] in a tree document). dumps()
+writes sorted JSON with round-trip floats, one node array field at a time,
+so a model and its reloaded copy are equal array for array and one model
+has one text.
 """
 
 from __future__ import annotations
@@ -23,30 +27,20 @@ import numpy as np
 
 from .data import parse_json, read_text, write_text
 from .errors import DataError, ModelFormatError
-from .tree import _NODE_ARRAYS, DecisionTree, Forest, check_n_features
+from .tree import _NODE_ARRAYS, Forest, check_n_features
 
 SCHEMA = "fairtree-model/2"
 
 
-def _tree_doc(tree: DecisionTree, array=np.ndarray.tolist) -> dict:
-    doc = {name: array(getattr(tree, name)) for name, _, _ in _NODE_ARRAYS}
-    doc.update(n_features=tree.n_features, class_labels=[0, 1],
-               training_meta=dict(tree.training_meta))
-    return doc
-
-
-def serialize(model, array=np.ndarray.tolist) -> dict:  # array: a node array's JSON value
-    if isinstance(model, Forest):
-        return {
-            "schema": SCHEMA,
-            "kind": "forest",
-            "n_trees": model.n_trees,
-            "bagging_meta": dict(model.bagging_meta),
-            "trees": [_tree_doc(t, array) for t in model.trees],
-        }
-    if isinstance(model, DecisionTree):
-        return {"schema": SCHEMA, "kind": "tree", **_tree_doc(model, array)}
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+def serialize(model: Forest, array=np.ndarray.tolist) -> dict:  # array: an array's JSON value
+    arrays, size = model.node_arrays()
+    end = np.cumsum(size).tolist()
+    trees = [{name: array(values[e - n:e]) for name, values in arrays.items()}
+             for e, n in zip(end, size.tolist())]
+    for doc, meta in zip(trees, model.training_meta):
+        doc.update(n_features=model.n_features, class_labels=[0, 1], training_meta=dict(meta))
+    return {"schema": SCHEMA, "kind": "forest", "n_trees": model.n_trees,
+            "bagging_meta": dict(model.bagging_meta), "trees": trees}
 
 
 def _expect_dict(value, path):
@@ -144,7 +138,7 @@ def _rule_error(exc: ValueError, paths) -> ModelFormatError:
     return ModelFormatError(f"{paths[0]}.{where}", rule)
 
 
-def deserialize(doc) -> "DecisionTree | Forest":
+def deserialize(doc) -> Forest:
     doc = _expect_dict(doc, "document")
     schema = _get(doc, "schema", "document")
     if schema != SCHEMA:
@@ -171,12 +165,11 @@ def deserialize(doc) -> "DecisionTree | Forest":
             raise _rule_error(exc, [path]) from None
         if n != n_features[0]:
             raise ModelFormatError(f"{path}.n_features", "trees disagree on n_features")
-    try:  # a tree document is a forest of one here
-        forest = Forest.from_arrays(*_node_arrays(docs, paths), n_features[0], training_meta,
-                                    dict(meta))
+    try:
+        return Forest.from_arrays(*_node_arrays(docs, paths), n_features[0], training_meta,
+                                  dict(meta))
     except ValueError as exc:
         raise _rule_error(exc, paths) from None
-    return forest if kind == "forest" else forest.trees[0]
 
 
 def dumps(model) -> str:
@@ -191,7 +184,7 @@ def dumps(model) -> str:
     return text(serialize(model, lambda values: lambda: json.dumps(values.tolist()))) + "\n"
 
 
-def loads(text: str) -> "DecisionTree | Forest":
+def loads(text: str) -> Forest:
     return deserialize(parse_json(text, partial(ModelFormatError, "document")))
 
 
@@ -199,6 +192,6 @@ def save_model(model, path) -> None:
     write_text(path, dumps(model))
 
 
-def load_model(path) -> "DecisionTree | Forest":
+def load_model(path) -> Forest:
     text = read_text(path, DataError, "model file")
     return deserialize(parse_json(text, partial(ModelFormatError, str(path))))

@@ -7,7 +7,9 @@ boosted by ``alpha`` (capped at 0.5) at protected-attribute nodes whose
 deterministic child routes an unprivileged sample toward the unfavorable
 class. Monte Carlo aggregation over ``n_simulations`` traversals yields a
 class distribution; ``exact_path_distribution`` computes the same
-distribution in closed form for verification. The flip rule has a vector
+distribution for one tree in closed form, for verification. Every entry
+point takes a Forest, and a tree is a one-tree Forest (``train_tree``'s or
+``forest.trees[t]``). The flip rule has a vector
 form, ``_flip_chance``, and the row walk's scalar one, with the same bits;
 ``tests/reference.py`` keeps a node-by-node copy as the tests' oracle.
 
@@ -40,14 +42,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ConfigError
-from .tree import (
-    MAX_LANES,
-    DecisionTree,
-    Forest,
-    _check_forest,
-    _check_matrix,
-    _check_sample,
-)
+from .tree import MAX_LANES, Forest, _check_matrix, _check_sample
 
 VOTE_MAJORITY = "majority_vote"
 VOTE_MEAN = "mean_distribution"
@@ -119,16 +114,16 @@ class PredictionDistribution:
         return 1 if self.probs[1] > self.probs[0] else 0
 
 
-def _protected(model: Forest | DecisionTree, spec: FairnessSpec) -> int:
+def _protected(model: Forest, spec: FairnessSpec) -> int:
     """spec's protected feature index, checked against model's features."""
     if (protected := spec.protected_feature) >= model.n_features:
         raise ValueError(f"protected_feature {protected}: model has {model.n_features} features")
     return protected
 
 
-def _flip_chance(model: Forest | DecisionTree, spec: FairnessSpec, config: TraversalConfig):
-    """The flip chances of a batch of (node, sample) pairs of a forest's or
-    a tree's node arrays, called as chance(node, feat, x, threshold,
+def _flip_chance(model: Forest, spec: FairnessSpec, config: TraversalConfig):
+    """The flip chances of a batch of (node, sample) pairs of a forest's
+    node arrays, called as chance(node, feat, x, threshold,
     go_left) with each pair's node, its split feature, the sample's value x
     of it, the node's threshold and the deterministic direction x <=
     threshold.
@@ -228,7 +223,7 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     return q.reshape(rows.size, T, 2), peak
 
 
-def _row_masses(model: Forest | DecisionTree, roots, x, spec, config):
+def _row_masses(model: Forest, roots, x, spec, config):
     """_pair_masses's q, bit for bit, for one row x down model's trees from
     roots, shaped (T, 2): a scalar walk in the frontier's order that takes
     each visited node's flip chance with _flip_chance's float operations in
@@ -355,7 +350,6 @@ def predict_fair(
     majority vote (ties to class 0); the distribution aggregates the
     simulation votes. Returns (predicted class, distribution). The row's
     stream key is folded once, in Python, and the sample is checked once."""
-    _check_forest(forest, "predict_fair")
     sample = _check_sample(sample, forest.n_features)
     _check_aggregation(aggregation)
     if type(stream_id) is not int or not 0 <= stream_id < 2**64:  # predict_fair_batch's check
@@ -389,7 +383,6 @@ def predict_fair_batch(
     simulation, tree) lanes go in blocks of whole simulations, at most
     max_lanes lanes but never less than one simulation of one row.
     Results do not depend on max_lanes."""
-    _check_forest(forest, "predict_fair_batch")
     _check_aggregation(aggregation)
     X = _check_matrix(X, forest.n_features)
     n = X.shape[0]
@@ -402,14 +395,15 @@ def predict_fair_batch(
     return (2 * counts > denom).astype(np.int64), probs
 
 
-def exact_path_distribution(tree: DecisionTree, sample, spec: FairnessSpec,
+def exact_path_distribution(tree: Forest, sample, spec: FairnessSpec,
                             config: TraversalConfig) -> PredictionDistribution:
     """Closed-form traversal distribution, the verification oracle for the
-    Monte Carlo estimate: the row walk (_row_masses) down one tree (not a
-    Forest: TypeError), so it equals exact_forest_batch on it bit for bit."""
-    if not isinstance(tree, DecisionTree):
-        raise TypeError(f"exact_path_distribution takes a DecisionTree, not "
-                        f"{type(tree).__name__}; use exact.exact_forest_batch for a forest")
+    Monte Carlo estimate: the row walk (_row_masses) down a one-tree Forest
+    (anything else: TypeError), so it equals exact_forest_batch on it bit
+    for bit."""
+    if not (isinstance(tree, Forest) and tree.n_trees == 1):
+        raise TypeError("exact_path_distribution takes a one-tree Forest; "
+                        "use exact.exact_forest_batch for a forest of more trees")
     sample = _check_sample(sample, tree.n_features)
     q = _row_masses(tree, [0], sample, spec, config)
     return PredictionDistribution(probs=tuple(min(p, 1.0) for p in q[0].tolist()),

@@ -4,14 +4,12 @@ Binary labels only. Every internal node stores, besides the split, the
 statistics probabilistic traversal needs: the largest training distance to
 the threshold (``scale``), a flag marking nodes where that distance carried
 no information (``uniform_distance``, e.g. splits on 0/1-encoded features),
-and the majority training class of each child subtree. A tree is held as
-parallel node arrays (``DecisionTree``), the one form that training builds,
-model files store and every traversal reads; building one checks every tree
-rule, however the arrays were made. A ``Forest`` holds node data once,
-joined tree-major for batch walks. Training and model files build it
-straight from joined arrays, checking the rules once over all of its trees,
-and its trees are read-only views of its arrays (``child`` stays local to
-each tree).
+and the majority training class of each child subtree. ``Forest`` is the
+one model type, and a tree is a one-tree Forest: its trees' parallel node
+arrays joined tree-major, the one form that training builds, model files
+store and every traversal reads. Building one checks every tree rule once
+over all of its trees, however the arrays were made; ``forest.trees[t]``
+slices tree t out of the joined arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
 from typing import Optional, Union
 
@@ -96,7 +94,7 @@ class Dataset:
             raise DataError(f"unknown feature {name!r}") from None
 
 
-# (name, dtype, per-node shape) of the node arrays a DecisionTree is built from
+# (name, dtype, per-node shape) of the node arrays a forest is built from
 _NODE_ARRAYS = (
     ("feature", np.int32, ()),
     ("threshold", np.float64, ()),
@@ -106,80 +104,9 @@ _NODE_ARRAYS = (
     ("majority", np.int8, (2,)),
     ("class_counts", np.int64, (2,)),
 )
-
-
-class _RowViews:
-    """row_views: feature, threshold, flip_divisor, child and majority
-    (both flat) and leaf_class as memoryviews, by node (an index gives a
-    Python number), made on first use for the row walk and not pickled."""
-
-    @cached_property
-    def row_views(self) -> tuple:
-        return tuple(map(memoryview, (self.feature, self.threshold, self.flip_divisor,
-                                      self.child.ravel(), self.majority.ravel(), self.leaf_class)))
-
-    def __getstate__(self):
-        return {name: value for name, value in vars(self).items() if name != "row_views"}
-
-
-@dataclass(eq=False)
-class DecisionTree(_RowViews):
-    """A tree as parallel node arrays. Node 0 is the root, and the grower
-    numbers nodes in level order. Internal node i sends values <=
-    threshold[i] of feature[i] left; row i of child holds its (left,
-    right) children and row i of majority their subtrees' majority
-    classes. A leaf has feature -1 and its training class counts in
-    class_counts; leaf_class is its majority class, ties to 0. max_depth
-    is the longest root-to-leaf path, in edges. The flip rule divides
-    distances by flip_divisor: scale, +inf at uniform-distance nodes and
-    the smallest subnormal where scale is 0. The arrays are read-only.
-    Building a tree
-    (trained, loaded or by hand; a forest's trees all at once, with the
-    same rules) checks that n_features is an integer >= 1;
-    each node array casts to its dtype with no value changed; feature is in
-    [-1, n_features), threshold finite, scale finite and >= 0, majority 0
-    or 1, class_counts >= 0; child and majority are [0, 0] at leaves and
-    class_counts at internal nodes; an internal node's children have ids in
-    (its id, n); every node but the root has one parent. The first broken
-    rule raises ValueError("<array>[<j>]: <rule>"), or "<field>: <rule>"."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    scale: np.ndarray
-    uniform_distance: np.ndarray
-    child: np.ndarray
-    majority: np.ndarray
-    class_counts: np.ndarray
-    n_features: int
-    training_meta: dict = field(default_factory=dict)
-    leaf_class: np.ndarray = field(init=False, repr=False)
-    max_depth: int = field(init=False)
-    flip_divisor: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        arrays = {name: getattr(self, name) for name, _, _ in _NODE_ARRAYS}
-        self.n_features = check_n_features(self.n_features)
-        nodes, _, _, (self.max_depth,) = _checked_nodes(
-            arrays, np.array([len(np.atleast_1d(self.feature))]), self.n_features, copy=True)
-        vars(self).update(nodes)
-
-    def __eq__(self, other):
-        if not isinstance(other, DecisionTree):
-            return NotImplemented
-        return (
-            self.n_features == other.n_features
-            and self.training_meta == other.training_meta
-            and all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name, _, _ in _NODE_ARRAYS)
-        )
-
-    @property
-    def left(self) -> np.ndarray:
-        return self.child[:, 0]
-
-    @property
-    def right(self) -> np.ndarray:
-        return self.child[:, 1]
+# the arrays a tree of a forest takes as slices: all but child
+_SLICED = ("feature", "threshold", "scale", "uniform_distance", "majority", "class_counts",
+           "leaf_class", "flip_divisor", "column")
 
 
 def check_n_features(n_features) -> int:
@@ -192,23 +119,23 @@ def check_n_features(n_features) -> int:
     return int(n_features)
 
 
-def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
-                   in_forest: bool = False) -> tuple:
-    """Every node array rule of DecisionTree checked at once over the node
-    arrays of trees of n_features features (an int check_n_features gave),
-    joined tree-major, tree t's size[t] nodes with child ids local to it:
-    (nodes, root, child, max_depth), nodes holding each node array cast to
-    its dtype (a copy if copy or the dtype differs) and each derived one,
-    all read-only; root[t] is tree t's first node, child the
-    global ids, each leaf its own two children, and max_depth a list of
-    each tree's. The first broken rule raises ValueError("<field>[<j>]:
-    <rule>"), j local to its tree t, with "trees[<t>]." in front in_forest."""
+def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int) -> tuple:
+    """Every node array rule of Forest.from_arrays checked at once over the
+    node arrays of trees of n_features features (an int check_n_features
+    gave), joined tree-major, tree t's size[t] nodes with child ids local to
+    it: (nodes, root, child, max_depth), nodes holding each node array cast
+    to its dtype (a copy only if the dtype differs) and each derived one,
+    all read-only; root[t] is tree t's first node, child the global ids,
+    each leaf its own two children, and max_depth a list of each tree's.
+    The first broken rule raises ValueError("<field>[<j>]: <rule>"), j
+    local to its tree t, with "trees[<t>]." in front for more than one
+    tree."""
 
     def check(name, bad, rule):  # {n} in a rule: the node count of its tree
         if np.count_nonzero(bad):
             j = int(bad.nonzero()[0][0])
             t = int(np.searchsorted(root, j, "right")) - 1
-            where = f"trees[{t}].{name}" if in_forest else name
+            where = f"trees[{t}].{name}" if size.size > 1 else name
             raise ValueError(f"{where}[{j - root[t]}]: {rule.format(n=size[t])}")
 
     end = size if size.size == 1 else np.cumsum(size)  # one tree needs no offsets
@@ -217,7 +144,7 @@ def _checked_nodes(arrays: dict, size: np.ndarray, n_features: int, copy: bool,
     for name, dtype, shape in _NODE_ARRAYS:
         value = np.asarray(arrays[name])
         try:  # numpy may wrap or round within a kind
-            array = value.astype(dtype, casting="same_kind", copy=copy)
+            array = value.astype(dtype, casting="same_kind", copy=False)
         except TypeError:
             raise ValueError(f"{name}: expected {np.dtype(dtype)} values, "
                              f"not {value.dtype}") from None
@@ -272,59 +199,122 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass
-class Forest(_RowViews):
-    """Bagged trees. A forest holds its trees' node arrays once, joined
-    tree-major and read-only, under the DecisionTree names (feature,
-    threshold, child, flip_divisor and the others), and its trees are
-    read-only views of them. Building it checks every tree rule once over
-    the joined arrays. Node ids are global (tree t's root is root[t])
-    except in a tree's own child, which stays local; in the forest's, a
-    leaf is its own two children. column is feature as int64. n_features
-    is every tree's, max_depth the deepest's, n_leaves the leaf count.
-    Forest(trees=...) joins copies of the given trees' arrays, leaving them
-    as they were; from_arrays takes joined ones."""
+class Forest:
+    """Trees as parallel node arrays, joined tree-major; a tree is a
+    one-tree Forest. Tree t's nodes start at root[t], its root, and the
+    grower numbers them in level order. Node ids are global. Internal node
+    i sends values <= threshold[i] of feature[i] left; row i of child holds
+    its (left, right) children and row i of majority their subtrees'
+    majority classes. A leaf has feature -1, is its own two children, and
+    holds its training class counts in class_counts; leaf_class is its
+    majority class, ties to 0. The flip rule divides distances by
+    flip_divisor: scale, +inf at uniform-distance nodes and the smallest
+    subnormal where scale is 0. column is feature as int64. The arrays are
+    read-only. n_features is every tree's, tree_depth[t] tree t's longest
+    root-to-leaf path in edges, max_depth the longest of them, n_leaves
+    the leaf count, and training_meta a dict for each tree.
 
-    trees: list
-    n_trees: int
-    bagging_meta: dict = field(default_factory=dict)
-    n_features: int = field(init=False)
-    max_depth: int = field(init=False)
+    Forest(trees=..., n_trees=...) joins copies of the arrays of the given
+    forests, n_trees trees in all; from_arrays takes joined arrays. Either
+    checks every tree rule once over all of the trees (see from_arrays).
+    trees lists the trees as one-tree forests, made on each read: slices
+    of the forest's arrays, with no rule checked again, each with a child
+    of its own rebased to local ids. row_views holds feature, threshold,
+    flip_divisor, child and majority (both flat) and leaf_class as
+    memoryviews, by node (an index gives a Python number), made on first
+    use for the row walk and not pickled."""
 
-    def __post_init__(self):
-        if self.n_trees != len(self.trees) or self.n_trees < 1:
-            raise ValueError("forest requires n_trees == len(trees) >= 1")
-        if any(t.n_features != self.trees[0].n_features for t in self.trees):
+    def __init__(self, trees: list, n_trees: int, bagging_meta: Optional[dict] = None):
+        if n_trees != sum(f.n_trees for f in trees) or n_trees < 1:
+            raise ValueError("forest requires n_trees == the given forests' tree count >= 1")
+        if any(f.n_features != trees[0].n_features for f in trees):
             # the kernels read rows of n_features values by flat offset
             raise ValueError("forest trees disagree on n_features")
+        parts = [f.node_arrays() for f in trees]
         vars(self).update(vars(Forest.from_arrays(
-            {name: np.concatenate([getattr(t, name) for t in self.trees])
-             for name, _, _ in _NODE_ARRAYS}, [t.feature.size for t in self.trees],
-            self.trees[0].n_features, [t.training_meta for t in self.trees], self.bagging_meta)))
+            {name: np.concatenate([arrays[name] for arrays, _ in parts])
+             for name, _, _ in _NODE_ARRAYS}, np.concatenate([size for _, size in parts]),
+            trees[0].n_features, [meta for f in trees for meta in f.training_meta],
+            bagging_meta or {})))
 
     @classmethod
     def from_arrays(cls, arrays: dict, size, n_features: int, training_meta: list,
                     bagging_meta: dict) -> Forest:
-        """The forest of trees whose node arrays (a dict by DecisionTree
+        """The forest of trees whose node arrays (a dict by _NODE_ARRAYS
         name, which the forest takes over) are joined tree-major, tree t
         holding size[t] nodes with child ids local to it and training_meta[t].
-        A broken rule raises ValueError("trees[<t>].<field>[<j>]: <rule>")."""
+        The rules: n_features is an integer >= 1; each node array casts to
+        its dtype with no value changed; feature is in [-1, n_features),
+        threshold finite, scale finite and >= 0, majority 0 or 1,
+        class_counts >= 0; child and majority are [0, 0] at leaves and
+        class_counts at internal nodes; an internal node's children have
+        ids in (its id, n), n its tree's node count; every node but a root
+        has one parent. The first broken rule raises ValueError(
+        "trees[<t>].<field>[<j>]: <rule>"), without "trees[<t>]." for one
+        tree, or "<field>: <rule>"."""
         size, forest = np.asarray(size, dtype=np.int64), cls.__new__(cls)
         n_features = check_n_features(n_features)
-        nodes, forest.root, forest.child, depths = _checked_nodes(
-            arrays, size, n_features, copy=False, in_forest=True)
-        forest.trees = [DecisionTree.__new__(DecisionTree) for _ in depths]
-        for tree, r, n, meta, max_depth in zip(forest.trees, forest.root.tolist(), size.tolist(),
-                                               training_meta, depths):
-            vars(tree).update({name: array[r:r + n] for name, array in nodes.items()},
-                              n_features=n_features, training_meta=dict(meta),
-                              max_depth=max_depth)
-        del nodes["child"]  # the trees' own, with local ids
-        vars(forest).update(nodes, column=_read_only(nodes["feature"].astype(np.int64)),
+        nodes, root, child, depths = _checked_nodes(arrays, size, n_features)
+        vars(forest).update(nodes, child=child, root=root,
+                            column=_read_only(nodes["feature"].astype(np.int64)),
                             n_trees=len(depths), bagging_meta=bagging_meta,
-                            n_features=n_features, max_depth=max(depths),
+                            training_meta=[dict(meta) for meta in training_meta],
+                            n_features=n_features, tree_depth=depths,
                             n_leaves=int(np.count_nonzero(nodes["feature"] < 0)))
         return forest
+
+    def node_arrays(self) -> tuple:
+        """(arrays, size) as from_arrays takes them: the node arrays, child
+        with ids local to each tree and [0, 0] at leaves, and each tree's
+        node count."""
+        size = np.diff(self.root, append=self.feature.size)
+        child = self.child - np.repeat(self.root, size)[:, None]
+        child[self.feature < 0] = 0
+        return {name: getattr(self, name) for name, _, _ in _NODE_ARRAYS} | {"child": child}, size
+
+    @property
+    def trees(self) -> list:
+        trees = []
+        for t, (r, e) in enumerate(zip(self.root.tolist(),
+                                       self.root[1:].tolist() + [self.feature.size])):
+            tree = Forest.__new__(Forest)
+            vars(tree).update({name: getattr(self, name)[r:e] for name in _SLICED},
+                              child=_read_only(self.child[r:e] - r),
+                              root=_read_only(np.zeros(1, dtype=np.int64)), n_trees=1,
+                              bagging_meta={}, training_meta=[dict(self.training_meta[t])],
+                              n_features=self.n_features, tree_depth=[self.tree_depth[t]],
+                              n_leaves=int(np.count_nonzero(self.feature[r:e] < 0)))
+            trees.append(tree)
+        return trees
+
+    @property
+    def max_depth(self) -> int:
+        return max(self.tree_depth)
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.child[:, 0]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.child[:, 1]
+
+    @cached_property
+    def row_views(self) -> tuple:
+        return tuple(map(memoryview, (self.feature, self.threshold, self.flip_divisor,
+                                      self.child.ravel(), self.majority.ravel(), self.leaf_class)))
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "row_views"}
+
+    def __eq__(self, other):
+        if not isinstance(other, Forest):
+            return NotImplemented
+        return (self.n_features == other.n_features and self.bagging_meta == other.bagging_meta
+                and self.training_meta == other.training_meta
+                and np.array_equal(self.root, other.root)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name, _, _ in _NODE_ARRAYS))
 
 
 # Elements one block of training work holds: the samples of one group of
@@ -403,7 +393,7 @@ class _Grower:
         self.rank_label = rank_label.ravel()  # feature f's from f * n_rows
 
     def grow(self, counts, seeds) -> tuple:
-        """(arrays, size): the node arrays (a dict by DecisionTree name) of
+        """(arrays, size): the node arrays (a dict by _NODE_ARRAYS name) of
         trees grown on rows of the data, one per (counts, seed), counts[i]
         the times the tree holds row i, all together level by level, joined
         tree-major; tree t holds size[t] nodes. Each tree's nodes are
@@ -669,8 +659,8 @@ def train_tree(
     min_samples_leaf: int = 1,
     features_per_split: Optional[int] = None,
     rng_seed: int = 0,
-) -> DecisionTree:
-    """Grow a greedy CART tree minimizing Gini impurity.
+) -> Forest:
+    """Grow a greedy CART tree minimizing Gini impurity, as a one-tree Forest.
 
     Thresholds are midpoints between adjacent sorted distinct values, or
     the lower value where the midpoint rounds onto the upper one. With
@@ -685,7 +675,7 @@ def train_tree(
     """
     _, *growth = _check_training(data, 1, max_depth, min_samples_leaf, features_per_split)
     return _grow(data, [(np.ones(data.n_rows, dtype=np.int64), operator.index(rng_seed))],
-                 *growth).trees[0]
+                 *growth)
 
 
 def bootstrap_counts(bagging_meta: dict, n_rows: int):
@@ -739,17 +729,17 @@ def _check_sample(sample, n_features):
     return sample
 
 
-def predict_deterministic(model, sample):
-    """Standard traversal: value <= threshold goes left. Forests take a
-    majority vote over trees; ties go to class 0."""
-    sample = _check_sample(sample, model.n_features)
-    if isinstance(model, Forest):
-        votes = sum(predict_deterministic(t, sample) for t in model.trees)
-        return 1 if 2 * votes > model.n_trees else 0
-    node = 0
-    while model.feature[node] >= 0:
-        node = model.child[node, 0 if sample[model.feature[node]] <= model.threshold[node] else 1]
-    return int(model.leaf_class[node])
+def predict_deterministic(model: Forest, sample) -> int:
+    """Standard traversal down each tree from its root: value <= threshold
+    goes left. The trees take a majority vote; ties go to class 0."""
+    sample = _check_sample(sample, model.n_features).tolist()
+    feature, threshold, _, child, _, leaf_class = model.row_views
+    votes = 0
+    for node in model.root.tolist():
+        while (f := feature[node]) >= 0:
+            node = child[2 * node + (sample[f] > threshold[node])]
+        votes += leaf_class[node]
+    return int(2 * votes > model.n_trees)
 
 
 # Lanes per chunk of a deterministic batch walk (a lane is one
@@ -761,8 +751,8 @@ def predict_deterministic(model, sample):
 MAX_LANES = 2**15
 
 
-def flatten_tree(tree: DecisionTree) -> DecisionTree:
-    """The tree itself: a DecisionTree is already its flat form."""
+def flatten_tree(tree: Forest) -> Forest:
+    """The tree itself: a one-tree Forest is already its flat form."""
     return tree
 
 
@@ -795,13 +785,6 @@ def walk_lanes(forest: Forest, X: np.ndarray, node: np.ndarray, x_pos: np.ndarra
     return out
 
 
-def _check_forest(model, caller: str) -> None:
-    """A TypeError for a DecisionTree given to caller, a forest entry point."""
-    if isinstance(model, DecisionTree):
-        raise TypeError(f"{caller} takes a Forest, not a DecisionTree; "
-                        f"wrap a tree as Forest(trees=[tree], n_trees=1)")
-
-
 def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
@@ -813,7 +796,6 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Per-sample count of trees voting for class 1: the lane walk, one
     lane per (row, tree)."""
-    _check_forest(forest, "forest_votes_batch")
     X = _check_matrix(X, forest.n_features)
     n_trees = forest.n_trees
     rows_per_chunk = max(1, MAX_LANES // n_trees)
@@ -827,6 +809,5 @@ def forest_votes_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
 
 
 def predict_forest_batch(forest: Forest, X: np.ndarray, votes=None) -> np.ndarray:
-    _check_forest(forest, "predict_forest_batch")
     votes = forest_votes_batch(forest, X) if votes is None else votes
     return (2 * votes > forest.n_trees).astype(np.int64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fairtree.tree as tree_module
-from fairtree.tree import DecisionTree
+from fairtree.tree import Forest
 
 
 def leaf(c0, c1):
@@ -23,9 +23,24 @@ def internal(feature, threshold, scale, left, right, lmaj=0, rmaj=1, uniform=Fal
     }
 
 
+def one_tree(n_features=1, training_meta=None, **arrays):
+    """The one-tree Forest of the given node arrays."""
+    return Forest.from_arrays(arrays, [len(arrays["feature"])], n_features,
+                              [training_meta or {}], {})
+
+
+def rebuild(tree, **changes):
+    """A one-tree Forest of tree's node arrays (child with local ids),
+    n_features and training_meta, each given in changes replaced."""
+    arrays, _ = tree.node_arrays()
+    return one_tree(**{"n_features": tree.n_features, "training_meta": tree.training_meta[0],
+                       **arrays, **changes})
+
+
 def make_tree(root, n_features=1, training_meta=None):
-    """The DecisionTree of a nested root node, its nodes numbered in level
-    order as training numbers them. Leaves take training's fill values."""
+    """The one-tree Forest of a nested root node, its nodes numbered in
+    level order as training numbers them. Leaves take training's fill
+    values."""
     nodes, child = [root], []
     for node in nodes:  # nodes grows as it is read: a breadth-first walk
         if node["kind"] == "internal":
@@ -37,7 +52,7 @@ def make_tree(root, n_features=1, training_meta=None):
     def column(key, fill, kind="internal"):
         return [node[key] if node["kind"] == kind else fill for node in nodes]
 
-    return DecisionTree(
+    return one_tree(
         feature=column("feature_index", -1),
         threshold=column("threshold", 0.0),
         scale=column("scale", 1.0),
@@ -46,7 +61,7 @@ def make_tree(root, n_features=1, training_meta=None):
         majority=np.column_stack([column("left_majority", 0), column("right_majority", 0)]),
         class_counts=column("class_counts", [0, 0], kind="leaf"),
         n_features=n_features,
-        training_meta=training_meta or {},
+        training_meta=training_meta,
     )
 
 
@@ -93,7 +108,7 @@ def full_uniform_tree(rng, depth, n_features=3):
     is uniform-distance: every step of every walk draws."""
     n, n_leaves = 2**depth - 1, 2**depth
     ids = np.arange(n)
-    return DecisionTree(
+    return one_tree(
         feature=np.r_[rng.integers(0, n_features, n), np.full(n_leaves, -1)],
         threshold=np.r_[rng.uniform(-5, 5, n), np.zeros(n_leaves)],
         scale=np.ones(n + n_leaves),

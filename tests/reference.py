@@ -11,7 +11,7 @@ the exact chances, and the forest's deterministic votes.
 
 from fairtree.rng import GAMMA, finalize, stream_key
 from fairtree.traversal import FairnessSpec, PredictionDistribution, TraversalConfig
-from fairtree.tree import DecisionTree, _check_sample
+from fairtree.tree import Forest, _check_sample
 
 _MASK = (1 << 64) - 1
 _TO_UNIT = 2.0 ** -53
@@ -42,7 +42,7 @@ class TraversalStream:
         return u
 
 
-def flip_probability(tree: DecisionTree, node: int, sample, config: TraversalConfig) -> float:
+def flip_probability(tree: Forest, node: int, sample, config: TraversalConfig) -> float:
     """Distance-based flip chance at internal node ``node`` of ``tree``,
     clamped to [0, p_max].
 
@@ -61,13 +61,13 @@ def flip_probability(tree: DecisionTree, node: int, sample, config: TraversalCon
     return min(max(base, 0.0), config.p_max)
 
 
-def _goes_left(tree: DecisionTree, node: int, sample) -> bool:
+def _goes_left(tree: Forest, node: int, sample) -> bool:
     return float(sample[tree.feature[node]]) <= float(tree.threshold[node])
 
 
 def adjusted_flip_probability(
     base: float,
-    tree: DecisionTree,
+    tree: Forest,
     node: int,
     sample,
     spec: FairnessSpec,
@@ -93,7 +93,7 @@ def _chance(tree, node, sample, spec, config) -> float:
 
 
 def traverse_once(
-    tree: DecisionTree,
+    tree: Forest,
     sample,
     spec: FairnessSpec,
     config: TraversalConfig,
@@ -116,7 +116,7 @@ def traverse_once(
 
 
 def reference_exact(
-    tree: DecisionTree, sample, spec: FairnessSpec, config: TraversalConfig
+    tree: Forest, sample, spec: FairnessSpec, config: TraversalConfig
 ) -> PredictionDistribution:
     """The class distribution of traverse_once, by enumerating every
     root-leaf path node by node with the scalar flip chance. Leaves are

@@ -11,7 +11,6 @@ import json
 import os
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +32,9 @@ from fairtree.traversal import (
     exact_path_distribution,
     predict_fair,
 )
-from fairtree.tree import DecisionTree, Forest, predict_deterministic
+from fairtree.tree import Forest, predict_deterministic
 
-from conftest import internal, leaf, make_tree, random_tree
+from conftest import internal, leaf, make_tree, one_tree, random_tree, rebuild
 from reference import adjusted_flip_probability, flip_probability
 from test_metrics import brute_force_report
 from test_threshold import brute_force_policy, random_fixture
@@ -143,7 +142,7 @@ def criterion_3_nodes(rng):
     # with children 2i + 1 and 2i + 2, and nodes n..2n are leaves
     ids = np.arange(n)
     n_leaves = n + 1
-    tree = DecisionTree(
+    tree = one_tree(
         feature=np.r_[features, np.full(n_leaves, -1)],
         threshold=np.r_[thresholds, np.zeros(n_leaves)],
         scale=np.r_[scales, np.ones(n_leaves)],
@@ -179,7 +178,7 @@ def test_criterion_3_flip_probability_bounds(rng):
     triggered = (tree.feature[ids] == 0) & (samples[:, 0] == 0.0) & (det_majority == 0)
     # the base chance: a 4-feature copy of the tree splits on no feature 3,
     # so no node is boosted
-    unboosted = kernel_chances(replace(tree, n_features=4), samples, p_maxes, alphas,
+    unboosted = kernel_chances(rebuild(tree, n_features=4), samples, p_maxes, alphas,
                                FairnessSpec(protected_feature=3))
     checked = 0
     for (cfg, nodes, adj), (_, _, base) in zip(

@@ -607,6 +607,9 @@ def forbid(monkeypatch, name):
     ("folds", 1, r"folds must be an integer >= 2"),
     ("p_max", "0.1", r"p_max must lie in \[0, 0.5\]"),
     ("alpha", None, r"alpha must be finite and >= 0"),
+    ("exact", "no", r"exact must be true or false, not 'no'"),
+    ("bootstrap", 1, r"bootstrap must be true or false, not 1"),
+    ("stratified", None, r"stratified must be true or false, not None"),
 ])
 def test_a_bad_setting_fails_before_any_data_is_read(setting, value, message, monkeypatch):
     forbid(monkeypatch, "load_dataset")
@@ -619,6 +622,25 @@ def test_numpy_settings_are_taken():
                                          alpha=np.float32(2.0), methods=(METHOD_FAIRTTTS,)))
     assert result == run_experiment(small_config(folds=2, p_max=0.1, alpha=2.0,
                                                  methods=(METHOD_FAIRTTTS,)))
+
+
+def test_numpy_settings_are_stored_as_python_numbers_and_their_report_is_written(tmp_path):
+    # numpy scalars once reached report.json's config and failed emit_report
+    # with "Object of type int64 is not JSON serializable"
+    numpy = small_config(n_trees=np.int64(2), folds=np.int64(2), max_depth=np.int8(3),
+                         min_samples_leaf=np.int32(2), features_per_split=np.int64(2),
+                         n_simulations=np.int32(5), p_max=np.float32(0.1),
+                         alpha=np.float64(2.0), seed=np.uint16(4), exact=np.bool_(False))
+    python = small_config(n_trees=2, folds=2, max_depth=3, min_samples_leaf=2,
+                          features_per_split=2, n_simulations=5, p_max=float(np.float32(0.1)),
+                          alpha=2.0, seed=4, exact=False)
+    assert numpy == python
+    assert all(type(getattr(numpy, name)) is type(getattr(python, name))
+               for name in numpy.to_dict())
+    emit_report(run_experiment(numpy), tmp_path / "numpy")
+    emit_report(run_experiment(python), tmp_path / "python")
+    for name in ("report.json", "report.csv", "report.txt"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
 
 
 def test_cli_output_dirs_that_are_files_exit_cleanly(tmp_path, capsys, monkeypatch):

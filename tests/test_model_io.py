@@ -12,7 +12,6 @@ from fairtree.model_io import SCHEMA, deserialize, dumps, loads, serialize
 from fairtree.tree import (
     _NODE_ARRAYS,
     Dataset,
-    DecisionTree,
     Forest,
     predict_deterministic,
     predict_forest_batch,
@@ -20,7 +19,7 @@ from fairtree.tree import (
     train_tree,
 )
 
-from conftest import full_uniform_tree, internal, leaf, make_tree
+from conftest import full_uniform_tree, internal, leaf, make_tree, one_tree
 
 SYNTHETIC = str(Path(__file__).parent.parent / "fixtures" / "synthetic.json")
 
@@ -43,9 +42,13 @@ def trained_forest(**kwargs):
 
 
 def test_tree_round_trip_identity():
+    # a train_tree model is a one-tree Forest, saved as a forest document
     tree = trained_tree()
+    assert isinstance(tree, Forest) and tree.n_trees == 1
     assert deserialize(serialize(tree)) == tree
-    assert loads(dumps(tree)) == tree
+    text = dumps(tree)
+    assert json.loads(text)["kind"] == "forest"
+    assert loads(text) == tree and dumps(loads(text)) == text
 
 
 def test_forest_round_trip_identity():
@@ -83,6 +86,10 @@ def test_full_float_precision_round_trips():
 
 def test_negative_scale_is_rejected_with_path():
     doc = serialize(trained_tree())
+    doc["trees"][0]["scale"][0] = -1.0
+    with pytest.raises(ModelFormatError, match=r"^document\.trees\[0\]\.scale\[0\]: must be >= 0"):
+        deserialize(doc)
+    doc = hand_written_tree()  # a "kind": "tree" document names its fields at the top
     doc["scale"][0] = -1.0
     with pytest.raises(ModelFormatError, match=r"^document\.scale\[0\]: must be >= 0"):
         deserialize(doc)
@@ -119,7 +126,11 @@ def test_hand_written_document_is_usable():
     assert predict_deterministic(tree, [2.0, 0.0]) == 0
     assert predict_deterministic(tree, [3.0, 0.0]) == 1
     assert tree.leaf_class.tolist() == [0, 0, 1]
-    assert dumps(tree) == json.dumps(hand_written_tree(), sort_keys=True) + "\n"
+    # it loads as a one-tree Forest, and saves as a forest document of it
+    tree_doc = {k: v for k, v in hand_written_tree().items() if k not in ("schema", "kind")}
+    assert dumps(tree) == json.dumps({"schema": SCHEMA, "kind": "forest", "n_trees": 1,
+                                      "bagging_meta": {}, "trees": [tree_doc]},
+                                     sort_keys=True) + "\n"
 
 
 def chain_tree_doc():
@@ -169,7 +180,7 @@ def test_bad_node_entries_are_rejected_with_their_path(field, index, value, mess
     if ": expected " not in message:  # a tree rule, not a JSON type: the tree enforces it
         arrays = {name: doc["trees"][1][name] for name, _, _ in _NODE_ARRAYS}
         with pytest.raises(ValueError, match="^" + message):
-            DecisionTree(**arrays, n_features=doc["trees"][1]["n_features"])
+            one_tree(**arrays, n_features=doc["trees"][1]["n_features"])
 
 
 def test_unreachable_node_is_rejected():

@@ -596,20 +596,22 @@ def test_a_protected_feature_beyond_the_model_is_rejected():
     predict_fair_batch(forest, X, FairnessSpec(2), cfg)
 
 
-def test_forest_entry_points_reject_a_tree_naming_its_forest(rng):
-    # a DecisionTree has no n_trees or root: each entry point names the
-    # one-tree forest to pass instead
-    tree = edge_case_forest(rng, 1).trees[0]
-    X, cfg = np.zeros((2, 3)), config(n_simulations=5)
-    for name, predict in (
-            ("predict_fair", lambda: predict_fair(tree, X[0], SPEC, cfg)),
-            ("predict_fair_batch", lambda: predict_fair_batch(tree, X, SPEC, cfg)),
-            ("exact_forest_batch", lambda: exact_forest_batch(tree, X, SPEC, cfg)),
-            ("forest_votes_batch", lambda: forest_votes_batch(tree, X)),
-            ("predict_forest_batch", lambda: predict_forest_batch(tree, X))):
-        with pytest.raises(TypeError, match=rf"^{name} takes a Forest, not a DecisionTree; wrap a "
-                                            rf"tree as Forest\(trees=\[tree\], n_trees=1\)$"):
-            predict()
+def test_every_entry_point_takes_a_forests_tree(rng):
+    # a forest's tree is a one-tree Forest sliced from its arrays: each
+    # entry point gives for it what it gives for the same tree joined anew
+    forest = edge_case_forest(rng, 3)
+    X, cfg = edge_case_samples(rng, forest, 40), config(n_simulations=5, p_max=0.35)
+    for t, tree in enumerate(forest.trees):
+        joined = Forest(trees=[tree], n_trees=1)
+        assert joined == tree and joined.feature.base is not forest.feature
+        for predict in (lambda m: predict_fair(m, X[t], SPEC, cfg, stream_id=t),
+                        lambda m: predict_fair_batch(m, X, SPEC, cfg),
+                        lambda m: exact_forest_batch(m, X, SPEC, cfg),
+                        lambda m: (forest_votes_batch(m, X),),
+                        lambda m: (predict_forest_batch(m, X),),
+                        lambda m: ([predict_deterministic(m, x) for x in X],)):
+            for got, want in zip(predict(tree), predict(joined), strict=True):
+                assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
 
 
 def test_exact_path_distribution_rejects_a_forest(rng):
@@ -618,8 +620,9 @@ def test_exact_path_distribution_rejects_a_forest(rng):
     forest = edge_case_forest(rng, 3)
     cfg = config()
     for model in (forest, None, [forest.trees[0]]):
-        with pytest.raises(TypeError, match=r"^exact_path_distribution takes a DecisionTree, "
-                                            r"not \w+; use exact.exact_forest_batch for a forest$"):
+        with pytest.raises(TypeError, match=r"^exact_path_distribution takes a one-tree Forest; "
+                                            r"use exact.exact_forest_batch for a forest of more "
+                                            r"trees$"):
             exact_path_distribution(model, np.zeros(3), SPEC, cfg)
 
 

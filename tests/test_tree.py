@@ -1,9 +1,9 @@
 import copy
 import hashlib
 import itertools
+import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +15,10 @@ import fairtree.tree as tree_module
 from fairtree.data import load_dataset, load_dataset_config
 from fairtree.bench import ExperimentConfig
 from fairtree.errors import ConfigError, DataError
-from fairtree.model_io import dumps, loads
+from fairtree.model_io import SCHEMA, dumps, loads
 from fairtree.rng import stream_key
 from fairtree.tree import (
     Dataset,
-    DecisionTree,
     Forest,
     _split_score,
     bootstrap_counts,
@@ -31,7 +30,7 @@ from fairtree.tree import (
     walk_lanes,
 )
 
-from conftest import chain_tree, depth1_tree, internal, leaf, make_tree, random_tree
+from conftest import chain_tree, depth1_tree, internal, leaf, make_tree, random_tree, rebuild
 from reference import reference_votes, uniform_at
 
 
@@ -165,6 +164,8 @@ def test_single_tree_forest_without_bootstrap_equals_train_tree():
     tree = train_tree(data, max_depth=4)
     # equal node arrays; the training_meta seeds differ
     assert all(np.array_equal(getattr(forest.trees[0], name), getattr(tree, name))
+               for name, _, _ in tree_module._NODE_ARRAYS)
+    assert all(np.array_equal(getattr(forest, name), getattr(tree, name))
                for name, _, _ in tree_module._NODE_ARRAYS)
 
 
@@ -440,7 +441,7 @@ def test_forest_votes_equal_a_scalar_walk_at_the_edges(case, monkeypatch):
 def test_split_on_a_feature_beyond_n_features_is_rejected():
     tree = make_tree(internal(1, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=2)
     with pytest.raises(ValueError, match=r"^feature\[0\]: must be -1 .* = \[0, 1\)$"):
-        replace(tree, n_features=1)
+        rebuild(tree, n_features=1)
 
 
 def test_forest_trees_must_agree_on_n_features():
@@ -451,13 +452,13 @@ def test_forest_trees_must_agree_on_n_features():
     wide = make_tree(internal(2, 0.0, 1.0, leaf(1, 0), leaf(0, 1)), n_features=3)
     with pytest.raises(ValueError, match="forest trees disagree on n_features"):
         Forest(trees=[narrow, wide], n_trees=2)
-    Forest(trees=[wide, replace(narrow, n_features=3)], n_trees=2)
+    Forest(trees=[wide, rebuild(narrow, n_features=3)], n_trees=2)
 
 
 def test_child_rows_that_loop_are_rejected():
     tree = make_tree(internal(0, 0.0, 1.0, leaf(1, 0), leaf(0, 1)))
     with pytest.raises(ValueError, match=r"^child\[0\]: an internal node's children must be in"):
-        replace(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
+        rebuild(tree, child=[[0, 2], [0, 0], [0, 0]])  # node 0 is its own child
 
 
 # Malformed variants of depth1_tree (node 0 splits, nodes 1 and 2 are
@@ -478,7 +479,7 @@ def test_child_rows_that_loop_are_rejected():
         "a negative class count", "a child past the last node"])
 def test_a_malformed_tree_is_rejected_when_it_is_built(change, message):
     with pytest.raises(ValueError, match="^" + message):
-        replace(depth1_tree(), **change)
+        rebuild(depth1_tree(), **change)
 
 
 # Values that the casts to the node arrays' dtypes once wrapped or truncated
@@ -496,13 +497,13 @@ def test_a_malformed_tree_is_rejected_when_it_is_built(change, message):
         "n_features 0", "n_features True", "n_features 2.0"])
 def test_a_value_that_does_not_fit_its_field_is_rejected(change, message):
     with pytest.raises(ValueError, match="^" + message):
-        replace(depth1_tree(), **change)
+        rebuild(depth1_tree(), **change)
 
 
 def test_a_numpy_integer_n_features_is_taken_and_stored_as_an_int():
     tree = depth1_tree(n_features=np.int64(2))
     assert tree.n_features == 2 and type(tree.n_features) is int
-    arrays = {name: getattr(tree, name) for name, _, _ in tree_module._NODE_ARRAYS}
+    arrays, _ = tree.node_arrays()
     forest = Forest.from_arrays(arrays, [3], np.int32(2), [{}], {})
     assert type(forest.n_features) is int and type(forest.trees[0].n_features) is int
     assert dumps(forest) == dumps(Forest(trees=[tree], n_trees=1))
@@ -515,7 +516,7 @@ def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array,
     # the array's dtype: the tree is rejected, or its model file loads
     name, dtype, shape = node_array
     tree = random_tree(np.random.default_rng(seed), n_features=3, max_depth=3)
-    array = getattr(tree, name).copy()
+    array = tree.node_arrays()[0][name].copy()
     at = (data.draw(st.integers(0, array.shape[0] - 1)),) + tuple(
         data.draw(st.integers(0, size - 1)) for size in shape)
     kind = np.dtype(dtype).kind
@@ -528,7 +529,7 @@ def test_a_tree_that_builds_round_trips_through_its_model_file(seed, node_array,
         value = data.draw(st.integers(-2, array.shape[0] + 1) | st.integers(info.min, info.max))
     array[at] = value
     try:
-        changed = replace(tree, **{name: array})
+        changed = rebuild(tree, **{name: array})
     except ValueError:
         return
     assert loads(dumps(changed)) == changed
@@ -546,17 +547,18 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
              "one tree": lambda: train_forest(data, n_trees=1, max_depth=4),
              "built": lambda: Forest(trees=given, n_trees=3)}[kind]()
     # each tree equals the tree built, and checked, on its own from copies of its arrays
-    alone = [DecisionTree(**{name: getattr(t, name).copy()
-                             for name, _, _ in tree_module._NODE_ARRAYS},
-                          n_features=t.n_features, training_meta=copy.deepcopy(t.training_meta))
+    alone = [rebuild(t, **{name: array.copy() for name, array in t.node_arrays()[0].items()},
+                     training_meta=copy.deepcopy(t.training_meta[0]))
              for t in built.trees]
     assert built.trees == alone
+    assert Forest(trees=built.trees, n_trees=built.n_trees, bagging_meta=built.bagging_meta) == built
     if kind == "built":  # the given trees are left as they were
         assert alone == given
         assert all(g.feature.base is not built.feature for g in given)
     for tree, one in zip(built.trees, alone):
-        assert tree.max_depth == one.max_depth
-        for name in ("leaf_class", "flip_divisor"):
+        assert tree.n_trees == 1 and tree.max_depth == one.max_depth
+        assert tree.n_leaves == one.n_leaves
+        for name in ("leaf_class", "flip_divisor", "column", "child", "root"):
             np.testing.assert_array_equal(getattr(tree, name), getattr(one, name), err_msg=name)
             assert getattr(tree, name).dtype == getattr(one, name).dtype, name
     assert built.max_depth == max(t.max_depth for t in alone)
@@ -565,8 +567,10 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
     if kind in ("trained", "loaded"):
         assert dumps(built) == text
     joined = [name for name, value in vars(built).items()
-              if isinstance(value, np.ndarray) and name not in ("child", "root", "column")]
-    assert len(joined) == 8  # the node arrays but child, leaf_class and flip_divisor
+              if isinstance(value, np.ndarray) and name not in ("child", "root")]
+    # the node arrays but child, leaf_class, flip_divisor and column: no
+    # array of the trees' local child ids is kept
+    assert len(joined) == 9
     # the forest-only column is feature as int64
     assert not built.column.flags.writeable and built.column.dtype == np.int64
     np.testing.assert_array_equal(built.column, built.feature)
@@ -574,23 +578,22 @@ def test_a_forests_trees_become_read_only_views_of_its_arrays(kind):
         for name in joined:
             array = getattr(tree, name)
             assert not array.flags.writeable and array.base is getattr(built, name), name
-        # a tree's child keeps local ids, [0, 0] at a leaf; the forest's holds
-        # global ones, and each leaf's row holds the leaf's own id twice
+        # a tree's child is the forest's rebased to local ids: a leaf's row
+        # holds the leaf's own id twice in both
         assert not tree.child.flags.writeable and tree.child.base is not built.child
         ids = root + np.arange(tree.feature.size)
         leaf, rows = tree.feature < 0, built.child[ids]
-        np.testing.assert_array_equal(rows[~leaf], tree.child[~leaf] + root)
+        np.testing.assert_array_equal(rows, tree.child + root)
         np.testing.assert_array_equal(rows[leaf], np.repeat(ids[leaf, None], 2, axis=1))
-        assert not tree.child[leaf].any()
 
 
 def test_a_child_in_the_next_trees_ids_is_rejected_naming_its_tree():
     # joined, tree 0's 3 nodes take ids 0-2 and tree 1's 3-5: tree 0's
     # child 3 lies past its own nodes but inside tree 1's ids
     broken, fine = depth1_tree(), depth1_tree()
-    broken.child = np.array([[1, 3], [0, 0], [0, 0]])  # set after the tree's own check
-    arrays = {name: np.concatenate([getattr(broken, name), getattr(fine, name)])
-              for name, _, _ in tree_module._NODE_ARRAYS}
+    broken.child = np.array([[1, 3], [1, 1], [2, 2]])  # set after the tree's own check
+    arrays = {name: np.concatenate([a, b]) for (name, a), b in zip(
+        broken.node_arrays()[0].items(), fine.node_arrays()[0].values())}
     message = r"^trees\[0\]\.child\[0\]: an internal node's children must be in \(its id, 3\)$"
     with pytest.raises(ValueError, match=message):
         Forest.from_arrays(arrays, [3, 3], 1, [{}, {}], {})
@@ -604,19 +607,19 @@ def test_a_child_in_the_next_trees_ids_is_rejected_naming_its_tree():
 @pytest.mark.parametrize("name", [name for name, _, _ in tree_module._NODE_ARRAYS])
 def test_node_arrays_whose_shape_differs_from_features_are_rejected(name, variant):
     tree = depth1_tree()
-    array = getattr(tree, name)
+    array = tree.node_arrays()[0][name]
     bad = {"one row short": array[:-1],
            "one row long": np.concatenate([array, array[:1]]),
            "wrong per-node shape": array[:, 0] if array.ndim == 2 else np.c_[array, array]}[variant]
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
-        replace(tree, **{name: bad})
+        rebuild(tree, **{name: bad})
 
 
 def test_a_tree_without_nodes_is_rejected():
     tree = depth1_tree()
     empty = {name: getattr(tree, name)[:0] for name, _, _ in tree_module._NODE_ARRAYS}
     with pytest.raises(ValueError, match="feature has 0 nodes; a tree has at least one"):
-        replace(tree, **empty)
+        rebuild(tree, **empty)
 
 
 def test_a_class_counts_row_beyond_the_nodes_is_rejected_when_the_tree_is_built():
@@ -624,10 +627,10 @@ def test_a_class_counts_row_beyond_the_nodes_is_rejected_when_the_tree_is_built(
     # this one: placed before a correct copy of itself, the forest would
     # vote [0, 0] on rows [[0.], [1.]], where each tree alone votes 0, then 1
     tree = depth1_tree(threshold=0.5, scale=0.5)
-    assert predict_forest_batch(Forest(trees=[tree, replace(tree)], n_trees=2),
+    assert predict_forest_batch(Forest(trees=[tree, rebuild(tree)], n_trees=2),
                                 [[0.0], [1.0]]).tolist() == [0, 1]
     with pytest.raises(ValueError, match="node array class_counts has shape"):
-        replace(tree, class_counts=np.r_[tree.class_counts, [[0, 1]]])
+        rebuild(tree, class_counts=np.r_[tree.class_counts, [[0, 1]]])
 
 
 # The depth-first, node-at-a-time CART grower that level-wise training
@@ -853,7 +856,7 @@ def test_bootstrap_counts_are_the_rows_and_seeds_each_tree_draws(seed, n_rows, n
     data = make_dataset(np.arange(n_rows) % 7, np.arange(n_rows) % 2)
     forest = train_forest(data, n_trees=n_trees, max_depth=1, bootstrap=bootstrap, rng_seed=seed)
     assert forest.bagging_meta == meta
-    assert [t.training_meta["rng_seed"] for t in forest.trees] == [s for _, s in got]
+    assert [meta["rng_seed"] for meta in forest.training_meta] == [s for _, s in got]
 
 
 def test_midpoint_that_rounds_onto_the_upper_value_is_not_used():
@@ -875,12 +878,18 @@ def test_all_features_models_are_unchanged():
     # digests of model_io.dumps: a tree that searches every feature at every
     # node has no feature draws, so its bytes must not change. Recorded
     # before training became level-wise with keyed feature draws, and again
-    # in fairtree-model/2 from the same node arrays
+    # in fairtree-model/2 from the same node arrays. A tree now saves as a
+    # forest of one, whose one tree document, as a "kind": "tree" document,
+    # has the tree's recorded digest
     data = load_dataset(load_dataset_config(str(FIXTURE)))
     tree = train_tree(data, rng_seed=0)
     forest = train_forest(data, n_trees=3, max_depth=8, bootstrap=False, rng_seed=5)
-    assert hashlib.sha256(dumps(tree).encode()).hexdigest() == (
+    doc = json.loads(dumps(tree))
+    assert doc["kind"] == "forest" and doc["n_trees"] == 1 and doc["bagging_meta"] == {}
+    tree_doc = {"schema": SCHEMA, "kind": "tree", **doc["trees"][0]}
+    assert hashlib.sha256((json.dumps(tree_doc, sort_keys=True) + "\n").encode()).hexdigest() == (
         "ba42bfefd3489ef9a05dcfaac555fc17ddaca4af1d2778f59ba2361e2fe03eec")
+    assert loads(json.dumps(tree_doc)) == tree
     assert hashlib.sha256(dumps(forest).encode()).hexdigest() == (
         "858dddb2683d89c885ccea545881c75f85b60c0baa35eb3b552ed83e901d103f")
 
@@ -892,9 +901,8 @@ def test_a_fit_without_bootstrap_is_unchanged_array_for_array():
     data = load_dataset(load_dataset_config(str(FIXTURE)))
     forest = train_forest(data, n_trees=3, min_samples_leaf=3, features_per_split=2,
                           bootstrap=False, rng_seed=11)
-    digests = {name: hashlib.sha256(np.concatenate([getattr(t, name) for t in forest.trees])
-                                    .tobytes()).hexdigest()[:16]
-               for name, _, _ in tree_module._NODE_ARRAYS}
+    digests = {name: hashlib.sha256(array.tobytes()).hexdigest()[:16]
+               for name, array in forest.node_arrays()[0].items()}
     assert digests == {
         "feature": "b2ae1f5813cca957",
         "threshold": "d86acc3a7103b09b",
