@@ -25,8 +25,9 @@ median latency of 200 one-row predict_fair calls on fold 0's first tree
 traversal.MAX_LANES: the frontier), the median split of a one-row call on
 that first tree into masses, draws (stream-key folds and draw tests) and
 the rest, and the median microseconds a row of exact_path_distribution on
-that first tree. After the 5-fold run it prints each fold's forest fit in
-seconds and seconds per tree, the seconds of each stage, the number of
+that first tree. It then runs the 5-fold pipeline three times and prints
+each fold's forest fit in seconds and seconds per tree (the median of the
+runs), each stage's median seconds and their min-max, the number of
 column rankings the probe made (the table ranks its columns once; each
 fold's train split gathers those ranks), the synthetic fixture's full CLI
 run with its stages, and the process's peak RSS. It exits 1 when fairttts
@@ -39,20 +40,24 @@ before and just after the timed work, and the work's seconds are divided
 by the machine's slowdown around it, so that runs on a shared machine
 compare. A run's stages (the per-fold seconds of its ExperimentResult's
 timings, or of the CLI's timing.json) share one slowdown, that around the
-whole run; a median of one-row calls takes that around the loop of calls.
+whole run, so the 5-fold pipeline runs three times, each run its own
+sample, and a change in machine speed inside one run moves that run's
+figures only. A median of one-row calls takes the slowdown around the loop
+of calls.
 
 --out writes the stage record to a JSON file, BENCH_<label>.json by
 convention, <label> naming the code measured: "stages_s", the calibrated
-seconds of each stage summed over the 5 folds (load; the run's fold_plan,
-train, policy_fit, votes, method.<name> for each method and metrics; fold
-0's model_dumps and model_loads); "train_s_per_fold" and
-"train_s_per_tree", by fold; "rows_per_s" of each method over the 5 folds
-(the test rows' vote walk, which baseline and threshold_optimizer share,
-in baseline's) and of fold 0's exact, Monte Carlo and vote runs
-("fold0.<run>"); "model_mb"; "peak_rss_mb"; the slowdowns seen; and
-"fixture", the second scale: the synthetic fixture's CLI run (25 trees,
-5 folds, S = 100) with its calibrated "wall_s", its "slowdown" and the
-calibrated "stages_s" of its timing.json.
+seconds of each stage summed over the 5 folds (load; fold 0's model_dumps
+and model_loads; and the median over "runs" 5-fold runs of their fold_plan,
+train, policy_fit, votes, method.<name> for each method and metrics, whose
+[min, max] over the runs are in "stages_s_range"); "train_s_per_fold" and
+"train_s_per_tree", by fold, each the median of the runs; "rows_per_s" of
+each method over the 5 folds (the test rows' vote walk, which baseline and
+threshold_optimizer share, in baseline's) and of fold 0's exact, Monte
+Carlo and vote runs ("fold0.<run>"); "model_mb"; "peak_rss_mb"; the
+slowdowns seen; and "fixture", the second scale: the synthetic fixture's
+CLI run (25 trees, 5 folds, S = 100) with its calibrated "wall_s", its
+"slowdown" and the calibrated "stages_s" of its timing.json.
 """
 
 import argparse
@@ -91,6 +96,9 @@ from fairtree.tree import Dataset  # noqa: E402
 # benchmark's settings
 FIXTURE = os.path.join("fixtures", "synthetic.json")
 FIXTURE_FLAGS = ("--n-trees", "25", "--folds", "5", "--n-simulations", "100")
+# 5-fold runs a probe: each is its own Meter sample, so a slowdown that
+# changes inside one run moves that run's stages only
+RUNS = 3
 
 
 def census_table(seed=1):
@@ -364,14 +372,22 @@ def main(argv=None):
         methods=(METHOD_BASELINE, METHOD_THRESHOLD, METHOD_FAIRTTTS),
     )
     fold0, model_io_s, model_mb = exact_vs_monte_carlo(meter, dataset, sex_index, config)
-    with meter.sample() as run:
-        result = run_experiment_on(dataset, sex_index, "census_shaped", config)
-    seconds = {stage: [s / run.slowdown for s in folds] for stage, folds in result.timings.items()}
-    train = seconds["train"]
+    runs, totals = [], {}  # each run's calibrated seconds by stage and fold
+    for _ in range(RUNS):
+        with meter.sample() as run:
+            result = run_experiment_on(dataset, sex_index, "census_shaped", config)
+        runs.append({stage: [s / run.slowdown for s in folds]
+                     for stage, folds in result.timings.items()})
+        print(f"5-fold run {len(runs)}: {run.seconds:.1f}s at slowdown {run.slowdown:.2f}")
+        for stage, folds in runs[-1].items():
+            totals.setdefault(stage, []).append(sum(folds))
+    train = [statistics.median(fits) for fits in zip(*(r["train"] for r in runs))]
     for fold, fit in enumerate(train):
-        print(f"fold {fold} forest fit {fit:.2f}s  {fit / config.n_trees:.3f} s per tree")
-    stages = {"load": load_s, **{stage: sum(folds) for stage, folds in seconds.items()},
+        print(f"fold {fold} forest fit {fit:.2f}s  {fit / config.n_trees:.3f} s per tree "
+              f"(median of {RUNS} runs)")
+    stages = {"load": load_s, **{stage: statistics.median(t) for stage, t in totals.items()},
               **model_io_s}
+    spread = {stage: [min(t), max(t)] for stage, t in totals.items()}
     # as the report timings once counted them: baseline's take the test rows' vote walk
     inference = {m: stages[f"method.{m}"] + (stages["votes"] if m == METHOD_BASELINE else 0.0)
                  for m in config.methods}
@@ -381,10 +397,11 @@ def main(argv=None):
               f"  eod {agg['eod']['mean']:.4f}±{agg['eod']['std']:.4f}"
               f"  di {agg['di']['mean']:.4f}"
               f"  inference {inference[method]:.2f}s")
-    print("stages (calibrated seconds over 5 folds): " + ", ".join(
-        f"{stage} {total:.2f}" for stage, total in stages.items()))
-    print(f"total of the stages {sum(stages.values()):.1f}s; the 5-fold run {run.seconds:.1f}s "
-          f"at slowdown {run.slowdown:.2f}; machine slowdown median "
+    print(f"stages (calibrated seconds over 5 folds, median [min-max] of {RUNS} runs): "
+          + ", ".join(f"{stage} {total:.2f}" + (" [{:.2f}-{:.2f}]".format(*spread[stage])
+                                                if stage in spread else "")
+                      for stage, total in stages.items()))
+    print(f"total of the stages {sum(stages.values()):.1f}s; machine slowdown median "
           f"{statistics.median(meter.slowdowns):.2f} over {len(meter.slowdowns)} samples")
     tables = ", ".join(f"{rows:,} x {columns}" for rows, columns in rankings)
     print(f"column rankings {len(rankings)} (tables of rows x columns: {tables})")
@@ -402,6 +419,8 @@ def main(argv=None):
             "environment": {"python": platform.python_version(), "numpy": np.__version__,
                             "nproc": len(os.sched_getaffinity(0)), "reference_s": REFERENCE_S},
             "stages_s": stages,
+            "stages_s_range": spread,
+            "runs": RUNS,
             "train_s_per_fold": train,
             "train_s_per_tree": [fit / config.n_trees for fit in train],
             "rows_per_s": {**{m: dataset.n_rows / inference[m] for m in config.methods},

@@ -21,11 +21,11 @@ from .traversal import (
     FairnessSpec,
     PredictionDistribution,
     TraversalConfig,
+    exact_forest_batch,
     exact_path_distribution,
     predict_fair,
     predict_fair_batch,
 )
-from .exact import exact_forest_batch
 from .metrics import (
     GroupConfusion,
     MetricsReport,

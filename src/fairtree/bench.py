@@ -31,12 +31,11 @@ import numpy as np
 from . import __version__
 from .data import FoldPlan, load_dataset, load_dataset_config, make_folds, read_json, write_text
 from .errors import ConfigError, DataError
-from .exact import exact_forest_batch
 from .metrics import MetricsReport, full_report
 from .rng import stream_key
 from .threshold import ThresholdPolicy, apply_threshold_policy, fit_threshold_policy
 from .traversal import (VOTE_MAJORITY, FairnessSpec, TraversalConfig, _check_aggregation,
-                        _integer, predict_fair_batch)
+                        _integer, exact_forest_batch, predict_fair_batch)
 from .traversal import exact_path_distribution  # noqa: F401
 from .tree import (
     Dataset,

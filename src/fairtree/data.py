@@ -19,8 +19,9 @@ raises DataError (CLI exit 2) naming the file, or the row and column: a
 path that cannot be read, bytes that are not UTF-8, CSV the parser
 rejects, ragged rows, unknown columns, unmapped labels, non-numeric or
 non-finite cells in numeric columns. A dataset config that cannot be read,
-is not UTF-8, not valid JSON or has malformed row_filters raises
-ConfigError (exit 1).
+is not UTF-8 or not valid JSON, or has a list field that is not a list of
+strings, a privileged_min or row filter bound that is not a finite number,
+or another malformed row filter, raises ConfigError (exit 1).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import compress
@@ -39,6 +41,9 @@ from .errors import ConfigError, DataError
 from .tree import Dataset
 
 DEFAULT_MISSING = ("", "?", "NA")
+# the DatasetConfig fields a config document gives as lists of strings
+_LIST_FIELDS = ("privileged_values", "negative_label_values", "drop_columns", "keep_columns",
+                "categorical_columns", "one_hot_columns", "missing_values", "column_names")
 
 
 @dataclass(frozen=True)
@@ -95,27 +100,36 @@ def load_dataset_config(path) -> DatasetConfig:
     return dataset_config_from_dict(read_json(path, ConfigError, "dataset config"), base=path)
 
 
+def _strings(value, where) -> tuple:
+    """value as a tuple if it is a list of strings, else ConfigError naming where."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _number(value, where):
+    """value if it is None or a finite number (not a bool), else ConfigError naming where."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return value
+
+
 def _row_filter(f, where) -> RowFilter:
     """The RowFilter of the row_filters entry at ``where``."""
-    if not isinstance(f, dict) or "column" not in f:
+    if not isinstance(f, dict) or not isinstance(f.get("column"), str):
         raise ConfigError(f"{where}: expected an object with a 'column'")
-    for key in ("keep_values", "drop_values"):
-        if key in f and not isinstance(f[key], list):
-            raise ConfigError(f"{where}.{key}: expected a list")
-    for key in ("min", "max"):
-        value = f.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return RowFilter(
-        column=f["column"],
-        keep_values=tuple(f["keep_values"]) if "keep_values" in f else None,
-        drop_values=tuple(f["drop_values"]) if "drop_values" in f else None,
-        minimum=f.get("min"),
-        maximum=f.get("max"),
-    )
+    values = {key: _strings(f[key], f"{where}.{key}") if key in f else None
+              for key in ("keep_values", "drop_values")}
+    return RowFilter(column=f["column"], **values, minimum=_number(f.get("min"), f"{where}.min"),
+                     maximum=_number(f.get("max"), f"{where}.max"))
 
 
 def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
+    """The DatasetConfig of a parsed JSON document, its csv_path relative to
+    base's directory if base is given. A list field must be a list of
+    strings (null leaves it at its default) and privileged_min a finite number;
+    anything else raises ConfigError naming the field."""
     if not isinstance(doc, dict):
         raise ConfigError("dataset config must be a JSON object")
     required = ("name", "csv_path", "label_column", "positive_label_value",
@@ -123,37 +137,24 @@ def dataset_config_from_dict(doc: dict, base=None) -> DatasetConfig:
     for key in required:
         if key not in doc:
             raise ConfigError(f"dataset config missing field {key!r}")
-    csv_path = doc["csv_path"]
+    csv_path = str(doc["csv_path"])
     if base is not None:
         csv_path = os.path.join(os.path.dirname(os.fspath(base)), csv_path)
     row_filters = doc.get("row_filters", [])
     if not isinstance(row_filters, list):
         raise ConfigError("row_filters: expected a list")
     filters = [_row_filter(f, f"row_filters[{i}]") for i, f in enumerate(row_filters)]
-
-    def opt_tuple(key):
-        return tuple(doc[key]) if doc.get(key) is not None else None
-
-    try:
-        return DatasetConfig(
-            name=str(doc["name"]),
-            csv_path=str(csv_path),
-            label_column=str(doc["label_column"]),
-            positive_label_value=str(doc["positive_label_value"]),
-            protected_column=str(doc["protected_column"]),
-            privileged_values=opt_tuple("privileged_values"),
-            privileged_min=doc.get("privileged_min"),
-            negative_label_values=opt_tuple("negative_label_values"),
-            drop_columns=tuple(doc.get("drop_columns", ())),
-            keep_columns=opt_tuple("keep_columns"),
-            categorical_columns=opt_tuple("categorical_columns"),
-            one_hot_columns=tuple(doc.get("one_hot_columns", ())),
-            missing_values=tuple(doc.get("missing_values", DEFAULT_MISSING)),
-            column_names=opt_tuple("column_names"),
-            row_filters=tuple(filters),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"invalid dataset config: {exc}") from exc
+    lists = {key: _strings(doc[key], key) for key in _LIST_FIELDS if doc.get(key) is not None}
+    return DatasetConfig(
+        name=str(doc["name"]),
+        csv_path=csv_path,
+        label_column=str(doc["label_column"]),
+        positive_label_value=str(doc["positive_label_value"]),
+        protected_column=str(doc["protected_column"]),
+        privileged_min=_number(doc.get("privileged_min"), "privileged_min"),
+        row_filters=tuple(filters),
+        **lists,
+    )
 
 
 def read_text(path, error, what) -> str:

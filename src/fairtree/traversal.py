@@ -6,30 +6,35 @@ distance to the threshold, normalized by the node's stored scale, and is
 boosted by ``alpha`` (capped at 0.5) at protected-attribute nodes whose
 deterministic child routes an unprivileged sample toward the unfavorable
 class. Monte Carlo aggregation over ``n_simulations`` traversals yields a
-class distribution; ``exact_path_distribution`` computes the same
-distribution for one tree in closed form, for verification. Every entry
-point takes a Forest, and a tree is a one-tree Forest (``train_tree``'s or
-``forest.trees[t]``). The flip rule has a vector
-form, ``_flip_chance``, and the row walk's scalar one, with the same bits;
-``tests/reference.py`` keeps a node-by-node copy as the tests' oracle.
+class distribution; ``exact_forest_batch`` computes its limit in closed
+form, and ``exact_path_distribution`` that of one row down one tree, for
+verification. Every entry point takes a Forest, and a tree is a one-tree
+Forest (``train_tree``'s or ``forest.trees[t]``). The flip rule has a
+vector form, ``_flip_chance``, and the row walk's scalar one, with the same
+bits; ``tests/reference.py`` keeps a node-by-node copy as the tests' oracle.
 
-Both engines take the class masses (q0, q1) of each (row, tree) pair, which
-``fairtree.exact`` aggregates, from one of two walks with the same bits. A
-pair's branches, (pair, node, mass) entries, go down the trees one level per
-step; a branch splits into mass * (1 - p) at the deterministic child and
-mass * p at the flip child, and one whose mass is not above 0 is dropped. The
-frontier (``_pair_masses``) takes chunks of rows with one ``_flip_chance``
-call a level, the row walk (``_row_masses``) one row in Python: one-row calls
-on at most ``tree.MAX_LANES`` nodes (README, "Exact kernel", times both).
-Each simulation walks each tree on its own stream, so a tree's vote in a
-simulation is Bernoulli(q1): Monte Carlo (``predict_fair_batch``) lets tree t
-vote 1 in simulation s when draw 0 of the stream keyed (seed, stream_id, s,
-t) is below q1. The frontier's budget, ``tree.MAX_LANES``, counts a level's
-live branches; reached leaves are held apart and added in as they pile up. A
+Both engines take the class masses (q0, q1) of each (row, tree) pair from
+one of two walks with the same bits. A pair's branches, (pair, node, mass)
+entries, go down the trees one level per step; a branch splits into
+mass * (1 - p) at the deterministic child and mass * p at the flip child,
+and one whose mass is not above 0 is dropped. A level holds the
+deterministic children of the level above, then its flip children, each in
+parent order, and a pair's class masses are its leaves' masses added one at
+a time as they are reached, in that order. The frontier (``_pair_masses``)
+takes chunks of rows with one ``_flip_chance`` call a level, the row walk
+(``_row_masses``) one row in Python: one-row calls on at most
+``tree.MAX_LANES`` nodes (README, "Exact kernel", times both). Each
+simulation walks each tree on its own stream, so a tree's vote in a
+simulation is Bernoulli(q1): Monte Carlo (``predict_fair_batch``) lets tree
+t vote 1 in simulation s when draw 0 of the stream keyed (seed, stream_id,
+s, t) is below q1. So a simulation's majority vote is Bernoulli(Q), Q the
+Poisson-binomial chance that more than half of the trees vote 1, which
+``exact_forest_batch`` takes. The frontier's budget, ``tree.MAX_LANES``,
+counts a level's live branches; a chunk holds them and its pairs' masses. A
 pair's branches never merge, since a node has one path from its root, so a
 row alone never has more live branches than the forest has leaves, and a
-one-row chunk takes that as its budget: every row fits. Results do not depend
-on evaluation order, batching or chunks.
+one-row chunk takes that as its budget: every row fits. Results do not
+depend on evaluation order, batching or chunks.
 """
 
 from __future__ import annotations
@@ -59,6 +64,15 @@ def _integer(value, low, high, message: str) -> int:
     return int(value)
 
 
+def _real(value, low, high, message: str) -> float:
+    """value as a float if it is a real number (not a bool) in [low, high], else ConfigError."""
+    # a Python int is compared exactly: float() would overflow on one past the float range
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not low <= (value if type(value) is int else float(value)) <= high:
+        raise ConfigError(message)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FairnessSpec:
     """Which feature is protected. Its value 1 marks the privileged group
@@ -75,7 +89,8 @@ class FairnessSpec:
 @dataclass(frozen=True)
 class TraversalConfig:
     """Monte Carlo traversal hyperparameters. The integers are stored as
-    int; seed is a stream-key word, so it lies in [0, 2**64)."""
+    int and p_max and alpha as float (bools are rejected); seed is a
+    stream-key word, so it lies in [0, 2**64)."""
 
     n_simulations: int = 100
     p_max: float = 0.1
@@ -85,10 +100,10 @@ class TraversalConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_simulations", _integer(
             self.n_simulations, 1, math.inf, "n_simulations must be a positive integer"))
-        if not (isinstance(self.p_max, numbers.Real) and 0.0 <= self.p_max <= 0.5):
-            raise ConfigError("p_max must lie in [0, 0.5]")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha < math.inf):
-            raise ConfigError("alpha must be finite and >= 0")
+        object.__setattr__(self, "p_max", _real(
+            self.p_max, 0.0, 0.5, "p_max must lie in [0, 0.5]"))
+        object.__setattr__(self, "alpha", _real(
+            self.alpha, 0.0, float(_DBL_MAX), "alpha must be finite and >= 0"))
         object.__setattr__(self, "seed", _integer(
             self.seed, 0, 2**64, "seed must be an integer in [0, 2**64)"))
 
@@ -154,26 +169,14 @@ def _flip_chance(model: Forest, spec: FairnessSpec, config: TraversalConfig):
     return chance
 
 
-def _add_leaves(q, leaves, slots):
-    """q plus the masses of leaves, a list of (slot, mass) arrays, each
-    added at its slot one at a time in list order: np.bincount into a new
-    q (None), np.add.at into a given one. Both add in index order, so
-    adding a list in parts gives one np.bincount's sums bit for bit."""
-    slot, mass = (np.concatenate(a) for a in zip(*leaves))
-    if q is None:
-        return np.bincount(slot, mass, slots)
-    np.add.at(q, slot, mass)
-    return q
-
-
 @np.errstate(over="ignore")  # see _flip_chance
 def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     """(q, peak) for rows: q the (q0, q1) of their (row, tree) pairs,
     shaped (rows, T, 2), and peak the most live branches of a level. None
     once one level's live branches outnumber limit.
 
-    Only live branches count against limit. Reached leaves are held in
-    arrival order and added into q whenever more than limit are held."""
+    Only live branches count against limit: each level's reached leaves
+    are added into q at once, one at a time in level order (np.add.at)."""
     T = forest.n_trees
     slots = 2 * rows.size * T
     values, child, column = X.ravel(), forest.child.ravel(), forest.column
@@ -182,17 +185,13 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
     if node.size > limit:
         return None
     slot = np.arange(0, slots, 2)  # a branch's pair's q0 slot, 2 * pair; q1's is slot + 1
-    mass = np.ones(node.size)
-    leaves, held, peak, q = [], 0, node.size, None
+    mass, q, peak = np.ones(node.size), np.zeros(slots), node.size
     while node.size:
         feat = column.take(node)
         done = feat < _INT64_0
         if np.count_nonzero(done):
             at = done.nonzero()[0]
-            leaves.append((slot[at] + forest.leaf_class[node[at]], mass[at]))
-            held += at.size
-            if held > limit:
-                q, leaves, held = _add_leaves(q, leaves, slots), [], 0
+            np.add.at(q, slot[at] + forest.leaf_class[node[at]], mass[at])
             at = (~done).nonzero()[0]
             node, feat, slot, mass = node[at], feat[at], slot[at], mass[at]
             if not node.size:
@@ -218,8 +217,6 @@ def _pair_masses(forest: Forest, X, chance, rows, limit: int):
         else:
             to, slot, mass = to[s], slot[s], stay[s]
         node = child[to]
-    if leaves:  # q is set after this: each pair reaches a leaf
-        q = _add_leaves(q, leaves, slots)
     return q.reshape(rows.size, T, 2), peak
 
 
@@ -395,6 +392,35 @@ def predict_fair_batch(
     return (2 * counts > denom).astype(np.int64), probs
 
 
+def _majority(q):
+    """(P0, P1) of a majority vote, ties to 0, of trees voting 1 with the
+    chances q[:, t, 1] and 0 with q[:, t, 0]: a DP over the count of 1
+    votes."""
+    n, T, _ = q.shape
+    count = np.zeros((n, T + 1))
+    count[:, 0] = 1.0
+    for t in range(T):
+        count[:, 1:t + 2] = count[:, 1:t + 2] * q[:, t, :1] + count[:, :t + 1] * q[:, t, 1:]
+        count[:, 0] *= q[:, t, 0]
+    return np.add.reduceat(count, [0, T // 2 + 1], axis=1)
+
+
+def exact_forest_batch(forest: Forest, X, spec: FairnessSpec, config: TraversalConfig,
+                       aggregation: str = VOTE_MAJORITY):
+    """The exact limit of predict_fair_batch as n_simulations grows:
+    (predictions, probs) with probs[i] = (P(class 0), P(class 1)), the
+    prediction 1 where P(class 1) > P(class 0). One tree gives its (q0,
+    q1), mean_distribution the trees' mean and majority_vote (P0, P1).
+    Rows go in the chunks of _mass_chunks; results do not depend on them."""
+    _check_aggregation(aggregation)
+    X = _check_matrix(X, forest.n_features)
+    q = np.empty((X.shape[0], forest.n_trees, 2))
+    for r0, masses in _mass_chunks(forest, X, spec, config, MAX_LANES):
+        q[r0:r0 + len(masses)] = masses
+    probs = np.clip(q.mean(axis=1) if aggregation == VOTE_MEAN else _majority(q), 0.0, 1.0)
+    return (probs[:, 1] > probs[:, 0]).astype(np.int64), probs
+
+
 def exact_path_distribution(tree: Forest, sample, spec: FairnessSpec,
                             config: TraversalConfig) -> PredictionDistribution:
     """Closed-form traversal distribution, the verification oracle for the
@@ -403,7 +429,7 @@ def exact_path_distribution(tree: Forest, sample, spec: FairnessSpec,
     for bit."""
     if not (isinstance(tree, Forest) and tree.n_trees == 1):
         raise TypeError("exact_path_distribution takes a one-tree Forest; "
-                        "use exact.exact_forest_batch for a forest of more trees")
+                        "use exact_forest_batch for a forest of more trees")
     sample = _check_sample(sample, tree.n_features)
     q = _row_masses(tree, [0], sample, spec, config)
     return PredictionDistribution(probs=tuple(min(p, 1.0) for p in q[0].tolist()),

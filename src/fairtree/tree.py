@@ -744,10 +744,10 @@ def predict_deterministic(model: Forest, sample) -> int:
 
 # Lanes per chunk of a deterministic batch walk (a lane is one
 # root-to-leaf walk of one tree for one row); Monte Carlo's default draws
-# per block, one per (row, tree, simulation); and live branches per level,
-# and unflushed reached leaves, per chunk of rows of the exact frontier. A
-# row alone takes the forest's leaf count there if that is more, which
-# always fits it. A chunk's transient arrays take a few MB at this size.
+# per block, one per (row, tree, simulation); and live branches per level
+# per chunk of rows of the exact frontier. A row alone takes the forest's
+# leaf count there if that is more, which always fits it. A chunk's
+# transient arrays take a few MB at this size.
 MAX_LANES = 2**15
 
 

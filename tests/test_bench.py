@@ -35,10 +35,9 @@ from fairtree.bench import (
 from fairtree.charts import chart_accuracy_vs_eod, chart_alpha_sweep, emit_charts
 from fairtree.data import load_dataset, load_dataset_config, make_folds
 from fairtree.errors import ConfigError, DataError
-from fairtree.exact import exact_forest_batch
 from fairtree.model_io import dumps, load_model
 from fairtree.rng import stream_key
-from fairtree.traversal import FairnessSpec
+from fairtree.traversal import FairnessSpec, exact_forest_batch
 from fairtree.tree import Forest
 
 from conftest import chain_tree, full_uniform_tree, leaf, make_tree

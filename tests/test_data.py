@@ -208,6 +208,57 @@ def test_config_validation_errors():
         load_dataset_config("/nonexistent/config.json")
 
 
+LIST_FIELDS = ("privileged_values", "negative_label_values", "drop_columns", "keep_columns",
+               "categorical_columns", "one_hot_columns", "missing_values", "column_names")
+
+
+def test_config_list_fields_must_be_lists_of_strings():
+    # a string is not split into characters, and a number in a list (which
+    # matches no cell) is not taken: each raises ConfigError naming its field
+    doc = {"name": "x", "csv_path": "x.csv", "label_column": "y",
+           "positive_label_value": "1", "protected_column": "g", "privileged_values": ["1"]}
+    for key in LIST_FIELDS:
+        for value in ("10", 7, {"a": "b"}, [1], ["g", None], [["g"]]):
+            with pytest.raises(ConfigError, match=f"^{key}: expected a list of strings, got "):
+                dataset_config_from_dict({**doc, key: value})
+    for key in ("keep_values", "drop_values"):
+        with pytest.raises(ConfigError, match=rf"^row_filters\[0\]\.{key}: expected a list of"):
+            dataset_config_from_dict({**doc, "row_filters": [{"column": "g", key: [1]}]})
+    config = dataset_config_from_dict({**doc, "missing_values": ["NA"], "drop_columns": ["x"],
+                                       "keep_columns": None, "one_hot_columns": None})
+    assert config.missing_values == ("NA",) and config.drop_columns == ("x",)
+    assert config.keep_columns is None and config.privileged_values == ("1",)
+    assert config.one_hot_columns == () and config.categorical_columns is None
+    assert dataset_config_from_dict(doc).missing_values == ("", "?", "NA")
+    # a number as csv_path once failed os.path.join with a TypeError traceback
+    config = dataset_config_from_dict({**doc, "csv_path": 5}, base=os.path.join("d", "c.json"))
+    assert config.csv_path == os.path.join("d", "5")
+
+
+def test_config_privileged_min_must_be_a_number(tmp_path):
+    doc = {"name": "x", "csv_path": "x.csv", "label_column": "y",
+           "positive_label_value": "1", "protected_column": "g"}
+    # json.loads takes NaN and Infinity; a NaN cut-off made every row unprivileged
+    for value in ("1", True, False, [1], {"min": 1}, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="^privileged_min: expected a number, got "):
+            dataset_config_from_dict({**doc, "privileged_min": value})
+        with pytest.raises(ConfigError, match=r"^row_filters\[0\]\.max: expected a number, got "):
+            dataset_config_from_dict({**doc, "privileged_min": 1,
+                                      "row_filters": [{"column": "x", "max": value}]})
+    for column in (5, ["x"], None):
+        with pytest.raises(ConfigError, match=r"^row_filters\[0\]: expected an object with a "):
+            dataset_config_from_dict({**doc, "privileged_min": 1,
+                                      "row_filters": [{"column": column, "max": 1}]})
+    assert dataset_config_from_dict({**doc, "privileged_min": 10**400}).privileged_min == 10**400
+    for value in (40, 40.5):
+        assert dataset_config_from_dict({**doc, "privileged_min": value}).privileged_min == value
+    path = write_csv(tmp_path, "g,x,y\n30,1,yes\n50,2,no\n")
+    data = load_dataset(dataset_config_from_dict({**doc, "csv_path": path,
+                                                   "positive_label_value": "yes",
+                                                   "privileged_min": 40}))
+    assert data.rows[:, data.feature_names.index("g")].tolist() == [0.0, 1.0]
+
+
 def test_make_folds_sizes_and_partition():
     plan = make_folds(10, 5, seed=3)
     sizes = sorted((plan.assignments == f).sum() for f in range(5))

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairtree import exact, traversal
+from fairtree import traversal
 from fairtree.errors import ConfigError
-from fairtree.exact import exact_forest_batch
-from fairtree.traversal import VOTE_MAJORITY, VOTE_MEAN, exact_path_distribution, predict_fair_batch
+from fairtree.traversal import (VOTE_MAJORITY, VOTE_MEAN, exact_forest_batch,
+                                exact_path_distribution, predict_fair_batch)
 from fairtree.tree import MAX_LANES, Forest
 
 from conftest import chain_tree, full_uniform_tree, internal, leaf, make_tree, random_tree
@@ -113,11 +113,11 @@ def test_results_do_not_depend_on_lane_budget_or_row_order(rng, monkeypatch):
     for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
         preds, probs = exact_forest_batch(forest, X, SPEC, cfg, aggregation)
         for lanes in (80, 97, 500):
-            monkeypatch.setattr(exact, "MAX_LANES", lanes)
+            monkeypatch.setattr(traversal, "MAX_LANES", lanes)
             got = exact_forest_batch(forest, X, SPEC, cfg, aggregation)
             np.testing.assert_array_equal(got[0], preds)
             np.testing.assert_array_equal(got[1], probs)
-        monkeypatch.setattr(exact, "MAX_LANES", MAX_LANES)
+        monkeypatch.setattr(traversal, "MAX_LANES", MAX_LANES)
         got = exact_forest_batch(forest, X[order], SPEC, cfg, aggregation)
         np.testing.assert_array_equal(got[1], probs[order])
 
@@ -146,7 +146,7 @@ def test_chunks_halve_when_doubling_reaches_wide_rows(rng, monkeypatch):
         return got
 
     monkeypatch.setattr(traversal, "_pair_masses", counted)
-    monkeypatch.setattr(exact, "MAX_LANES", 128)
+    monkeypatch.setattr(traversal, "MAX_LANES", 128)
     got = exact_forest_batch(forest, X, SPEC, cfg)
     np.testing.assert_array_equal(got[0], preds)
     np.testing.assert_array_equal(got[1], probs)
@@ -192,7 +192,7 @@ def test_a_row_outgrowing_the_budget_gets_exact_masses(rng, monkeypatch):
     for budget, chunks in ((100, [(1, 4096)] * 3), (4095, [(1, 4096)] * 3),
                            (4096, [(1, 4096)] * 3), (MAX_LANES, [(3, MAX_LANES)])):
         calls.clear()
-        monkeypatch.setattr(exact, "MAX_LANES", budget)
+        monkeypatch.setattr(traversal, "MAX_LANES", budget)
         _, probs = exact_forest_batch(forest, X, SPEC, config())
         assert [tuple(p) for p in probs] == want, budget
         assert calls == chunks, budget
@@ -214,7 +214,6 @@ def test_both_exact_paths_agree_at_every_budget(rng, monkeypatch):
         want = [reference_exact(tree, x, SPEC, cfg).probs for x in X]
         assert [exact_path_distribution(tree, x, SPEC, cfg).probs for x in X] == want
         for budget in range(1, 2 ** tree.max_depth + 2):
-            monkeypatch.setattr(exact, "MAX_LANES", budget)
             monkeypatch.setattr(traversal, "MAX_LANES", budget)
             alone = [tuple(exact_forest_batch(forest, X[i:i + 1], SPEC, cfg)[1][0])
                      for i in range(len(X))]

@@ -8,12 +8,12 @@ import pytest
 
 from fairtree import traversal
 from fairtree.errors import ConfigError
-from fairtree.exact import exact_forest_batch
 from fairtree.traversal import (
     VOTE_MAJORITY,
     VOTE_MEAN,
     FairnessSpec,
     TraversalConfig,
+    exact_forest_batch,
     exact_path_distribution,
     predict_fair,
     predict_fair_batch,
@@ -312,7 +312,7 @@ def test_enumeration_limit_is_enforced(monkeypatch):
         return got
 
     monkeypatch.setattr(traversal, "_pair_masses", counted)
-    monkeypatch.setattr("fairtree.exact.MAX_LANES", 4095)
+    monkeypatch.setattr(traversal, "MAX_LANES", 4095)
     np.testing.assert_array_equal(exact_forest_batch(forest, X, SPEC, config())[1], want)
     assert chunks == [(1, 4096, 4096)] * 3
 
@@ -621,7 +621,7 @@ def test_exact_path_distribution_rejects_a_forest(rng):
     cfg = config()
     for model in (forest, None, [forest.trees[0]]):
         with pytest.raises(TypeError, match=r"^exact_path_distribution takes a one-tree Forest; "
-                                            r"use exact.exact_forest_batch for a forest of more "
+                                            r"use exact_forest_batch for a forest of more "
                                             r"trees$"):
             exact_path_distribution(model, np.zeros(3), SPEC, cfg)
 
@@ -828,7 +828,6 @@ def test_a_row_past_the_limit_shares_a_chunk_that_fits(rng, monkeypatch):
     ids = np.arange(n_rows) * 5 + 2
     cfg = config(n_simulations=S, p_max=0.3, alpha=4.0, seed=29)
     want = exact_forest_batch(forest, X, SPEC, cfg)[1]
-    monkeypatch.setattr("fairtree.exact.MAX_LANES", budget)
     monkeypatch.setattr(traversal, "MAX_LANES", budget)
     attempts, pair_masses = [], traversal._pair_masses
 
@@ -951,7 +950,6 @@ def test_results_are_byte_equal_across_budgets_on_rows_past_them(rng, monkeypatc
     seen = {}
     for budget in (1, 7, 64, 100, 2**15):
         monkeypatch.setattr(traversal, "MAX_LANES", budget)
-        monkeypatch.setattr("fairtree.exact.MAX_LANES", budget)
         got = []
         for aggregation in (VOTE_MAJORITY, VOTE_MEAN):
             exact_probs = exact_forest_batch(forest, X, SPEC, cfg, aggregation)[1]
@@ -1237,6 +1235,21 @@ def test_traversal_config_integers():
     X = edge_case_samples(np.random.default_rng(1), forest, 3)
     assert predict_fair_batch(forest, X, SPEC, config(seed=np.int64(3)))[1].tobytes() \
         == predict_fair_batch(forest, X, SPEC, config(seed=3))[1].tobytes()
+
+
+def test_traversal_config_reals():
+    # any real number but a bool, stored as float; a bool is rejected as
+    # the integer fields reject it
+    cfg = TraversalConfig(p_max=np.float32(0.25), alpha=np.int64(4))
+    assert (cfg.p_max, cfg.alpha) == (0.25, 4.0)
+    assert type(cfg.p_max) is float and type(cfg.alpha) is float
+    assert TraversalConfig(alpha=0) == TraversalConfig(alpha=0.0)
+    for p_max in (False, True, np.bool_(False), 0.6, math.nan, "0.1", None):
+        with pytest.raises(ConfigError, match=r"^p_max must lie in \[0, 0\.5\]$"):
+            TraversalConfig(p_max=p_max)
+    for alpha in (True, False, -1.0, math.inf, math.nan, 10**400, "9"):
+        with pytest.raises(ConfigError, match="^alpha must be finite and >= 0$"):
+            TraversalConfig(alpha=alpha)
 
 
 def test_traversal_config_validation():
